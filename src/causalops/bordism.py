@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -59,8 +59,6 @@ __all__ = [
     "permute_cell",
     "cells_between",
     "globular_cells_between",
-    "source_of",
-    "target_of",
     "compose_two_cells",
     "find_wide_witness",
     "check_two_cell",
@@ -86,6 +84,12 @@ class PointedObject:
     def __init__(self, carrier: CausalSet, surface: Iterable[str]):
         object.__setattr__(self, "carrier", carrier)
         object.__setattr__(self, "surface", frozenset(surface))
+        stray = self.surface.difference(carrier.events)
+        if stray:
+            raise InvalidSurface(
+                f"surface names {sorted(stray)}, which are not events of "
+                f"the carrier {list(carrier.events)}"
+            )
         if not is_cauchy_antichain(carrier, self.surface):
             raise InvalidSurface("surface must be a Cauchy antichain of the carrier")
 
@@ -221,21 +225,29 @@ def _iso_stats(M: CausalSet) -> dict[str, tuple[int, int, int, int]]:
     return {e: (past[e], future[e], down[e], up[e]) for e in M.events}
 
 
-def _pinned_isos(
+def _pinned_maps(
     A: CausalSet,
     B: CausalSet,
+    *,
+    iso: bool,
     blocks: Sequence[tuple[frozenset[str], frozenset[str]]] = (),
     pins: Mapping[str, str] | None = None,
 ) -> Iterator[dict[str, str]]:
-    """Order isomorphisms A -> B respecting setwise blocks and exact pins."""
-    if len(A.events) != len(B.events):
-        return
-    for s, t in blocks:
-        if len(s) != len(t):
+    """Order embeddings A -> B extending exact pins, in sorted order.
+
+    With ``iso`` only the order isomorphisms are searched, which must also
+    respect the setwise ``blocks``; without it, every order-preserving and
+    order-reflecting injection is.
+    """
+    if iso:
+        if len(A.events) != len(B.events):
             return
+        for s, t in blocks:
+            if len(s) != len(t):
+                return
+        stats_a = _iso_stats(A)
+        stats_b = _iso_stats(B)
     pins = dict(pins or {})
-    stats_a = _iso_stats(A)
-    stats_b = _iso_stats(B)
     order = sorted(A.events)
     b_sorted = sorted(B.events)
 
@@ -248,42 +260,8 @@ def _pinned_isos(
         for b in candidates:
             if b in used:
                 continue
-            if stats_a[a] != stats_b[b]:
-                continue
-            if any((a in s) != (b in t) for s, t in blocks):
-                continue
-            if any(
-                A.le(a, a2) != B.le(b, b2) or A.le(a2, a) != B.le(b2, b)
-                for a2, b2 in assignment.items()
-            ):
-                continue
-            assignment[a] = b
-            used.add(b)
-            yield from extend(i + 1, assignment, used)
-            del assignment[a]
-            used.discard(b)
-
-    yield from extend(0, {}, set())
-
-
-def _pinned_embeddings(
-    A: CausalSet,
-    B: CausalSet,
-    pins: Mapping[str, str],
-) -> Iterator[dict[str, str]]:
-    """Order-reflecting injections A -> B extending the pinned assignments."""
-    order = sorted(A.events)
-    b_sorted = sorted(B.events)
-    pins = dict(pins)
-
-    def extend(i: int, assignment: dict[str, str], used: set[str]) -> Iterator[dict[str, str]]:
-        if i == len(order):
-            yield dict(assignment)
-            return
-        a = order[i]
-        candidates = [pins[a]] if a in pins else b_sorted
-        for b in candidates:
-            if b in used:
+            if iso and (stats_a[a] != stats_b[b]
+                        or any((a in s) != (b in t) for s, t in blocks)):
                 continue
             if any(
                 A.le(a, a2) != B.le(b, b2) or A.le(a2, a) != B.le(b2, b)
@@ -303,7 +281,7 @@ def enumerate_germs(src: PointedObject, tgt: PointedObject) -> tuple[Germ, ...]:
     """All invertible germs from src to tgt, sorted deterministically."""
     found = [
         Germ(src, tgt, iso)
-        for iso in _pinned_isos(src.core, tgt.core,
+        for iso in _pinned_maps(src.core, tgt.core, iso=True,
                                 blocks=((src.surface, tgt.surface),))
     ]
     return tuple(sorted(found, key=str))
@@ -817,14 +795,6 @@ class TwoCell:
         return self._text
 
 
-def source_of(cell: TwoCell) -> tuple[Germ, ...]:
-    return cell.source_germs
-
-
-def target_of(cell: TwoCell) -> Germ:
-    return cell.target_germ
-
-
 def identity_cell(b: Bordism) -> TwoCell:
     return TwoCell(b, b, {e: e for e in b.surface_hull})
 
@@ -849,7 +819,8 @@ def cells_between(a: Bordism, b: Bordism) -> tuple[TwoCell, ...]:
     blocks.append((a.out_surface_image, b.out_surface_image))
     found = [
         TwoCell(a, b, iso)
-        for iso in _pinned_isos(a.hull_core, b.hull_core, blocks=tuple(blocks))
+        for iso in _pinned_maps(a.hull_core, b.hull_core, iso=True,
+                                blocks=tuple(blocks))
     ]
     return tuple(sorted(found, key=str))
 
@@ -884,7 +855,7 @@ def globular_cells_between(a: Bordism, b: Bordism,
         return ()
 
     cells: list[TwoCell] = []
-    for iso in _pinned_isos(a.hull_core, b.hull_core, pins=pins):
+    for iso in _pinned_maps(a.hull_core, b.hull_core, iso=True, pins=pins):
         cells.append(TwoCell(a, b, iso))
         if limit is not None and len(cells) >= limit:
             return tuple(cells)
@@ -908,7 +879,8 @@ def find_wide_witness(cell: TwoCell) -> CausalEmbedding | None:
             if not is_causally_convex(dom_carrier, region):
                 continue
             sub = dom_carrier.induced(region)
-            for assignment in _pinned_embeddings(sub, cod_carrier, cell.table):
+            for assignment in _pinned_maps(sub, cod_carrier, iso=False,
+                                           pins=cell.table):
                 try:
                     emb = CausalEmbedding(sub, cod_carrier, assignment)
                 except ValueError:
@@ -1127,6 +1099,90 @@ def _action_closure(items: Iterable[Bordism]) -> set[Bordism]:
     return out
 
 
+def _germ_groupoid(colors: Iterable[PointedObject]) -> FiniteGroupoid:
+    """The colors, sorted by text, with every invertible germ between them."""
+    color_list = tuple(sorted(colors, key=str))
+    germ_set: set[Germ] = set()
+    for a, b in itertools.product(color_list, repeat=2):
+        germ_set.update(enumerate_germs(a, b))
+    germ_list = tuple(sorted(germ_set, key=str))
+    return FiniteGroupoid(
+        color_list,
+        germ_list,
+        {g: g.src for g in germ_list},
+        {g: g.tgt for g in germ_list},
+        lambda g, f: f.then(g),
+        {c: Germ.identity(c) for c in color_list},
+        lambda g: g.inverse(),
+    )
+
+
+def _window_data(objects: FiniteGroupoid, ops: Sequence[Bordism], *,
+                 max_cells: int, name: str) -> PseudoOperadData:
+    """The part of a bordism window that every window shares.
+
+    ``objects`` comes from :func:`_germ_groupoid` and ``ops`` is in table
+    order.  Cells are every isomorphism germ between same-arity operations,
+    capped at ``max_cells``; units, the action on operations and the hooks
+    computing composites, actions and globular links on demand are filled
+    in.  Composites, cell actions and coherence cells are left empty.
+    """
+    ops_by_arity: dict[int, list[Bordism]] = {}
+    for op in ops:
+        ops_by_arity.setdefault(op.arity, []).append(op)
+
+    total_cells = 0
+    cells_by_arity: dict[int, tuple[TwoCell, ...]] = {}
+    for n, group in sorted(ops_by_arity.items()):
+        cells: list[TwoCell] = []
+        for a in group:
+            for b in group:
+                for cell in cells_between(a, b):
+                    cells.append(cell)
+                    total_cells += 1
+                    if total_cells > max_cells:
+                        raise FragmentCapExceeded(f"cell cap {max_cells} exceeded")
+        cells_by_arity[n] = tuple(cells)
+
+    op_groupoids = {
+        n: FiniteGroupoid(
+            tuple(ops_by_arity[n]),
+            cells_by_arity[n],
+            {c: c.dom for c in cells_by_arity[n]},
+            {c: c.cod for c in cells_by_arity[n]},
+            lambda g, f: f.then(g),
+            {op: identity_cell(op) for op in ops_by_arity[n]},
+            lambda c: c.inverse(),
+        )
+        for n in ops_by_arity
+    }
+    all_cells = tuple(c for n in sorted(cells_by_arity) for c in cells_by_arity[n])
+
+    act_ops: dict = {}
+    for op in ops:
+        for sigma in itertools.permutations(range(op.arity)):
+            act_ops[(op, sigma)] = permute_bordism(op, sigma)
+
+    return PseudoOperadData(
+        objects=objects,
+        op_groupoids=op_groupoids,
+        op_inputs={op: op.sources for op in ops},
+        op_output={op: op.target for op in ops},
+        cell_inputs={c: c.source_germs for c in all_cells},
+        cell_output={c: c.target_germ for c in all_cells},
+        compose_ops={},
+        compose_cells={},
+        unit_ops={c: unit_bordism(c) for c in objects.objects},
+        unit_cells={g: germ_to_cell(g) for g in objects.morphisms},
+        act_ops=act_ops,
+        act_cells={},
+        name=name,
+        compose_op_fn=lambda psi, phis: compose_bordisms(psi, tuple(phis)),
+        act_op_fn=lambda op, sigma: permute_bordism(op, sigma),
+        op_link_fn=lambda a, b: bool(globular_cells_between(a, b, limit=1)),
+    )
+
+
 def bordism_fragment(
     generators: Iterable[PointedObject | Bordism],
     depth: int = 1,
@@ -1165,25 +1221,11 @@ def bordism_fragment(
         colors.add(b.target)
     if len(colors) > max_objects:
         raise FragmentCapExceeded(f"object cap {max_objects} exceeded")
-    color_list = tuple(sorted(colors, key=str))
+    objects = _germ_groupoid(colors)
 
-    germ_set: set[Germ] = set()
-    for a, b in itertools.product(color_list, repeat=2):
-        germ_set.update(enumerate_germs(a, b))
-    germ_list = tuple(sorted(germ_set, key=str))
-    objects = FiniteGroupoid(
-        color_list,
-        germ_list,
-        {g: g.src for g in germ_list},
-        {g: g.tgt for g in germ_list},
-        lambda g, f: f.then(g),
-        {c: Germ.identity(c) for c in color_list},
-        lambda g: g.inverse(),
-    )
-
-    ops: set[Bordism] = {unit_bordism(c) for c in color_list}
+    ops: set[Bordism] = {unit_bordism(c) for c in objects.objects}
     ops.update(gens)
-    ops.update(companion_bordism(g) for g in germ_list)
+    ops.update(companion_bordism(g) for g in objects.morphisms)
     ops = _action_closure(ops)
     if len(ops) > max_ops:
         raise FragmentCapExceeded(f"operation cap {max_ops} exceeded")
@@ -1214,39 +1256,9 @@ def bordism_fragment(
             raise FragmentCapExceeded(f"operation cap {max_ops} exceeded")
 
     ops_sorted = tuple(sorted(ops, key=str))
-    ops_by_arity: dict[int, list[Bordism]] = {}
-    for op in ops_sorted:
-        ops_by_arity.setdefault(op.arity, []).append(op)
-
-    total_cells = 0
-    cells_by_arity: dict[int, tuple[TwoCell, ...]] = {}
-    for n, group in sorted(ops_by_arity.items()):
-        cells: list[TwoCell] = []
-        for a in group:
-            for b in group:
-                for cell in cells_between(a, b):
-                    cells.append(cell)
-                    total_cells += 1
-                    if total_cells > max_cells:
-                        raise FragmentCapExceeded(f"cell cap {max_cells} exceeded")
-        cells_by_arity[n] = tuple(cells)
-
-    op_groupoids = {
-        n: FiniteGroupoid(
-            tuple(ops_by_arity[n]),
-            cells_by_arity[n],
-            {c: c.dom for c in cells_by_arity[n]},
-            {c: c.cod for c in cells_by_arity[n]},
-            lambda g, f: f.then(g),
-            {op: identity_cell(op) for op in ops_by_arity[n]},
-            lambda c: c.inverse(),
-        )
-        for n in ops_by_arity
-    }
-
-    all_cells = tuple(c for n in sorted(cells_by_arity) for c in cells_by_arity[n])
-    cell_inputs = {c: c.source_germs for c in all_cells}
-    cell_output = {c: c.target_germ for c in all_cells}
+    window = _window_data(objects, ops_sorted, max_cells=max_cells,
+                          name=f"bordism-fragment(depth={depth})")
+    cells_by_arity = {n: g.morphisms for n, g in window.op_groupoids.items()}
 
     compose_cells: dict = {}
     for (psi, phis), composite in sorted(
@@ -1267,18 +1279,11 @@ def bordism_fragment(
                 if len(compose_cells) > max_cells:
                     raise FragmentCapExceeded(f"cell cap {max_cells} exceeded")
 
-    act_ops: dict = {}
     act_cells: dict = {}
-    for op in ops_sorted:
-        for sigma in itertools.permutations(range(op.arity)):
-            act_ops[(op, sigma)] = permute_bordism(op, sigma)
     for n in sorted(cells_by_arity):
         for cell in cells_by_arity[n]:
             for sigma in itertools.permutations(range(n)):
                 act_cells[(cell, sigma)] = permute_cell(cell, sigma)
-
-    unit_ops = {c: unit_bordism(c) for c in color_list}
-    unit_cells = {g: germ_to_cell(g) for g in germ_list}
 
     left_unitors: dict = {}
     right_unitors: dict = {}
@@ -1316,26 +1321,14 @@ def bordism_fragment(
                 if len(associators) > max_cells:
                     raise FragmentCapExceeded(f"cell cap {max_cells} exceeded")
 
-    return PseudoOperadData(
-        objects=objects,
-        op_groupoids=op_groupoids,
-        op_inputs={op: op.sources for op in ops_sorted},
-        op_output={op: op.target for op in ops_sorted},
-        cell_inputs=cell_inputs,
-        cell_output=cell_output,
+    return replace(
+        window,
         compose_ops=compose_ops,
         compose_cells=compose_cells,
-        unit_ops=unit_ops,
-        unit_cells=unit_cells,
-        act_ops=act_ops,
         act_cells=act_cells,
         associators=associators,
         left_unitors=left_unitors,
         right_unitors=right_unitors,
-        name=f"bordism-fragment(depth={depth})",
-        compose_op_fn=lambda psi, phis: compose_bordisms(psi, tuple(phis)),
-        act_op_fn=lambda op, sigma: permute_bordism(op, sigma),
-        op_link_fn=lambda a, b: bool(globular_cells_between(a, b, limit=1)),
     )
 
 

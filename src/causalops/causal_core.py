@@ -328,21 +328,25 @@ def is_cauchy_antichain(M: CausalSet, members: Iterable[str]) -> bool:
         return False
     if not M.events:
         return not members
+    return not _cover_path_avoids(M, members)
+
+
+def _cover_path_avoids(M: CausalSet, blocked: frozenset[str]) -> bool:
+    """Does a cover path from a minimal to a maximal event avoid ``blocked``?"""
     up_covers: dict[str, list[str]] = {e: [] for e in M.events}
     for a, b in M.covers:
         up_covers[a].append(b)
-    blocked = members
     stack = [e for e in M.minimal_events if e not in blocked]
     seen = set(stack)
     while stack:
         e = stack.pop()
         if e in M.maximal_events:
-            return False
+            return True
         for nxt in up_covers[e]:
             if nxt not in blocked and nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
-    return True
+    return False
 
 
 def max_antichain(M: CausalSet) -> frozenset[str]:
@@ -462,12 +466,6 @@ class CausalEmbedding(MonotoneMap):
             raise ValueError("embeddings do not compose")
         return CausalEmbedding(self.dom, other.cod, {e: other(self(e)) for e in self.dom.events})
 
-    def restrict(self, members: Iterable[str]) -> "CausalEmbedding":
-        """Restriction to a convex subset of the domain."""
-        members = frozenset(members)
-        sub = self.dom.induced(members)
-        return CausalEmbedding(sub, self.cod, {e: self(e) for e in members})
-
     def restrict_into(self, members: Iterable[str], region: Iterable[str]) -> "CausalEmbedding":
         """Restrict the domain and corestrict the codomain to a convex region."""
         members = frozenset(members)
@@ -490,19 +488,8 @@ def is_cauchy_embedding(emb: CausalEmbedding) -> bool:
     image = emb.image
     if not cod.events:
         return True
-    up_covers: dict[str, list[str]] = {e: [] for e in cod.events}
-    for a, b in cod.covers:
-        up_covers[a].append(b)
-    stack = [e for e in cod.minimal_events if e not in image]
-    seen = set(stack)
-    while stack:
-        e = stack.pop()
-        if e in cod.maximal_events:
-            return False
-        for nxt in up_covers[e]:
-            if nxt not in image and nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
+    if _cover_path_avoids(cod, image):
+        return False
     sub = cod.induced(image)
     for greedy in (sub.maximal_events, sub.minimal_events):
         if is_cauchy_antichain(cod, greedy):

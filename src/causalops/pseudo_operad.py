@@ -24,7 +24,6 @@ from typing import Callable, Hashable, Mapping, Sequence
 from .errors import NotFibrant
 from .operad_kernel import (
     FiniteGroupoid,
-    Functor,
     Operad,
     all_permutations,
     apply_permutation,
@@ -47,7 +46,6 @@ __all__ = [
     "TauResult",
     "TauOperation",
     "check_two_adjunction",
-    "Functor",
 ]
 
 
@@ -139,12 +137,6 @@ class PseudoOperadData:
                 cache[key] = self.act_op_fn(op, tuple(sigma))
             return cache[key]
         raise ValueError(f"action not materialized at {op}")
-
-    def act_cell(self, cell, sigma: Sequence[int]):
-        key = (cell, tuple(sigma))
-        if key not in self.act_cells:
-            raise ValueError(f"cell action not materialized at {cell}")
-        return self.act_cells[key]
 
     def associator(self, psi, phis: Sequence, chis: Sequence[Sequence]):
         key = (psi, tuple(phis), tuple(tuple(c) for c in chis))
@@ -323,13 +315,11 @@ def _check_composition(P: PseudoOperadData, rep: Report) -> None:
             rhs = P.groupoid_of_cell(r1).compose(r2, r1)
             if lhs != rhs:
                 cell_bad.append(f"interchange at {a1} / {a2}")
-    id_bad = 0
     for (psi, phis), result in P.compose_ops.items():
         G_out = P.op_groupoids[len(P.op_inputs[result])]
         key = (P.groupoid_of(psi).id(psi), tuple(P.groupoid_of(p).id(p) for p in phis))
         if key in P.compose_cells and P.compose_cells[key] != G_out.id(result):
             cell_bad.append(f"identity cells compose wrong at {psi}")
-            id_bad += 1
     rep.add("pseudo-operad/interchange", P.name, FAIL if cell_bad else PASS,
             witness=cell_bad[:3] or {"pairs-checked": interchanged})
 
@@ -530,7 +520,6 @@ def _pentagon_holds(P, psi, phis, chis, omegas) -> bool:
     # path one: reassociate the outer pair first, then the inner pair
     a1 = P.associator(psi_phi, flat_chis, flat_omegas_by_chi)
     chi_omega = []
-    idx = 0
     for i, block in enumerate(chis):
         chi_omega.append(tuple(P.compose_op(c, o) for c, o in zip(block, omegas[i])))
     a2 = P.associator(psi, phis, tuple(chi_omega))
@@ -543,7 +532,7 @@ def _pentagon_holds(P, psi, phis, chis, omegas) -> bool:
         P.groupoid_of(o).id(o) for o in flat_omegas
     ))
     phi_chi = tuple(P.compose_op(p, c) for p, c in zip(phis, chis))
-    a4 = P.associator(psi, phi_chi, tuple(omg_regroup(chis, omegas)))
+    a4 = P.associator(psi, phi_chi, tuple(omg_regroup(omegas)))
     inner_cells = tuple(
         P.associator(p, c, o) for p, c, o in zip(phis, chis, omegas)
     )
@@ -552,10 +541,10 @@ def _pentagon_holds(P, psi, phis, chis, omegas) -> bool:
     return path_one == path_two
 
 
-def omg_regroup(chis, omegas) -> list[tuple]:
+def omg_regroup(omegas) -> list[tuple]:
     """Regroup omega blocks to match the composites phi_i . chi_i."""
     out = []
-    for block_c, block_o in zip(chis, omegas):
+    for block_o in omegas:
         out.append(tuple(itertools.chain.from_iterable(block_o)))
     return out
 
@@ -583,7 +572,7 @@ def check_pseudo_operad(
 # ---- companions -----------------------------------------------------------------
 
 
-def find_companion(P: PseudoOperadData, vertical, chooser: Callable | None = None) -> Companion:
+def find_companion(P: PseudoOperadData, vertical) -> Companion:
     """Locate a horizontal companion for a vertical isomorphism.
 
     Searches the materialized 1-ary cells for an operation with binding
@@ -625,10 +614,6 @@ def find_companion(P: PseudoOperadData, vertical, chooser: Callable | None = Non
                 candidates.append(Companion(vertical, op, plus, minus))
     if not candidates:
         raise NotFibrant(f"no companion found for vertical {vertical}")
-    if chooser is not None:
-        chosen = chooser(candidates)
-        if chosen is not None:
-            return chosen
     return min(candidates, key=lambda comp: str(comp.op))
 
 
@@ -840,7 +825,7 @@ class TauResult:
     token_reuse: bool
 
 
-def tau_full(P: PseudoOperadData, companion_chooser: Callable | None = None) -> TauResult:
+def tau_full(P: PseudoOperadData) -> TauResult:
     """Collapse a pseudo-operad along its globular 2-cells.
 
     When every class is a singleton and no ``op_link_fn`` is configured the
@@ -849,11 +834,8 @@ def tau_full(P: PseudoOperadData, companion_chooser: Callable | None = None) -> 
     collapse instead wraps every class in a token and canonicalizes
     composites that land outside the materialized window: a new operation is
     matched against known class representatives via the hook and only mints
-    a fresh singleton class when no link exists.  The ``companion_chooser``
-    only matters to callers that push vertical cells through the collapse;
-    it is accepted here so one hook configures the whole pipeline.
+    a fresh singleton class when no link exists.
     """
-    del companion_chooser  # op classes do not depend on companion choices
     parents: dict = {}
 
     def find(x):
@@ -938,8 +920,8 @@ def tau_full(P: PseudoOperadData, companion_chooser: Callable | None = None) -> 
     return TauResult(operad, class_of, token_reuse)
 
 
-def tau(P: PseudoOperadData, companion_chooser: Callable | None = None) -> Operad:
-    return tau_full(P, companion_chooser).operad
+def tau(P: PseudoOperadData) -> Operad:
+    return tau_full(P).operad
 
 
 # ---- the strict 2-adjunction ------------------------------------------------------------
@@ -1029,8 +1011,7 @@ def check_two_adjunction(
 
     # unit on a fattened operad is the identity assignment
     iota_unit_bad: list[str] = []
-    TF = tau_full(fat)
-    if not TF.token_reuse:
+    if not collapsed.token_reuse:
         iota_unit_bad.append("fattened operad has non-singleton classes")
     else:
         for g in fat.objects.morphisms:
@@ -1038,7 +1019,7 @@ def check_two_adjunction(
             if comp.op != g:
                 iota_unit_bad.append(f"companion of {g} is not itself")
         for op in fat.all_ops():
-            if TF.class_of[op] != op:
+            if collapsed.class_of[op] != op:
                 iota_unit_bad.append(f"class token of {op} moved")
     rep.add("two-adjunction/unit-identity-on-iota", O.name,
             FAIL if iota_unit_bad else PASS, witness=iota_unit_bad[:3] or None)

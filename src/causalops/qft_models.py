@@ -39,6 +39,7 @@ from .operad_kernel import (
     Multifunctor,
     Operad,
     apply_permutation,
+    check_multifunctor,
     invert_permutation,
 )
 from .report import DEGENERATE, FAIL, PASS, SKIP, Report
@@ -64,16 +65,13 @@ __all__ = [
     "MonoidColimit",
     "filtered_colimit_monoids",
     "colimit_mediator",
-    "AqftModel",
-    "FqftModel",
+    "QftModel",
     "aqft_model",
     "fqft_model",
     "constant_aqft",
     "constant_fqft",
-    "validate_aqft",
-    "validate_fqft",
-    "check_time_slice_aqft",
-    "check_time_slice_fqft",
+    "validate_model",
+    "check_time_slice",
     "check_additivity_aqft",
     "check_additivity_fqft",
     "check_einstein_causality",
@@ -833,26 +831,12 @@ def colimit_mediator(colim: MonoidColimit, cocone: Mapping, target: Monoid,
 
 
 @dataclass(frozen=True, eq=False)
-class AqftModel:
-    """A multifunctor from a prefactorization fragment into monoids."""
+class QftModel:
+    """A multifunctor from a base operad into monoids.
 
-    base: Operad
-    assignment: Multifunctor
-
-    def __post_init__(self) -> None:
-        if self.assignment.source is not self.base:
-            raise ValueError("assignment must be defined on the base operad")
-
-    def value(self, color) -> Monoid:
-        return self.assignment.color(color)
-
-    def hom(self, op) -> MonoidHom:
-        return self.assignment.op(op)
-
-
-@dataclass(frozen=True, eq=False)
-class FqftModel:
-    """A multifunctor from a truncated bordism fragment into monoids."""
+    The base is a prefactorization fragment for a region model (AQFT) or a
+    truncated bordism fragment for a surface model (FQFT).
+    """
 
     base: Operad
     assignment: Multifunctor
@@ -879,13 +863,13 @@ def _model_assignment(base: Operad, colors: Mapping, ops: Mapping,
 
 
 def aqft_model(base: Operad, colors: Mapping, ops: Mapping,
-               name: str = "aqft-target") -> AqftModel:
-    return AqftModel(base, _model_assignment(base, colors, ops, name))
+               name: str = "aqft-target") -> QftModel:
+    return QftModel(base, _model_assignment(base, colors, ops, name))
 
 
 def fqft_model(base: Operad, colors: Mapping, ops: Mapping,
-               name: str = "fqft-target") -> FqftModel:
-    return FqftModel(base, _model_assignment(base, colors, ops, name))
+               name: str = "fqft-target") -> QftModel:
+    return QftModel(base, _model_assignment(base, colors, ops, name))
 
 
 def _constant_assignment(base: Operad, monoid: Monoid) -> tuple[dict, dict]:
@@ -908,91 +892,20 @@ def _constant_assignment(base: Operad, monoid: Monoid) -> tuple[dict, dict]:
     return colors, ops
 
 
-def constant_aqft(base: Operad, monoid: Monoid) -> AqftModel:
+def constant_aqft(base: Operad, monoid: Monoid) -> QftModel:
     """Every region gets the same monoid; operations multiply the slots."""
     colors, ops = _constant_assignment(base, monoid)
     return aqft_model(base, colors, ops, name=f"const-{monoid}")
 
 
-def constant_fqft(base: Operad, monoid: Monoid) -> FqftModel:
+def constant_fqft(base: Operad, monoid: Monoid) -> QftModel:
     colors, ops = _constant_assignment(base, monoid)
     return fqft_model(base, colors, ops, name=f"const-{monoid}")
 
 
-def _check_model_laws(F: Multifunctor, rep: Report) -> Report:
-    """Multifunctor laws over the materialized window, with coverage.
-
-    Finite windows of the embedding and bordism operads are not closed
-    under composition (carriers grow under gluing, arities under
-    substitution), so composites falling outside the assignment table are
-    counted and skipped rather than failed; everything inside the window
-    is checked exhaustively.
-    """
-    src, tgt_op = F.source, F.target
-    tgt = f"{src.name}->{tgt_op.name}"
-
-    sig_bad = []
-    for psi in src.operations:
-        image = F.op(psi)
-        if (image.inputs != tuple(F.color(c) for c in psi.inputs)
-                or image.output != F.color(psi.output)):
-            sig_bad.append(str(psi))
-    rep.add("multifunctor/signatures", tgt, FAIL if sig_bad else PASS,
-            witness=sig_bad[:3] or None)
-
-    unit_bad = [
-        str(c)
-        for c in src.colors
-        if F.op(src.unit(c)) != tgt_op.unit(F.color(c))
-    ]
-    rep.add("multifunctor/units", tgt, FAIL if unit_bad else PASS,
-            witness=unit_bad[:3] or None)
-
-    table = F.on_ops
-    comp_bad = []
-    checked = outside = 0
-    for psi in src.operations:
-        for phis in src.composable_inner_tuples(psi):
-            composite = src.compose(psi, phis)
-            if composite not in table:
-                outside += 1
-                continue
-            checked += 1
-            rhs = tgt_op.compose(F.op(psi), tuple(F.op(p) for p in phis))
-            if F.op(composite) != rhs:
-                comp_bad.append(str(psi))
-    rep.add("multifunctor/composition", tgt, FAIL if comp_bad else PASS,
-            witness=comp_bad[:3] or None)
-    if outside:
-        rep.add("multifunctor/composition-coverage", tgt, SKIP,
-                witness={"checked": checked, "outside-window": outside})
-
-    act_bad = []
-    act_outside = 0
-    for psi in src.operations:
-        for sigma in itertools.permutations(range(len(psi.inputs))):
-            moved = src.act(psi, sigma)
-            if moved not in table:
-                act_outside += 1
-                continue
-            if F.op(moved) != tgt_op.act(F.op(psi), sigma):
-                act_bad.append(f"{psi} under {sigma}")
-    rep.add("multifunctor/equivariance", tgt, FAIL if act_bad else PASS,
-            witness=act_bad[:3] or None)
-    if act_outside:
-        rep.add("multifunctor/equivariance-coverage", tgt, SKIP,
-                witness={"outside-window": act_outside})
-    return rep
-
-
-def validate_aqft(A: AqftModel, report: Report | None = None) -> Report:
-    rep = report if report is not None else Report()
-    return _check_model_laws(A.assignment, rep)
-
-
-def validate_fqft(F: FqftModel, report: Report | None = None) -> Report:
-    rep = report if report is not None else Report()
-    return _check_model_laws(F.assignment, rep)
+def validate_model(model: QftModel, report: Report | None = None) -> Report:
+    """The multifunctor laws of the model's assignment over its window."""
+    return check_multifunctor(model.assignment, report)
 
 
 # ---- time-slice ------------------------------------------------------------------
@@ -1012,8 +925,10 @@ def _is_cauchy_unary(op) -> bool:
     return False
 
 
-def _check_time_slice(base: Operad, assignment: Multifunctor,
-                      rep: Report) -> Report:
+def check_time_slice(model: QftModel, report: Report | None = None) -> Report:
+    """Every Cauchy embedding or bordism class must go to a monoid isomorphism."""
+    rep = report if report is not None else Report()
+    base, assignment = model.base, model.assignment
     tgt = base.name
     unit_bad = []
     for c in base.colors:
@@ -1036,18 +951,6 @@ def _check_time_slice(base: Operad, assignment: Multifunctor,
     witness = bad[:3] if bad else (None if cauchy_ops else "no Cauchy operations")
     rep.add("timeslice/cauchy-isos", tgt, status, witness=witness)
     return rep
-
-
-def check_time_slice_aqft(A: AqftModel, report: Report | None = None) -> Report:
-    """Every Cauchy embedding must be sent to a monoid isomorphism."""
-    rep = report if report is not None else Report()
-    return _check_time_slice(A.base, A.assignment, rep)
-
-
-def check_time_slice_fqft(F: FqftModel, report: Report | None = None) -> Report:
-    """Every Cauchy bordism class must be sent to a monoid isomorphism."""
-    rep = report if report is not None else Report()
-    return _check_time_slice(F.base, F.assignment, rep)
 
 
 # ---- additivity --------------------------------------------------------------------
@@ -1112,7 +1015,7 @@ def _additivity_verdict(rep: Report, tgt: str, C: ThinCategory,
     return rep
 
 
-def check_additivity_aqft(A: AqftModel, M: CausalSet, *, debug: bool = False,
+def check_additivity_aqft(A: QftModel, M: CausalSet, *, debug: bool = False,
                           report: Report | None = None) -> Report:
     """The value at M must be the colimit over its fragment subregions.
 
@@ -1182,7 +1085,7 @@ def _resolve_wrapper_class(base: Operad, wrapper: Bordism):
     )
 
 
-def check_additivity_fqft(F: FqftModel, MS: PointedObject, *,
+def check_additivity_fqft(F: QftModel, MS: PointedObject, *,
                           debug: bool = False,
                           report: Report | None = None) -> Report:
     """The value at a pointed region must be the colimit below its surface.
@@ -1237,7 +1140,7 @@ def check_additivity_fqft(F: FqftModel, MS: PointedObject, *,
 # ---- causal commutation --------------------------------------------------------------
 
 
-def check_einstein_causality(A: AqftModel, report: Report | None = None) -> Report:
+def check_einstein_causality(A: QftModel, report: Report | None = None) -> Report:
     """Images of the two slots of every binary operation must commute.
 
     Binary operations of the embedding operads have causally disjoint

@@ -28,16 +28,10 @@ from functools import cache, cached_property
 
 from .bordism import (
     Bordism,
-    Germ,
     PointedObject,
-    cells_between,
-    compose_bordisms,
-    enumerate_germs,
-    germ_to_cell,
+    _germ_groupoid,
+    _window_data,
     globular_cells_between,
-    identity_cell,
-    permute_bordism,
-    unit_bordism,
     validate_bordism,
 )
 from .causal_core import CausalEmbedding, CausalSet
@@ -48,22 +42,16 @@ from .errors import (
     NoLaterSurface,
     TimeSliceRequired,
 )
-from .operad_kernel import (
-    EmbeddingTuple,
-    FiniteGroupoid,
-    Operad,
-    prefactorization_operad,
-)
-from .pseudo_operad import PseudoOperadData, TauOperation, tau
+from .operad_kernel import EmbeddingTuple, Operad, prefactorization_operad
+from .pseudo_operad import TauOperation, tau
 from .qft_models import (
-    AqftModel,
-    FqftModel,
     MonoidColimit,
     MonoidHom,
+    QftModel,
     aqft_model,
     canonical_label,
     check_additivity_fqft,
-    check_time_slice_aqft,
+    check_time_slice,
     colimit_mediator,
     compose_monoid_homs,
     filtered_colimit_monoids,
@@ -174,11 +162,6 @@ def translation_window(aqft: Operad, *, max_ops: int = 512,
     globular cells; composites stay resolvable inside the window because
     gluing full collars only trims the carrier outside the surface hull.
     """
-    colors = tuple(sorted(
-        (PointedObject(M, s) for M in aqft.colors for s in _surfaces(M)),
-        key=str,
-    ))
-
     wrappers: set[Bordism] = set()
     for op in aqft.operations:
         pools = [_surfaces(m.dom) for m in op.maps]
@@ -187,74 +170,12 @@ def translation_window(aqft: Operad, *, max_ops: int = 512,
                 wrappers.add(wrapper_bordism(op, surfaces, later))
                 if len(wrappers) > max_ops:
                     raise FragmentCapExceeded(f"operation cap {max_ops} exceeded")
-    ops_sorted = tuple(sorted(wrappers, key=str))
 
-    germ_set: set[Germ] = set()
-    for a, b in itertools.product(colors, repeat=2):
-        germ_set.update(enumerate_germs(a, b))
-    germ_list = tuple(sorted(germ_set, key=str))
-    objects = FiniteGroupoid(
-        colors,
-        germ_list,
-        {g: g.src for g in germ_list},
-        {g: g.tgt for g in germ_list},
-        lambda g, f: f.then(g),
-        {c: Germ.identity(c) for c in colors},
-        lambda g: g.inverse(),
+    objects = _germ_groupoid(
+        PointedObject(M, s) for M in aqft.colors for s in _surfaces(M)
     )
-
-    ops_by_arity: dict[int, list[Bordism]] = {}
-    for op in ops_sorted:
-        ops_by_arity.setdefault(op.arity, []).append(op)
-    total_cells = 0
-    cells_by_arity = {}
-    for n, group in sorted(ops_by_arity.items()):
-        cells = []
-        for a in group:
-            for b in group:
-                cells.extend(cells_between(a, b))
-        total_cells += len(cells)
-        if total_cells > max_cells:
-            raise FragmentCapExceeded(f"cell cap {max_cells} exceeded")
-        cells_by_arity[n] = tuple(cells)
-    op_groupoids = {
-        n: FiniteGroupoid(
-            tuple(ops_by_arity[n]),
-            cells_by_arity[n],
-            {c: c.dom for c in cells_by_arity[n]},
-            {c: c.cod for c in cells_by_arity[n]},
-            lambda g, f: f.then(g),
-            {op: identity_cell(op) for op in ops_by_arity[n]},
-            lambda c: c.inverse(),
-        )
-        for n in ops_by_arity
-    }
-    all_cells = tuple(c for n in sorted(cells_by_arity) for c in cells_by_arity[n])
-
-    act_ops = {}
-    for op in ops_sorted:
-        for sigma in itertools.permutations(range(op.arity)):
-            act_ops[(op, sigma)] = permute_bordism(op, sigma)
-
-    data = PseudoOperadData(
-        objects=objects,
-        op_groupoids=op_groupoids,
-        op_inputs={op: op.sources for op in ops_sorted},
-        op_output={op: op.target for op in ops_sorted},
-        cell_inputs={c: c.source_germs for c in all_cells},
-        cell_output={c: c.target_germ for c in all_cells},
-        compose_ops={},
-        compose_cells={},
-        unit_ops={c: unit_bordism(c) for c in colors},
-        unit_cells={g: germ_to_cell(g) for g in germ_list},
-        act_ops=act_ops,
-        act_cells={},
-        name=f"window({aqft.name})",
-        compose_op_fn=lambda psi, phis: compose_bordisms(psi, tuple(phis)),
-        act_op_fn=lambda op, sigma: permute_bordism(op, sigma),
-        op_link_fn=lambda a, b: bool(globular_cells_between(a, b, limit=1)),
-    )
-    return tau(data)
+    return tau(_window_data(objects, tuple(sorted(wrappers, key=str)),
+                            max_cells=max_cells, name=f"window({aqft.name})"))
 
 
 def resolve_bordism_class(window: Operad, b: Bordism) -> TauOperation:
@@ -322,7 +243,7 @@ def derive_zigzag(b: Bordism, aqft: Operad) -> ZigZag | None:
     return ZigZag(tuple(left), middle, right_in, right_out)
 
 
-def evaluate_zigzag(A: AqftModel, zz: ZigZag) -> MonoidHom:
+def evaluate_zigzag(A: QftModel, zz: ZigZag) -> MonoidHom:
     """The image of a bordism class in a region model, via its zig-zag."""
 
     def inverted(leg: EmbeddingTuple) -> MonoidHom:
@@ -477,8 +398,8 @@ def diamond_translation_context() -> TranslationContext:
 # ---- region models to surface models ----------------------------------------------
 
 
-def aqft_to_fqft(A: AqftModel, ctx: TranslationContext, *,
-                 debug: bool = False) -> FqftModel:
+def aqft_to_fqft(A: QftModel, ctx: TranslationContext, *,
+                 debug: bool = False) -> QftModel:
     """Translate a region model into a surface model over the same context.
 
     Colors forget their surface; classes evaluate through the canonical
@@ -488,7 +409,7 @@ def aqft_to_fqft(A: AqftModel, ctx: TranslationContext, *,
     """
     if A.base is not ctx.aqft_fragment:
         raise ValueError("model lives on a different region fragment")
-    gate = check_time_slice_aqft(A)
+    gate = check_time_slice(A)
     if not gate.ok:
         first = gate.failures[0]
         raise TimeSliceRequired(
@@ -513,7 +434,7 @@ def aqft_to_fqft(A: AqftModel, ctx: TranslationContext, *,
 # ---- surface models to region models ----------------------------------------------
 
 
-def sigma_colimit(F: FqftModel, ctx: TranslationContext,
+def sigma_colimit(F: QftModel, ctx: TranslationContext,
                   M: CausalSet, *, debug: bool = False) -> MonoidColimit:
     """Colimit of the surface values of F over the Cauchy antichains of M.
 
@@ -532,7 +453,7 @@ def sigma_colimit(F: FqftModel, ctx: TranslationContext,
     return filtered_colimit_monoids(C, monoids, homs, debug=debug)
 
 
-def _induced_operation(F: FqftModel, ctx: TranslationContext,
+def _induced_operation(F: QftModel, ctx: TranslationContext,
                        colims: Mapping[CausalSet, MonoidColimit],
                        op: EmbeddingTuple, debug: bool) -> MonoidHom:
     """One region operation, induced on the colimits via wrapper classes."""
@@ -587,8 +508,8 @@ def _induced_operation(F: FqftModel, ctx: TranslationContext,
     return MonoidHom(doms, out.monoid, table)
 
 
-def fqft_to_aqft(F: FqftModel, ctx: TranslationContext, *,
-                 debug: bool = False) -> AqftModel:
+def fqft_to_aqft(F: QftModel, ctx: TranslationContext, *,
+                 debug: bool = False) -> QftModel:
     """Translate a surface model into a region model over the same context.
 
     Region values are surface colimits; operations act through wrapper
@@ -629,7 +550,7 @@ def translate_transformation_a2f(components: Mapping[CausalSet, MonoidHom],
 
 
 def translate_transformation_f2a(components: Mapping[PointedObject, MonoidHom],
-                                 F: FqftModel, G: FqftModel,
+                                 F: QftModel, G: QftModel,
                                  ctx: TranslationContext, *,
                                  debug: bool = False) -> dict:
     """Push a surface transformation to the region colimits by mediation."""
@@ -648,7 +569,7 @@ def translate_transformation_f2a(components: Mapping[PointedObject, MonoidHom],
 # ---- round trips -------------------------------------------------------------------
 
 
-def roundtrip_aqft(A: AqftModel, ctx: TranslationContext, *,
+def roundtrip_aqft(A: QftModel, ctx: TranslationContext, *,
                    transformation=None, debug: bool = False,
                    report: Report | None = None) -> Report:
     """Verify that translating a region model out and back returns it exactly.
@@ -729,7 +650,7 @@ def _collar_row(ctx: TranslationContext, b: Bordism):
     return left, middle, right_in, right_out
 
 
-def roundtrip_fqft(F: FqftModel, ctx: TranslationContext, *,
+def roundtrip_fqft(F: QftModel, ctx: TranslationContext, *,
                    transformation=None, debug: bool = False,
                    report: Report | None = None) -> Report:
     """Verify that a surface model round-trips to an isomorphic model.

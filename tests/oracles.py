@@ -165,3 +165,36 @@ def poset_isomorphic(A: OraclePoset, B: OraclePoset) -> bool:
         ):
             return True
     return False
+
+
+def brute_pinned_maps(
+    A: OraclePoset,
+    B: OraclePoset,
+    iso: bool,
+    blocks=(),
+    pins=None,
+) -> list[dict[str, str]]:
+    """Injections A -> B preserving and reflecting order that extend ``pins``.
+
+    With ``iso`` only the bijections whose every block ``(s, t)`` satisfies
+    ``a in s`` exactly when ``f(a) in t``.  Listed in lexicographic order of
+    the image tuple over the sorted events of A.
+    """
+    pins = dict(pins or {})
+    if iso and len(A.events) != len(B.events):
+        return []
+    out = []
+    for images in itertools.permutations(B.events, len(A.events)):
+        table = dict(zip(A.events, images))
+        if any(table[a] != b for a, b in pins.items()):
+            continue
+        if iso and any(
+            (a in s) != (table[a] in t) for a in A.events for s, t in blocks
+        ):
+            continue
+        if all(
+            A.le(x, y) == B.le(table[x], table[y])
+            for x, y in itertools.product(A.events, repeat=2)
+        ):
+            out.append(table)
+    return out

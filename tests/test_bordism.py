@@ -1,6 +1,7 @@
 """Bordisms of pointed causal sets: validation, gluing, cells, fragments."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from causalops.bordism import (
     Bordism,
+    _pinned_maps,
     Germ,
     PointedObject,
     TwoCell,
@@ -49,6 +51,9 @@ from causalops.pseudo_operad import (
     find_companion,
     tau_full,
 )
+
+import oracles
+from oracles import OraclePoset
 
 
 def point(name: str) -> PointedObject:
@@ -96,6 +101,50 @@ class TestPointedObject:
         assert set(obj.core.events) == {"c", "d"}
         wide = PointedObject(M, {"b"})
         assert wide.surface_hull == {"b"}
+
+
+@st.composite
+def pinned_map_case(draw):
+    """Two posets of at most 5 events, with blocks and pins between them.
+
+    Half the time the second poset is a relabelled copy of the first, so
+    isomorphisms exist; blocks and pins then mostly follow the relabelling.
+    """
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    bias = draw(st.sampled_from([0.15, 0.3, 0.5]))
+    a_events, a_rels = oracles.random_poset_data(
+        rng, draw(st.integers(min_value=0, max_value=5)), bias)
+    if draw(st.booleans()):
+        names = [f"f{i}" for i in range(len(a_events))]
+        rng.shuffle(names)
+        guide = dict(zip(a_events, names))
+        b_events, b_rels = names, [(guide[x], guide[y]) for x, y in a_rels]
+    else:
+        raw, rels = oracles.random_poset_data(
+            rng, draw(st.integers(min_value=0, max_value=5)), bias)
+        b_events = ["f" + e[1:] for e in raw]
+        b_rels = [("f" + x[1:], "f" + y[1:]) for x, y in rels]
+        guide = {a: rng.choice(b_events) for a in a_events} if b_events else {}
+    pins = {a: guide[a] for a in oracles.random_subset(rng, guide, 0.3)}
+    blocks = tuple(
+        (frozenset(s), frozenset(guide[a] for a in s))
+        for s in (oracles.random_subset(rng, guide) for _ in range(rng.randint(0, 2)))
+    )
+    return (a_events, a_rels), (b_events, b_rels), blocks, pins
+
+
+class TestPinnedMaps:
+    @settings(max_examples=200, deadline=None)
+    @given(pinned_map_case())
+    def test_matches_permutation_brute_force(self, case):
+        (a_events, a_rels), (b_events, b_rels), blocks, pins = case
+        A, B = CausalSet(a_events, a_rels), CausalSet(b_events, b_rels)
+        OA = OraclePoset.build(a_events, a_rels)
+        OB = OraclePoset.build(b_events, b_rels)
+        isos = list(_pinned_maps(A, B, iso=True, blocks=blocks, pins=pins))
+        assert isos == oracles.brute_pinned_maps(OA, OB, True, blocks, pins)
+        embeddings = list(_pinned_maps(A, B, iso=False, pins=pins))
+        assert embeddings == oracles.brute_pinned_maps(OA, OB, False, (), pins)
 
 
 class TestGerm:

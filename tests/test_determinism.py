@@ -1,0 +1,47 @@
+"""Report bytes do not depend on PYTHONHASHSEED."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+
+# Builds the chain fixtures and prints the concatenated canonical report bytes.
+AUDIT = """
+import sys
+from causalops.bordism import bordism_fragment
+from causalops.operad_kernel import check_operad_axioms
+from causalops.pseudo_operad import check_pseudo_operad
+from causalops.qft_models import Monoid, constant_aqft
+from causalops.translate import (
+    chain_translation_context,
+    roundtrip_aqft,
+    validate_translation_context,
+)
+from test_bordism import chain_bordism
+
+ctx = chain_translation_context()
+reports = [
+    validate_translation_context(ctx),
+    roundtrip_aqft(constant_aqft(ctx.aqft_fragment, Monoid.cyclic(2)), ctx),
+    check_operad_axioms(ctx.bordism_fragment),
+    check_pseudo_operad(bordism_fragment([chain_bordism("a", "b", "c")], depth=1)),
+]
+sys.stdout.write("".join(r.dumps() for r in reports))
+"""
+
+
+def _audit_bytes(hash_seed: str) -> bytes:
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join((str(SRC), str(TESTS))))
+    done = subprocess.run([sys.executable, "-c", AUDIT], env=env, cwd=TESTS,
+                          capture_output=True, check=True, timeout=300)
+    return done.stdout
+
+
+def test_reports_are_identical_under_two_hash_seeds():
+    first = _audit_bytes("0")
+    assert first
+    assert _audit_bytes("1") == first

@@ -26,9 +26,9 @@ from causalops.operad_kernel import (
     prefactorization_operad,
 )
 from causalops.qft_models import (
-    AqftModel,
     Monoid,
     MonoidHom,
+    QftModel,
     ThinCategory,
     ThinFunctor,
     aqft_model,
@@ -36,8 +36,7 @@ from causalops.qft_models import (
     check_additivity_aqft,
     check_additivity_fqft,
     check_einstein_causality,
-    check_time_slice_aqft,
-    check_time_slice_fqft,
+    check_time_slice,
     colimit_mediator,
     compose_monoid_homs,
     constant_aqft,
@@ -55,8 +54,7 @@ from causalops.qft_models import (
     rc_pointed_category,
     region_forgetful,
     sigma_category,
-    validate_aqft,
-    validate_fqft,
+    validate_model,
 )
 from causalops.report import DEGENERATE, FAIL, PASS, SKIP
 
@@ -553,7 +551,7 @@ class TestAqftCheckers:
         self.Su, self.M2 = two_chain()
         self.base = prefactorization_operad((self.Su, self.M2))
 
-    def all_identity_model(self) -> AqftModel:
+    def all_identity_model(self) -> QftModel:
         colors = {self.Su: Z2, self.M2: Z2}
         ops = unit_images(self.base, colors)
         for psi in self.base.ops(1):
@@ -562,8 +560,8 @@ class TestAqftCheckers:
 
     def test_identity_model_validates_and_passes_time_slice(self):
         A = self.all_identity_model()
-        assert validate_aqft(A).ok
-        rep = check_time_slice_aqft(A)
+        assert validate_model(A).ok
+        rep = check_time_slice(A)
         assert rep.ok
         assert {e.check for e in rep.entries} == {
             "timeslice/units", "timeslice/cauchy-isos",
@@ -578,7 +576,7 @@ class TestAqftCheckers:
                 ops[psi] = (collapse if psi.inputs[0] == self.Su
                             else MonoidHom.identity(TRIV))
         A = aqft_model(self.base, colors, ops)
-        rep = check_time_slice_aqft(A)
+        rep = check_time_slice(A)
         assert not rep.ok
         assert "non-invertible" in rep.failures[0].witness[0]
 
@@ -590,7 +588,7 @@ class TestAqftCheckers:
         for psi in self.base.ops(1):
             ops.setdefault(psi, MonoidHom.identity(Z3))
         A = aqft_model(self.base, colors, ops)
-        rep = check_time_slice_aqft(A)
+        rep = check_time_slice(A)
         by_check = {e.check: e.status for e in rep.entries}
         assert by_check["timeslice/units"] == FAIL
         assert by_check["timeslice/cauchy-isos"] == PASS
@@ -616,7 +614,7 @@ class TestAqftCheckers:
 
     def test_constant_trivial_model_is_additive(self):
         A = constant_aqft(self.base, TRIV)
-        assert validate_aqft(A).ok
+        assert validate_model(A).ok
         assert check_additivity_aqft(A, self.M2, debug=True).ok
 
     def test_additivity_requires_a_known_color(self):
@@ -657,7 +655,7 @@ class TestEinsteinCausality:
 
     def test_constant_commutative_model_passes(self):
         A = constant_aqft(self.base, Z2)
-        assert validate_aqft(A).ok
+        assert validate_model(A).ok
         rep = check_einstein_causality(A)
         assert rep.ok and rep.entries[0].status == PASS
 
@@ -711,13 +709,13 @@ class TestFqftCheckers:
 
     def test_identity_model_validates_with_window_coverage(self):
         F = self.identity_model()
-        rep = validate_fqft(F)
+        rep = validate_model(F)
         assert rep.ok
         checks = {e.check for e in rep.entries}
         assert "multifunctor/composition" in checks
 
     def test_identity_model_passes_time_slice(self):
-        assert check_time_slice_fqft(self.identity_model()).ok
+        assert check_time_slice(self.identity_model()).ok
 
     def test_collapse_fails_time_slice(self):
         colors = {c: (TRIV if c == self.tgt else Z2) for c in self.tau.colors}
@@ -732,7 +730,7 @@ class TestFqftCheckers:
             else:
                 ops[psi] = MonoidHom.unary(TRIV, Z2, {"e": 0})
         F = fqft_model(self.tau, colors, ops)
-        rep = check_time_slice_fqft(F)
+        rep = check_time_slice(F)
         assert not rep.ok
 
     def test_additivity_passes_at_the_two_chain_target(self):
@@ -752,7 +750,7 @@ class TestFqftCheckers:
 
     def test_constant_fqft_builder_assigns_everywhere(self):
         F = constant_fqft(self.tau, Z2)
-        assert check_time_slice_fqft(F).ok
+        assert check_time_slice(F).ok
 
     def test_additivity_requires_a_known_color(self):
         F = self.identity_model()

@@ -28,14 +28,12 @@ from causalops.qft_models import (
     check_additivity_aqft,
     check_additivity_fqft,
     check_einstein_causality,
-    check_time_slice_aqft,
-    check_time_slice_fqft,
+    check_time_slice,
     compose_monoid_homs,
     constant_aqft,
     constant_fqft,
     fqft_model,
-    validate_aqft,
-    validate_fqft,
+    validate_model,
 )
 from causalops.translate import (
     aqft_to_fqft,
@@ -265,6 +263,15 @@ class TestTranslationWindow:
         cls = ctx.resolve(wrapper_bordism(op, (fs("a"),), fs("d")))
         assert cls in set(ctx.bordism_fragment.operations)
 
+    def test_stray_surface_events_are_named(self):
+        with pytest.raises(InvalidSurface, match=r"\['b'\].*carrier \['a'\]"):
+            PointedObject(CausalSet(["a"]), {"b"})
+        ctx = diamond_translation_context()
+        D = diamond_region(ctx)
+        with pytest.raises(InvalidSurface,
+                           match=r"\['x'\].*carrier \['a', 'b', 'c', 'd'\]"):
+            wrapper_bordism(ctx.aqft_fragment.unit(D), (fs("a"),), fs("x"))
+
     def test_units_resolve_to_unit_wrappers(self):
         for ctx in (chain_translation_context(), diamond_translation_context()):
             window = ctx.bordism_fragment
@@ -413,7 +420,7 @@ class TestAqftToFqft:
         for ctx in (chain_translation_context(), diamond_translation_context()):
             model = constant_aqft(ctx.aqft_fragment, Z2)
             translated = aqft_to_fqft(model, ctx, debug=True)
-            assert validate_fqft(translated).ok
+            assert validate_model(translated).ok
             for color in ctx.bordism_fragment.colors:
                 assert translated.value(color) == Z2
             reference = constant_fqft(ctx.bordism_fragment, Z2)
@@ -462,7 +469,7 @@ class TestAqftToFqft:
         for ctx, model in cases:
             model = model or constant_aqft(ctx.aqft_fragment, Z3)
             translated = aqft_to_fqft(model, ctx)
-            assert check_time_slice_fqft(translated).ok
+            assert check_time_slice(translated).ok
             for color in ctx.bordism_fragment.colors:
                 report = check_additivity_fqft(translated, color)
                 assert not report.failures, (str(color), report.failures)
@@ -492,7 +499,7 @@ class TestFqftToAqft:
         for ctx in (chain_translation_context(), diamond_translation_context()):
             model = constant_fqft(ctx.bordism_fragment, Z2)
             back = fqft_to_aqft(model, ctx, debug=True)
-            assert validate_aqft(back).ok
+            assert validate_model(back).ok
             reference = constant_aqft(ctx.aqft_fragment, Z2)
             for M in ctx.aqft_fragment.colors:
                 assert back.value(M) == Z2
@@ -531,8 +538,8 @@ class TestFqftToAqft:
         ctx = diamond_translation_context()
         surface_model = aqft_to_fqft(skew_model(), ctx)
         back = fqft_to_aqft(surface_model, ctx)
-        assert validate_aqft(back).ok
-        assert check_time_slice_aqft(back).ok
+        assert validate_model(back).ok
+        assert check_time_slice(back).ok
         assert check_einstein_causality(back).ok
         for M in ctx.aqft_fragment.colors:
             report = check_additivity_aqft(back, M)
@@ -548,8 +555,8 @@ class TestFqftToAqft:
         assert all(colim.legs[s].is_isomorphism
                    for s in ctx.surface_families[D])
         back = fqft_to_aqft(model, ctx, debug=True)
-        assert validate_aqft(back).ok
-        assert check_time_slice_aqft(back).ok
+        assert validate_model(back).ok
+        assert check_time_slice(back).ok
 
     def test_gate_rejects_broken_additivity(self):
         ctx = diamond_translation_context()
