@@ -177,8 +177,9 @@ class Operad:
         self._action_rule = action_rule
         self._compose_memo: dict = {}
         self._action_memo: dict = {}
+        colors = set(self.colors)
         for c in self._units:
-            if c not in set(self.colors):
+            if c not in colors:
                 raise ValueError(f"unit declared for unknown color {c!r}")
 
     def __repr__(self) -> str:
@@ -201,14 +202,15 @@ class Operad:
 
     def compose(self, outer, inners: Sequence):
         inners = tuple(inners)
+        key = (outer, inners)
+        if key in self._compose_memo:
+            # stored only after the arity and color tests below passed
+            return self._compose_memo[key]
         if len(inners) != len(outer.inputs):
             raise ValueError("arity mismatch in composition")
         for slot, inner in zip(outer.inputs, inners):
             if inner.output != slot:
                 raise ValueError("input color mismatch in composition")
-        key = (outer, inners)
-        if key in self._compose_memo:
-            return self._compose_memo[key]
         if isinstance(self._compose_rule, Mapping):
             try:
                 result = self._compose_rule[key]
@@ -669,11 +671,12 @@ class FiniteGroupoid:
 
     def compose(self, g, f):
         """g after f."""
-        if self.tgt(f) != self.src(g):
-            raise ValueError("morphisms do not compose")
         key = (g, f)
         if key in self._compose_memo:
+            # stored only after the endpoint test below passed
             return self._compose_memo[key]
+        if self.tgt(f) != self.src(g):
+            raise ValueError("morphisms do not compose")
         if isinstance(self._compose, Mapping):
             result = self._compose[key]
         else:
@@ -709,14 +712,35 @@ class FiniteGroupoid:
                 law_bad.append(f"left inverse at {g}")
             if self.compose(g, gi) != self.id(self.tgt(g)):
                 law_bad.append(f"right inverse at {g}")
+        # Associativity on morphism indices.  table[f][g] is the index of
+        # g.f, composed once per composable pair, or None when g.f is not
+        # among self.morphisms; a triple touching such a composite, or a
+        # composite with the wrong endpoints, is composed and compared by
+        # value as written.
+        ms = self.morphisms
+        index = {m: i for i, m in enumerate(ms)}
         by_src: dict = {}
-        for g in self.morphisms:
-            by_src.setdefault(self.src(g), []).append(g)
-        for f in self.morphisms:
-            for g in by_src.get(self.tgt(f), ()):
-                gf = self.compose(g, f)
-                for h in by_src.get(self.tgt(g), ()):
-                    if self.compose(h, gf) != self.compose(self.compose(h, g), f):
-                        law_bad.append(f"associativity at ({h},{g},{f})")
+        for i, g in enumerate(ms):
+            by_src.setdefault(self.src(g), []).append(i)
+        after = [by_src.get(self.tgt(f), ()) for f in ms]
+        table = [
+            {gi: index.get(self.compose(ms[gi], f)) for gi in after[fi]}
+            for fi, f in enumerate(ms)
+        ]
+        for fi, f in enumerate(ms):
+            row_f = table[fi]
+            for gi in after[fi]:
+                gfi = row_f[gi]
+                row_gf = table[gfi] if gfi is not None else {}
+                row_g = table[gi]
+                for hi in after[gi]:
+                    lhs = row_gf.get(hi)
+                    rhs = row_f.get(row_g[hi])
+                    if lhs is None or rhs is None:
+                        h, g = ms[hi], ms[gi]
+                        if self.compose(h, self.compose(g, f)) != self.compose(self.compose(h, g), f):
+                            law_bad.append(f"associativity at ({h},{g},{f})")
+                    elif lhs != rhs:
+                        law_bad.append(f"associativity at ({ms[hi]},{ms[gi]},{f})")
         rep.add("groupoid/laws", name, FAIL if law_bad else PASS, witness=law_bad[:3] or None)
         return rep

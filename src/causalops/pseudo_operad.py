@@ -163,16 +163,22 @@ class PseudoOperadData:
         return self.groupoid_of_cell(cell).tgt(cell)
 
     def groupoid_of_cell(self, cell) -> FiniteGroupoid:
-        index = self.__dict__.get("_cell_home")
-        if index is None or len(index) != len(self.all_cells()):
+        # the index is stamped with the identities of the operation
+        # groupoids and rebuilt when one of them is swapped; it holds the
+        # groupoids, so their ids cannot be reused while it is cached
+        homes = tuple(self.op_groupoids.values())
+        stamp = tuple(map(id, homes))
+        cached = self.__dict__.get("_cell_home")
+        if cached is None or cached[0] != stamp:
             index = {
                 c: self.op_groupoids[n]
                 for n in self.arities()
                 for c in self.op_groupoids[n].morphisms
             }
-            self.__dict__["_cell_home"] = index
+            cached = (stamp, homes, index)
+            self.__dict__["_cell_home"] = cached
         try:
-            return index[cell]
+            return cached[2][cell]
         except KeyError:
             raise ValueError(f"cell {cell} belongs to no operation groupoid") from None
 
@@ -204,6 +210,13 @@ class Square:
     legs: tuple
     out: Hashable
 
+    def __hash__(self) -> int:
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((Square, self.dom, self.cod, self.legs, self.out))
+            self.__dict__["_hash"] = h
+        return h
+
     def __str__(self) -> str:
         legs = ",".join(str(g) for g in self.legs)
         return f"Sq[{self.dom}=>{self.cod}|({legs});{self.out}]"
@@ -222,14 +235,14 @@ class Companion:
 
 def _check_cell_boundaries(P: PseudoOperadData, rep: Report) -> None:
     bad: list[str] = []
+    colors = set(P.objects.objects)
     for n in P.arities():
         G = P.op_groupoids[n]
         for op in G.objects:
             ins = P.op_inputs[op]
             if len(ins) != n:
                 bad.append(f"arity mismatch at {op}")
-            if any(c not in set(P.objects.objects) for c in ins) \
-                    or P.op_output[op] not in set(P.objects.objects):
+            if any(c not in colors for c in ins) or P.op_output[op] not in colors:
                 bad.append(f"unknown color at {op}")
         for cell in G.morphisms:
             legs = P.cell_inputs[cell]
@@ -254,17 +267,19 @@ def _check_cell_boundaries(P: PseudoOperadData, rep: Report) -> None:
             if any(not P.is_identity_vertical(g) for g in P.cell_inputs[i]) \
                     or not P.is_identity_vertical(P.cell_output[i]):
                 fun_bad.append(f"identity cell of {op} has moving boundary")
-        for a, b in itertools.product(G.morphisms, repeat=2):
-            if G.tgt(a) != G.src(b):
-                continue
-            c = G.compose(b, a)
-            want_legs = tuple(
-                P.objects.compose(g2, g1)
-                for g1, g2 in zip(P.cell_inputs[a], P.cell_inputs[b])
-            )
-            if P.cell_inputs[c] != want_legs or \
-                    P.cell_output[c] != P.objects.compose(P.cell_output[b], P.cell_output[a]):
-                fun_bad.append(f"boundary of vertical composite {b} . {a}")
+        by_src: dict = {}
+        for b in G.morphisms:
+            by_src.setdefault(G.src(b), []).append(b)
+        for a in G.morphisms:
+            for b in by_src.get(G.tgt(a), ()):
+                c = G.compose(b, a)
+                want_legs = tuple(
+                    P.objects.compose(g2, g1)
+                    for g1, g2 in zip(P.cell_inputs[a], P.cell_inputs[b])
+                )
+                if P.cell_inputs[c] != want_legs or \
+                        P.cell_output[c] != P.objects.compose(P.cell_output[b], P.cell_output[a]):
+                    fun_bad.append(f"boundary of vertical composite {b} . {a}")
     rep.add("pseudo-operad/boundary-functoriality", P.name, FAIL if fun_bad else PASS,
             witness=fun_bad[:3] or None)
 
@@ -472,17 +487,15 @@ def _check_coherence(P: PseudoOperadData, rep: Report, max_pentagons: int) -> No
     pent_bad: list[str] = []
     pent_checked = 0
     assoc_keys = list(P.associators)
+    inners_of: dict = {}
+    for outer, inners in P.compose_ops:
+        inners_of.setdefault(outer, []).append(inners)
     for (psi, phis, chis) in assoc_keys:
         if pent_checked >= max_pentagons:
             break
         # extend downward by one more layer drawn from materialized composites
         flat_chis = tuple(itertools.chain.from_iterable(chis))
-        omega_pools = []
-        for chi in flat_chis:
-            pool = [
-                inners for (outer, inners) in P.compose_ops if outer == chi
-            ]
-            omega_pools.append(pool)
+        omega_pools = [inners_of.get(chi, []) for chi in flat_chis]
         if any(not pool for pool in omega_pools):
             continue
         for omegas_flat in itertools.product(*[pool[:2] for pool in omega_pools]):
@@ -710,7 +723,7 @@ def iota(O: Operad, max_squares_per_arity: int = 100_000) -> PseudoOperadData:
             cell_inputs[s] = s.legs
             cell_output[s] = s.out
 
-    window = set(O.operations)
+    window = {op: i for i, op in enumerate(O.operations)}  # op -> its position
     compose_ops: dict = {}
     compose_cells: dict = {}
     for psi in O.operations:
@@ -718,25 +731,37 @@ def iota(O: Operad, max_squares_per_arity: int = 100_000) -> PseudoOperadData:
             composite = O.compose(psi, phis)
             if composite in window:
                 compose_ops[(psi, phis)] = composite
+    # inner cells must hand their output vertical to the matching leg; each
+    # is listed with the positions of its dom and cod
+    feeding: dict = {}
+    for m in O.arities:
+        for s in squares_by_arity[m]:
+            feeding.setdefault((s.dom.output, s.cod.output, s.out), []).append(
+                (s, window[s.dom], window[s.cod]))
     for n, squares in squares_by_arity.items():
         for alpha in squares:
-            # inner cells must hand their output vertical to the matching leg
-            inner_pools = []
-            for i in range(n):
-                pool = [
-                    s
-                    for m in O.arities
-                    for s in squares_by_arity[m]
-                    if s.dom.output == alpha.dom.inputs[i]
-                    and s.cod.output == alpha.cod.inputs[i]
-                    and s.out == alpha.legs[i]
-                ]
-                inner_pools.append(pool)
-            for betas in itertools.product(*inner_pools):
-                dom = O.compose(alpha.dom, tuple(b.dom for b in betas))
-                cod = O.compose(alpha.cod, tuple(b.cod for b in betas))
-                if dom not in window or cod not in window:
+            inner_pools = [
+                feeding.get((alpha.dom.inputs[i], alpha.cod.inputs[i], alpha.legs[i]), [])
+                for i in range(n)
+            ]
+            # a composite depends only on the inner doms (cods), so each
+            # distinct tuple of them is composed once; None marks a
+            # composite outside the window
+            doms: dict = {}
+            cods: dict = {}
+            for picks in itertools.product(*inner_pools):
+                dom_key = tuple(p[1] for p in picks)
+                if dom_key not in doms:
+                    dom = O.compose(alpha.dom, tuple(p[0].dom for p in picks))
+                    doms[dom_key] = dom if dom in window else None
+                cod_key = tuple(p[2] for p in picks)
+                if cod_key not in cods:
+                    cod = O.compose(alpha.cod, tuple(p[0].cod for p in picks))
+                    cods[cod_key] = cod if cod in window else None
+                dom, cod = doms[dom_key], cods[cod_key]
+                if dom is None or cod is None:
                     continue
+                betas = tuple(p[0] for p in picks)
                 legs = tuple(itertools.chain.from_iterable(b.legs for b in betas))
                 compose_cells[(alpha, betas)] = Square(dom, cod, legs, alpha.out)
 
@@ -763,11 +788,11 @@ def iota(O: Operad, max_squares_per_arity: int = 100_000) -> PseudoOperadData:
     associators: dict = {}
     left_unitors: dict = {}
     right_unitors: dict = {}
-    for (psi, phis), middle in list(compose_ops.items()):
-        chis_pools = [
-            [inners for (outer, inners) in compose_ops if outer == phi]
-            for phi in phis
-        ]
+    inners_of: dict = {}
+    for outer, inners in compose_ops:
+        inners_of.setdefault(outer, []).append(inners)
+    for (psi, phis), middle in compose_ops.items():
+        chis_pools = [inners_of.get(phi, []) for phi in phis]
         for chis in itertools.product(*chis_pools):
             flat = tuple(itertools.chain.from_iterable(chis))
             total = O.compose(middle, flat)
@@ -813,6 +838,13 @@ class TauOperation:
     members: frozenset
     inputs: tuple
     output: Hashable
+
+    def __hash__(self) -> int:
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((TauOperation, self.rep, self.members, self.inputs, self.output))
+            self.__dict__["_hash"] = h
+        return h
 
     def __str__(self) -> str:
         return f"[{self.rep}]"
@@ -970,7 +1002,7 @@ def check_two_adjunction(
         P = fat
 
     unit_bad: list[str] = []
-    TP = tau_full(P)
+    TP = collapsed if P is fat else tau_full(P)
     # audit only the window materialized up front; driving the collapsed
     # operad below may cache further composites through the hooks
     window = tuple(P.compose_ops.items())

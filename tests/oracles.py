@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -198,3 +198,39 @@ def brute_pinned_maps(
         ):
             out.append(table)
     return out
+
+
+def brute_groupoid_law_witnesses(morphisms, src, tgt, compose, identities, inverses) -> list[str]:
+    """The ``groupoid/laws`` witnesses of a finite groupoid, by plain loops on values.
+
+    ``compose`` is a dict keyed ``(g, f)`` or a callable ``(g, f)``, both
+    meaning g after f; ``inverses`` is a dict or a callable.  Identity and
+    inverse laws come first, per morphism in the given order; then every
+    triple (f, g, h) of ``morphisms`` with tgt f = src g and tgt g = src h,
+    f slowest, is checked by comparing h.(g.f) with (h.g).f as values.
+    Composing a pair whose endpoints do not meet raises ValueError.
+    """
+    def comp(g, f):
+        if tgt[f] != src[g]:
+            raise ValueError("morphisms do not compose")
+        return compose(g, f) if callable(compose) else compose[(g, f)]
+
+    def inv(g):
+        return inverses(g) if callable(inverses) else inverses[g]
+
+    bad = []
+    for g in morphisms:
+        if comp(g, identities[src[g]]) != g:
+            bad.append(f"right identity at {g}")
+        if comp(identities[tgt[g]], g) != g:
+            bad.append(f"left identity at {g}")
+        if comp(inv(g), g) != identities[src[g]]:
+            bad.append(f"left inverse at {g}")
+        if comp(g, inv(g)) != identities[tgt[g]]:
+            bad.append(f"right inverse at {g}")
+    for f, g, h in itertools.product(morphisms, repeat=3):
+        if tgt[f] != src[g] or tgt[g] != src[h]:
+            continue
+        if comp(h, comp(g, f)) != comp(comp(h, g), f):
+            bad.append(f"associativity at ({h},{g},{f})")
+    return bad

@@ -29,7 +29,6 @@ from causalops.bordism import (
     identity_cell,
     overhang_regions,
     permute_bordism,
-    permute_cell,
     truncate_bordisms,
     unit_bordism,
     unitor_cells,

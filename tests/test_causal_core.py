@@ -11,7 +11,6 @@ from causalops import (
     CausalSet,
     GluingCycle,
     MonotoneMap,
-    are_causally_disjoint,
     causal_future,
     causal_past,
     chronological_future,

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from causalops import CausalSet, FragmentCapExceeded
@@ -15,7 +15,6 @@ from causalops.operad_kernel import (
     MultinaturalTransformation,
     Operad,
     Operation,
-    all_permutations,
     apply_permutation,
     block_permutation,
     check_multifunctor,
@@ -30,6 +29,7 @@ from causalops.operad_kernel import (
     sum_permutation,
     vertical_compose,
 )
+from causalops.report import FAIL, PASS
 
 import oracles
 
@@ -309,6 +309,67 @@ class TestMultifunctors:
         assert stacked.components["c"] == u  # f after f is the unit
 
 
+@st.composite
+def groupoid_tables(draw, kind: str):
+    """Raw tables of a small groupoid with its arrows in a drawn order.
+
+    Either the pair groupoid (one arrow ``a>b`` for each ordered pair of
+    objects) or the action groupoid of Z_m acting on the objects through a
+    permutation p (arrows ``g@x: x -> p^g(x)``), on one to four objects.
+    ``kind`` is "lawful"; "corrupt", where one composable pair of the dict
+    composes to a wrong arrow, parallel to the right one where there is
+    one; or "outside", where ``compose`` and the inverses are callables
+    and only a drawn sub-list of the arrows is listed, so composites fall
+    outside the list (one pair may be corrupt).
+    Returns the arguments of ``FiniteGroupoid`` in order.
+    """
+    k = draw(st.integers(min_value=1, max_value=4))
+    objects = [f"x{i}" for i in range(k)]
+    src, tgt, inverses, compose = {}, {}, {}, {}
+    if draw(st.booleans()):
+        for a, b in itertools.product(objects, repeat=2):
+            f = f"{a}>{b}"
+            src[f], tgt[f], inverses[f] = a, b, f"{b}>{a}"
+        for f, g in itertools.product(src, repeat=2):
+            if tgt[f] == src[g]:
+                compose[(g, f)] = f"{src[f]}>{tgt[g]}"
+        identities = {a: f"{a}>{a}" for a in objects}
+    else:
+        p = draw(st.permutations(range(k)))
+        powers = [list(range(k))]  # powers[g][i]: index of p^g(x_i)
+        while (step := [p[i] for i in powers[-1]]) != powers[0]:
+            powers.append(step)
+        m = len(powers) * draw(st.integers(min_value=1, max_value=2))
+        shift = {}
+        for g in range(m):
+            for i, x in enumerate(objects):
+                f = f"{g}@{x}"
+                src[f], tgt[f], shift[f] = x, objects[powers[g % len(powers)][i]], g
+                inverses[f] = f"{-g % m}@{tgt[f]}"
+        for f, g in itertools.product(src, repeat=2):
+            if tgt[f] == src[g]:
+                compose[(g, f)] = f"{(shift[f] + shift[g]) % m}@{src[f]}"
+        identities = {x: f"0@{x}" for x in objects}
+    order = draw(st.permutations(sorted(src)))
+    if kind == "corrupt" or (kind == "outside" and draw(st.booleans())):
+        assume(len(src) > 1)
+        pair = draw(st.sampled_from(sorted(compose)))
+        right = compose[pair]
+        wrong = sorted(set(src) - {right})
+        # a parallel wrong arrow gives a FAIL row, another one an exception
+        parallel = [f for f in wrong if (src[f], tgt[f]) == (src[right], tgt[right])]
+        compose[pair] = draw(st.sampled_from(parallel or wrong))
+    if kind != "outside":
+        return objects, order, src, tgt, compose, identities, inverses
+    listed = [f for f in order if draw(st.booleans())]
+    assume(any(
+        compose[(g, f)] not in listed
+        for f, g in itertools.product(listed, repeat=2) if tgt[f] == src[g]
+    ))
+    return (objects, listed, src, tgt, lambda g, f: compose[(g, f)], identities,
+            inverses.__getitem__)
+
+
 class TestFiniteGroupoid:
     def build_flip(self, bad: bool = False) -> FiniteGroupoid:
         compose = {
@@ -328,3 +389,31 @@ class TestFiniteGroupoid:
         report = self.build_flip(bad=True).validate()
         assert not report.ok
         assert any("laws" in e.check for e in report.failures)
+
+    @staticmethod
+    def assert_laws_match_the_oracle(case) -> None:
+        G = FiniteGroupoid(*case)
+        try:
+            want = oracles.brute_groupoid_law_witnesses(*case[1:])
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                G.validate()
+            return
+        rows = [(e.status, e.witness) for e in G.validate().entries
+                if e.check == "groupoid/laws"]
+        assert rows == [(FAIL if want else PASS, want[:3] or None)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(groupoid_tables("lawful"))
+    def test_lawful_tables_pass_like_the_oracle(self, case):
+        self.assert_laws_match_the_oracle(case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(groupoid_tables("corrupt"))
+    def test_a_corrupt_entry_fails_like_the_oracle(self, case):
+        self.assert_laws_match_the_oracle(case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(groupoid_tables("outside"))
+    def test_composites_outside_the_list_compare_by_value(self, case):
+        self.assert_laws_match_the_oracle(case)

@@ -1,11 +1,16 @@
 """Pseudo-operads: fattening, companions, truncation, the strict adjunction."""
 
+import hashlib
+
 import pytest
 
 from causalops import CausalSet, NotFibrant
+from causalops.bordism import bordism_fragment, truncate_bordisms
 from causalops.operad_kernel import FiniteGroupoid, prefactorization_operad
 from causalops.pseudo_operad import (
     PseudoOperadData,
+    Square,
+    TauOperation,
     check_pseudo_operad,
     check_two_adjunction,
     find_companion,
@@ -13,6 +18,7 @@ from causalops.pseudo_operad import (
     tau,
     tau_full,
 )
+from test_bordism import chain_bordism
 from test_operad_kernel import commutative_fold_operad, cyclic_group_operad
 
 
@@ -47,6 +53,56 @@ class TestIota:
         P.associators[key] = cells[0]  # wrong endpoints, not even globular
         report = check_pseudo_operad(P)
         assert not report.ok
+
+
+class TestCellIndex:
+    def test_a_swapped_groupoid_is_noticed(self):
+        P = iota(cyclic_group_operad())
+        old = P.op_groupoids[1]
+        cell = next(c for c in old.morphisms if c.dom != c.cod)
+        assert P.groupoid_of_cell(cell) is old
+        # same cells in a new object: the index must follow the swap
+        same = FiniteGroupoid(
+            old.objects, old.morphisms,
+            {c: old.src(c) for c in old.morphisms},
+            {c: old.tgt(c) for c in old.morphisms},
+            old.compose, {op: old.id(op) for op in old.objects}, old.inv,
+        )
+        P.op_groupoids[1] = same
+        assert P.groupoid_of_cell(cell) is same
+        # fewer cells: the dropped one belongs nowhere any more
+        kept = [old.id(op) for op in old.objects]
+        P.op_groupoids[1] = FiniteGroupoid(
+            old.objects, kept,
+            {c: old.src(c) for c in kept}, {c: old.tgt(c) for c in kept},
+            old.compose, {op: old.id(op) for op in old.objects}, old.inv,
+        )
+        with pytest.raises(ValueError, match="belongs to no operation groupoid"):
+            P.groupoid_of_cell(cell)
+
+    def test_an_unknown_cell_is_refused(self):
+        P = iota(cyclic_group_operad())
+        with pytest.raises(ValueError, match="cell nowhere belongs to no operation groupoid"):
+            P.groupoid_of_cell("nowhere")
+
+
+class TestTokenHashes:
+    def test_equal_squares_hash_equally(self):
+        O = cyclic_group_operad()
+        u, f = O.ops(1)
+        a = Square(u, f, (f,), f)
+        b = Square(u, f, (f,), f)
+        assert a is not b and a == b
+        assert hash(a) == hash(b)
+        assert {a: "cell"}[b] == "cell"
+        assert hash(a) != hash(Square(f, u, (f,), f))
+
+    def test_equal_tau_operations_hash_equally(self):
+        a = TauOperation("f1", frozenset({"f1", "f2"}), ("c",), "c")
+        b = TauOperation("f1", frozenset({"f2", "f1"}), ("c",), "c")
+        assert a is not b and a == b
+        assert hash(a) == hash(b)
+        assert {a: "class"}[b] == "class"
 
 
 class TestCompanions:
@@ -196,3 +252,17 @@ class TestTwoAdjunction:
         O = tau(P)
         report = check_two_adjunction(O, P)
         assert report.ok, report.failures
+
+    def test_reports_on_the_chain_are_unchanged(self):
+        # sha256 of Report.dumps() before the collapse of the fattened
+        # operad was reused: once with P left out, once with P = iota(O)
+        def chain_operad():
+            return truncate_bordisms(bordism_fragment([chain_bordism("a", "b", "c")], depth=1))
+
+        digest = "36f0e6197af66fc35c745f553b9a04565685df596bbe821f073fd274f879ae9d"
+        O = chain_operad()
+        alone = check_two_adjunction(O)
+        assert hashlib.sha256(alone.dumps().encode()).hexdigest() == digest
+        O = chain_operad()
+        given = check_two_adjunction(O, iota(O))
+        assert hashlib.sha256(given.dumps().encode()).hexdigest() == digest

@@ -21,7 +21,6 @@ from causalops.causal_core import (
 )
 from causalops.errors import NotFiltered
 from causalops.operad_kernel import (
-    EmbeddingTuple,
     check_operad_axioms,
     prefactorization_operad,
 )

@@ -48,7 +48,6 @@ from causalops.translate import (
     roundtrip_aqft,
     roundtrip_fqft,
     sigma_colimit,
-    translate_transformation_a2f,
     translate_transformation_f2a,
     translation_window,
     validate_translation_context,
