@@ -435,9 +435,9 @@ def validate_bordism(b: Bordism, report: Report | None = None) -> Report:
     rep.add("bordism/out-collar", t, FAIL if out_bad else PASS,
             witness=out_bad[:3] or None)
 
-    rep.add("bordism/out-cauchy", t,
-            PASS if is_cauchy_embedding(b.map_out) else FAIL,
-            witness=None if is_cauchy_embedding(b.map_out)
+    out_cauchy = is_cauchy_embedding(b.map_out)
+    rep.add("bordism/out-cauchy", t, PASS if out_cauchy else FAIL,
+            witness=None if out_cauchy
             else "output image contains no Cauchy antichain of the carrier")
 
     dis_bad = [
@@ -690,6 +690,19 @@ def compose_bordisms(outer: Bordism, inners: Sequence[Bordism]) -> Bordism:
     return compose_bordisms_full(outer, inners).bordism
 
 
+def _glue(memo: dict, outer: Bordism, inners: tuple[Bordism, ...]) -> ComposedBordism:
+    """compose_bordisms_full, run once per distinct (outer, inners) in memo.
+
+    The memo belongs to one caller's build and dies with it, so each
+    configuration is still glued and validated in full once per build.
+    """
+    key = (outer, inners)
+    full = memo.get(key)
+    if full is None:
+        full = memo[key] = compose_bordisms_full(outer, inners)
+    return full
+
+
 # ---- two-cells -------------------------------------------------------------------
 
 
@@ -911,7 +924,11 @@ def check_two_cell(cell: TwoCell, report: Report | None = None) -> Report:
 
 def compose_two_cells(outer: TwoCell, inners: Sequence[TwoCell]) -> TwoCell:
     """Horizontal pasting of cells over a composition of their boundaries."""
-    inners = tuple(inners)
+    return _compose_two_cells(outer, tuple(inners), {})
+
+
+def _compose_two_cells(outer: TwoCell, inners: tuple[TwoCell, ...],
+                       memo: dict) -> TwoCell:
     if len(inners) != outer.dom.arity:
         raise ValueError("arity mismatch: one inner cell per input is required")
     for i, cell in enumerate(inners):
@@ -919,8 +936,8 @@ def compose_two_cells(outer: TwoCell, inners: Sequence[TwoCell]) -> TwoCell:
             raise ValueError(
                 f"inner cell {i} does not feed the matching boundary germ"
             )
-    dom_full = compose_bordisms_full(outer.dom, tuple(c.dom for c in inners))
-    cod_full = compose_bordisms_full(outer.cod, tuple(c.cod for c in inners))
+    dom_full = _glue(memo, outer.dom, tuple(c.dom for c in inners))
+    cod_full = _glue(memo, outer.cod, tuple(c.cod for c in inners))
 
     up_inv = dom_full.upper_leg.inverse_table
     lo_invs = [leg.inverse_table for leg in dom_full.lower_legs]
@@ -959,9 +976,10 @@ def _trace_compose(
     inners: tuple[Bordism, ...],
     outer_atoms: dict[str, frozenset],
     inner_atoms: Sequence[dict[str, frozenset]],
+    memo: dict,
 ) -> tuple[ComposedBordism, dict[str, frozenset]]:
     """Compose while accumulating the provenance tags of merged events."""
-    full = compose_bordisms_full(outer, inners)
+    full = _glue(memo, outer, inners)
     atoms: dict[str, set] = {e: set() for e in full.bordism.carrier.events}
     for i, leg in enumerate(full.lower_legs):
         for e in leg.dom.events:
@@ -1008,8 +1026,16 @@ def coherence_cells(
     inner pairs first; its table pairs hull events through the provenance
     of the shared pieces.
     """
-    mids = tuple(mids)
-    inners = tuple(tuple(block) for block in inners)
+    return _coherence_cells(outer, tuple(mids),
+                            tuple(tuple(block) for block in inners), {})
+
+
+def _coherence_cells(
+    outer: Bordism,
+    mids: tuple[Bordism, ...],
+    inners: tuple[tuple[Bordism, ...], ...],
+    memo: dict,
+) -> TwoCell:
     outer_atoms = _seed_atoms(outer, "o")
     mid_atoms = [_seed_atoms(m, f"m{i}") for i, m in enumerate(mids)]
     inner_atoms = [
@@ -1019,19 +1045,20 @@ def coherence_cells(
     flat_inners = tuple(itertools.chain.from_iterable(inners))
     flat_inner_atoms = list(itertools.chain.from_iterable(inner_atoms))
 
-    first, first_atoms = _trace_compose(outer, mids, outer_atoms, mid_atoms)
+    first, first_atoms = _trace_compose(outer, mids, outer_atoms, mid_atoms, memo)
     left_full, left_atoms = _trace_compose(
-        first.bordism, flat_inners, first_atoms, flat_inner_atoms
+        first.bordism, flat_inners, first_atoms, flat_inner_atoms, memo
     )
 
     blocks = []
     block_atoms = []
     for i, (m, block) in enumerate(zip(mids, inners)):
-        full, atoms = _trace_compose(m, block, mid_atoms[i], inner_atoms[i])
+        full, atoms = _trace_compose(m, block, mid_atoms[i], inner_atoms[i],
+                                     memo)
         blocks.append(full.bordism)
         block_atoms.append(atoms)
     right_full, right_atoms = _trace_compose(
-        outer, tuple(blocks), outer_atoms, block_atoms
+        outer, tuple(blocks), outer_atoms, block_atoms, memo
     )
 
     table = _atom_pairing(
@@ -1043,11 +1070,15 @@ def coherence_cells(
 
 def unitor_cells(b: Bordism) -> tuple[TwoCell, TwoCell]:
     """Cells from the unit-padded composites of b down to b itself."""
+    return _unitor_cells(b, {})
+
+
+def _unitor_cells(b: Bordism, memo: dict) -> tuple[TwoCell, TwoCell]:
     base = _seed_atoms(b, "b")
 
     unit_out = unit_bordism(b.target)
     left_full, left_atoms = _trace_compose(
-        unit_out, (b,), _seed_atoms(unit_out, "u"), [base]
+        unit_out, (b,), _seed_atoms(unit_out, "u"), [base], memo
     )
     left_table = _atom_pairing(
         left_full.bordism.surface_hull, left_atoms, b.surface_hull, base
@@ -1056,7 +1087,7 @@ def unitor_cells(b: Bordism) -> tuple[TwoCell, TwoCell]:
 
     units_in = tuple(unit_bordism(s) for s in b.sources)
     unit_atoms = [_seed_atoms(u, f"u{i}") for i, u in enumerate(units_in)]
-    right_full, right_atoms = _trace_compose(b, units_in, base, unit_atoms)
+    right_full, right_atoms = _trace_compose(b, units_in, base, unit_atoms, memo)
     right_table = _atom_pairing(
         right_full.bordism.surface_hull, right_atoms, b.surface_hull, base
     )
@@ -1197,7 +1228,9 @@ def bordism_fragment(
     between the touched objects and all composites reachable within the
     given depth, closed under input permutations.  Cells are every
     isomorphism germ between same-arity operations.  Caps guard each stage
-    and overflow raises FragmentCapExceeded.
+    and overflow raises FragmentCapExceeded.  Each (outer, inners)
+    configuration is glued and validated once per build, and its composite
+    is reused by the composites, cell composites, unitors and associators.
     """
     objs: list[PointedObject] = []
     gens: list[Bordism] = []
@@ -1230,6 +1263,7 @@ def bordism_fragment(
     if len(ops) > max_ops:
         raise FragmentCapExceeded(f"operation cap {max_ops} exceeded")
 
+    memo: dict = {}
     compose_ops: dict = {}
     for _ in range(depth):
         current = tuple(sorted(ops, key=str))
@@ -1243,7 +1277,7 @@ def bordism_fragment(
                 key = (psi, phis)
                 if key in compose_ops:
                     continue
-                composite = compose_bordisms(psi, phis)
+                composite = _glue(memo, psi, phis).bordism
                 compose_ops[key] = composite
                 if composite not in ops:
                     new_ops.add(composite)
@@ -1275,7 +1309,7 @@ def bordism_fragment(
                 cod_key = (alpha.cod, tuple(b.cod for b in betas))
                 if cod_key not in compose_ops:
                     continue
-                compose_cells[(alpha, betas)] = compose_two_cells(alpha, betas)
+                compose_cells[(alpha, betas)] = _compose_two_cells(alpha, betas, memo)
                 if len(compose_cells) > max_cells:
                     raise FragmentCapExceeded(f"cell cap {max_cells} exceeded")
 
@@ -1292,7 +1326,7 @@ def bordism_fragment(
         units_in = tuple(unit_bordism(s) for s in op.sources)
         want_right = (op, units_in) in compose_ops
         if want_left or want_right:
-            left, right = unitor_cells(op)
+            left, right = _unitor_cells(op, memo)
             if want_left:
                 left_unitors[op] = left
             if want_right:
@@ -1317,7 +1351,8 @@ def bordism_fragment(
                 )
                 if (psi, inner_comps) not in compose_ops:
                     continue
-                associators[(psi, phis, chis)] = coherence_cells(psi, phis, chis)
+                associators[(psi, phis, chis)] = _coherence_cells(psi, phis, chis,
+                                                                  memo)
                 if len(associators) > max_cells:
                     raise FragmentCapExceeded(f"cell cap {max_cells} exceeded")
 

@@ -2,11 +2,13 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import causalops.bordism as bordism_module
 from causalops.bordism import (
     Bordism,
     _pinned_maps,
@@ -558,6 +560,38 @@ class TestFragments:
         assert rep.ok, rep.failures
         rep2 = check_two_adjunction(truncate_bordisms(frag), frag)
         assert rep2.ok, rep2.failures
+
+    def test_chain_tables_match_standalone_calls(self):
+        frag = bordism_fragment([chain_bordism("a", "b", "c")], depth=2,
+                                max_ops=64, max_cells=4096)
+        assert frag.compose_ops and frag.compose_cells and frag.associators
+        assert frag.left_unitors and frag.right_unitors
+        for (psi, phis), composite in frag.compose_ops.items():
+            assert composite == compose_bordisms(psi, phis)
+        for (alpha, betas), cell in frag.compose_cells.items():
+            assert cell == compose_two_cells(alpha, betas)
+        for (psi, phis, chis), cell in frag.associators.items():
+            assert cell == coherence_cells(psi, phis, chis)
+        for op, cell in frag.left_unitors.items():
+            assert cell == unitor_cells(op)[0]
+        for op, cell in frag.right_unitors.items():
+            assert cell == unitor_cells(op)[1]
+
+    def test_each_configuration_is_glued_once_per_build(self, monkeypatch):
+        glued: list[tuple] = []
+
+        def counting(outer, inners):
+            glued.append((outer, tuple(inners)))
+            return compose_bordisms_full(outer, inners)
+
+        monkeypatch.setattr(bordism_module, "compose_bordisms_full", counting)
+        chain = chain_bordism("a", "b", "c")
+        bordism_fragment([chain], depth=2, max_ops=64, max_cells=4096)
+        first = Counter(glued)
+        assert first and max(first.values()) == 1
+        glued.clear()
+        bordism_fragment([chain], depth=2, max_ops=64, max_cells=4096)
+        assert Counter(glued) == first
 
     def test_every_vertical_has_a_companion(self):
         frag = bordism_fragment([chain_bordism("a", "b", "c")], depth=1)
