@@ -29,6 +29,7 @@ from .causal_core import (
     causal_past,
     chronological_past,
     convex_hull,
+    convex_subsets,
     are_causally_disjoint,
     glue_pushout,
     is_causally_convex,
@@ -147,27 +148,6 @@ class Germ:
         if emb.image_of(src.surface) != tgt.surface:
             raise ValueError("germ must carry the surface onto the target surface")
         self.__dict__["embedding"] = emb
-
-    @classmethod
-    def from_map(cls, src: PointedObject, tgt: PointedObject,
-                 mapping: Mapping[str, str]) -> "Germ":
-        """Canonicalize a wider representative defined on a convex region.
-
-        The representative must be a Cauchy embedding around the source
-        surface; its restriction to the surface hull is the germ.
-        """
-        table = dict(mapping)
-        domain = frozenset(table)
-        if not domain >= src.surface:
-            raise ValueError("representative must be defined around the surface")
-        if not is_causally_convex(src.carrier, domain):
-            raise ValueError("representative domain must be causally convex")
-        emb = CausalEmbedding(src.carrier.induced(domain), tgt.carrier, table)
-        if not is_cauchy_embedding(emb):
-            raise ValueError("representative must be a Cauchy embedding")
-        if emb.image_of(src.surface) != tgt.surface:
-            raise ValueError("representative must carry surface to surface")
-        return cls(src, tgt, {e: table[e] for e in src.surface_hull})
 
     @classmethod
     def identity(cls, obj: PointedObject) -> "Germ":
@@ -885,21 +865,19 @@ def find_wide_witness(cell: TwoCell) -> CausalEmbedding | None:
     dom_carrier = cell.dom.carrier
     cod_carrier = cell.cod.carrier
     base = cell.dom.surface_hull
-    rest = sorted(set(dom_carrier.events) - base)
-    for k in range(len(rest) + 1):
-        for extra in itertools.combinations(rest, k):
-            region = base | frozenset(extra)
-            if not is_causally_convex(dom_carrier, region):
+    # convex_subsets leaves out the empty region, the smallest for an empty hull
+    regions = [base] if not base else []
+    regions += [U for U in convex_subsets(dom_carrier) if base <= U]
+    for region in regions:
+        sub = dom_carrier.induced(region)
+        for assignment in _pinned_maps(sub, cod_carrier, iso=False,
+                                       pins=cell.table):
+            try:
+                emb = CausalEmbedding(sub, cod_carrier, assignment)
+            except ValueError:
                 continue
-            sub = dom_carrier.induced(region)
-            for assignment in _pinned_maps(sub, cod_carrier, iso=False,
-                                           pins=cell.table):
-                try:
-                    emb = CausalEmbedding(sub, cod_carrier, assignment)
-                except ValueError:
-                    continue
-                if is_cauchy_embedding(emb):
-                    return emb
+            if is_cauchy_embedding(emb):
+                return emb
     return None
 
 

@@ -33,6 +33,8 @@ __all__ = [
     "is_antichain",
     "is_cauchy_antichain",
     "is_cauchy_embedding",
+    "cauchy_antichains",
+    "convex_subsets",
     "are_causally_disjoint",
     "max_antichain",
     "glue_pushout",
@@ -154,27 +156,29 @@ class CausalSet:
         except KeyError:
             raise ValueError(f"event {event!r} not in this causal set") from None
 
-    def _mask(self, members: Iterable[str]) -> int:
-        mask = 0
-        for e in members:
-            mask |= 1 << self._idx(e)
-        return mask
-
     def _events_of(self, mask: int) -> frozenset[str]:
         return frozenset(self.events[i] for i in self._bits(mask))
 
     @cached_property
+    def _up_covers(self) -> tuple[int, ...]:
+        """Mask of the events covering each event."""
+        out = []
+        for i, up in enumerate(self._up):
+            strict = up & ~(1 << i)
+            cover = strict
+            for j in self._bits(strict):
+                cover &= ~self._up[j] | (1 << j)
+            out.append(cover)
+        return tuple(out)
+
+    @cached_property
     def covers(self) -> frozenset[tuple[str, str]]:
         """Transitive reduction as (lower, upper) pairs."""
-        out = set()
-        n = len(self.events)
-        for i in range(n):
-            strict = self._up[i] & ~(1 << i)
-            for j in self._bits(strict):
-                between = strict & (self._down[j] & ~(1 << j))
-                if between == 0:
-                    out.add((self.events[i], self.events[j]))
-        return frozenset(out)
+        return frozenset(
+            (self.events[i], self.events[j])
+            for i, cover in enumerate(self._up_covers)
+            for j in self._bits(cover)
+        )
 
     @cached_property
     def maximal_events(self) -> frozenset[str]:
@@ -193,7 +197,7 @@ class CausalSet:
     def induced(self, members: Iterable[str]) -> "CausalSet":
         """Sub-poset on ``members`` with the restricted order."""
         members = frozenset(members)
-        mask = self._mask(members)
+        mask = _member_mask(self, members)
         rels = [
             (a, b)
             for a in members
@@ -208,110 +212,113 @@ class CausalSet:
         rels = [(mapping[a], mapping[b]) for a, b in self.covers]
         return CausalSet(mapping.values(), rels)
 
-    def maximal_chains(self) -> Iterator[tuple[str, ...]]:
-        """All inclusion-maximal chains, as cover paths from minima to maxima."""
-        if not self.events:
-            return
-        up_covers: dict[str, list[str]] = {e: [] for e in self.events}
-        for a, b in sorted(self.covers):
-            up_covers[a].append(b)
-
-        def walk(prefix: list[str]) -> Iterator[tuple[str, ...]]:
-            succs = up_covers[prefix[-1]]
-            if not succs:
-                yield tuple(prefix)
-                return
-            for nxt in succs:
-                prefix.append(nxt)
-                yield from walk(prefix)
-                prefix.pop()
-
-        for start in sorted(self.minimal_events):
-            yield from walk([start])
-
-    def antichains(self, within: Iterable[str] | None = None) -> Iterator[frozenset[str]]:
-        """All antichains (including the empty one), optionally inside a subset."""
-        pool = sorted(within) if within is not None else list(self.events)
-        for e in pool:
-            self._idx(e)
-
-        def extend(chosen: list[str], rest: list[str]) -> Iterator[frozenset[str]]:
-            yield frozenset(chosen)
-            for k, e in enumerate(rest):
-                if all(not self.comparable(e, c) for c in chosen):
-                    chosen.append(e)
-                    yield from extend(chosen, rest[k + 1 :])
-                    chosen.pop()
-
-        yield from extend([], pool)
-
 
 # ---- region operators ------------------------------------------------------
 
 
-def _check_members(M: CausalSet, members: Iterable[str]) -> frozenset[str]:
-    out = frozenset(members)
-    for e in out:
-        if e not in M:
+def _member_mask(M: CausalSet, members: Iterable[str]) -> int:
+    mask = 0
+    for e in members:
+        i = M._index.get(e)
+        if i is None:
             raise ValueError(f"event {e!r} is not an event of the causal set")
-    return out
+        mask |= 1 << i
+    return mask
 
 
 def causal_future(M: CausalSet, members: Iterable[str]) -> frozenset[str]:
     """Reflexive future J+: everything at or after some member."""
-    members = _check_members(M, members)
     mask = 0
-    for e in members:
-        mask |= M._up[M._idx(e)]
+    for i in M._bits(_member_mask(M, members)):
+        mask |= M._up[i]
     return M._events_of(mask)
 
 
 def causal_past(M: CausalSet, members: Iterable[str]) -> frozenset[str]:
     """Reflexive past J-."""
-    members = _check_members(M, members)
     mask = 0
-    for e in members:
-        mask |= M._down[M._idx(e)]
+    for i in M._bits(_member_mask(M, members)):
+        mask |= M._down[i]
     return M._events_of(mask)
 
 
 def chronological_future(M: CausalSet, members: Iterable[str]) -> frozenset[str]:
     """Strict future I+: everything strictly after some member."""
-    members = _check_members(M, members)
     mask = 0
-    for e in members:
-        i = M._idx(e)
+    for i in M._bits(_member_mask(M, members)):
         mask |= M._up[i] & ~(1 << i)
     return M._events_of(mask)
 
 
 def chronological_past(M: CausalSet, members: Iterable[str]) -> frozenset[str]:
     """Strict past I-."""
-    members = _check_members(M, members)
     mask = 0
-    for e in members:
-        i = M._idx(e)
+    for i in M._bits(_member_mask(M, members)):
         mask |= M._down[i] & ~(1 << i)
     return M._events_of(mask)
 
 
+def _hull_mask(M: CausalSet, mask: int) -> int:
+    up = down = 0
+    for i in M._bits(mask):
+        up |= M._up[i]
+        down |= M._down[i]
+    return up & down
+
+
+def _is_antichain_mask(M: CausalSet, mask: int) -> bool:
+    return all(M._up[i] & mask == 1 << i for i in M._bits(mask))
+
+
+def _antichain_masks(M: CausalSet, pool: int) -> Iterator[int]:
+    """Every antichain inside ``pool``, the empty one first, by backtracking.
+
+    Events are added in index order, each one only when it is incomparable
+    to all chosen so far, so every antichain is yielded exactly once.
+    """
+
+    def extend(chosen: int, free: int) -> Iterator[int]:
+        yield chosen
+        while free:
+            low = free & -free
+            free ^= low
+            i = low.bit_length() - 1
+            yield from extend(chosen | low, free & ~(M._up[i] | M._down[i]))
+
+    return extend(0, pool)
+
+
+def _cover_path_avoids(M: CausalSet, blocked: int) -> bool:
+    """Does a cover path from a minimal to a maximal event avoid ``blocked``?"""
+    up_covers = M._up_covers
+    covered = 0
+    for cover in up_covers:
+        covered |= cover
+    frontier = seen = ((1 << len(M)) - 1) & ~covered & ~blocked
+    while frontier:
+        step = 0
+        for i in M._bits(frontier):
+            if not up_covers[i]:
+                return True
+            step |= up_covers[i]
+        frontier = step & ~blocked & ~seen
+        seen |= frontier
+    return False
+
+
 def convex_hull(M: CausalSet, members: Iterable[str]) -> frozenset[str]:
     """Least causally convex superset: J+(A) intersected with J-(A)."""
-    members = _check_members(M, members)
-    return causal_future(M, members) & causal_past(M, members)
+    return M._events_of(_hull_mask(M, _member_mask(M, members)))
 
 
 def is_causally_convex(M: CausalSet, members: Iterable[str]) -> bool:
     """Interval-closed: contains everything between two of its events."""
-    members = _check_members(M, members)
-    return convex_hull(M, members) == members
+    mask = _member_mask(M, members)
+    return _hull_mask(M, mask) == mask
 
 
 def is_antichain(M: CausalSet, members: Iterable[str]) -> bool:
-    members = sorted(_check_members(M, members))
-    return all(
-        not M.comparable(a, b) for a, b in itertools.combinations(members, 2)
-    )
+    return _is_antichain_mask(M, _member_mask(M, members))
 
 
 def is_cauchy_antichain(M: CausalSet, members: Iterable[str]) -> bool:
@@ -319,34 +326,38 @@ def is_cauchy_antichain(M: CausalSet, members: Iterable[str]) -> bool:
 
     Decided as a cut condition on the cover digraph: the antichain is
     Cauchy iff no cover path from a minimal to a maximal event avoids it.
-    Isolated events are one-event chains, so each must itself be a member
-    unless it lies in the antichain's shadow (it never does: an isolated
-    event avoided by the antichain is an avoided chain).
+    Isolated events are one-event chains, so each must itself be a member.
     """
-    members = _check_members(M, members)
-    if not is_antichain(M, members):
-        return False
-    if not M.events:
-        return not members
-    return not _cover_path_avoids(M, members)
+    mask = _member_mask(M, members)
+    return _is_antichain_mask(M, mask) and not _cover_path_avoids(M, mask)
 
 
-def _cover_path_avoids(M: CausalSet, blocked: frozenset[str]) -> bool:
-    """Does a cover path from a minimal to a maximal event avoid ``blocked``?"""
-    up_covers: dict[str, list[str]] = {e: [] for e in M.events}
-    for a, b in M.covers:
-        up_covers[a].append(b)
-    stack = [e for e in M.minimal_events if e not in blocked]
-    seen = set(stack)
-    while stack:
-        e = stack.pop()
-        if e in M.maximal_events:
-            return True
-        for nxt in up_covers[e]:
-            if nxt not in blocked and nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return False
+def cauchy_antichains(M: CausalSet,
+                      within: Iterable[str] | None = None) -> Iterator[frozenset[str]]:
+    """The nonempty Cauchy antichains of M, optionally inside a subset."""
+    pool = _member_mask(M, M.events if within is None else within)
+    return (
+        M._events_of(mask) for mask in _antichain_masks(M, pool)
+        if mask and not _cover_path_avoids(M, mask)
+    )
+
+
+def convex_subsets(M: CausalSet,
+                   within: Iterable[str] | None = None) -> list[frozenset[str]]:
+    """The nonempty causally convex subsets of M, optionally inside a subset.
+
+    Convexity is taken in M.  Subsets come by size, and within one size in
+    ``itertools.combinations`` order over the sorted events.
+    """
+    pool = _member_mask(M, M.events if within is None else within)
+    found = []
+    sub = pool
+    while sub:
+        if _hull_mask(M, sub) == sub:
+            found.append(tuple(M._bits(sub)))
+        sub = (sub - 1) & pool
+    found.sort(key=lambda bits: (len(bits), bits))
+    return [frozenset(M.events[i] for i in bits) for bits in found]
 
 
 def max_antichain(M: CausalSet) -> frozenset[str]:
@@ -356,9 +367,10 @@ def max_antichain(M: CausalSet) -> frozenset[str]:
 
 def are_causally_disjoint(M: CausalSet, a: Iterable[str], b: Iterable[str]) -> bool:
     """No member of one region is comparable to a member of the other."""
-    a = _check_members(M, a)
-    b = _check_members(M, b)
-    reach = causal_future(M, a) | causal_past(M, a)
+    a, b = _member_mask(M, a), _member_mask(M, b)
+    reach = 0
+    for i in M._bits(a):
+        reach |= M._up[i] | M._down[i]
     return not (reach & b)
 
 
@@ -480,25 +492,15 @@ def is_cauchy_embedding(emb: CausalEmbedding) -> bool:
     Fast reject: a cover path from a minimal to a maximal event of the
     codomain avoiding the image is a maximal chain no antichain inside the
     image can meet.  When no such path exists the question is decided
-    exactly, first by the greedy picks (maximal / minimal elements of the
-    image), then by scanning all antichains inside the image; the fast
-    test alone is not sufficient for a positive answer.
+    exactly by scanning the antichains inside the image; the fast test
+    alone is not sufficient for a positive answer.
     """
     cod = emb.cod
-    image = emb.image
-    if not cod.events:
-        return True
+    image = _member_mask(cod, emb.image)
     if _cover_path_avoids(cod, image):
         return False
-    sub = cod.induced(image)
-    for greedy in (sub.maximal_events, sub.minimal_events):
-        if is_cauchy_antichain(cod, greedy):
-            return True
-    return any(
-        is_cauchy_antichain(cod, candidate)
-        for candidate in cod.antichains(within=image)
-        if candidate
-    )
+    return any(not _cover_path_avoids(cod, anti)
+               for anti in _antichain_masks(cod, image))
 
 
 # ---- gluing ------------------------------------------------------------------

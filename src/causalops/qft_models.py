@@ -27,10 +27,10 @@ from .bordism import Bordism, PointedObject, globular_cells_between
 from .causal_core import (
     CausalEmbedding,
     CausalSet,
+    cauchy_antichains,
     causal_past,
     chronological_past,
-    is_causally_convex,
-    is_cauchy_antichain,
+    convex_subsets,
     is_cauchy_embedding,
 )
 from .errors import NotFiltered
@@ -513,21 +513,12 @@ def is_filtered(C: ThinCategory) -> bool:
 
 def is_final(F: ThinFunctor) -> bool:
     """Every comma category under a codomain object is nonempty and connected."""
-    for c in F.cod.objects:
-        comma = [d for d in F.dom.objects if F.cod.has(c, F.obj(d))]
-        if not comma:
-            return False
-        seen = {comma[0]}
-        frontier = [comma[0]]
-        while frontier:
-            x = frontier.pop()
-            for y in comma:
-                if y not in seen and (F.dom.has(x, y) or F.dom.has(y, x)):
-                    seen.add(y)
-                    frontier.append(y)
-        if len(seen) != len(comma):
-            return False
-    return True
+    return all(
+        F.dom.full_subcategory(
+            d for d in F.dom.objects if F.cod.has(c, F.obj(d))
+        ).is_connected()
+        for c in F.cod.objects
+    )
 
 
 def grothendieck(base: ThinCategory,
@@ -555,25 +546,13 @@ def grothendieck(base: ThinCategory,
 # ---- subregion and surface categories ---------------------------------------------
 
 
-def _convex_subsets(M: CausalSet, pool: frozenset[str]) -> list[frozenset[str]]:
-    """Nonempty causally convex subsets of a down-closed region, by search."""
-    out = []
-    events = sorted(pool)
-    for r in range(1, len(events) + 1):
-        for combo in itertools.combinations(events, r):
-            if is_causally_convex(M, combo):
-                out.append(frozenset(combo))
-    return out
-
-
 def rc_category(M: CausalSet) -> ThinCategory:
     """Nonempty causally convex subsets of M under inclusion.
 
     Relative compactness is vacuous for a finite carrier, so the whole set
     is the top object and the category is always filtered.
     """
-    objects = _convex_subsets(M, frozenset(M.events))
-    return ThinCategory(objects, lambda a, b: a <= b)
+    return ThinCategory(convex_subsets(M), lambda a, b: a <= b)
 
 
 def _pointed_morphism(M: CausalSet, src: tuple, tgt: tuple) -> bool:
@@ -595,13 +574,8 @@ def _pointed_morphism(M: CausalSet, src: tuple, tgt: tuple) -> bool:
 
 
 def _pointed_objects(M: CausalSet, pool: frozenset[str]) -> list[tuple]:
-    objects = []
-    for U in _convex_subsets(M, pool):
-        sub = M.induced(U)
-        for S in sub.antichains():
-            if S and is_cauchy_antichain(sub, S):
-                objects.append((U, S))
-    return objects
+    return [(U, S) for U in convex_subsets(M, pool)
+            for S in cauchy_antichains(M.induced(U))]
 
 
 def rc_pointed_category(MS: PointedObject) -> ThinCategory:
@@ -626,10 +600,8 @@ def sigma_category(M: CausalSet) -> ThinCategory:
     """
     if not len(M):
         raise ValueError("surface category needs a nonempty causal set")
-    objects = [
-        S for S in M.antichains() if S and is_cauchy_antichain(M, S)
-    ]
-    return ThinCategory(objects, lambda a, b: a <= causal_past(M, b))
+    return ThinCategory(cauchy_antichains(M),
+                        lambda a, b: a <= causal_past(M, b))
 
 
 def q_category(M: CausalSet) -> ThinCategory:

@@ -34,7 +34,7 @@ from .bordism import (
     globular_cells_between,
     validate_bordism,
 )
-from .causal_core import CausalEmbedding, CausalSet
+from .causal_core import CausalEmbedding, CausalSet, cauchy_antichains
 from .errors import (
     AdditivityRequired,
     FragmentCapExceeded,
@@ -87,7 +87,7 @@ __all__ = [
 
 
 def _surfaces(M: CausalSet) -> tuple[frozenset[str], ...]:
-    return tuple(sorted(sigma_category(M).objects, key=canonical_label))
+    return tuple(sorted(cauchy_antichains(M), key=canonical_label))
 
 
 def wrapper_bordism(op: EmbeddingTuple, surfaces, later) -> Bordism:

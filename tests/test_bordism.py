@@ -155,20 +155,6 @@ class TestGerm:
         assert g.then(g) == g
         assert g.inverse() == g
 
-    def test_from_map_restricts_a_wider_representative(self):
-        M = chain_poset("a", "b", "c")
-        src = PointedObject(M, {"a"})
-        tgt = PointedObject(chain_poset("x", "y"), {"x"})
-        germ = Germ.from_map(src, tgt, {"a": "x", "b": "y"})
-        assert germ == Germ(src, tgt, {"a": "x"})
-
-    def test_from_map_rejects_a_non_cauchy_representative(self):
-        M = CausalSet("ab", [])
-        src = PointedObject(M, {"a", "b"})
-        tgt = PointedObject(CausalSet("uv", []), {"u", "v"})
-        with pytest.raises(ValueError):
-            Germ.from_map(src, tgt, {"a": "u"})
-
     def test_enumeration_counts(self):
         assert len(enumerate_germs(point("p"), point("q"))) == 1
         pair = PointedObject(CausalSet("sy", []), {"s", "y"})
@@ -448,6 +434,26 @@ class TestTwoCells:
         assert witness is not None
         rep = check_two_cell(cell)
         assert rep.ok, rep.failures
+
+    def test_wide_witness_takes_the_first_smallest_region(self):
+        # the hull {m} is not Cauchy; {m, x} and {m, y} both are, and the
+        # smallest regions are tried in combinations order
+        M = CausalSet("mxy", [("x", "y")])
+        m = point("m")
+        inc = CausalEmbedding(m.carrier, M, {"m": "m"})
+        witness = find_wide_witness(identity_cell(Bordism((m,), m, M, (inc,), inc)))
+        assert witness.dom.events == ("m", "x")
+        assert witness.table == {"m": "m", "x": "x"}
+
+    def test_an_empty_hull_is_witnessed_by_the_empty_region_first(self):
+        E = PointedObject(CausalSet([], []), ())
+        witness = find_wide_witness(identity_cell(unit_bordism(E)))
+        assert witness is not None and witness.dom.events == ()
+        # on a nonempty carrier the empty region fails and a point follows
+        X = CausalSet("x", [])
+        b = Bordism((), E, X, (), CausalEmbedding(CausalSet([], []), X, {}))
+        witness = find_wide_witness(identity_cell(b))
+        assert witness is not None and witness.dom.events == ("x",)
 
 
 class TestRegions:

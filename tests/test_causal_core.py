@@ -1,5 +1,6 @@
 """Causal set kernel: regions, convexity, Cauchy antichains, gluing."""
 
+import itertools
 import random
 
 import pytest
@@ -11,11 +12,13 @@ from causalops import (
     CausalSet,
     GluingCycle,
     MonotoneMap,
+    cauchy_antichains,
     causal_future,
     causal_past,
     chronological_future,
     chronological_past,
     convex_hull,
+    convex_subsets,
     glue_pushout,
     is_antichain,
     is_causally_convex,
@@ -122,10 +125,6 @@ class TestDiamondRegions:
         for anti in oracles.all_antichains(oracle):
             assert is_cauchy_antichain(D, set(anti)) == (anti in cauchy)
 
-    def test_maximal_chains(self):
-        D = diamond()
-        assert set(D.maximal_chains()) == {("a", "b", "d"), ("a", "c", "d")}
-
 
 class TestPropertiesAgainstOracle:
     @given(poset_with_subset())
@@ -183,14 +182,6 @@ class TestPropertiesAgainstOracle:
                 assert causal_future(M, anti) | causal_past(M, anti) == set(M.events)
                 assert anti <= causal_past(M, top)
 
-    @given(poset_data())
-    @settings(max_examples=100, deadline=None)
-    def test_maximal_chains_match_brute_force(self, data):
-        events, relations = data
-        M = CausalSet(events, relations)
-        P = OraclePoset.build(events, relations)
-        assert set(M.maximal_chains()) == set(oracles.all_maximal_chains(P))
-
     @given(poset_with_subset())
     @settings(max_examples=100, deadline=None)
     def test_induced_subposet_matches_restriction(self, data):
@@ -202,6 +193,50 @@ class TestPropertiesAgainstOracle:
         for a in subset:
             for b in subset:
                 assert sub.le(a, b) == P.le(a, b)
+
+
+class TestRegionEnumerators:
+    @given(poset_with_subset())
+    @settings(max_examples=120, deadline=None)
+    def test_cauchy_antichains_match_brute_force(self, data):
+        events, relations, subset = data
+        M = CausalSet(events, relations)
+        P = OraclePoset.build(events, relations)
+        for within, pool in ((None, set(events)), (subset, subset)):
+            found = list(cauchy_antichains(M, within))
+            assert len(found) == len(set(found))
+            assert set(found) == {
+                anti for anti in oracles.all_antichains(P)
+                if anti and anti <= pool and oracles.brute_is_cauchy(P, set(anti))
+            }
+
+    @given(poset_with_subset())
+    @settings(max_examples=120, deadline=None)
+    def test_convex_subsets_match_brute_force_in_order(self, data):
+        events, relations, subset = data
+        M = CausalSet(events, relations)
+        P = OraclePoset.build(events, relations)
+        for within, pool in ((None, events), (subset, subset)):
+            assert convex_subsets(M, within) == [
+                frozenset(combo)
+                for k in range(1, len(pool) + 1)
+                for combo in itertools.combinations(sorted(pool), k)
+                if oracles.brute_convex(P, set(combo))
+            ]
+
+    def test_a_stray_event_is_named_like_the_cones_name_it(self):
+        D = diamond()
+        with pytest.raises(ValueError) as expected:
+            causal_past(D, {"a", "zz"})
+        for enumerate_in in (cauchy_antichains, convex_subsets):
+            with pytest.raises(ValueError) as raised:
+                enumerate_in(D, {"a", "zz"})
+            assert str(raised.value) == str(expected.value)
+
+    def test_the_empty_causal_set_has_no_nonempty_regions(self):
+        E = CausalSet([], [])
+        assert list(cauchy_antichains(E)) == []
+        assert convex_subsets(E) == []
 
 
 class TestMaps:

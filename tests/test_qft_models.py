@@ -16,8 +16,8 @@ from causalops.bordism import (
 from causalops.causal_core import (
     CausalEmbedding,
     CausalSet,
+    cauchy_antichains,
     chronological_past,
-    is_cauchy_antichain,
 )
 from causalops.errors import NotFiltered
 from causalops.operad_kernel import (
@@ -397,9 +397,7 @@ class TestRegionProperties:
     def test_unbounded_pointed_pairs_always_touch_the_layer(self, data, pick):
         events, relations = data
         M = CausalSet(events, relations)
-        surfaces = [
-            S for S in M.antichains() if S and is_cauchy_antichain(M, S)
-        ]
+        surfaces = list(cauchy_antichains(M))
         Sigma = surfaces[pick % len(surfaces)]
         region = chronological_past(M, Sigma)
         if not region:

@@ -35,6 +35,7 @@ from causalops.qft_models import (
     fqft_model,
     validate_model,
 )
+from causalops.report import PASS, SKIP
 from causalops.translate import (
     aqft_to_fqft,
     build_translation_context,
@@ -281,6 +282,22 @@ class TestTranslationWindow:
         for ctx in (chain_translation_context(), diamond_translation_context()):
             report = check_operad_axioms(ctx.bordism_fragment)
             assert report.ok, report.failures
+
+    def test_an_associativity_budget_stop_is_a_skip(self):
+        window = chain_translation_context().bordism_fragment
+
+        def associativity(report):
+            return next(e for e in report.entries
+                        if e.check == "operad/associativity")
+
+        full = check_operad_axioms(window)
+        checked = associativity(full).witness["checked"]
+        assert associativity(full).status == PASS and checked > 1
+        exact = check_operad_axioms(window, max_assoc_checks=checked)
+        assert exact.dumps() == full.dumps()
+        cut = associativity(check_operad_axioms(window, max_assoc_checks=1))
+        assert cut.status == SKIP
+        assert cut.witness == {"checked": 1, "max_assoc_checks": 1}
 
     def test_resolution_handles_trimmed_composites(self):
         ctx = diamond_translation_context()
