@@ -312,9 +312,9 @@ def convex_hull(M: CausalSet, members: Iterable[str]) -> frozenset[str]:
 
 
 def is_causally_convex(M: CausalSet, members: Iterable[str]) -> bool:
-    """Interval-closed: contains everything between two of its events."""
-    mask = _member_mask(M, members)
-    return _hull_mask(M, mask) == mask
+    """Interval-closed: equal to its own convex hull."""
+    members = frozenset(members)
+    return convex_hull(M, members) == members
 
 
 def is_antichain(M: CausalSet, members: Iterable[str]) -> bool:
@@ -332,12 +332,10 @@ def is_cauchy_antichain(M: CausalSet, members: Iterable[str]) -> bool:
     return _is_antichain_mask(M, mask) and not _cover_path_avoids(M, mask)
 
 
-def cauchy_antichains(M: CausalSet,
-                      within: Iterable[str] | None = None) -> Iterator[frozenset[str]]:
-    """The nonempty Cauchy antichains of M, optionally inside a subset."""
-    pool = _member_mask(M, M.events if within is None else within)
+def cauchy_antichains(M: CausalSet) -> Iterator[frozenset[str]]:
+    """The nonempty Cauchy antichains of M."""
     return (
-        M._events_of(mask) for mask in _antichain_masks(M, pool)
+        M._events_of(mask) for mask in _antichain_masks(M, (1 << len(M)) - 1)
         if mask and not _cover_path_avoids(M, mask)
     )
 

@@ -599,7 +599,7 @@ def sigma_category(M: CausalSet) -> ThinCategory:
     filtered for every nonempty M.
     """
     if not len(M):
-        raise ValueError("surface category needs a nonempty causal set")
+        raise NotFiltered("surface category needs a nonempty causal set")
     return ThinCategory(cauchy_antichains(M),
                         lambda a, b: a <= causal_past(M, b))
 

@@ -40,6 +40,7 @@ from .errors import (
     FragmentCapExceeded,
     InvalidSurface,
     NoLaterSurface,
+    NotFiltered,
     TimeSliceRequired,
 )
 from .operad_kernel import EmbeddingTuple, Operad, prefactorization_operad
@@ -87,6 +88,8 @@ __all__ = [
 
 
 def _surfaces(M: CausalSet) -> tuple[frozenset[str], ...]:
+    if not len(M):
+        raise NotFiltered("surface category needs a nonempty causal set")
     return tuple(sorted(cauchy_antichains(M), key=canonical_label))
 
 

@@ -196,19 +196,18 @@ class TestPropertiesAgainstOracle:
 
 
 class TestRegionEnumerators:
-    @given(poset_with_subset())
+    @given(poset_data())
     @settings(max_examples=120, deadline=None)
     def test_cauchy_antichains_match_brute_force(self, data):
-        events, relations, subset = data
+        events, relations = data
         M = CausalSet(events, relations)
         P = OraclePoset.build(events, relations)
-        for within, pool in ((None, set(events)), (subset, subset)):
-            found = list(cauchy_antichains(M, within))
-            assert len(found) == len(set(found))
-            assert set(found) == {
-                anti for anti in oracles.all_antichains(P)
-                if anti and anti <= pool and oracles.brute_is_cauchy(P, set(anti))
-            }
+        found = list(cauchy_antichains(M))
+        assert len(found) == len(set(found))
+        assert set(found) == {
+            anti for anti in oracles.all_antichains(P)
+            if anti and oracles.brute_is_cauchy(P, set(anti))
+        }
 
     @given(poset_with_subset())
     @settings(max_examples=120, deadline=None)
@@ -228,10 +227,9 @@ class TestRegionEnumerators:
         D = diamond()
         with pytest.raises(ValueError) as expected:
             causal_past(D, {"a", "zz"})
-        for enumerate_in in (cauchy_antichains, convex_subsets):
-            with pytest.raises(ValueError) as raised:
-                enumerate_in(D, {"a", "zz"})
-            assert str(raised.value) == str(expected.value)
+        with pytest.raises(ValueError) as raised:
+            convex_subsets(D, {"a", "zz"})
+        assert str(raised.value) == str(expected.value)
 
     def test_the_empty_causal_set_has_no_nonempty_regions(self):
         E = CausalSet([], [])

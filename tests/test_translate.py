@@ -14,6 +14,7 @@ from causalops.errors import (
     FragmentCapExceeded,
     InvalidSurface,
     NoLaterSurface,
+    NotFiltered,
     TimeSliceRequired,
 )
 from causalops.operad_kernel import (
@@ -420,6 +421,11 @@ class TestContexts:
         base = prefactorization_operad((M,))
         ctx = build_translation_context(base, name="bare")
         assert validate_translation_context(ctx).ok
+
+    def test_an_empty_region_color_is_rejected_at_build_time(self):
+        base = prefactorization_operad([CausalSet([]), CausalSet("a")])
+        with pytest.raises(NotFiltered, match="nonempty causal set"):
+            build_translation_context(base)
 
     @given(poset_data(max_events=4))
     @settings(max_examples=10, deadline=None)
