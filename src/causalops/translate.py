@@ -120,6 +120,14 @@ def wrapper_bordism(op: EmbeddingTuple, surfaces, later) -> Bordism:
                    op.maps, CausalEmbedding.identity(op.target))
 
 
+def _valid_wrappers(op: EmbeddingTuple, surfaces):
+    """Each valid later surface of ``(op, surfaces)`` with its wrapper, in order."""
+    for later in _surfaces(op.target):
+        b = wrapper_bordism(op, surfaces, later)
+        if validate_bordism(b).ok:
+            yield later, b
+
+
 def later_surfaces(op: EmbeddingTuple,
                    surfaces) -> tuple[frozenset[str], ...]:
     """Cauchy antichains of the target that validly decorate the output.
@@ -131,22 +139,29 @@ def later_surfaces(op: EmbeddingTuple,
     Cauchy input merely non-strictly.  Results are sorted canonically, so
     the first entry is the canonical choice; independence of the choice is
     re-verified in debug mode by the consumers.
+
+    Each call builds and validates every candidate wrapper afresh; the
+    translations read the same answer, with each wrapper's window class,
+    from :meth:`TranslationContext.decorations`, which keeps it for the
+    life of its context.
     """
-    out = []
-    for later in _surfaces(op.target):
-        if validate_bordism(wrapper_bordism(op, surfaces, later)).ok:
-            out.append(later)
-    return tuple(out)
+    return tuple(later for later, _ in _valid_wrappers(op, surfaces))
 
 
-def _surface_choices(op: EmbeddingTuple, surfaces) -> tuple[frozenset[str], ...]:
-    opts = later_surfaces(op, surfaces)
-    if not opts:
+def _surface_choices(ctx: TranslationContext, op: EmbeddingTuple,
+                     surfaces) -> dict[frozenset[str], TauOperation]:
+    """``ctx.decorations(op, surfaces)``, refusing an empty one.
+
+    The table, empty entries included, belongs to ``ctx``: asking again on
+    the same context raises again without re-validating any wrapper.
+    """
+    choices = ctx.decorations(op, surfaces)
+    if not choices:
         raise NoLaterSurface(
             f"no Cauchy antichain of {op.target!r} lies above the surface "
             f"images {[sorted(s) for s in surfaces]} of {op}"
         )
-    return opts
+    return choices
 
 
 # ---- the window of wrapper classes ----------------------------------------------
@@ -169,8 +184,8 @@ def translation_window(aqft: Operad, *, max_ops: int = 512,
     for op in aqft.operations:
         pools = [_surfaces(m.dom) for m in op.maps]
         for surfaces in itertools.product(*pools):
-            for later in later_surfaces(op, surfaces):
-                wrappers.add(wrapper_bordism(op, surfaces, later))
+            for _, b in _valid_wrappers(op, surfaces):
+                wrappers.add(b)
                 if len(wrappers) > max_ops:
                     raise FragmentCapExceeded(f"operation cap {max_ops} exceeded")
 
@@ -275,6 +290,12 @@ class TranslationContext:
     implicitly, a pointed color lying over its carrier.  The invariant that
     the bridge respects composition of the two fragments is checked by
     :func:`validate_translation_context`.
+
+    The context owns two tables that fill as translations run over it:
+    ``_classes`` sends a bordism to its window class, and ``_decorations``
+    sends ``(op, surfaces)`` to its valid later surfaces (see
+    :meth:`decorations`).  Both live and die with the context, so a freshly
+    built context recomputes everything and no work carries over from one.
     """
 
     aqft_fragment: Operad
@@ -282,6 +303,7 @@ class TranslationContext:
     bridge: Mapping[TauOperation, tuple[ZigZag, ...]]
     name: str = "translation"
     _classes: dict = field(default_factory=dict, repr=False)
+    _decorations: dict = field(default_factory=dict, repr=False)
 
     @cached_property
     def surface_families(self) -> dict[CausalSet, tuple[frozenset[str], ...]]:
@@ -296,6 +318,24 @@ class TranslationContext:
             cls = resolve_bordism_class(self.bordism_fragment, b)
             self._classes[b] = cls
         return cls
+
+    def decorations(self, op: EmbeddingTuple,
+                    surfaces) -> dict[frozenset[str], TauOperation]:
+        """The valid later surfaces of ``(op, surfaces)``, each with its class.
+
+        Keys are in :func:`later_surfaces`' canonical order, so the first is
+        the canonical choice; values are the window classes of the wrappers.
+        The dict is empty when no decoration is valid.  It is computed on the
+        first request, validating each candidate wrapper once, and kept in
+        ``_decorations`` for the life of this context.
+        """
+        key = (op, tuple(surfaces))
+        table = self._decorations.get(key)
+        if table is None:
+            table = {later: self.resolve(b)
+                     for later, b in _valid_wrappers(op, key[1])}
+            self._decorations[key] = table
+        return table
 
 
 def build_translation_context(aqft: Operad, window: Operad | None = None,
@@ -335,6 +375,8 @@ def validate_translation_context(ctx: TranslationContext,
     rep.add("context/colors", t, FAIL if color_bad else PASS,
             witness=color_bad[:3] or None)
 
+    region_ops = set(ctx.aqft_fragment.operations)
+    window_ops = set(ctx.bordism_fragment.operations)
     bridge_bad = []
     for cls in ctx.bordism_fragment.operations:
         zigzags = ctx.bridge.get(cls, ())
@@ -343,8 +385,7 @@ def validate_translation_context(ctx: TranslationContext,
             continue
         for zz in zigzags:
             legs = zz.left + (zz.middle, zz.right_in, zz.right_out)
-            bad = [leg for leg in legs
-                   if leg not in set(ctx.aqft_fragment.operations)]
+            bad = [leg for leg in legs if leg not in region_ops]
             if bad:
                 bridge_bad.append(f"{cls} leg {bad[0]} escapes the fragment")
     rep.add("context/bridge", t, FAIL if bridge_bad else PASS,
@@ -356,7 +397,7 @@ def validate_translation_context(ctx: TranslationContext,
         for phis in ctx.bordism_fragment.composable_inner_tuples(psi):
             checked += 1
             composite = ctx.bordism_fragment.compose(psi, phis)
-            if composite not in set(ctx.bordism_fragment.operations):
+            if composite not in window_ops:
                 comp_bad.append(f"{psi} over {[str(p) for p in phis]} escapes")
                 continue
             if psi not in ctx.bridge or any(p not in ctx.bridge for p in phis):
@@ -443,16 +484,17 @@ def sigma_colimit(F: QftModel, ctx: TranslationContext,
 
     Transition homs are the images of the identity wrappers shifting one
     surface to a later one; the category is filtered because the maximal
-    element antichain bounds everything.
+    element antichain bounds everything.  They are read from the context's
+    decorations of the unit, whose valid later surfaces over ``a`` are
+    exactly the ``b`` with ``a`` below ``b`` in the category.
     """
     C = sigma_category(M)
     monoids = {s: F.value(PointedObject(M, s)) for s in C.objects}
     ident = ctx.aqft_fragment.unit(M)
-    homs = {}
-    for a, b in C.hom_pairs:
-        if a == b:
-            continue
-        homs[(a, b)] = F.hom(ctx.resolve(wrapper_bordism(ident, (a,), b)))
+    homs = {
+        (a, b): F.hom(ctx.decorations(ident, (a,))[b])
+        for a, b in C.hom_pairs if a != b
+    }
     return filtered_colimit_monoids(C, monoids, homs, debug=debug)
 
 
@@ -463,13 +505,11 @@ def _induced_operation(F: QftModel, ctx: TranslationContext,
     out = colims[op.target]
 
     def image_through(surfaces, args):
-        choices = _surface_choices(op, surfaces)
-        later = choices[0]
-        cls = ctx.resolve(wrapper_bordism(op, surfaces, later))
+        choices = iter(_surface_choices(ctx, op, surfaces).items())
+        later, cls = next(choices)
         value = out.legs[later](F.hom(cls)(*args))
         if debug:
-            for alt in choices[1:]:
-                alt_cls = ctx.resolve(wrapper_bordism(op, surfaces, alt))
+            for alt, alt_cls in choices:
                 if out.legs[alt](F.hom(alt_cls)(*args)) != value:
                     raise AssertionError(
                         f"{op} depends on the later-surface choice at "

@@ -8,26 +8,36 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
 
-# Builds the chain fixtures and prints the concatenated canonical report bytes.
+# Builds the chain and diamond fixtures and prints the concatenated canonical
+# report bytes.  The diamond round trips run in debug mode, so they walk every
+# decoration the context keys by hashed (operation, surfaces) tuples.
 AUDIT = """
 import sys
 from causalops.bordism import bordism_fragment
 from causalops.operad_kernel import check_operad_axioms
 from causalops.pseudo_operad import check_pseudo_operad
-from causalops.qft_models import Monoid, constant_aqft
+from causalops.qft_models import Monoid, constant_aqft, constant_fqft
 from causalops.translate import (
     chain_translation_context,
+    diamond_translation_context,
     roundtrip_aqft,
+    roundtrip_fqft,
     validate_translation_context,
 )
 from test_bordism import chain_bordism
 
 ctx = chain_translation_context()
+diamond = diamond_translation_context()
 reports = [
     validate_translation_context(ctx),
     roundtrip_aqft(constant_aqft(ctx.aqft_fragment, Monoid.cyclic(2)), ctx),
     check_operad_axioms(ctx.bordism_fragment),
     check_pseudo_operad(bordism_fragment([chain_bordism("a", "b", "c")], depth=1)),
+    validate_translation_context(diamond),
+    roundtrip_aqft(constant_aqft(diamond.aqft_fragment, Monoid.cyclic(3)),
+                   diamond, debug=True),
+    roundtrip_fqft(constant_fqft(diamond.bordism_fragment, Monoid.cyclic(2)),
+                   diamond, debug=True),
 ]
 sys.stdout.write("".join(r.dumps() for r in reports))
 """

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import causalops.translate as translate_module
 from causalops.bordism import Bordism, PointedObject, unit_bordism
 from causalops.causal_core import CausalEmbedding, CausalSet
 from causalops.errors import (
@@ -34,6 +35,7 @@ from causalops.qft_models import (
     constant_aqft,
     constant_fqft,
     fqft_model,
+    sigma_category,
     validate_model,
 )
 from causalops.report import PASS, SKIP
@@ -189,6 +191,78 @@ class TestLaterSurfaces:
                 continue
             for surface in (top,):
                 assert top in later_surfaces(ident, (surface,))
+
+    @given(poset_data(max_events=5))
+    @settings(max_examples=40, deadline=None)
+    def test_sigma_hom_pairs_are_the_identity_decorations(self, data):
+        # sigma_colimit reads its transition classes from the identity
+        # wrappers' decorations, so the two must list the same pairs
+        events, relations = data
+        M = CausalSet(events, relations)
+        unit = EmbeddingTuple((CausalEmbedding.identity(M),), M)
+        C = sigma_category(M)
+        pairs = {(a, b) for a, b in C.hom_pairs if a != b}
+        decorated = {
+            (a, b) for a in C.objects for b in later_surfaces(unit, (a,))
+            if a != b
+        }
+        assert pairs == decorated
+
+
+def fresh_diamond_context():
+    """The shipped diamond context, built anew rather than taken from the cache."""
+    D = CausalSet(("a", "b", "c", "d"),
+                  (("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")))
+    base = prefactorization_operad(
+        (D, D.induced({"a"}), D.induced({"b"}), D.induced({"c"}))
+    )
+    return build_translation_context(base, name="diamond")
+
+
+class TestDecorationTable:
+    @pytest.fixture
+    def validated(self, monkeypatch):
+        seen = []
+        real = translate_module.validate_bordism
+
+        def counting(b):
+            seen.append(b)
+            return real(b)
+
+        monkeypatch.setattr(translate_module, "validate_bordism", counting)
+        return seen
+
+    def test_each_wrapper_is_validated_once_per_context(self, validated):
+        def first_round_trip(ctx):
+            validated.clear()
+            report = roundtrip_aqft(constant_aqft(ctx.aqft_fragment, Z3), ctx,
+                                    debug=True)
+            assert report.ok, report.failures
+            return list(validated)
+
+        ctx = fresh_diamond_context()
+        first = first_round_trip(ctx)
+        assert first
+        assert len(set(first)) == len(first)
+
+        validated.clear()
+        again = roundtrip_aqft(constant_aqft(ctx.aqft_fragment, Z3), ctx,
+                               debug=True)
+        assert again.ok, again.failures
+        assert validated == []
+
+        assert first_round_trip(fresh_diamond_context()) == first
+
+    def test_decorations_match_later_surfaces(self):
+        ctx = fresh_diamond_context()
+        for op in ctx.aqft_fragment.operations:
+            pools = [ctx.surface_families[m.dom] for m in op.maps]
+            for surfaces in itertools.product(*pools):
+                table = ctx.decorations(op, surfaces)
+                assert tuple(table) == later_surfaces(op, surfaces)
+                for later, cls in table.items():
+                    assert cls == ctx.resolve(wrapper_bordism(op, surfaces, later))
+                assert ctx.decorations(op, surfaces) is table
 
 
 class TestTranslationWindow:
@@ -605,6 +679,9 @@ class TestFqftToAqft:
         ctx = build_translation_context(base, name="open-top")
         assert validate_translation_context(ctx).ok
         model = constant_fqft(ctx.bordism_fragment, Z2)
+        with pytest.raises(NoLaterSurface, match="no Cauchy antichain"):
+            fqft_to_aqft(model, ctx)
+        # the empty decoration is kept by the context and refused again
         with pytest.raises(NoLaterSurface, match="no Cauchy antichain"):
             fqft_to_aqft(model, ctx)
 
