@@ -20,7 +20,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .causal_core import (
     CausalEmbedding,
@@ -1126,15 +1126,40 @@ def _germ_groupoid(colors: Iterable[PointedObject]) -> FiniteGroupoid:
     )
 
 
+def _vertical_by_value(stored: Mapping[tuple, TwoCell]) -> Callable[[TwoCell, TwoCell], TwoCell]:
+    """Vertical composition of cells that returns a stored cell when one equals the composite.
+
+    ``stored`` maps ``(dom, cod, pairs)`` to a cell.  The composite of ``f``
+    then ``g`` has the pairs of ``f`` with their values sent through
+    ``g.table``; a stored cell with the same ``(dom, cod, pairs)`` already
+    passed the validation that ``f.then(g)`` would run, which depends on
+    nothing else.  Any other pair is built and validated by ``f.then(g)``.
+    """
+    def compose(g: TwoCell, f: TwoCell) -> TwoCell:
+        if g.dom == f.cod:
+            table = g.table
+            found = stored.get((f.dom, g.cod, tuple((e, table[v]) for e, v in f.pairs)))
+            if found is not None:
+                return found
+        return f.then(g)
+    return compose
+
+
 def _window_data(objects: FiniteGroupoid, ops: Sequence[Bordism], *,
-                 max_cells: int, name: str) -> PseudoOperadData:
-    """The part of a bordism window that every window shares.
+                 max_cells: int, name: str) -> tuple[PseudoOperadData, Callable]:
+    """The part of a bordism window that every window shares, and its interning.
 
     ``objects`` comes from :func:`_germ_groupoid` and ``ops`` is in table
     order.  Cells are every isomorphism germ between same-arity operations,
     capped at ``max_cells``; units, the action on operations and the hooks
     computing composites, actions and globular links on demand are filled
     in.  Composites, cell actions and coherence cells are left empty.
+
+    The returned ``intern`` maps a value to the window's own germ,
+    operation or cell equal to it, or to itself when the window holds none.
+    Every germ, operation and cell stored in the tables filled in here went
+    through it, and a caller filling the remaining tables passes its values
+    through it too, so the window holds one instance per value.
     """
     ops_by_arity: dict[int, list[Bordism]] = {}
     for op in ops:
@@ -1159,7 +1184,7 @@ def _window_data(objects: FiniteGroupoid, ops: Sequence[Bordism], *,
             cells_by_arity[n],
             {c: c.dom for c in cells_by_arity[n]},
             {c: c.cod for c in cells_by_arity[n]},
-            lambda g, f: f.then(g),
+            _vertical_by_value({(c.dom, c.cod, c.pairs): c for c in cells_by_arity[n]}),
             {op: identity_cell(op) for op in ops_by_arity[n]},
             lambda c: c.inverse(),
         )
@@ -1167,22 +1192,29 @@ def _window_data(objects: FiniteGroupoid, ops: Sequence[Bordism], *,
     }
     all_cells = tuple(c for n in sorted(cells_by_arity) for c in cells_by_arity[n])
 
+    canon: dict = {g: g for g in objects.morphisms}
+    canon.update((op, op) for op in ops)
+    canon.update((c, c) for c in all_cells)
+
+    def intern(x):
+        return canon.get(x, x)
+
     act_ops: dict = {}
     for op in ops:
         for sigma in itertools.permutations(range(op.arity)):
-            act_ops[(op, sigma)] = permute_bordism(op, sigma)
+            act_ops[(op, sigma)] = intern(permute_bordism(op, sigma))
 
-    return PseudoOperadData(
+    window = PseudoOperadData(
         objects=objects,
         op_groupoids=op_groupoids,
         op_inputs={op: op.sources for op in ops},
         op_output={op: op.target for op in ops},
-        cell_inputs={c: c.source_germs for c in all_cells},
-        cell_output={c: c.target_germ for c in all_cells},
+        cell_inputs={c: tuple(map(intern, c.source_germs)) for c in all_cells},
+        cell_output={c: intern(c.target_germ) for c in all_cells},
         compose_ops={},
         compose_cells={},
-        unit_ops={c: unit_bordism(c) for c in objects.objects},
-        unit_cells={g: germ_to_cell(g) for g in objects.morphisms},
+        unit_ops={c: intern(unit_bordism(c)) for c in objects.objects},
+        unit_cells={g: intern(germ_to_cell(g)) for g in objects.morphisms},
         act_ops=act_ops,
         act_cells={},
         name=name,
@@ -1190,6 +1222,7 @@ def _window_data(objects: FiniteGroupoid, ops: Sequence[Bordism], *,
         act_op_fn=lambda op, sigma: permute_bordism(op, sigma),
         op_link_fn=lambda a, b: bool(globular_cells_between(a, b, limit=1)),
     )
+    return window, intern
 
 
 def bordism_fragment(
@@ -1209,6 +1242,9 @@ def bordism_fragment(
     and overflow raises FragmentCapExceeded.  Each (outer, inners)
     configuration is glued and validated once per build, and its composite
     is reused by the composites, cell composites, unitors and associators.
+    Table values are canonical instances: a value equal to a germ, an
+    operation or a cell of the window is that very object, so the audits
+    find it in the window's tables by identity.
     """
     objs: list[PointedObject] = []
     gens: list[Bordism] = []
@@ -1268,26 +1304,32 @@ def bordism_fragment(
             raise FragmentCapExceeded(f"operation cap {max_ops} exceeded")
 
     ops_sorted = tuple(sorted(ops, key=str))
-    window = _window_data(objects, ops_sorted, max_cells=max_cells,
-                          name=f"bordism-fragment(depth={depth})")
+    window, intern = _window_data(objects, ops_sorted, max_cells=max_cells,
+                                  name=f"bordism-fragment(depth={depth})")
+    compose_ops = {key: intern(composite) for key, composite in compose_ops.items()}
     cells_by_arity = {n: g.morphisms for n, g in window.op_groupoids.items()}
+    # cells by dom, and by dom and output germ, each in window order
+    cells_from: dict[Bordism, list[TwoCell]] = {}
+    feeding: dict[tuple[Bordism, Germ], list[TwoCell]] = {}
+    for cells in cells_by_arity.values():
+        for c in cells:
+            cells_from.setdefault(c.dom, []).append(c)
+            feeding.setdefault((c.dom, window.cell_output[c]), []).append(c)
 
     compose_cells: dict = {}
     for (psi, phis), composite in sorted(
         compose_ops.items(), key=lambda kv: str(kv[0])
     ):
-        outer_cells = [c for c in cells_by_arity[psi.arity] if c.dom == psi]
-        inner_pools = [
-            [c for c in cells_by_arity[p.arity] if c.dom == p] for p in phis
-        ]
-        for alpha in outer_cells:
+        for alpha in cells_from.get(psi, ()):
+            # inner cells must hand their output germs to alpha's input germs
+            inner_pools = [
+                feeding.get((p, g), ()) for p, g in zip(phis, window.cell_inputs[alpha])
+            ]
             for betas in itertools.product(*inner_pools):
-                if tuple(b.target_germ for b in betas) != alpha.source_germs:
-                    continue
                 cod_key = (alpha.cod, tuple(b.cod for b in betas))
                 if cod_key not in compose_ops:
                     continue
-                compose_cells[(alpha, betas)] = _compose_two_cells(alpha, betas, memo)
+                compose_cells[(alpha, betas)] = intern(_compose_two_cells(alpha, betas, memo))
                 if len(compose_cells) > max_cells:
                     raise FragmentCapExceeded(f"cell cap {max_cells} exceeded")
 
@@ -1295,7 +1337,7 @@ def bordism_fragment(
     for n in sorted(cells_by_arity):
         for cell in cells_by_arity[n]:
             for sigma in itertools.permutations(range(n)):
-                act_cells[(cell, sigma)] = permute_cell(cell, sigma)
+                act_cells[(cell, sigma)] = intern(permute_cell(cell, sigma))
 
     left_unitors: dict = {}
     right_unitors: dict = {}
@@ -1306,9 +1348,9 @@ def bordism_fragment(
         if want_left or want_right:
             left, right = _unitor_cells(op, memo)
             if want_left:
-                left_unitors[op] = left
+                left_unitors[op] = intern(left)
             if want_right:
-                right_unitors[op] = right
+                right_unitors[op] = intern(right)
 
     by_outer: dict[Bordism, list[tuple]] = {}
     for (psi, phis) in compose_ops:
@@ -1329,8 +1371,8 @@ def bordism_fragment(
                 )
                 if (psi, inner_comps) not in compose_ops:
                     continue
-                associators[(psi, phis, chis)] = _coherence_cells(psi, phis, chis,
-                                                                  memo)
+                associators[(psi, phis, chis)] = intern(
+                    _coherence_cells(psi, phis, chis, memo))
                 if len(associators) > max_cells:
                     raise FragmentCapExceeded(f"cell cap {max_cells} exceeded")
 

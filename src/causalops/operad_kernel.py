@@ -641,7 +641,13 @@ def vertical_compose(
 
 
 class FiniteGroupoid:
-    """Objects and invertible morphisms with explicit tables."""
+    """Objects and invertible morphisms with explicit tables.
+
+    Values are canonical instances: ``id``, ``compose`` and ``inv`` return
+    the stored morphism equal to their result whenever one exists, so
+    tables keyed by morphisms are hit by identity instead of by walking
+    equal values.
+    """
 
     def __init__(
         self,
@@ -655,10 +661,11 @@ class FiniteGroupoid:
     ):
         self.objects = tuple(dict.fromkeys(objects))
         self.morphisms = tuple(dict.fromkeys(morphisms))
+        self._canonical = {m: m for m in self.morphisms}
         self._src = dict(src)
         self._tgt = dict(tgt)
         self._compose = compose
-        self._id = dict(identities)
+        self._id = {obj: self._canonical.get(i, i) for obj, i in identities.items()}
         self._inv = inverses
         self._compose_memo: dict = {}
 
@@ -677,22 +684,23 @@ class FiniteGroupoid:
     def compose(self, g, f):
         """g after f."""
         key = (g, f)
-        if key in self._compose_memo:
+        result = self._compose_memo.get(key)
+        if result is not None:
             # stored only after the endpoint test below passed
-            return self._compose_memo[key]
+            return result
         if self.tgt(f) != self.src(g):
             raise ValueError("morphisms do not compose")
         if isinstance(self._compose, Mapping):
             result = self._compose[key]
         else:
             result = self._compose(g, f)
+        result = self._canonical.get(result, result)
         self._compose_memo[key] = result
         return result
 
     def inv(self, g):
-        if isinstance(self._inv, Mapping):
-            return self._inv[g]
-        return self._inv(g)
+        result = self._inv[g] if isinstance(self._inv, Mapping) else self._inv(g)
+        return self._canonical.get(result, result)
 
     def validate(self, report: Report | None = None, name: str = "groupoid") -> Report:
         rep = report if report is not None else Report()

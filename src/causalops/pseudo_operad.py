@@ -100,8 +100,9 @@ class PseudoOperadData:
 
     def compose_op(self, psi, phis: Sequence):
         key = (psi, tuple(phis))
-        if key in self.compose_ops:
-            return self.compose_ops[key]
+        found = self.compose_ops.get(key)
+        if found is not None:
+            return found
         if self.compose_op_fn is not None:
             # hook results stay out of compose_ops: that dict is the audited
             # window and must not grow while checkers walk it
@@ -112,10 +113,10 @@ class PseudoOperadData:
         raise ValueError(f"operadic composite not materialized at {psi}")
 
     def compose_cell(self, alpha, betas: Sequence):
-        key = (alpha, tuple(betas))
-        if key not in self.compose_cells:
+        found = self.compose_cells.get((alpha, tuple(betas)))
+        if found is None:
             raise ValueError(f"operadic cell composite not materialized at {alpha}")
-        return self.compose_cells[key]
+        return found
 
     def unit_op(self, color):
         if color not in self.unit_ops:
@@ -139,10 +140,10 @@ class PseudoOperadData:
         raise ValueError(f"action not materialized at {op}")
 
     def associator(self, psi, phis: Sequence, chis: Sequence[Sequence]):
-        key = (psi, tuple(phis), tuple(tuple(c) for c in chis))
-        if key not in self.associators:
+        found = self.associators.get((psi, tuple(phis), tuple(tuple(c) for c in chis)))
+        if found is None:
             raise ValueError(f"associator not materialized at {psi}")
-        return self.associators[key]
+        return found
 
     def left_unitor(self, op):
         if op not in self.left_unitors:
@@ -163,22 +164,22 @@ class PseudoOperadData:
         return self.groupoid_of_cell(cell).tgt(cell)
 
     def groupoid_of_cell(self, cell) -> FiniteGroupoid:
-        # the index is stamped with the identities of the operation
-        # groupoids and rebuilt when one of them is swapped; it holds the
-        # groupoids, so their ids cannot be reused while it is cached
+        # the index is stamped with the operation groupoids it was built
+        # from and rebuilt when one of them is swapped; groupoids compare by
+        # identity, and the stamp holds them, so none can be mistaken for a
+        # new one while it is cached
         homes = tuple(self.op_groupoids.values())
-        stamp = tuple(map(id, homes))
         cached = self.__dict__.get("_cell_home")
-        if cached is None or cached[0] != stamp:
+        if cached is None or cached[0] != homes:
             index = {
                 c: self.op_groupoids[n]
                 for n in self.arities()
                 for c in self.op_groupoids[n].morphisms
             }
-            cached = (stamp, homes, index)
+            cached = (homes, index)
             self.__dict__["_cell_home"] = cached
         try:
-            return cached[2][cell]
+            return cached[1][cell]
         except KeyError:
             raise ValueError(f"cell {cell} belongs to no operation groupoid") from None
 
@@ -302,11 +303,11 @@ def _check_composition(P: PseudoOperadData, rep: Report) -> None:
         if tuple(P.cell_output[b] for b in betas) != P.cell_inputs[alpha]:
             cell_bad.append(f"inner outputs do not feed the legs of {alpha}")
             continue
-        dom_key = (P.cell_dom(alpha), tuple(P.cell_dom(b) for b in betas))
-        cod_key = (P.cell_cod(alpha), tuple(P.cell_cod(b) for b in betas))
-        if dom_key in P.compose_ops and cod_key in P.compose_ops:
+        dom_op = P.compose_ops.get((P.cell_dom(alpha), tuple(P.cell_dom(b) for b in betas)))
+        cod_op = P.compose_ops.get((P.cell_cod(alpha), tuple(P.cell_cod(b) for b in betas)))
+        if dom_op is not None and cod_op is not None:
             G = P.groupoid_of_cell(result)
-            if G.src(result) != P.compose_ops[dom_key] or G.tgt(result) != P.compose_ops[cod_key]:
+            if G.src(result) != dom_op or G.tgt(result) != cod_op:
                 cell_bad.append(f"cell composite endpoints at {alpha}")
         want_legs = tuple(itertools.chain.from_iterable(P.cell_inputs[b] for b in betas))
         if P.cell_inputs[result] != want_legs or P.cell_output[result] != P.cell_output[alpha]:
@@ -323,17 +324,18 @@ def _check_composition(P: PseudoOperadData, rep: Report) -> None:
                 G.compose(a2, a1),
                 tuple(P.groupoid_of_cell(b1).compose(b2, b1) for b1, b2 in zip(bs1, bs2)),
             )
-            if stacked_key not in P.compose_cells:
+            lhs = P.compose_cells.get(stacked_key)
+            if lhs is None:
                 continue
             interchanged += 1
-            lhs = P.compose_cells[stacked_key]
             rhs = P.groupoid_of_cell(r1).compose(r2, r1)
             if lhs != rhs:
                 cell_bad.append(f"interchange at {a1} / {a2}")
     for (psi, phis), result in P.compose_ops.items():
         G_out = P.op_groupoids[len(P.op_inputs[result])]
         key = (P.groupoid_of(psi).id(psi), tuple(P.groupoid_of(p).id(p) for p in phis))
-        if key in P.compose_cells and P.compose_cells[key] != G_out.id(result):
+        stacked = P.compose_cells.get(key)
+        if stacked is not None and stacked != G_out.id(result):
             cell_bad.append(f"identity cells compose wrong at {psi}")
     rep.add("pseudo-operad/interchange", P.name, FAIL if cell_bad else PASS,
             witness=cell_bad[:3] or {"pairs-checked": interchanged})
@@ -368,21 +370,20 @@ def _check_units_and_action(P: PseudoOperadData, rep: Report) -> None:
         if sigma == identity_permutation(len(sigma)) and moved != op:
             act_bad.append(f"identity permutation moved {op}")
         for tau_ in all_permutations(len(sigma)):
-            first = (moved, tau_)
-            total = (op, compose_permutations(sigma, tau_))
-            if first in P.act_ops and total in P.act_ops:
-                if P.act_ops[first] != P.act_ops[total]:
-                    act_bad.append(f"action composition at {op}")
+            first = P.act_ops.get((moved, tau_))
+            total = P.act_ops.get((op, compose_permutations(sigma, tau_)))
+            if first is not None and total is not None and first != total:
+                act_bad.append(f"action composition at {op}")
     for (cell, sigma), moved in P.act_cells.items():
         if P.cell_inputs[moved] != apply_permutation(P.cell_inputs[cell], sigma) \
                 or P.cell_output[moved] != P.cell_output[cell]:
             act_bad.append(f"cell action boundary at {cell}")
         G = P.groupoid_of_cell(cell)
-        dk = (G.src(cell), sigma)
-        ck = (G.tgt(cell), sigma)
-        if dk in P.act_ops and ck in P.act_ops:
+        moved_dom = P.act_ops.get((G.src(cell), sigma))
+        moved_cod = P.act_ops.get((G.tgt(cell), sigma))
+        if moved_dom is not None and moved_cod is not None:
             H = P.groupoid_of_cell(moved)
-            if H.src(moved) != P.act_ops[dk] or H.tgt(moved) != P.act_ops[ck]:
+            if H.src(moved) != moved_dom or H.tgt(moved) != moved_cod:
                 act_bad.append(f"cell action endpoints at {cell}")
     rep.add("pseudo-operad/action", P.name, FAIL if act_bad else PASS,
             witness=act_bad[:3] or None)
@@ -393,31 +394,24 @@ def _check_units_and_action(P: PseudoOperadData, rep: Report) -> None:
         n = len(phis)
         arities = tuple(P.arity_of(p) for p in phis)
         for sigma in all_permutations(n):
-            k1 = (psi, sigma)
-            if k1 not in P.act_ops:
+            moved_psi = P.act_ops.get((psi, sigma))
+            if moved_psi is None:
                 continue
-            permuted_inners = apply_permutation(phis, sigma)
-            k2 = (P.act_ops[k1], permuted_inners)
-            k3 = (composite, block_permutation(sigma, arities))
-            if k2 in P.compose_ops and k3 in P.act_ops:
+            lhs = P.compose_ops.get((moved_psi, apply_permutation(phis, sigma)))
+            rhs = P.act_ops.get((composite, block_permutation(sigma, arities)))
+            if lhs is not None and rhs is not None:
                 eq_checked += 1
-                if P.compose_ops[k2] != P.act_ops[k3]:
+                if lhs != rhs:
                     eq_bad.append(f"block equivariance at {psi}")
         for taus in itertools.product(*[tuple(all_permutations(k)) for k in arities]):
-            moved = []
-            ok = True
-            for phi, t in zip(phis, taus):
-                if (phi, t) not in P.act_ops:
-                    ok = False
-                    break
-                moved.append(P.act_ops[(phi, t)])
-            if not ok:
+            moved = tuple(P.act_ops.get((phi, t)) for phi, t in zip(phis, taus))
+            if any(m is None for m in moved):
                 continue
-            k2 = (psi, tuple(moved))
-            k3 = (composite, sum_permutation(taus))
-            if k2 in P.compose_ops and k3 in P.act_ops:
+            lhs = P.compose_ops.get((psi, moved))
+            rhs = P.act_ops.get((composite, sum_permutation(taus)))
+            if lhs is not None and rhs is not None:
                 eq_checked += 1
-                if P.compose_ops[k2] != P.act_ops[k3]:
+                if lhs != rhs:
                     eq_bad.append(f"sum equivariance at {psi}")
     rep.add("pseudo-operad/equivariance", P.name, FAIL if eq_bad else PASS,
             witness=eq_bad[:3] or {"instances-checked": eq_checked})
@@ -466,11 +460,10 @@ def _check_coherence(P: PseudoOperadData, rep: Report, max_pentagons: int) -> No
         units = tuple(P.unit_ops.get(P.op_output[p]) for p in phis)
         if any(u is None for u in units):
             continue
-        key = (psi, units, tuple((p,) for p in phis))
-        if key not in P.associators:
+        assoc = P.associators.get((psi, units, tuple((p,) for p in phis)))
+        if assoc is None:
             continue
         try:
-            assoc = P.associators[key]
             left_cells = tuple(P.left_unitor(p) for p in phis)
             lhs = P.groupoid_of_cell(assoc).compose(
                 P.compose_cell(P.groupoid_of(psi).id(psi), left_cells), assoc
@@ -926,8 +919,9 @@ def tau_full(P: PseudoOperadData) -> TauResult:
             return tuple(op.inputs), op.output
 
         def resolve(op):
-            if op in registry:
-                return registry[op]
+            token = registry.get(op)
+            if token is not None:
+                return token
             sig = signature_of(op)
             if P.op_link_fn is not None:
                 for token in sorted(set(registry.values()), key=str):

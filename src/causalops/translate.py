@@ -192,8 +192,9 @@ def translation_window(aqft: Operad, *, max_ops: int = 512,
     objects = _germ_groupoid(
         PointedObject(M, s) for M in aqft.colors for s in _surfaces(M)
     )
-    return tau(_window_data(objects, tuple(sorted(wrappers, key=str)),
-                            max_cells=max_cells, name=f"window({aqft.name})"))
+    window, _ = _window_data(objects, tuple(sorted(wrappers, key=str)),
+                             max_cells=max_cells, name=f"window({aqft.name})")
+    return tau(window)
 
 
 def resolve_bordism_class(window: Operad, b: Bordism) -> TauOperation:

@@ -623,6 +623,93 @@ class TestFragments:
             bordism_fragment([bad])
 
 
+@pytest.fixture(scope="module", params=["merge", "chain", "antichain"])
+def window(request):
+    """The merge fragment at depth 1, the chain fragment at depth 2, and the
+    window of a two-event antichain surface, whose parallel cells (the
+    identity and the swap) differ only in their pairs."""
+    if request.param == "merge":
+        return bordism_fragment([merge_bordism()], depth=1, max_ops=128, max_cells=8192)
+    if request.param == "chain":
+        return bordism_fragment([chain_bordism("a", "b", "c")], depth=2,
+                                max_ops=64, max_cells=4096)
+    return bordism_fragment([PointedObject(CausalSet("uv", []), {"u", "v"})], depth=1)
+
+
+def held_instances(frag) -> dict:
+    """Every germ, operation and cell that the window's groupoids hold, keyed by itself."""
+    held = {g: g for g in frag.objects.morphisms}
+    for G in frag.op_groupoids.values():
+        held.update((op, op) for op in G.objects)
+        held.update((c, c) for c in G.morphisms)
+    return held
+
+
+def composable_pairs(G):
+    """Every pair (g, f) of morphisms of G with g after f defined."""
+    into: dict = {}
+    for f in G.morphisms:
+        into.setdefault(G.tgt(f), []).append(f)
+    return [(g, f) for g in G.morphisms for f in into.get(G.src(g), ())]
+
+
+class TestCanonicalInstances:
+    TABLES = ("compose_ops", "act_ops", "unit_ops", "compose_cells", "act_cells",
+              "unit_cells", "associators", "left_unitors", "right_unitors")
+
+    def test_table_values_are_the_window_instances(self, window):
+        held = held_instances(window)
+        for name in self.TABLES:
+            values = list(getattr(window, name).values())
+            assert values, name
+            for v in values:
+                assert held.get(v) is v, f"{name} holds a copy of {v}"
+        for cell in window.all_cells():
+            for g in (*window.cell_inputs[cell], window.cell_output[cell]):
+                assert held.get(g) is g, f"boundary of {cell} holds a copy of {g}"
+
+    def test_groupoid_results_are_the_stored_morphisms(self, window):
+        for G in (window.objects, *window.op_groupoids.values()):
+            held = {m: m for m in G.morphisms}
+            for obj in G.objects:
+                assert held[G.id(obj)] is G.id(obj)
+            for g in G.morphisms:
+                assert held[G.inv(g)] is G.inv(g)
+            for g, f in composable_pairs(G):
+                gf = G.compose(g, f)
+                assert held.get(gf) is gf
+                assert G.compose(g, f) is gf
+
+    def test_vertical_composites_by_value_match_then(self, window):
+        missing = refused = 0
+        for G in window.op_groupoids.values():
+            cells = G.morphisms
+            full = bordism_module._vertical_by_value(
+                {(c.dom, c.cod, c.pairs): c for c in cells})
+            kept = {(c.dom, c.cod, c.pairs): c for c in cells[::2]}
+            thinned = bordism_module._vertical_by_value(kept)
+            for g, f in composable_pairs(G):
+                want = f.then(g)
+                assert G.compose(g, f) == want
+                assert full(g, f) is G.compose(g, f)
+                got = thinned(g, f)
+                assert got == want
+                if (want.dom, want.cod, want.pairs) not in kept:
+                    missing += 1
+                    assert got is not G.compose(g, f)
+            # a pair that does not compose fails the same way on both paths
+            for g, f in itertools.islice(
+                    ((g, f) for f in cells for g in cells if g.dom != f.cod), 3):
+                refused += 1
+                with pytest.raises(ValueError) as built:
+                    f.then(g)
+                for compose in (full, thinned):
+                    with pytest.raises(ValueError) as found:
+                        compose(g, f)
+                    assert str(found.value) == str(built.value)
+        assert missing > 0 and refused > 0
+
+
 class TestTruncation:
     def test_collar_width_does_not_split_classes(self):
         S = PointedObject(chain_poset("a0", "b0"), {"a0"})

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import assume, given, settings
@@ -370,6 +371,11 @@ def groupoid_tables(draw, kind: str):
             inverses.__getitem__)
 
 
+@dataclass(frozen=True)
+class Arrow:
+    name: str
+
+
 class TestFiniteGroupoid:
     def build_flip(self, bad: bool = False) -> FiniteGroupoid:
         compose = {
@@ -389,6 +395,23 @@ class TestFiniteGroupoid:
         report = self.build_flip(bad=True).validate()
         assert not report.ok
         assert any("laws" in e.check for e in report.failures)
+
+    def test_results_are_the_stored_morphisms(self):
+        # the tables build a fresh arrow on every call, equal to a stored one
+        stored = {name: Arrow(name) for name in ("id", "s")}
+        G = FiniteGroupoid(
+            ["*"], stored.values(),
+            {a: "*" for a in stored.values()}, {a: "*" for a in stored.values()},
+            lambda g, f: Arrow("id" if g.name == f.name else "s"),
+            {"*": Arrow("id")}, lambda g: Arrow(g.name),
+        )
+        assert G.id("*") is stored["id"]
+        for g, f in itertools.product(stored.values(), repeat=2):
+            assert G.compose(g, f) is stored["id" if g is f else "s"]
+            assert G.compose(Arrow(g.name), Arrow(f.name)) is G.compose(g, f)
+        for g in stored.values():
+            assert G.inv(g) is g
+        assert G.validate().ok
 
     @staticmethod
     def assert_laws_match_the_oracle(case) -> None:

@@ -18,7 +18,7 @@ from causalops.pseudo_operad import (
     tau,
     tau_full,
 )
-from test_bordism import chain_bordism
+from test_bordism import chain_bordism, merge_bordism
 from test_operad_kernel import commutative_fold_operad, cyclic_group_operad
 
 
@@ -266,3 +266,14 @@ class TestTwoAdjunction:
         O = chain_operad()
         given = check_two_adjunction(O, iota(O))
         assert hashlib.sha256(given.dumps().encode()).hexdigest() == digest
+
+    def test_reports_on_the_merge_fragment_are_unchanged(self):
+        # sha256 of Report.dumps() before the window tables held one
+        # instance per value
+        frag = bordism_fragment([merge_bordism()], depth=1, max_ops=128, max_cells=8192)
+        audit = check_pseudo_operad(frag)
+        assert hashlib.sha256(audit.dumps().encode()).hexdigest() == \
+            "8f304491843bd755a93c09175b9d04bcf153877d204d2830d54d122a9ee8e7ed"
+        adjunction = check_two_adjunction(truncate_bordisms(frag), frag)
+        assert hashlib.sha256(adjunction.dumps().encode()).hexdigest() == \
+            "bff634585acae4b558991ea9db3d477c38fe79b5bb744eb6656eb933b7938d99"
