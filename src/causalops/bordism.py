@@ -20,12 +20,13 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .causal_core import (
     CausalEmbedding,
     CausalSet,
     GluingResult,
+    _pinned_maps,
     causal_past,
     chronological_past,
     convex_hull,
@@ -38,7 +39,7 @@ from .causal_core import (
 )
 from .errors import FragmentCapExceeded, InvalidComposite, InvalidSurface
 from .operad_kernel import FiniteGroupoid, Operad, apply_permutation
-from .pseudo_operad import PseudoOperadData, tau
+from .pseudo_operad import PseudoOperadData, TauOperation, tau
 from .report import FAIL, PASS, Report
 
 __all__ = [
@@ -69,6 +70,7 @@ __all__ = [
     "companion_cells",
     "bordism_fragment",
     "truncate_bordisms",
+    "resolve_bordism_class",
 ]
 
 
@@ -188,73 +190,6 @@ class Germ:
 
     def __str__(self) -> str:
         return self._text
-
-
-# ---- backtracking searches for structured isomorphisms ------------------------
-
-
-def _iso_stats(M: CausalSet) -> dict[str, tuple[int, int, int, int]]:
-    """Invariants each event must preserve under any order isomorphism."""
-    down: dict[str, int] = {e: 0 for e in M.events}
-    up: dict[str, int] = {e: 0 for e in M.events}
-    for a, b in M.covers:
-        up[a] += 1
-        down[b] += 1
-    past = {e: sum(1 for x in M.events if M.le(x, e)) for e in M.events}
-    future = {e: sum(1 for x in M.events if M.le(e, x)) for e in M.events}
-    return {e: (past[e], future[e], down[e], up[e]) for e in M.events}
-
-
-def _pinned_maps(
-    A: CausalSet,
-    B: CausalSet,
-    *,
-    iso: bool,
-    blocks: Sequence[tuple[frozenset[str], frozenset[str]]] = (),
-    pins: Mapping[str, str] | None = None,
-) -> Iterator[dict[str, str]]:
-    """Order embeddings A -> B extending exact pins, in sorted order.
-
-    With ``iso`` only the order isomorphisms are searched, which must also
-    respect the setwise ``blocks``; without it, every order-preserving and
-    order-reflecting injection is.
-    """
-    if iso:
-        if len(A.events) != len(B.events):
-            return
-        for s, t in blocks:
-            if len(s) != len(t):
-                return
-        stats_a = _iso_stats(A)
-        stats_b = _iso_stats(B)
-    pins = dict(pins or {})
-    order = sorted(A.events)
-    b_sorted = sorted(B.events)
-
-    def extend(i: int, assignment: dict[str, str], used: set[str]) -> Iterator[dict[str, str]]:
-        if i == len(order):
-            yield dict(assignment)
-            return
-        a = order[i]
-        candidates = [pins[a]] if a in pins else b_sorted
-        for b in candidates:
-            if b in used:
-                continue
-            if iso and (stats_a[a] != stats_b[b]
-                        or any((a in s) != (b in t) for s, t in blocks)):
-                continue
-            if any(
-                A.le(a, a2) != B.le(b, b2) or A.le(a2, a) != B.le(b2, b)
-                for a2, b2 in assignment.items()
-            ):
-                continue
-            assignment[a] = b
-            used.add(b)
-            yield from extend(i + 1, assignment, used)
-            del assignment[a]
-            used.discard(b)
-
-    yield from extend(0, {}, set())
 
 
 def enumerate_germs(src: PointedObject, tgt: PointedObject) -> tuple[Germ, ...]:
@@ -1390,3 +1325,20 @@ def bordism_fragment(
 def truncate_bordisms(fragment: PseudoOperadData) -> Operad:
     """Collapse a fragment along its globular cells into an honest operad."""
     return tau(fragment)
+
+
+def resolve_bordism_class(window: Operad, b: Bordism) -> TauOperation:
+    """The window class presenting a bordism, found by signature and germ.
+
+    Membership is checked first; otherwise a single globular cell to the
+    class representative suffices, since cells compose and classes are
+    already maximal.
+    """
+    for cls in window.ops(b.arity):
+        if cls.inputs != b.sources or cls.output != b.target:
+            continue
+        if b == cls.rep or b in cls.members:
+            return cls
+        if globular_cells_between(b, cls.rep, limit=1):
+            return cls
+    raise ValueError(f"window has no class presenting {b}")

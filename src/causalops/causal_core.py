@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import GluingCycle, NonConvexCocone
 
@@ -499,6 +499,76 @@ def is_cauchy_embedding(emb: CausalEmbedding) -> bool:
         return False
     return any(not _cover_path_avoids(cod, anti)
                for anti in _antichain_masks(cod, image))
+
+
+# ---- order embeddings and isomorphisms ---------------------------------------
+
+
+def _iso_stats(M: CausalSet) -> dict[str, tuple[int, int, int, int]]:
+    """Invariants each event must preserve under any order isomorphism."""
+    down: dict[str, int] = {e: 0 for e in M.events}
+    up: dict[str, int] = {e: 0 for e in M.events}
+    for a, b in M.covers:
+        up[a] += 1
+        down[b] += 1
+    past = {e: sum(1 for x in M.events if M.le(x, e)) for e in M.events}
+    future = {e: sum(1 for x in M.events if M.le(e, x)) for e in M.events}
+    return {e: (past[e], future[e], down[e], up[e]) for e in M.events}
+
+
+def _pinned_maps(
+    A: CausalSet,
+    B: CausalSet,
+    *,
+    iso: bool,
+    blocks: Sequence[tuple[frozenset[str], frozenset[str]]] = (),
+    pins: Mapping[str, str] | None = None,
+) -> Iterator[dict[str, str]]:
+    """Order embeddings A -> B extending exact pins, in sorted order.
+
+    This is the one backtracking search for order embeddings.  With ``iso``
+    only the order isomorphisms are searched, which must also respect the
+    setwise ``blocks``; without it, every order-preserving and
+    order-reflecting injection is.  Events of A are assigned in sorted
+    order, each trying the events of B in sorted order.
+    """
+    if iso:
+        if len(A.events) != len(B.events):
+            return
+        for s, t in blocks:
+            if len(s) != len(t):
+                return
+        stats_a = _iso_stats(A)
+        stats_b = _iso_stats(B)
+    pins = dict(pins or {})
+    order = sorted(A.events)
+    b_sorted = sorted(B.events)
+
+    def extend(i: int, assignment: dict[str, str], used: set[str]) -> Iterator[dict[str, str]]:
+        if i == len(order):
+            yield dict(assignment)
+            return
+        a = order[i]
+        candidates = [pins[a]] if a in pins else b_sorted
+        for b in candidates:
+            if b in used:
+                continue
+            if iso and (stats_a[a] != stats_b[b]
+                        or any((a in s) != (b in t) for s, t in blocks)):
+                continue
+            # an explicit loop: an any() over a generator here costs about
+            # a tenth of the random-regions verdict time
+            for a2, b2 in assignment.items():
+                if A.le(a, a2) != B.le(b, b2) or A.le(a2, a) != B.le(b2, b):
+                    break
+            else:
+                assignment[a] = b
+                used.add(b)
+                yield from extend(i + 1, assignment, used)
+                del assignment[a]
+                used.discard(b)
+
+    yield from extend(0, {}, set())
 
 
 # ---- gluing ------------------------------------------------------------------

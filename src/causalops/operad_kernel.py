@@ -19,6 +19,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from .causal_core import (
     CausalEmbedding,
     CausalSet,
+    _pinned_maps,
     are_causally_disjoint,
     is_causally_convex,
 )
@@ -390,34 +391,12 @@ def check_operad_axioms(
 
 
 def enumerate_embeddings(dom: CausalSet, cod: CausalSet) -> Iterator[CausalEmbedding]:
-    """All order embeddings with causally convex image, by backtracking."""
-    events = sorted(dom.events)
-    cod_events = sorted(cod.events)
+    """All order embeddings with causally convex image.
 
-    def extend(assign: dict[str, str], used: set[str], k: int) -> Iterator[dict[str, str]]:
-        if k == len(events):
-            yield dict(assign)
-            return
-        e = events[k]
-        for target in cod_events:
-            if target in used:
-                continue
-            ok = True
-            for prev, img in assign.items():
-                if dom.le(prev, e) != cod.le(img, target):
-                    ok = False
-                    break
-                if dom.le(e, prev) != cod.le(target, img):
-                    ok = False
-                    break
-            if ok:
-                assign[e] = target
-                used.add(target)
-                yield from extend(assign, used, k + 1)
-                del assign[e]
-                used.remove(target)
-
-    for assign in extend({}, set(), 0):
+    They come in lexicographic order of the images of the sorted domain
+    events, which fixes the operation order of the prefactorization operad.
+    """
+    for assign in _pinned_maps(dom, cod, iso=False):
         if is_causally_convex(cod, set(assign.values())):
             yield CausalEmbedding(dom, cod, assign)
 

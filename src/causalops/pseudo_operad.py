@@ -18,6 +18,7 @@ isomorphism.
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Mapping, Sequence
 
@@ -891,6 +892,8 @@ def tau_full(P: PseudoOperadData) -> TauResult:
     else:
         class_of = {}
         registry: dict = {}
+        # class tokens by signature, each bucket in str order
+        by_signature: dict = {}
         for members in classes.values():
             rep = min(members, key=str)
             token = TauOperation(rep, frozenset(members),
@@ -898,6 +901,10 @@ def tau_full(P: PseudoOperadData) -> TauResult:
             for m in members:
                 class_of[m] = token
                 registry[m] = token
+            by_signature.setdefault((tuple(token.inputs), token.output),
+                                    []).append(token)
+        for bucket in by_signature.values():
+            bucket.sort(key=str)
 
     colors = P.objects.objects
     operations = tuple(dict.fromkeys(class_of[op] for op in P.all_ops()))
@@ -924,14 +931,13 @@ def tau_full(P: PseudoOperadData) -> TauResult:
                 return token
             sig = signature_of(op)
             if P.op_link_fn is not None:
-                for token in sorted(set(registry.values()), key=str):
-                    if (tuple(token.inputs), token.output) != sig:
-                        continue
+                for token in by_signature.get(sig, ()):
                     if P.op_link_fn(op, token.rep):
                         registry[op] = token
                         return token
             fresh = TauOperation(op, frozenset({op}), sig[0], sig[1])
             registry[op] = fresh
+            insort(by_signature.setdefault(sig, []), fresh, key=str)
             return fresh
 
         def compose_rule(outer, inners):

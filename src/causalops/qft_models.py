@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-from .bordism import Bordism, PointedObject, globular_cells_between
+from .bordism import Bordism, PointedObject, resolve_bordism_class
 from .causal_core import (
     CausalEmbedding,
     CausalSet,
@@ -1033,30 +1033,6 @@ def check_additivity_aqft(A: QftModel, M: CausalSet, *, debug: bool = False,
                                diagram, comparison_legs, debug)
 
 
-def _resolve_wrapper_class(base: Operad, wrapper: Bordism):
-    """Find the base operation whose class contains the given bordism."""
-    candidates = [
-        op for op in base.ops(1)
-        if op.inputs == tuple(wrapper.inputs) and op.output == wrapper.output
-    ]
-    for op in candidates:
-        if op == wrapper:
-            return op
-        members = getattr(op, "members", None)
-        if members is None:
-            continue
-        if wrapper in members:
-            return op
-        if any(globular_cells_between(wrapper, m, limit=1) for m in
-               sorted(members, key=canonical_label)):
-            return op
-    raise ValueError(
-        f"fragment lacks the subregion inclusion class for "
-        f"{canonical_label(tuple(wrapper.inputs))} into "
-        f"{canonical_label(wrapper.output)}"
-    )
-
-
 def check_additivity_fqft(F: QftModel, MS: PointedObject, *,
                           debug: bool = False,
                           report: Report | None = None) -> Report:
@@ -1095,13 +1071,13 @@ def check_additivity_fqft(F: QftModel, MS: PointedObject, *,
         for a, b in sub.hom_pairs:
             if a == b:
                 continue
-            cls = _resolve_wrapper_class(F.base, wrapper_into(a, pointed(b)))
+            cls = resolve_bordism_class(F.base, wrapper_into(a, pointed(b)))
             homs[(a, b)] = F.hom(cls)
         return monoids, homs
 
     def comparison_legs(sub: ThinCategory):
         return {
-            o: F.hom(_resolve_wrapper_class(F.base, wrapper_into(o, MS)))
+            o: F.hom(resolve_bordism_class(F.base, wrapper_into(o, MS)))
             for o in sub.objects
         }
 

@@ -31,7 +31,7 @@ from .bordism import (
     PointedObject,
     _germ_groupoid,
     _window_data,
-    globular_cells_between,
+    resolve_bordism_class,
     validate_bordism,
 )
 from .causal_core import CausalEmbedding, CausalSet, cauchy_antichains
@@ -67,7 +67,6 @@ __all__ = [
     "wrapper_bordism",
     "later_surfaces",
     "translation_window",
-    "resolve_bordism_class",
     "derive_zigzag",
     "evaluate_zigzag",
     "build_translation_context",
@@ -139,22 +138,13 @@ def later_surfaces(op: EmbeddingTuple,
     Cauchy input merely non-strictly.  Results are sorted canonically, so
     the first entry is the canonical choice; independence of the choice is
     re-verified in debug mode by the consumers.
-
-    Each call builds and validates every candidate wrapper afresh; the
-    translations read the same answer, with each wrapper's window class,
-    from :meth:`TranslationContext.decorations`, which keeps it for the
-    life of its context.
     """
     return tuple(later for later, _ in _valid_wrappers(op, surfaces))
 
 
 def _surface_choices(ctx: TranslationContext, op: EmbeddingTuple,
                      surfaces) -> dict[frozenset[str], TauOperation]:
-    """``ctx.decorations(op, surfaces)``, refusing an empty one.
-
-    The table, empty entries included, belongs to ``ctx``: asking again on
-    the same context raises again without re-validating any wrapper.
-    """
+    """``ctx.decorations(op, surfaces)``, refusing an empty one."""
     choices = ctx.decorations(op, surfaces)
     if not choices:
         raise NoLaterSurface(
@@ -195,23 +185,6 @@ def translation_window(aqft: Operad, *, max_ops: int = 512,
     window, _ = _window_data(objects, tuple(sorted(wrappers, key=str)),
                              max_cells=max_cells, name=f"window({aqft.name})")
     return tau(window)
-
-
-def resolve_bordism_class(window: Operad, b: Bordism) -> TauOperation:
-    """The window class presenting a bordism, found by signature and germ.
-
-    Membership is checked first; otherwise a single globular cell to the
-    class representative suffices, since cells compose and classes are
-    already maximal.
-    """
-    for cls in window.ops(b.arity):
-        if cls.inputs != b.sources or cls.output != b.target:
-            continue
-        if b == cls.rep or b in cls.members:
-            return cls
-        if globular_cells_between(b, cls.rep, limit=1):
-            return cls
-    raise ValueError(f"window has no class presenting {b}")
 
 
 # ---- zig-zag descriptions of bordism classes -------------------------------------
@@ -292,11 +265,12 @@ class TranslationContext:
     the bridge respects composition of the two fragments is checked by
     :func:`validate_translation_context`.
 
-    The context owns two tables that fill as translations run over it:
-    ``_classes`` sends a bordism to its window class, and ``_decorations``
+    The context owns two tables: ``_classes`` sends a bordism to its window
+    class and fills as translations resolve bordisms, and ``_decorations``
     sends ``(op, surfaces)`` to its valid later surfaces (see
-    :meth:`decorations`).  Both live and die with the context, so a freshly
-    built context recomputes everything and no work carries over from one.
+    :meth:`decorations`) and is read off the window when the context is
+    built.  Both live and die with the context, so a freshly built context
+    recomputes everything and no work carries over from one.
     """
 
     aqft_fragment: Operad
@@ -309,9 +283,6 @@ class TranslationContext:
     @cached_property
     def surface_families(self) -> dict[CausalSet, tuple[frozenset[str], ...]]:
         return {M: _surfaces(M) for M in self.aqft_fragment.colors}
-
-    def color(self, M: CausalSet, surface) -> PointedObject:
-        return PointedObject(M, surface)
 
     def resolve(self, b: Bordism) -> TauOperation:
         cls = self._classes.get(b)
@@ -326,28 +297,27 @@ class TranslationContext:
 
         Keys are in :func:`later_surfaces`' canonical order, so the first is
         the canonical choice; values are the window classes of the wrappers.
-        The dict is empty when no decoration is valid.  It is computed on the
-        first request, validating each candidate wrapper once, and kept in
-        ``_decorations`` for the life of this context.
+        The dict is empty when no decoration is valid, and asking again
+        returns the same dict.
         """
-        key = (op, tuple(surfaces))
-        table = self._decorations.get(key)
-        if table is None:
-            table = {later: self.resolve(b)
-                     for later, b in _valid_wrappers(op, key[1])}
-            self._decorations[key] = table
-        return table
+        return self._decorations.setdefault((op, tuple(surfaces)), {})
 
 
-def build_translation_context(aqft: Operad, window: Operad | None = None,
-                              *, name: str = "translation") -> TranslationContext:
-    """Assemble the context for a region fragment, deriving the bridge data."""
-    if window is None:
-        window = translation_window(aqft)
+def build_translation_context(aqft: Operad, *,
+                              name: str = "translation") -> TranslationContext:
+    """Assemble the context for a region fragment, deriving the bridge data.
+
+    Every member of a window class is a valid wrapper bordism, so one walk
+    over the members gives both the bridge and the decoration table, with
+    no wrapper validated again.
+    """
+    window = translation_window(aqft)
     bridge = {}
+    found: dict = {}
     for cls in window.operations:
+        members = sorted(cls.members, key=str)
         zigzags = tuple(
-            zz for member in sorted(cls.members, key=str)
+            zz for member in members
             if (zz := derive_zigzag(member, aqft)) is not None
         )
         if not zigzags:
@@ -356,7 +326,16 @@ def build_translation_context(aqft: Operad, window: Operad | None = None,
                 "region fragment"
             )
         bridge[cls] = zigzags
-    return TranslationContext(aqft, window, bridge, name=name)
+        for b in members:
+            key = (EmbeddingTuple(b.maps_in, b.carrier),
+                   tuple(src.surface for src in b.sources))
+            found.setdefault(key, []).append((b.target.surface, cls))
+    decorations = {
+        key: dict(sorted(pairs, key=lambda pair: canonical_label(pair[0])))
+        for key, pairs in found.items()
+    }
+    return TranslationContext(aqft, window, bridge, name=name,
+                              _decorations=decorations)
 
 
 def validate_translation_context(ctx: TranslationContext,

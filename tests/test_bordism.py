@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import causalops.bordism as bordism_module
 from causalops.bordism import (
     Bordism,
-    _pinned_maps,
     Germ,
     PointedObject,
     TwoCell,
@@ -39,6 +38,7 @@ from causalops.bordism import (
 from causalops.causal_core import (
     CausalEmbedding,
     CausalSet,
+    _pinned_maps,
     causal_future,
     causal_past,
     chronological_past,
