@@ -195,16 +195,22 @@ class CausalSet:
     # ---- derived structure ------------------------------------------------
 
     def induced(self, members: Iterable[str]) -> "CausalSet":
-        """Sub-poset on ``members`` with the restricted order."""
-        members = frozenset(members)
-        mask = _member_mask(self, members)
-        rels = [
-            (a, b)
-            for a in members
-            for b in self._events_of(self._up[self._idx(a)] & mask)
-            if a != b
-        ]
-        return CausalSet(members, rels)
+        """Sub-poset on ``members`` with the restricted order.
+
+        A restriction of a closed order is closed, and the kept events stay
+        sorted, so the masks are restricted and compressed with no closure.
+        """
+        keep = tuple(self._bits(_member_mask(self, frozenset(members))))
+
+        def compress(mask: int) -> int:
+            return sum(1 << k for k, i in enumerate(keep) if mask >> i & 1)
+
+        sub = CausalSet.__new__(CausalSet)
+        sub.events = tuple(self.events[i] for i in keep)
+        sub._index = {e: k for k, e in enumerate(sub.events)}
+        sub._up = tuple(compress(self._up[i]) for i in keep)
+        sub._down = tuple(compress(self._down[i]) for i in keep)
+        return sub
 
     def relabel(self, mapping: dict[str, str]) -> "CausalSet":
         if sorted(mapping) != list(self.events):
@@ -260,9 +266,12 @@ def chronological_past(M: CausalSet, members: Iterable[str]) -> frozenset[str]:
 
 def _hull_mask(M: CausalSet, mask: int) -> int:
     up = down = 0
-    for i in M._bits(mask):
+    while mask:
+        low = mask & -mask
+        i = low.bit_length() - 1
         up |= M._up[i]
         down |= M._down[i]
+        mask ^= low
     return up & down
 
 
@@ -397,19 +406,48 @@ class MonotoneMap:
         object.__setattr__(self, "pairs", tuple(sorted(table.items())))
         self._validate(table)
 
-    def _validate(self, table: dict[str, str]) -> None:
-        if sorted(table) != list(self.dom.events):
+    def _validate(self, table: dict[str, str]) -> tuple[list[int], int, bool]:
+        """Check the map on masks; return its index map, its image mask and
+        whether it reflects the order.
+
+        A failed order check names the first offending pair of domain
+        events in ``itertools.combinations`` order.
+        """
+        dom, cod = self.dom, self.cod
+        if sorted(table) != list(dom.events):
             raise ValueError("map must be defined on exactly the domain events")
         for v in table.values():
-            if v not in self.cod:
+            if v not in cod:
                 raise ValueError(f"image event {v!r} not in codomain")
-        if len(set(table.values())) != len(table):
+        f = [cod._index[table[e]] for e in dom.events]
+        bits = [1 << k for k in f]
+        image = 0
+        for bit in bits:
+            image |= bit
+        if image.bit_count() != len(f):
             raise ValueError("map is not injective")
-        for a, b in itertools.combinations(self.dom.events, 2):
-            if self.dom.le(a, b) and not self.cod.le(table[a], table[b]):
-                raise ValueError(f"map does not preserve {a!r} < {b!r}")
-            if self.dom.le(b, a) and not self.cod.le(table[b], table[a]):
-                raise ValueError(f"map does not preserve {b!r} < {a!r}")
+        # the image of each up-set must lie inside the image events above
+        # f(i) to preserve the order, and be all of them to reflect it
+        preserved = reflected = True
+        for i, up in enumerate(dom._up):
+            mapped = 0
+            while up:
+                low = up & -up
+                mapped |= bits[low.bit_length() - 1]
+                up ^= low
+            allowed = cod._up[f[i]] & image
+            if mapped != allowed:
+                reflected = False
+                if mapped & ~allowed:
+                    preserved = False
+        if not preserved:
+            dom_up, cod_up, events = dom._up, cod._up, dom.events
+            for i, j in itertools.combinations(range(len(f)), 2):
+                if dom_up[i] >> j & 1 and not cod_up[f[i]] >> f[j] & 1:
+                    raise ValueError(f"map does not preserve {events[i]!r} < {events[j]!r}")
+                if dom_up[j] >> i & 1 and not cod_up[f[j]] >> f[i] & 1:
+                    raise ValueError(f"map does not preserve {events[j]!r} < {events[i]!r}")
+        return f, image, reflected
 
     @cached_property
     def table(self) -> dict[str, str]:
@@ -444,21 +482,32 @@ class CausalEmbedding(MonotoneMap):
     The image being convex makes the map an isomorphism onto a causally
     closed sub-region, which is what every construction downstream
     (germs, collars, gluing cocones) relies on.
+
+    Validation runs on the bitmasks: per domain event, one mask test for
+    preservation and reflection of the order, then one hull test on the
+    image mask.  A rejected map raises ``ValueError`` naming the first
+    offending pair of domain events (``itertools.combinations`` order for
+    preservation, ``itertools.permutations`` order for reflection, with the
+    image events for the latter) or saying that the map is partial, leaves
+    the codomain, is not injective, or has a non-convex image.
     """
 
     # the decorator would regenerate an uncached __hash__ for the subclass
     __hash__ = MonotoneMap.__hash__
 
-    def _validate(self, table: dict[str, str]) -> None:
-        super()._validate(table)
-        for a, b in itertools.permutations(self.dom.events, 2):
-            if self.cod.le(table[a], table[b]) and not self.dom.le(a, b):
-                raise ValueError(
-                    f"map does not reflect order: {table[a]!r} < {table[b]!r} "
-                    f"but {a!r} not < {b!r}"
-                )
-        if not is_causally_convex(self.cod, set(table.values())):
+    def _validate(self, table: dict[str, str]) -> tuple[list[int], int, bool]:
+        f, image, reflected = super()._validate(table)
+        if not reflected:
+            dom_up, cod_up, events = self.dom._up, self.cod._up, self.dom.events
+            for i, j in itertools.permutations(range(len(f)), 2):
+                if cod_up[f[i]] >> f[j] & 1 and not dom_up[i] >> j & 1:
+                    raise ValueError(
+                        f"map does not reflect order: {table[events[i]]!r} < "
+                        f"{table[events[j]]!r} but {events[i]!r} not < {events[j]!r}"
+                    )
+        if _hull_mask(self.cod, image) != image:
             raise ValueError("image is not causally convex")
+        return f, image, reflected
 
     @classmethod
     def identity(cls, M: CausalSet) -> "CausalEmbedding":
@@ -504,16 +553,17 @@ def is_cauchy_embedding(emb: CausalEmbedding) -> bool:
 # ---- order embeddings and isomorphisms ---------------------------------------
 
 
-def _iso_stats(M: CausalSet) -> dict[str, tuple[int, int, int, int]]:
+def _iso_stats(M: CausalSet) -> list[tuple[int, int, int, int]]:
     """Invariants each event must preserve under any order isomorphism."""
-    down: dict[str, int] = {e: 0 for e in M.events}
-    up: dict[str, int] = {e: 0 for e in M.events}
-    for a, b in M.covers:
-        up[a] += 1
-        down[b] += 1
-    past = {e: sum(1 for x in M.events if M.le(x, e)) for e in M.events}
-    future = {e: sum(1 for x in M.events if M.le(e, x)) for e in M.events}
-    return {e: (past[e], future[e], down[e], up[e]) for e in M.events}
+    lower_covers = [0] * len(M)
+    for cover in M._up_covers:
+        for j in M._bits(cover):
+            lower_covers[j] += 1
+    return [
+        (M._down[i].bit_count(), M._up[i].bit_count(), lower_covers[i],
+         M._up_covers[i].bit_count())
+        for i in range(len(M))
+    ]
 
 
 def _pinned_maps(
@@ -530,45 +580,53 @@ def _pinned_maps(
     only the order isomorphisms are searched, which must also respect the
     setwise ``blocks``; without it, every order-preserving and
     order-reflecting injection is.  Events of A are assigned in sorted
-    order, each trying the events of B in sorted order.
+    order, each trying the events of B in sorted order.  A candidate is
+    accepted by one mask test: the assigned events above and below it must
+    be exactly the images of the assigned events above and below its
+    preimage.
     """
+    n, m = len(A), len(B)
     if iso:
-        if len(A.events) != len(B.events):
+        if n != m:
             return
         for s, t in blocks:
             if len(s) != len(t):
                 return
-        stats_a = _iso_stats(A)
-        stats_b = _iso_stats(B)
-    pins = dict(pins or {})
-    order = sorted(A.events)
-    b_sorted = sorted(B.events)
+        # events may only go to events with the same invariants and blocks
+        key_a = [(stats, tuple(e in s for s, _ in blocks))
+                 for e, stats in zip(A.events, _iso_stats(A))]
+        key_b = [(stats, tuple(e in t for _, t in blocks))
+                 for e, stats in zip(B.events, _iso_stats(B))]
+    pinned = {A._index[a]: B._index.get(b) for a, b in (pins or {}).items()
+              if a in A._index}
+    a_up, a_down, b_up, b_down = A._up, A._down, B._up, B._down
+    image = [0] * n  # image[k]: the bit of B assigned to event k of A
 
-    def extend(i: int, assignment: dict[str, str], used: set[str]) -> Iterator[dict[str, str]]:
-        if i == len(order):
-            yield dict(assignment)
+    def extend(i: int, used: int) -> Iterator[dict[str, str]]:
+        if i == n:
+            yield {A.events[k]: B.events[image[k].bit_length() - 1]
+                   for k in range(n)}
             return
-        a = order[i]
-        candidates = [pins[a]] if a in pins else b_sorted
-        for b in candidates:
-            if b in used:
+        want_up = want_down = 0
+        for k in range(i):
+            if a_up[i] >> k & 1:
+                want_up |= image[k]
+            elif a_down[i] >> k & 1:
+                want_down |= image[k]
+        if i in pinned:
+            candidates = () if pinned[i] is None else (pinned[i],)
+        else:
+            candidates = range(m)
+        for j in candidates:
+            bit = 1 << j
+            if (used & bit or b_up[j] & used != want_up
+                    or b_down[j] & used != want_down
+                    or iso and key_a[i] != key_b[j]):
                 continue
-            if iso and (stats_a[a] != stats_b[b]
-                        or any((a in s) != (b in t) for s, t in blocks)):
-                continue
-            # an explicit loop: an any() over a generator here costs about
-            # a tenth of the random-regions verdict time
-            for a2, b2 in assignment.items():
-                if A.le(a, a2) != B.le(b, b2) or A.le(a2, a) != B.le(b2, b):
-                    break
-            else:
-                assignment[a] = b
-                used.add(b)
-                yield from extend(i + 1, assignment, used)
-                del assignment[a]
-                used.discard(b)
+            image[i] = bit
+            yield from extend(i + 1, used | bit)
 
-    yield from extend(0, {}, set())
+    yield from extend(0, 0)
 
 
 # ---- gluing ------------------------------------------------------------------

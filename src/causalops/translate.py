@@ -266,10 +266,11 @@ class TranslationContext:
     :func:`validate_translation_context`.
 
     The context owns two tables: ``_classes`` sends a bordism to its window
-    class and fills as translations resolve bordisms, and ``_decorations``
-    sends ``(op, surfaces)`` to its valid later surfaces (see
-    :meth:`decorations`) and is read off the window when the context is
-    built.  Both live and die with the context, so a freshly built context
+    class, starts with every class member when the context is built and
+    fills further as translations resolve other bordisms, and
+    ``_decorations`` sends ``(op, surfaces)`` to its valid later surfaces
+    (see :meth:`decorations`) and is read off the window when the context
+    is built.  Both live and die with the context, so a freshly built context
     recomputes everything and no work carries over from one.
     """
 
@@ -308,11 +309,12 @@ def build_translation_context(aqft: Operad, *,
     """Assemble the context for a region fragment, deriving the bridge data.
 
     Every member of a window class is a valid wrapper bordism, so one walk
-    over the members gives both the bridge and the decoration table, with
-    no wrapper validated again.
+    over the members gives the bridge, the decoration table and the class
+    of each member, with no wrapper validated or resolved again.
     """
     window = translation_window(aqft)
     bridge = {}
+    classes = {}
     found: dict = {}
     for cls in window.operations:
         members = sorted(cls.members, key=str)
@@ -327,6 +329,7 @@ def build_translation_context(aqft: Operad, *,
             )
         bridge[cls] = zigzags
         for b in members:
+            classes[b] = cls
             key = (EmbeddingTuple(b.maps_in, b.carrier),
                    tuple(src.surface for src in b.sources))
             found.setdefault(key, []).append((b.target.surface, cls))
@@ -335,7 +338,7 @@ def build_translation_context(aqft: Operad, *,
         for key, pairs in found.items()
     }
     return TranslationContext(aqft, window, bridge, name=name,
-                              _decorations=decorations)
+                              _classes=classes, _decorations=decorations)
 
 
 def validate_translation_context(ctx: TranslationContext,

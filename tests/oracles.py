@@ -132,6 +132,41 @@ def brute_embeddings(dom: OraclePoset, cod: OraclePoset) -> list[dict[str, str]]
     return out
 
 
+def brute_map_error(
+    dom: OraclePoset, cod: OraclePoset, table: dict[str, str], embedding: bool
+) -> str | None:
+    """The ``ValueError`` text map validation gives ``table``, or None.
+
+    Plain pairwise checks by name, in a fixed order: totality, codomain,
+    injectivity, then preservation over ``itertools.combinations`` of the
+    domain events.  With ``embedding`` (a causal embedding, not only a
+    monotone map), then reflection over ``itertools.permutations`` and
+    convexity of the image by :func:`brute_convex`.  The first failure
+    found is the one named.
+    """
+    if sorted(table) != list(dom.events):
+        return "map must be defined on exactly the domain events"
+    for v in table.values():
+        if v not in cod.events:
+            return f"image event {v!r} not in codomain"
+    if len(set(table.values())) != len(table):
+        return "map is not injective"
+    for a, b in itertools.combinations(dom.events, 2):
+        if dom.le(a, b) and not cod.le(table[a], table[b]):
+            return f"map does not preserve {a!r} < {b!r}"
+        if dom.le(b, a) and not cod.le(table[b], table[a]):
+            return f"map does not preserve {b!r} < {a!r}"
+    if not embedding:
+        return None
+    for a, b in itertools.permutations(dom.events, 2):
+        if cod.le(table[a], table[b]) and not dom.le(a, b):
+            return (f"map does not reflect order: {table[a]!r} < {table[b]!r} "
+                    f"but {a!r} not < {b!r}")
+    if not brute_convex(cod, set(table.values())):
+        return "image is not causally convex"
+    return None
+
+
 def random_poset_data(
     rng: random.Random, n_events: int, edge_bias: float = 0.3
 ) -> tuple[list[str], list[tuple[str, str]]]:

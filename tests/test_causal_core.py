@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from causalops import (
@@ -193,6 +193,21 @@ class TestPropertiesAgainstOracle:
         for a in subset:
             for b in subset:
                 assert sub.le(a, b) == P.le(a, b)
+        # the same instance data as building the restriction from scratch,
+        # also for an induced set of an induced set
+        inner = set(sorted(subset)[::2])
+        cases = (
+            (sub, CausalSet(subset, P.strict)),
+            (sub.induced(inner), CausalSet(inner, oracles.sub_oracle(P, inner).strict)),
+        )
+        for got, want in cases:
+            assert got == want and hash(got) == hash(want)
+            assert (got.events, got._index, got._up, got._down) == \
+                (want.events, want._index, want._up, want._down)
+            assert got.covers == want.covers and got._up_covers == want._up_covers
+        with pytest.raises(ValueError) as raised:
+            M.induced(subset | {"zz"})
+        assert str(raised.value) == "event 'zz' is not an event of the causal set"
 
 
 class TestRegionEnumerators:
@@ -285,6 +300,45 @@ class TestMaps:
         for table in expected:
             emb = CausalEmbedding(dom, cod, table)
             assert dict(emb.pairs) == table
+
+    @given(poset_data(max_events=5), poset_data(max_events=5),
+           st.sampled_from(["any", "injective", "inclusion"]),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_map_validation_matches_the_pairwise_reference(self, dom_data, cod_data,
+                                                           kind, seed):
+        rng = random.Random(seed)
+
+        def shuffled(events, relations):
+            # names out of topological order, so both preserve directions occur
+            rename = dict(zip(events, rng.sample(events, len(events))))
+            return list(rename.values()), [(rename[a], rename[b]) for a, b in relations]
+
+        cod_data = shuffled(*cod_data)
+        assume(cod_data[0] or kind == "inclusion")
+        P_cod = OraclePoset.build(*cod_data)
+        if kind == "inclusion":
+            # the identity on a random subset: rejected only when not convex
+            members = oracles.random_subset(rng, cod_data[0])
+            dom_data = (members, oracles.sub_oracle(P_cod, members).strict)
+            table = {e: e for e in sorted(members)}
+        else:
+            dom_data = shuffled(*dom_data)
+            if kind == "injective" and len(dom_data[0]) <= len(cod_data[0]):
+                images = rng.sample(sorted(cod_data[0]), len(dom_data[0]))
+            else:
+                images = [rng.choice(sorted(cod_data[0])) for _ in dom_data[0]]
+            table = dict(zip(sorted(dom_data[0]), images))
+        dom, cod = CausalSet(*dom_data), CausalSet(*cod_data)
+        P_dom = OraclePoset.build(*dom_data)
+        for cls, embedding in ((MonotoneMap, False), (CausalEmbedding, True)):
+            expected = oracles.brute_map_error(P_dom, P_cod, table, embedding)
+            if expected is None:
+                assert cls(dom, cod, table).table == table
+            else:
+                with pytest.raises(ValueError) as raised:
+                    cls(dom, cod, table)
+                assert str(raised.value) == expected
 
 
 class TestCauchyEmbeddings:
