@@ -9,15 +9,15 @@ surface configuration, and finite windows of the structure materialize as
 pseudo-operad tables whose globular collapse is an honest operad.
 
 Everything here is exact and deterministic: canonical representatives are
-restrictions to convex hulls of surfaces, pushout labels are renamed by
-intrinsic anchors so that composition commutes with permutation actions on
-the nose, and all searches enumerate candidates in sorted order.
+restrictions to convex hulls of surfaces, ``glue_pushout`` names each
+pushout after anchors that travel with the pieces, so that composition
+commutes with permutation actions on the nose, and all searches enumerate
+candidates in sorted order.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
@@ -25,7 +25,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .causal_core import (
     CausalEmbedding,
     CausalSet,
-    GluingResult,
     _pinned_maps,
     causal_past,
     chronological_past,
@@ -467,64 +466,6 @@ def _assert_regions(outer: Bordism, inners: tuple[Bordism, ...],
                 )
 
 
-def _canonical_glue(
-    lowers: Sequence[CausalSet],
-    mids: Sequence[CausalSet],
-    upper: CausalSet,
-    into_left: Sequence[CausalEmbedding],
-    into_right: Sequence[CausalEmbedding],
-) -> GluingResult:
-    """Pushout with labels renamed so piece order cannot leak into names.
-
-    The raw pushout disambiguates colliding labels by leg position, which
-    would break equivariance of composition under input permutations.  Here
-    every surviving lower-piece event is renamed after the smallest event of
-    its own interface image, an anchor that travels with the piece.
-    """
-    glued = glue_pushout(list(lowers), list(mids), upper,
-                         list(into_left), list(into_right))
-    right_names = glued.right_leg.image
-    piece_of: dict[str, tuple[int, str]] = {}
-    for i, leg in enumerate(glued.left_legs):
-        for e in leg.dom.events:
-            merged = leg(e)
-            if merged not in right_names:
-                piece_of[merged] = (i, e)
-    if not piece_of:
-        return glued
-
-    anchors = {i: min(into_right[i].image) for i in range(len(into_left))
-               if into_right[i].image}
-    base_counts = Counter(base for _i, base in piece_of.values())
-    rename: dict[str, str] = {e: e for e in right_names}
-    assigned = set(rename.values())
-    for merged, (i, base) in sorted(piece_of.items(),
-                                    key=lambda kv: (kv[1][1], anchors[kv[1][0]])):
-        name = base
-        if name in right_names or base_counts[base] > 1:
-            name = f"{base}@{anchors[i]}"
-        bump = 1
-        while name in assigned:
-            bump += 1
-            name = f"{base}@{anchors[i]}.{bump}"
-        rename[merged] = name
-        assigned.add(name)
-
-    if all(rename[e] == e for e in glued.result.events):
-        return glued
-    result = glued.result.relabel(rename)
-    left_legs = tuple(
-        CausalEmbedding(leg.dom, result,
-                        {e: rename[leg(e)] for e in leg.dom.events})
-        for leg in glued.left_legs
-    )
-    right_leg = CausalEmbedding(
-        glued.right_leg.dom, result,
-        {e: rename[glued.right_leg(e)] for e in glued.right_leg.dom.events},
-    )
-    return GluingResult(result, left_legs, right_leg)
-
-
 @dataclass(frozen=True)
 class ComposedBordism:
     """A composite together with the gluing data that produced it."""
@@ -560,17 +501,17 @@ def compose_bordisms_full(outer: Bordism, inners: Sequence[Bordism]) -> Composed
     upper_poset = outer.carrier.induced(regions.upper)
     try:
         into_left = [
-            inner.map_out.restrict_into(w, lo)
-            for inner, w, lo in zip(inners, regions.overlaps, regions.lower)
+            CausalEmbedding(mid, lo, {e: inner.map_out(e) for e in mid.events})
+            for inner, mid, lo in zip(inners, mids, lowers)
         ]
         into_right = [
-            outer.maps_in[i].restrict_into(w, regions.upper)
-            for i, w in enumerate(regions.overlaps)
+            CausalEmbedding(mid, upper_poset, {e: emb(e) for e in mid.events})
+            for emb, mid in zip(outer.maps_in, mids)
         ]
     except ValueError as exc:
         raise InvalidComposite(f"collar restriction failed: {exc}") from None
 
-    glued = _canonical_glue(lowers, mids, upper_poset, into_left, into_right)
+    glued = glue_pushout(lowers, mids, upper_poset, into_left, into_right)
 
     try:
         new_maps_in = []
@@ -578,10 +519,10 @@ def compose_bordisms_full(outer: Bordism, inners: Sequence[Bordism]) -> Composed
             for emb in inner.maps_in:
                 pre = emb.preimage_of(regions.lower[i])
                 new_maps_in.append(
-                    emb.restrict_into(pre, regions.lower[i]).then(glued.left_legs[i])
+                    emb.restrict_into(pre, lowers[i]).then(glued.left_legs[i])
                 )
         pre_out = outer.map_out.preimage_of(regions.upper)
-        new_out = outer.map_out.restrict_into(pre_out, regions.upper).then(glued.right_leg)
+        new_out = outer.map_out.restrict_into(pre_out, upper_poset).then(glued.right_leg)
     except ValueError as exc:
         raise InvalidComposite(f"composite collar construction failed: {exc}") from None
 

@@ -13,6 +13,7 @@ serialization and quotient naming deterministic, never as causal data.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -36,7 +37,6 @@ __all__ = [
     "cauchy_antichains",
     "convex_subsets",
     "are_causally_disjoint",
-    "max_antichain",
     "glue_pushout",
 ]
 
@@ -186,12 +186,6 @@ class CausalSet:
             e for i, e in enumerate(self.events) if self._up[i] == 1 << i
         )
 
-    @cached_property
-    def minimal_events(self) -> frozenset[str]:
-        return frozenset(
-            e for i, e in enumerate(self.events) if self._down[i] == 1 << i
-        )
-
     # ---- derived structure ------------------------------------------------
 
     def induced(self, members: Iterable[str]) -> "CausalSet":
@@ -211,12 +205,6 @@ class CausalSet:
         sub._up = tuple(compress(self._up[i]) for i in keep)
         sub._down = tuple(compress(self._down[i]) for i in keep)
         return sub
-
-    def relabel(self, mapping: dict[str, str]) -> "CausalSet":
-        if sorted(mapping) != list(self.events):
-            raise ValueError("relabeling must cover exactly the events")
-        rels = [(mapping[a], mapping[b]) for a, b in self.covers]
-        return CausalSet(mapping.values(), rels)
 
 
 # ---- region operators ------------------------------------------------------
@@ -365,11 +353,6 @@ def convex_subsets(M: CausalSet,
         sub = (sub - 1) & pool
     found.sort(key=lambda bits: (len(bits), bits))
     return [frozenset(M.events[i] for i in bits) for bits in found]
-
-
-def max_antichain(M: CausalSet) -> frozenset[str]:
-    """The maximal-element antichain; Cauchy for every nonempty causal set."""
-    return M.maximal_events
 
 
 def are_causally_disjoint(M: CausalSet, a: Iterable[str], b: Iterable[str]) -> bool:
@@ -525,12 +508,11 @@ class CausalEmbedding(MonotoneMap):
             raise ValueError("embeddings do not compose")
         return CausalEmbedding(self.dom, other.cod, {e: other(self(e)) for e in self.dom.events})
 
-    def restrict_into(self, members: Iterable[str], region: Iterable[str]) -> "CausalEmbedding":
-        """Restrict the domain and corestrict the codomain to a convex region."""
+    def restrict_into(self, members: Iterable[str], target: CausalSet) -> "CausalEmbedding":
+        """Restrict the domain to ``members`` and corestrict the codomain to
+        ``target``, the caller's induced sub-poset on a convex region."""
         members = frozenset(members)
-        sub = self.dom.induced(members)
-        target = self.cod.induced(region)
-        return CausalEmbedding(sub, target, {e: self(e) for e in members})
+        return CausalEmbedding(self.dom.induced(members), target, {e: self(e) for e in members})
 
 
 def is_cauchy_embedding(emb: CausalEmbedding) -> bool:
@@ -650,11 +632,16 @@ def glue_pushout(
 
     Events identified along the shared middles are merged, orders are
     pushed forward and transitively closed.  Images of distinct
-    ``into_right`` legs must be pairwise causally disjoint; under that
-    precondition each quotient class holds at most one right event and at
-    most one left event.  Quotient classes are named after their right
-    event when they have one, else after their left event, with
-    deterministic ``@i`` suffixes on collisions.
+    ``into_right`` legs must be pairwise causally disjoint.  Every leg is
+    injective, so under that precondition a left event meets at most one
+    right event: the image of its preimage in the middle.
+
+    Names do not depend on the order of the pieces.  A right event keeps
+    its name.  A left-only event keeps its own name unless that name is a
+    right event or is left-only in more than one piece; then it becomes
+    ``name@anchor``, with ``.2``, ``.3``, ... added on any remaining clash.
+    The anchor is the smallest event of the piece's ``into_right`` image,
+    and the piece index when that image is empty.
 
     Raises GluingCycle when the pushed-forward order acquires a cycle and
     NonConvexCocone when a cocone map fails to be a causal embedding;
@@ -674,92 +661,37 @@ def glue_pushout(
                 f"into_right images {i} and {j} are not causally disjoint"
             )
 
-    # Atoms carry provenance; the union-find merges along the middles.
-    parent: dict[tuple, tuple] = {}
-
-    def find(x: tuple) -> tuple:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: tuple, y: tuple) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    atoms = [("R", r) for r in right.events]
-    for i in range(k):
-        atoms.extend(("L", i, e) for e in left[i].events)
-    for a in atoms:
-        parent[a] = a
-    for i in range(k):
-        for x in mid[i].events:
-            union(("L", i, into_left[i](x)), ("R", into_right[i](x)))
-
-    classes: dict[tuple, list[tuple]] = {}
-    for a in atoms:
-        classes.setdefault(find(a), []).append(a)
-
-    # Deterministic names: right representative wins, then the left event.
-    names: dict[tuple, str] = {}
-    used: set[str] = set()
-    right_roots = sorted(
-        (r for r in classes if any(a[0] == "R" for a in classes[r])),
-        key=lambda r: min(a[1] for a in classes[r] if a[0] == "R"),
-    )
-    for root in right_roots:
-        name = min(a[1] for a in classes[root] if a[0] == "R")
-        names[root] = name
-        used.add(name)
-    left_roots = sorted(
-        (r for r in classes if r not in names),
-        key=lambda r: min((a[1], a[2]) for a in classes[r] if a[0] == "L"),
-    )
-    for root in left_roots:
-        i, base = min((a[1], a[2]) for a in classes[root] if a[0] == "L")
-        name = base
-        bump = 0
+    # names[i] maps each event of left[i] to its event in the result
+    names = [{into_left[i](x): into_right[i](x) for x in mid[i].events} for i in range(k)]
+    left_only = [(e, i) for i in range(k) for e in left[i].events if e not in names[i]]
+    pieces_of = Counter(e for e, _i in left_only)
+    anchors = [min(into_right[i].image, default=str(i)) for i in range(k)]
+    used = set(right.events)
+    for e, i in sorted(left_only, key=lambda ei: (ei[0], anchors[ei[1]], ei[1])):
+        name = e
+        if e in right or pieces_of[e] > 1:
+            name = f"{e}@{anchors[i]}"
+        bump = 1
         while name in used:
             bump += 1
-            suffix = f"@{i}" if bump == 1 else f"@{i}.{bump}"
-            name = f"{base}{suffix}"
-        names[root] = name
+            name = f"{e}@{anchors[i]}.{bump}"
+        names[i][e] = name
         used.add(name)
 
-    def cls(atom: tuple) -> str:
-        return names[find(atom)]
-
-    relations: set[tuple[str, str]] = set()
-    for a, b in itertools.combinations(right.events, 2):
-        if right.lt(a, b):
-            relations.add((cls(("R", a)), cls(("R", b))))
-        elif right.lt(b, a):
-            relations.add((cls(("R", b)), cls(("R", a))))
+    relations = list(right.covers)
     for i in range(k):
-        for a, b in itertools.combinations(left[i].events, 2):
-            if left[i].lt(a, b):
-                relations.add((cls(("L", i, a)), cls(("L", i, b))))
-            elif left[i].lt(b, a):
-                relations.add((cls(("L", i, b)), cls(("L", i, a))))
-
-    for a, b in relations:
-        if a == b:
-            raise GluingCycle(f"events merged across a strict relation at {a!r}")
+        relations.extend((names[i][a], names[i][b]) for a, b in left[i].covers)
     try:
-        result = CausalSet(set(names.values()), relations)
+        result = CausalSet(used, relations)
     except ValueError as exc:
         raise GluingCycle(str(exc)) from None
 
-    def leg(dom: CausalSet, tag) -> CausalEmbedding:
-        mapping = {e: cls(tag(e)) for e in dom.events}
+    def leg(dom: CausalSet, mapping: dict[str, str]) -> CausalEmbedding:
         try:
             return CausalEmbedding(dom, result, mapping)
         except ValueError as exc:
             raise NonConvexCocone(f"cocone map is not an embedding: {exc}") from None
 
-    left_legs = tuple(
-        leg(left[i], lambda e, i=i: ("L", i, e)) for i in range(k)
-    )
-    right_leg = leg(right, lambda e: ("R", e))
+    left_legs = tuple(leg(left[i], names[i]) for i in range(k))
+    right_leg = leg(right, {e: e for e in right.events})
     return GluingResult(result, left_legs, right_leg)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 
 @dataclass
@@ -233,6 +234,42 @@ def brute_pinned_maps(
         ):
             out.append(table)
     return out
+
+
+def brute_pushout(
+    left: Sequence[OraclePoset],
+    right: OraclePoset,
+    into_left: Sequence[dict[str, str]],
+    into_right: Sequence[dict[str, str]],
+) -> tuple[dict[tuple, str], OraclePoset]:
+    """The pushout of the star cospans ``left[i] <- mid[i] -> right``.
+
+    The general quotient: a union-find over the atoms ``("R", r)`` and
+    ``("L", i, e)`` merges ``into_left[i][x]`` with ``into_right[i][x]``
+    for every middle event ``x``; the orders of all pieces are pushed
+    forward and transitively closed.  Returns the class name of every atom
+    and the quotient poset on those names.  A cyclic quotient, including
+    one that merges two related events, raises ``ValueError``.
+    """
+    parent: dict[tuple, tuple] = {("R", r): ("R", r) for r in right.events}
+    for i, P in enumerate(left):
+        parent.update((("L", i, e), ("L", i, e)) for e in P.events)
+
+    def find(atom: tuple) -> tuple:
+        while parent[atom] != atom:
+            atom = parent[atom]
+        return atom
+
+    for i, table in enumerate(into_left):
+        for x, e in table.items():
+            a, b = find(("L", i, e)), find(("R", into_right[i][x]))
+            if a != b:
+                parent[a] = b
+    name = {atom: repr(find(atom)) for atom in parent}
+    relations = [(name[("R", a)], name[("R", b)]) for a, b in right.strict]
+    for i, P in enumerate(left):
+        relations.extend((name[("L", i, a)], name[("L", i, b)]) for a, b in P.strict)
+    return name, OraclePoset.build(set(name.values()), relations)
 
 
 def brute_groupoid_law_witnesses(morphisms, src, tgt, compose, identities, inverses) -> list[str]:

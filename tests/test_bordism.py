@@ -1,5 +1,6 @@
 """Bordisms of pointed causal sets: validation, gluing, cells, fragments."""
 
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -708,6 +709,34 @@ class TestCanonicalInstances:
                         compose(g, f)
                     assert str(found.value) == str(built.value)
         assert missing > 0 and refused > 0
+
+
+def _key_text(key) -> str:
+    """A table key as text, joining tuples with ``str`` per element: the
+    ``repr`` of the values inside would depend on ``PYTHONHASHSEED``."""
+    if isinstance(key, tuple):
+        return "(" + ",".join(_key_text(k) for k in key) + ")"
+    return str(key)
+
+
+class TestWindowNames:
+    """Every composite a window holds, event names included, is pinned by a
+    digest, so a change in how pushouts are named cannot go unseen."""
+
+    DIGESTS = {
+        "merge": (1247, "da1f016832f02c2b329cbe4de5b34864e22f6b240448638ceffa9710842438ae"),
+        "chain": (222, "487758ba32e5eb5811d1a0f9c9728f5262df4de1d093eb81a5979284ff4e35c4"),
+        "antichain": (44, "abc6439eaa1335de92c7e8a292d672029112b9ccf5f821bc2dad9a194309013a"),
+    }
+
+    def test_composites_keep_their_names(self, window, request):
+        lines = [
+            f"{_key_text(key)}\t{value}\n"
+            for name in ("compose_ops", "compose_cells", "associators")
+            for key, value in getattr(window, name).items()
+        ]
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+        assert (len(lines), digest) == self.DIGESTS[request.node.callspec.params["window"]]
 
 
 class TestTruncation:

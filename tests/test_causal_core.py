@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,7 +25,6 @@ from causalops import (
     is_causally_convex,
     is_cauchy_antichain,
     is_cauchy_embedding,
-    max_antichain,
 )
 
 import oracles
@@ -46,6 +46,74 @@ def poset_with_subset(draw, max_events=7):
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     subset = oracles.random_subset(random.Random(seed), events)
     return events, relations, subset
+
+
+# left event names, shared with the right events so that they collide
+# across pieces and with the right poset
+GLUE_NAMES = ("e0", "e1", "e2", "e3", "x", "y", "z")
+
+
+@dataclass(frozen=True)
+class GluingCase:
+    left: tuple[CausalSet, ...]
+    mid: tuple[CausalSet, ...]
+    right: CausalSet
+    into_left: tuple[CausalEmbedding, ...]
+    into_right: tuple[CausalEmbedding, ...]
+    left_oracle: tuple[OraclePoset, ...]
+    right_oracle: OraclePoset
+
+    def permuted(self, perm) -> "GluingCase":
+        def pick(seq):
+            return tuple(seq[p] for p in perm)
+
+        return GluingCase(pick(self.left), pick(self.mid), self.right, pick(self.into_left),
+                          pick(self.into_right), pick(self.left_oracle), self.right_oracle)
+
+    def glue(self):
+        return glue_pushout(self.left, self.mid, self.right,
+                            self.into_left, self.into_right)
+
+
+@st.composite
+def gluing_case(draw, empty_overlaps=True):
+    """One to three pieces glued into a random right poset.
+
+    The overlaps are convex and pairwise causally disjoint (with
+    ``empty_overlaps``, possibly empty).  Each left piece is a copy of its
+    overlap with up to two extra events below it, so both legs are causal
+    embeddings; its names are drawn from ``GLUE_NAMES``.
+    """
+    events, relations = draw(poset_data(max_events=5))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    P = OraclePoset.build(events, relations)
+    right = CausalSet(events, relations)
+    regions: list[set[str]] = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        candidates = [
+            s for s in map(set, _subsets(P.events))
+            if (s or empty_overlaps) and oracles.brute_convex(P, s)
+            and not any(P.le(a, b) or P.le(b, a) for r in regions for a in s for b in r)
+        ]
+        if not candidates:
+            break
+        regions.append(rng.choice(candidates))
+    assume(regions)
+    pieces = []
+    for region in regions:
+        overlap = sorted(region)
+        names = rng.sample(GLUE_NAMES, len(overlap) + rng.randint(0, 2))
+        copy = dict(zip(overlap, names))
+        extras = names[len(overlap):]
+        rels = [(copy[a], copy[b]) for a, b in P.strict if a in region and b in region]
+        rels += [(a, b) for a, b in itertools.combinations(extras, 2) if rng.random() < 0.4]
+        rels += [(a, copy[m]) for a in extras for m in overlap if rng.random() < 0.4]
+        mid = right.induced(region)
+        left = CausalSet(names, rels)
+        pieces.append((left, mid, CausalEmbedding(mid, left, copy),
+                       CausalEmbedding.inclusion(right, region), OraclePoset.build(names, rels)))
+    left, mid, into_left, into_right, left_oracle = zip(*pieces)
+    return GluingCase(left, mid, right, into_left, into_right, left_oracle, P)
 
 
 def diamond() -> CausalSet:
@@ -96,9 +164,7 @@ class TestDiamondRegions:
 
     def test_extrema(self):
         D = diamond()
-        assert D.minimal_events == frozenset({"a"})
         assert D.maximal_events == frozenset({"d"})
-        assert max_antichain(D) == frozenset({"d"})
 
     def test_past_and_future_cones(self):
         D = diamond()
@@ -171,10 +237,10 @@ class TestPropertiesAgainstOracle:
 
     @given(poset_data())
     @settings(max_examples=120, deadline=None)
-    def test_max_antichain_is_cauchy_and_bounds_every_cauchy_antichain(self, data):
+    def test_maximal_events_are_cauchy_and_bound_every_cauchy_antichain(self, data):
         events, relations = data
         M = CausalSet(events, relations)
-        top = max_antichain(M)
+        top = M.maximal_events
         assert is_cauchy_antichain(M, top)
         P = OraclePoset.build(events, relations)
         for anti in oracles.all_antichains(P):
@@ -444,51 +510,49 @@ class TestGluing:
             [MonotoneMap(mid, left, {"a": "a"})],
             [MonotoneMap(mid, right, {"a": "a"})],
         )
-        assert len(glued.result) == 3
-        assert "x" in glued.result.events  # the right event keeps its name
-        assert any(e.startswith("x@") for e in glued.result.events)
+        assert glued.result.events == ("a", "x", "x@a")  # the right x keeps its name
+        assert glued.left_legs[0].table == {"a": "a", "x": "x@a"}
 
-    @given(poset_data(max_events=5), st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_embedded_overlaps_glue_cleanly(self, right_data, seed):
-        """With genuine embedding legs the cocone maps are embeddings again."""
-        rng = random.Random(seed)
-        right = CausalSet(*right_data)
-        P_right = OraclePoset.build(*right_data)
-        if len(right) == 0:
-            return
-        convex = [
-            s for s in map(set, _subsets(right.events))
-            if s and oracles.brute_convex(P_right, s)
+    def test_names_follow_the_piece_anchors(self):
+        right = CausalSet("pq", [])
+        mids = [right.induced({"p"}), right.induced({"q"})]
+        lefts = [CausalSet(["p", "x"], [("x", "p")]), CausalSet(["q", "x"], [("x", "q")])]
+        glued = glue_pushout(
+            lefts, mids, right,
+            [CausalEmbedding(m, L, {e: e for e in m.events}) for m, L in zip(mids, lefts)],
+            [CausalEmbedding.inclusion(right, m.events) for m in mids],
+        )
+        # "x" is left-only in two pieces: each copy is named after its anchor
+        assert glued.result.events == ("p", "q", "x@p", "x@q")
+        assert [leg.table for leg in glued.left_legs] == [
+            {"p": "p", "x": "x@p"}, {"q": "q", "x": "x@q"},
         ]
-        overlap = set(rng.choice(convex))
-        mid = right.induced(overlap)
-        # build a left poset around an embedded copy of the overlap
-        extra_n = rng.randint(0, 2)
-        left_events = [f"L{i}" for i in range(extra_n)] + [f"m_{e}" for e in sorted(overlap)]
-        mid_renamed = {e: f"m_{e}" for e in sorted(overlap)}
-        relations = [
-            (mid_renamed[a], mid_renamed[b])
-            for a in overlap for b in overlap
-            if a != b and mid.le(a, b)
-        ]
-        for i in range(extra_n):
-            for tgt in list(mid_renamed.values()):
-                if rng.random() < 0.4:
-                    relations.append((f"L{i}", tgt))
-        left = CausalSet(left_events, relations)
-        try:
-            into_left = CausalEmbedding(mid, left, mid_renamed)
-        except ValueError:
-            return  # the random extras broke convexity of the copy
-        into_right = CausalEmbedding.inclusion(right, overlap)
-        glued = glue_pushout([left], [mid], right, [into_left], [into_right])
-        assert isinstance(glued.right_leg, CausalEmbedding)
-        assert isinstance(glued.left_legs[0], CausalEmbedding)
-        assert len(glued.result) == len(left) + len(right) - len(overlap)
-        # overlap events agree through both legs
-        for e in overlap:
-            assert glued.right_leg(e) == glued.left_legs[0](mid_renamed[e])
+
+    @given(gluing_case())
+    @settings(max_examples=100, deadline=None)
+    def test_pushout_matches_the_union_find_oracle(self, case):
+        glued = case.glue()
+        name, Q = oracles.brute_pushout(
+            case.left_oracle, case.right_oracle,
+            [emb.table for emb in case.into_left],
+            [emb.table for emb in case.into_right],
+        )
+        image = {("R", r): glued.right_leg(r) for r in case.right.events}
+        for i, leg in enumerate(glued.left_legs):
+            image.update((("L", i, e), leg(e)) for e in leg.dom.events)
+        assert len(glued.result) == len(Q.events)
+        for a, b in itertools.product(image, repeat=2):
+            assert glued.result.le(image[a], image[b]) == Q.le(name[a], name[b]), (a, b)
+
+    @given(gluing_case(empty_overlaps=False))
+    @settings(max_examples=100, deadline=None)
+    def test_permuting_the_pieces_permutes_the_left_legs(self, case):
+        base = case.glue()
+        for perm in itertools.permutations(range(len(case.mid))):
+            glued = case.permuted(perm).glue()
+            assert glued.result == base.result
+            assert glued.right_leg == base.right_leg
+            assert glued.left_legs == tuple(base.left_legs[p] for p in perm)
 
 
 def _subsets(events):
