@@ -25,6 +25,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .causal_core import (
     CausalEmbedding,
     CausalSet,
+    _is_induced,
     _pinned_maps,
     causal_past,
     chronological_past,
@@ -241,10 +242,9 @@ class Bordism:
 
     @staticmethod
     def _check_collar(emb: CausalEmbedding, ambient: CausalSet, what: str) -> None:
-        events = frozenset(emb.dom.events)
-        if not events <= set(ambient.events):
+        if any(e not in ambient for e in emb.dom.events):
             raise ValueError(f"{what} uses events outside its causal set")
-        if emb.dom != ambient.induced(events):
+        if not _is_induced(emb.dom, ambient):
             raise ValueError(f"{what} does not carry the induced order")
 
     # tokens participate in operads through the .inputs/.output protocol

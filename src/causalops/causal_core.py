@@ -220,6 +220,25 @@ def _member_mask(M: CausalSet, members: Iterable[str]) -> int:
     return mask
 
 
+def _is_induced(sub: CausalSet, M: CausalSet) -> bool:
+    """Does ``sub`` carry the order that ``M`` induces on ``sub``'s events?
+
+    Every event of ``sub`` must be an event of ``M``.  Both event tuples are
+    sorted, so ``sub``'s k-th event sits at ``place[k]`` in ``M``; each
+    up-mask of ``sub``, carried into ``M``, must equal ``M``'s up-mask of
+    that event cut down to ``sub``'s events.  No causal set is built.
+    """
+    place = [M._index[e] for e in sub.events]
+    members = sum(1 << i for i in place)
+    for i, up in zip(place, sub._up):
+        carried = 0
+        for k in sub._bits(up):
+            carried |= 1 << place[k]
+        if carried != M._up[i] & members:
+            return False
+    return True
+
+
 def causal_future(M: CausalSet, members: Iterable[str]) -> frozenset[str]:
     """Reflexive future J+: everything at or after some member."""
     mask = 0

@@ -642,7 +642,16 @@ def _invertible_unaries(O: Operad) -> dict:
 
 
 def iota(O: Operad, max_squares_per_arity: int = 100_000) -> PseudoOperadData:
-    """Fatten an operad: vertical cells are invertible unaries, 2-cells are squares."""
+    """Fatten an operad: vertical cells are invertible unaries, 2-cells are squares.
+
+    Only the window ``O.operations`` is tabulated: a composite of operations,
+    of cells or of nested operations is recorded when its operations lie in
+    the window.  Inner cells are joined on the window's composites: for each
+    square, the inner squares of each slot are walked in enumeration order,
+    and a branch is cut as soon as its inner doms, or its inner cods, begin
+    no inner tuple whose composite is in the window.  So only cell composites
+    that are kept are built, in the order of the full product walk.
+    """
     inverses = _invertible_unaries(O)
     verticals = tuple(inverses)
     objects = FiniteGroupoid(
@@ -717,47 +726,55 @@ def iota(O: Operad, max_squares_per_arity: int = 100_000) -> PseudoOperadData:
             cell_inputs[s] = s.legs
             cell_output[s] = s.out
 
-    window = {op: i for i, op in enumerate(O.operations)}  # op -> its position
+    window = set(O.operations)
     compose_ops: dict = {}
-    compose_cells: dict = {}
     for psi in O.operations:
         for phis in O.composable_inner_tuples(psi):
             composite = O.compose(psi, phis)
             if composite in window:
                 compose_ops[(psi, phis)] = composite
-    # inner cells must hand their output vertical to the matching leg; each
-    # is listed with the positions of its dom and cod
+    # the window's composites as a trie over (outer, inner_1, ..., inner_n):
+    # the node at the end of a path is the composite, so a prefix of inners
+    # with no node has no composite in the window
+    joins: dict = {}
+    for (psi, phis), composite in compose_ops.items():
+        node, path = joins, (psi, *phis)
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = composite
+    # inner cells must hand their output vertical to the matching leg
     feeding: dict = {}
     for m in O.arities:
         for s in squares_by_arity[m]:
-            feeding.setdefault((s.dom.output, s.cod.output, s.out), []).append(
-                (s, window[s.dom], window[s.cod]))
+            feeding.setdefault((s.dom.output, s.cod.output, s.out), []).append(s)
+    compose_cells: dict = {}
+
+    def join(alpha: Square, pools: list, dom, cod, betas: tuple) -> None:
+        # picks in itertools.product order, each branch cut as soon as its
+        # inner doms or inner cods leave the window's trie
+        i = len(betas)
+        if i == len(pools):
+            legs = tuple(itertools.chain.from_iterable(b.legs for b in betas))
+            compose_cells[(alpha, betas)] = Square(dom, cod, legs, alpha.out)
+            return
+        for beta in pools[i]:
+            d = dom.get(beta.dom)
+            if d is None:
+                continue
+            c = cod.get(beta.cod)
+            if c is not None:
+                join(alpha, pools, d, c, betas + (beta,))
+
     for n, squares in squares_by_arity.items():
         for alpha in squares:
-            inner_pools = [
+            dom, cod = joins.get(alpha.dom), joins.get(alpha.cod)
+            if dom is None or cod is None:
+                continue
+            pools = [
                 feeding.get((alpha.dom.inputs[i], alpha.cod.inputs[i], alpha.legs[i]), [])
                 for i in range(n)
             ]
-            # a composite depends only on the inner doms (cods), so each
-            # distinct tuple of them is composed once; None marks a
-            # composite outside the window
-            doms: dict = {}
-            cods: dict = {}
-            for picks in itertools.product(*inner_pools):
-                dom_key = tuple(p[1] for p in picks)
-                if dom_key not in doms:
-                    dom = O.compose(alpha.dom, tuple(p[0].dom for p in picks))
-                    doms[dom_key] = dom if dom in window else None
-                cod_key = tuple(p[2] for p in picks)
-                if cod_key not in cods:
-                    cod = O.compose(alpha.cod, tuple(p[0].cod for p in picks))
-                    cods[cod_key] = cod if cod in window else None
-                dom, cod = doms[dom_key], cods[cod_key]
-                if dom is None or cod is None:
-                    continue
-                betas = tuple(p[0] for p in picks)
-                legs = tuple(itertools.chain.from_iterable(b.legs for b in betas))
-                compose_cells[(alpha, betas)] = Square(dom, cod, legs, alpha.out)
+            join(alpha, pools, dom, cod, ())
 
     unit_ops = {c: O.unit(c) for c in O.colors}
     unit_cells = {
@@ -789,8 +806,8 @@ def iota(O: Operad, max_squares_per_arity: int = 100_000) -> PseudoOperadData:
         chis_pools = [inners_of.get(phi, []) for phi in phis]
         for chis in itertools.product(*chis_pools):
             flat = tuple(itertools.chain.from_iterable(chis))
-            total = O.compose(middle, flat)
-            if total not in window:
+            total = compose_ops.get((middle, flat))
+            if total is None:
                 continue
             g = op_groupoids[len(total.inputs)]
             associators[(psi, phis, chis)] = g.id(total)

@@ -306,3 +306,47 @@ def brute_groupoid_law_witnesses(morphisms, src, tgt, compose, identities, inver
         if comp(h, comp(g, f)) != comp(comp(h, g), f):
             bad.append(f"associativity at ({h},{g},{f})")
     return bad
+
+
+def brute_iota_cells(O, squares) -> tuple[dict, dict]:
+    """The cell composites and associators of ``iota(O)`` by plain product walks.
+
+    ``squares`` lists every square of ``iota(O)`` in its enumeration order.
+    An inner pick for a square ``alpha`` takes, per slot ``i``, any square
+    from ``alpha.dom.inputs[i]`` to ``alpha.cod.inputs[i]`` whose output
+    vertical is ``alpha.legs[i]``; picks are walked in ``itertools.product``
+    order, both composites are built with ``O.compose``, and a pick is kept
+    when both lie among ``O.operations``.  Cells map ``(alpha, betas)`` to
+    ``(dom, cod, legs, out)``.  Associators map ``(psi, phis, chis)`` to the
+    composite operation for every nesting of window composites whose total
+    is in the window, walked the same way.
+    """
+    window = set(O.operations)
+    cells = {}
+    for alpha in squares:
+        pools = [
+            [s for s in squares
+             if (s.dom.output, s.cod.output, s.out) == (a, b, g)]
+            for a, b, g in zip(alpha.dom.inputs, alpha.cod.inputs, alpha.legs)
+        ]
+        for betas in itertools.product(*pools):
+            dom = O.compose(alpha.dom, tuple(b.dom for b in betas))
+            cod = O.compose(alpha.cod, tuple(b.cod for b in betas))
+            if dom in window and cod in window:
+                legs = tuple(leg for b in betas for leg in b.legs)
+                cells[(alpha, betas)] = (dom, cod, legs, alpha.out)
+    composites = {}
+    for psi in O.operations:
+        pools = [[op for op in O.operations if op.output == c] for c in psi.inputs]
+        for phis in itertools.product(*pools):
+            composite = O.compose(psi, phis)
+            if composite in window:
+                composites[(psi, phis)] = composite
+    associators = {}
+    for (psi, phis), middle in composites.items():
+        pools = [[inners for outer, inners in composites if outer == phi] for phi in phis]
+        for chis in itertools.product(*pools):
+            total = O.compose(middle, tuple(chi for inners in chis for chi in inners))
+            if total in window:
+                associators[(psi, phis, chis)] = total
+    return cells, associators

@@ -88,6 +88,32 @@ def merge_bordism() -> Bordism:
     )
 
 
+class TestCollars:
+    """Bordism construction refuses a collar that is not a sub-poset of its carrier."""
+
+    def test_input_collar_must_carry_the_induced_order(self):
+        loose = CausalSet("ab", [])
+        ends = PointedObject(loose, {"a", "b"})
+        source = PointedObject(chain_poset("a", "b"), {"b"})  # the collar drops a < b
+        with pytest.raises(ValueError, match="input collar 0 does not carry the induced order"):
+            Bordism((source,), ends, loose, (CausalEmbedding.identity(loose),),
+                    CausalEmbedding.identity(loose))
+
+    def test_output_collar_must_carry_the_induced_order(self):
+        tight = chain_poset("a", "b")
+        loose = CausalSet("ab", [])
+        target = PointedObject(loose, {"a", "b"})  # the collar adds a < b
+        with pytest.raises(ValueError, match="output collar does not carry the induced order"):
+            Bordism((), target, tight, (), CausalEmbedding.identity(tight))
+
+    def test_collar_events_must_lie_in_the_source(self):
+        carrier = CausalSet("ax", [])
+        ends = PointedObject(carrier, {"a", "x"})
+        with pytest.raises(ValueError, match="input collar 0 uses events outside its causal set"):
+            Bordism((point("a"),), ends, carrier, (CausalEmbedding.identity(carrier),),
+                    CausalEmbedding.identity(carrier))
+
+
 class TestPointedObject:
     def test_surface_must_be_cauchy(self):
         M = chain_poset("a", "b", "c")

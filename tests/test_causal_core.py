@@ -26,6 +26,7 @@ from causalops import (
     is_cauchy_antichain,
     is_cauchy_embedding,
 )
+from causalops.causal_core import _is_induced
 
 import oracles
 from oracles import OraclePoset
@@ -46,6 +47,29 @@ def poset_with_subset(draw, max_events=7):
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     subset = oracles.random_subset(random.Random(seed), events)
     return events, relations, subset
+
+
+@st.composite
+def suborder_case(draw):
+    """A poset, a subset of its events, and an order on that subset.
+
+    The order is the induced one, or the induced one with one cover dropped
+    or with one incomparable pair made comparable (then closed).
+    """
+    events, relations, subset = draw(poset_with_subset())
+    M = CausalSet(events, relations)
+    induced = M.induced(subset)
+    covers = sorted(induced.covers)
+    change = draw(st.sampled_from(["none", "drop", "add"]))
+    if change == "drop":
+        assume(covers)
+        covers.remove(draw(st.sampled_from(covers)))
+    elif change == "add":
+        free = [(a, b) for a, b in itertools.permutations(induced.events, 2)
+                if not induced.comparable(a, b)]
+        assume(free)
+        covers.append(draw(st.sampled_from(free)))
+    return M, CausalSet(subset, covers), change
 
 
 # left event names, shared with the right events so that they collide
@@ -274,6 +298,14 @@ class TestPropertiesAgainstOracle:
         with pytest.raises(ValueError) as raised:
             M.induced(subset | {"zz"})
         assert str(raised.value) == "event 'zz' is not an event of the causal set"
+
+    @given(suborder_case())
+    @settings(max_examples=200, deadline=None)
+    def test_induced_order_test_matches_induced(self, case):
+        M, sub, change = case
+        answer = _is_induced(sub, M)
+        assert answer == (sub == M.induced(sub.events))
+        assert answer == (change == "none")
 
 
 class TestRegionEnumerators:

@@ -8,14 +8,16 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
 
-# Builds the chain and diamond fixtures and prints the concatenated canonical
-# report bytes.  The diamond round trips run in debug mode, so they walk every
-# decoration the context keys by hashed (operation, surfaces) tuples.
+# Builds the chain, diamond and merge fixtures and prints the concatenated
+# canonical report bytes.  The diamond round trips run in debug mode, so they
+# walk every decoration the context keys by hashed (operation, surfaces)
+# tuples; the merge adjunction runs iota, whose inner cells are joined through
+# dicts keyed by operations.
 AUDIT = """
 import sys
-from causalops.bordism import bordism_fragment
+from causalops.bordism import bordism_fragment, truncate_bordisms
 from causalops.operad_kernel import check_operad_axioms
-from causalops.pseudo_operad import check_pseudo_operad
+from causalops.pseudo_operad import check_pseudo_operad, check_two_adjunction
 from causalops.qft_models import Monoid, constant_aqft, constant_fqft
 from causalops.translate import (
     chain_translation_context,
@@ -24,10 +26,11 @@ from causalops.translate import (
     roundtrip_fqft,
     validate_translation_context,
 )
-from test_bordism import chain_bordism
+from test_bordism import chain_bordism, merge_bordism
 
 ctx = chain_translation_context()
 diamond = diamond_translation_context()
+merge = bordism_fragment([merge_bordism()], depth=1, max_ops=128, max_cells=8192)
 reports = [
     validate_translation_context(ctx),
     roundtrip_aqft(constant_aqft(ctx.aqft_fragment, Monoid.cyclic(2)), ctx),
@@ -38,6 +41,7 @@ reports = [
                    diamond, debug=True),
     roundtrip_fqft(constant_fqft(diamond.bordism_fragment, Monoid.cyclic(2)),
                    diamond, debug=True),
+    check_two_adjunction(truncate_bordisms(merge), merge),
 ]
 sys.stdout.write("".join(r.dumps() for r in reports))
 """

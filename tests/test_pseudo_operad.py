@@ -1,12 +1,20 @@
 """Pseudo-operads: fattening, companions, truncation, the strict adjunction."""
 
 import hashlib
+import itertools
+import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from causalops import CausalSet, NotFibrant
 from causalops.bordism import bordism_fragment, truncate_bordisms
-from causalops.operad_kernel import FiniteGroupoid, prefactorization_operad
+from causalops.operad_kernel import (
+    FiniteGroupoid,
+    enumerate_embeddings,
+    prefactorization_operad,
+)
 from causalops.pseudo_operad import (
     PseudoOperadData,
     Square,
@@ -18,6 +26,7 @@ from causalops.pseudo_operad import (
     tau,
     tau_full,
 )
+import oracles
 from test_bordism import chain_bordism, merge_bordism
 from test_operad_kernel import commutative_fold_operad, cyclic_group_operad
 
@@ -53,6 +62,70 @@ class TestIota:
         P.associators[key] = cells[0]  # wrong endpoints, not even globular
         report = check_pseudo_operad(P)
         assert not report.ok
+
+
+def assert_iota_matches_brute_walk(O) -> None:
+    """iota's cell composites and associators, order included, are the product walk's."""
+    P = iota(O)
+    squares = [s for n in sorted(P.op_groupoids) for s in P.op_groupoids[n].morphisms]
+    cells, associators = oracles.brute_iota_cells(O, squares)
+    assert [(key, (c.dom, c.cod, c.legs, c.out)) for key, c in P.compose_cells.items()] \
+        == list(cells.items())
+    identities = [
+        (key, (t, t, tuple(O.unit(c) for c in t.inputs), O.unit(t.output)))
+        for key, t in associators.items()
+    ]
+    assert [(key, (a.dom, a.cod, a.legs, a.out)) for key, a in P.associators.items()] \
+        == identities
+
+
+@st.composite
+def small_prefactorization_operad(draw):
+    """A random poset of at most 4 events and up to two of its convex regions.
+
+    Every color has at most two automorphisms: the cells of ``iota`` grow
+    with the automorphisms of the colors, and the 4-event antichain alone
+    fattens to about 8 million cell composites.
+    """
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n = draw(st.integers(min_value=1, max_value=4))
+    events, relations = oracles.random_poset_data(rng, n, rng.choice([0.15, 0.3, 0.5]))
+    M = CausalSet(events, relations)
+    P = oracles.OraclePoset.build(events, relations)
+    regions = [
+        set(r) for k in range(1, n) for r in itertools.combinations(events, k)
+        if oracles.brute_convex(P, set(r))
+    ]
+    picked = rng.sample(regions, min(len(regions), draw(st.integers(0, 2))))
+    colors = [M] + [M.induced(r) for r in picked]
+    assume(all(len(list(enumerate_embeddings(C, C))) <= 2 for C in colors))
+    return prefactorization_operad(colors, max_arity=2)
+
+
+class TestIotaJoin:
+    @pytest.mark.parametrize("factory", [
+        cyclic_group_operad,
+        commutative_fold_operad,
+        lambda: prefactorization_operad(
+            [CausalSet("p", []), CausalSet("bc", [])], max_arity=2
+        ),
+    ])
+    def test_fixture_operads_match_the_product_walk(self, factory):
+        assert_iota_matches_brute_walk(factory())
+
+    def test_merge_fragment_matches_the_product_walk(self):
+        frag = bordism_fragment([merge_bordism()], depth=1, max_ops=128, max_cells=8192)
+        assert_iota_matches_brute_walk(truncate_bordisms(frag))
+
+    def test_chain_fragment_matches_the_product_walk(self):
+        frag = bordism_fragment([chain_bordism("a", "b", "c")], depth=2,
+                                max_ops=64, max_cells=4096)
+        assert_iota_matches_brute_walk(truncate_bordisms(frag))
+
+    @given(small_prefactorization_operad())
+    @settings(max_examples=100, deadline=None)
+    def test_random_prefactorization_operads_match_the_product_walk(self, O):
+        assert_iota_matches_brute_walk(O)
 
 
 class TestCellIndex:
