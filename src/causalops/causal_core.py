@@ -529,9 +529,14 @@ class CausalEmbedding(MonotoneMap):
 
     def restrict_into(self, members: Iterable[str], target: CausalSet) -> "CausalEmbedding":
         """Restrict the domain to ``members`` and corestrict the codomain to
-        ``target``, the caller's induced sub-poset on a convex region."""
+        ``target``, the caller's induced sub-poset on a convex region.
+
+        When ``members`` is the whole domain, the domain itself is kept."""
         members = frozenset(members)
-        return CausalEmbedding(self.dom.induced(members), target, {e: self(e) for e in members})
+        dom = self.dom
+        if len(members) != len(dom) or not members.issuperset(dom.events):
+            dom = dom.induced(members)
+        return CausalEmbedding(dom, target, {e: self(e) for e in members})
 
 
 def is_cauchy_embedding(emb: CausalEmbedding) -> bool:

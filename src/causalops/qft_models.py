@@ -91,6 +91,11 @@ def canonical_label(obj) -> str:
     return str(obj)
 
 
+def _canonical_pairs(table: Mapping) -> tuple:
+    """The items of a table sorted by the canonical label of their keys."""
+    return tuple(sorted(table.items(), key=lambda kv: canonical_label(kv[0])))
+
+
 # ---- finite monoids -------------------------------------------------------------
 
 
@@ -124,7 +129,7 @@ class Monoid:
         for a, b, c in itertools.product(elems, repeat=3):
             if table[(table[(a, b)], c)] != table[(a, table[(b, c)])]:
                 raise ValueError(f"associativity fails at ({a!r},{b!r},{c!r})")
-        self.pairs = tuple(sorted(table.items(), key=lambda kv: canonical_label(kv[0])))
+        self.pairs = _canonical_pairs(table)
         self._table = table
 
     @classmethod
@@ -226,7 +231,7 @@ class MonoidHom:
                 ab = tuple(m.mul(x, y) for m, x, y in zip(self.doms, a, b))
                 if table[ab] != cod.mul(table[a], table[b]):
                     raise ValueError(f"hom breaks multiplication at {a!r}*{b!r}")
-        self.pairs = tuple(sorted(table.items(), key=lambda kv: canonical_label(kv[0])))
+        self.pairs = _canonical_pairs(table)
         self._table = table
 
     def _shape_check(self, table: dict) -> None:
@@ -251,7 +256,7 @@ class MonoidHom:
         self.cod = cod
         table = dict(table)
         self._shape_check(table)
-        self.pairs = tuple(sorted(table.items(), key=lambda kv: canonical_label(kv[0])))
+        self.pairs = _canonical_pairs(table)
         self._table = table
         return self
 
@@ -290,10 +295,7 @@ class MonoidHom:
 
     def then(self, other: "MonoidHom") -> "MonoidHom":
         """Postcompose with a unary hom."""
-        if other.arity != 1 or other.doms[0] != self.cod:
-            raise ValueError("postcomposition needs a unary hom out of the codomain")
-        return MonoidHom(self.doms, other.cod,
-                         {args: other(v) for args, v in self.pairs})
+        return MonoidHom(*_then_parts(self, other))
 
     @cached_property
     def is_isomorphism(self) -> bool:
@@ -303,10 +305,7 @@ class MonoidHom:
                 and len(values) == len(self.cod.elements))
 
     def inverse(self) -> "MonoidHom":
-        if not self.is_isomorphism:
-            raise ValueError("only bijective unary homs invert")
-        return MonoidHom((self.cod,), self.doms[0],
-                         {(v,): args[0] for args, v in self.pairs})
+        return MonoidHom(*_inverse_parts(self))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MonoidHom):
@@ -333,8 +332,26 @@ class MonoidHom:
         return self._text
 
 
-def compose_monoid_homs(outer: MonoidHom, inners: Sequence[MonoidHom]) -> MonoidHom:
-    """Feed each inner multi-hom into one slot of the outer one."""
+# Each ``_*_parts`` function works out the ``(doms, cod, table)`` of a derived
+# hom from its factors' tables and builds nothing, so the public operations
+# and the translation context's table of homs share one computation.
+
+
+def _then_parts(f: MonoidHom, g: MonoidHom) -> tuple:
+    """``f`` followed by the unary ``g``."""
+    if g.arity != 1 or g.doms[0] != f.cod:
+        raise ValueError("postcomposition needs a unary hom out of the codomain")
+    return f.doms, g.cod, {args: g(v) for args, v in f.pairs}
+
+
+def _inverse_parts(h: MonoidHom) -> tuple:
+    if not h.is_isomorphism:
+        raise ValueError("only bijective unary homs invert")
+    return (h.cod,), h.doms[0], {(v,): args[0] for args, v in h.pairs}
+
+
+def _compose_parts(outer: MonoidHom, inners: Sequence[MonoidHom]) -> tuple:
+    """Each inner multi-hom fed into one slot of the outer one."""
     inners = tuple(inners)
     if len(inners) != outer.arity:
         raise ValueError("arity mismatch in hom composition")
@@ -349,7 +366,18 @@ def compose_monoid_homs(outer: MonoidHom, inners: Sequence[MonoidHom]) -> Monoid
     for combo in itertools.product(*chunks):
         args = tuple(itertools.chain.from_iterable(combo))
         table[args] = outer(*(h(*part) for h, part in zip(inners, combo)))
-    return MonoidHom(doms, outer.cod, table)
+    return doms, outer.cod, table
+
+
+def _is_identity(h: MonoidHom, M: Monoid) -> bool:
+    """Whether ``h`` equals ``MonoidHom.identity(M)``, read off its table."""
+    return (h.doms == (M,) and h.cod == M
+            and all(args[0] == v for args, v in h.pairs))
+
+
+def compose_monoid_homs(outer: MonoidHom, inners: Sequence[MonoidHom]) -> MonoidHom:
+    """Feed each inner multi-hom into one slot of the outer one."""
+    return MonoidHom(*_compose_parts(outer, inners))
 
 
 def permute_monoid_hom(hom: MonoidHom, sigma: Sequence[int]) -> MonoidHom:
@@ -672,6 +700,12 @@ def filtered_colimit_monoids(C: ThinCategory, monoids: Mapping, homs: Mapping,
     legs, which keeps round trips on the nose instead of merely
     isomorphic.
     """
+    return _filtered_colimit(C, monoids, homs, MonoidHom, debug)
+
+
+def _filtered_colimit(C: ThinCategory, monoids: Mapping, homs: Mapping,
+                      hom: Callable[..., MonoidHom], debug: bool) -> MonoidColimit:
+    """:func:`filtered_colimit_monoids`, building each leg as ``hom(doms, cod, table)``."""
     if not is_filtered(C):
         witness = next(
             (
@@ -693,10 +727,11 @@ def filtered_colimit_monoids(C: ThinCategory, monoids: Mapping, homs: Mapping,
 
     values = set(monoids[o] for o in C.objects)
     if len(values) == 1 and all(
-        h == MonoidHom.identity(monoids[a]) for (a, _), h in edges.items()
+        _is_identity(h, monoids[a]) for (a, _), h in edges.items()
     ):
         A = values.pop()
-        legs = {o: MonoidHom.identity(A) for o in C.objects}
+        identity = hom((A,), A, {(e,): e for e in A.elements})
+        legs = {o: identity for o in C.objects}
         members = {e: tuple(sorted(((o, e) for o in C.objects),
                                    key=canonical_label)) for e in A.elements}
         return MonoidColimit(A, legs, members, collapsed=True)
@@ -748,8 +783,8 @@ def filtered_colimit_monoids(C: ThinCategory, monoids: Mapping, homs: Mapping,
     colimit = Monoid(carrier, table, unit,
                      name=f"colim[{len(C.objects)}]")
     legs = {
-        o: MonoidHom.unary(monoids[o], colimit,
-                           {e: find((o, e)) for e in monoids[o].elements})
+        o: hom((monoids[o],), colimit,
+               {(e,): find((o, e)) for e in monoids[o].elements})
         for o in C.objects
     }
 
@@ -786,17 +821,22 @@ def _debug_colimit(C, monoids, edges, legs, members, multiply) -> None:
 def colimit_mediator(colim: MonoidColimit, cocone: Mapping, target: Monoid,
                      *, debug: bool = False) -> MonoidHom:
     """The unique hom out of the colimit through a compatible cocone."""
+    return MonoidHom(*_mediator_parts(colim, cocone, target, debug))
+
+
+def _mediator_parts(colim: MonoidColimit, cocone: Mapping, target: Monoid,
+                    debug: bool) -> tuple:
     table = {}
     for element, mem in colim.class_members.items():
         obj, elt = mem[0]
-        table[element] = cocone[obj](elt)
+        value = table[(element,)] = cocone[obj](elt)
         if debug:
             for o, e in mem:
-                if cocone[o](e) != table[element]:
+                if cocone[o](e) != value:
                     raise AssertionError(
                         f"cocone is not constant on the class of {element}"
                     )
-    return MonoidHom.unary(colim.monoid, target, table)
+    return (colim.monoid,), target, table
 
 
 # ---- model containers ---------------------------------------------------------------
@@ -851,17 +891,16 @@ def _constant_assignment(base: Operad, monoid: Monoid) -> tuple[dict, dict]:
             "operations appear"
         )
     colors = {c: monoid for c in base.colors}
-    ops = {}
-    for psi in base.operations:
-        n = len(psi.inputs)
+    by_arity = {}
+    for n in sorted({len(psi.inputs) for psi in base.operations}):
         table = {}
         for args in itertools.product(monoid.elements, repeat=n):
             value = monoid.unit
             for x in args:
                 value = monoid.mul(value, x)
             table[args] = value
-        ops[psi] = MonoidHom((monoid,) * n, monoid, table)
-    return colors, ops
+        by_arity[n] = MonoidHom((monoid,) * n, monoid, table)
+    return colors, {psi: by_arity[len(psi.inputs)] for psi in base.operations}
 
 
 def constant_aqft(base: Operad, monoid: Monoid) -> QftModel:
@@ -904,8 +943,7 @@ def check_time_slice(model: QftModel, report: Report | None = None) -> Report:
     tgt = base.name
     unit_bad = []
     for c in base.colors:
-        image = assignment.op(base.unit(c))
-        if image != MonoidHom.identity(assignment.color(c)):
+        if not _is_identity(assignment.op(base.unit(c)), assignment.color(c)):
             unit_bad.append(canonical_label(c))
     rep.add("timeslice/units", tgt, FAIL if unit_bad else PASS,
             witness=sorted(unit_bad)[:3] or None)

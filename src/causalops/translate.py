@@ -46,16 +46,20 @@ from .errors import (
 from .operad_kernel import EmbeddingTuple, Operad, prefactorization_operad
 from .pseudo_operad import TauOperation, tau
 from .qft_models import (
+    Monoid,
     MonoidColimit,
     MonoidHom,
     QftModel,
+    _canonical_pairs,
+    _compose_parts,
+    _filtered_colimit,
+    _inverse_parts,
+    _mediator_parts,
+    _then_parts,
     aqft_model,
     canonical_label,
     check_additivity_fqft,
     check_time_slice,
-    colimit_mediator,
-    compose_monoid_homs,
-    filtered_colimit_monoids,
     fqft_model,
     sigma_category,
 )
@@ -235,8 +239,11 @@ def derive_zigzag(b: Bordism, aqft: Operad) -> ZigZag | None:
     return ZigZag(tuple(left), middle, right_in, right_out)
 
 
-def evaluate_zigzag(A: QftModel, zz: ZigZag) -> MonoidHom:
-    """The image of a bordism class in a region model, via its zig-zag."""
+def evaluate_zigzag(A: QftModel, ctx: TranslationContext, zz: ZigZag) -> MonoidHom:
+    """The image of a bordism class in a region model, via its zig-zag.
+
+    Every hom derived on the way is taken from ``ctx``'s table of homs.
+    """
 
     def inverted(leg: EmbeddingTuple) -> MonoidHom:
         h = A.hom(leg)
@@ -244,12 +251,10 @@ def evaluate_zigzag(A: QftModel, zz: ZigZag) -> MonoidHom:
             raise TimeSliceRequired(
                 f"the image of the Cauchy leg {leg} does not invert"
             )
-        return h.inverse()
+        return ctx.inverse(h)
 
-    core = compose_monoid_homs(
-        A.hom(zz.middle), tuple(inverted(leg) for leg in zz.left)
-    )
-    return core.then(inverted(zz.right_in)).then(A.hom(zz.right_out))
+    core = ctx.compose(A.hom(zz.middle), tuple(inverted(leg) for leg in zz.left))
+    return ctx.then(ctx.then(core, inverted(zz.right_in)), A.hom(zz.right_out))
 
 
 # ---- translation contexts --------------------------------------------------------
@@ -265,12 +270,14 @@ class TranslationContext:
     the bridge respects composition of the two fragments is checked by
     :func:`validate_translation_context`.
 
-    The context owns two tables: ``_classes`` sends a bordism to its window
-    class, starts with every class member when the context is built and
-    fills further as translations resolve other bordisms, and
+    The context owns three tables: ``_classes`` sends a bordism to its
+    window class, starts with every class member when the context is built
+    and fills further as translations resolve other bordisms;
     ``_decorations`` sends ``(op, surfaces)`` to its valid later surfaces
     (see :meth:`decorations`) and is read off the window when the context
-    is built.  Both live and die with the context, so a freshly built context
+    is built; and ``_homs`` sends ``(doms, cod, pairs)`` to the monoid hom
+    with that value (see :meth:`hom`), filling as translations derive homs.
+    All three live and die with the context, so a freshly built context
     recomputes everything and no work carries over from one.
     """
 
@@ -280,6 +287,7 @@ class TranslationContext:
     name: str = "translation"
     _classes: dict = field(default_factory=dict, repr=False)
     _decorations: dict = field(default_factory=dict, repr=False)
+    _homs: dict = field(default_factory=dict, repr=False)
 
     @cached_property
     def surface_families(self) -> dict[CausalSet, tuple[frozenset[str], ...]]:
@@ -302,6 +310,33 @@ class TranslationContext:
         returns the same dict.
         """
         return self._decorations.setdefault((op, tuple(surfaces)), {})
+
+    def hom(self, doms: tuple[Monoid, ...], cod: Monoid, table: dict) -> MonoidHom:
+        """The hom ``MonoidHom(doms, cod, table)``, validated once per value.
+
+        A stored hom with the same ``(doms, cod, pairs)`` passed the very
+        checks the constructor would run, which depend on nothing else.  A
+        table that fails them raises the constructor's error and is not
+        stored.  Monoids compare by value, so a stored hom may carry equal
+        monoids under other names.
+        """
+        key = (doms, cod, _canonical_pairs(table))
+        h = self._homs.get(key)
+        if h is None:
+            h = self._homs[key] = MonoidHom(doms, cod, table)
+        return h
+
+    def then(self, f: MonoidHom, g: MonoidHom) -> MonoidHom:
+        """``f.then(g)`` through :meth:`hom`."""
+        return self.hom(*_then_parts(f, g))
+
+    def inverse(self, h: MonoidHom) -> MonoidHom:
+        """``h.inverse()`` through :meth:`hom`."""
+        return self.hom(*_inverse_parts(h))
+
+    def compose(self, outer: MonoidHom, inners) -> MonoidHom:
+        """``compose_monoid_homs(outer, inners)`` through :meth:`hom`."""
+        return self.hom(*_compose_parts(outer, inners))
 
 
 def build_translation_context(aqft: Operad, *,
@@ -446,10 +481,10 @@ def aqft_to_fqft(A: QftModel, ctx: TranslationContext, *,
     ops = {}
     for cls in ctx.bordism_fragment.operations:
         zigzags = ctx.bridge[cls]
-        image = evaluate_zigzag(A, zigzags[0])
+        image = evaluate_zigzag(A, ctx, zigzags[0])
         if debug:
             for zz in zigzags[1:]:
-                if evaluate_zigzag(A, zz) != image:
+                if evaluate_zigzag(A, ctx, zz) != image:
                     raise AssertionError(
                         f"class {cls} depends on the chosen representative"
                     )
@@ -469,7 +504,8 @@ def sigma_colimit(F: QftModel, ctx: TranslationContext,
     surface to a later one; the category is filtered because the maximal
     element antichain bounds everything.  They are read from the context's
     decorations of the unit, whose valid later surfaces over ``a`` are
-    exactly the ``b`` with ``a`` below ``b`` in the category.
+    exactly the ``b`` with ``a`` below ``b`` in the category.  The legs
+    are taken from the context's table of homs.
     """
     C = sigma_category(M)
     monoids = {s: F.value(PointedObject(M, s)) for s in C.objects}
@@ -478,7 +514,7 @@ def sigma_colimit(F: QftModel, ctx: TranslationContext,
         (a, b): F.hom(ctx.decorations(ident, (a,))[b])
         for a, b in C.hom_pairs if a != b
     }
-    return filtered_colimit_monoids(C, monoids, homs, debug=debug)
+    return _filtered_colimit(C, monoids, homs, ctx.hom, debug)
 
 
 def _induced_operation(F: QftModel, ctx: TranslationContext,
@@ -502,15 +538,12 @@ def _induced_operation(F: QftModel, ctx: TranslationContext,
 
     if len(op.maps) == 1:
         source = op.maps[0].dom
-        cocone = {
-            s: MonoidHom.unary(
-                colims[source].legs[s].doms[0], out.monoid,
-                {x: image_through((s,), (x,))
-                 for x in colims[source].legs[s].doms[0].elements},
-            )
-            for s in ctx.surface_families[source]
-        }
-        return colimit_mediator(colims[source], cocone, out.monoid, debug=debug)
+        cocone = {}
+        for s in ctx.surface_families[source]:
+            dom = colims[source].legs[s].doms[0]
+            cocone[s] = ctx.hom((dom,), out.monoid,
+                                {(x,): image_through((s,), (x,)) for x in dom.elements})
+        return ctx.hom(*_mediator_parts(colims[source], cocone, out.monoid, debug))
 
     doms = tuple(colims[m.dom].monoid for m in op.maps)
     table = {}
@@ -531,7 +564,7 @@ def _induced_operation(F: QftModel, ctx: TranslationContext,
                     raise AssertionError(
                         f"{op} depends on the colimit representative at {args}"
                     )
-    return MonoidHom(doms, out.monoid, table)
+    return ctx.hom(doms, out.monoid, table)
 
 
 def fqft_to_aqft(F: QftModel, ctx: TranslationContext, *,
@@ -585,10 +618,10 @@ def translate_transformation_f2a(components: Mapping[PointedObject, MonoidHom],
         cf = sigma_colimit(F, ctx, M, debug=debug)
         cg = sigma_colimit(G, ctx, M, debug=debug)
         cocone = {
-            s: components[PointedObject(M, s)].then(cg.legs[s])
+            s: ctx.then(components[PointedObject(M, s)], cg.legs[s])
             for s in ctx.surface_families[M]
         }
-        out[M] = colimit_mediator(cf, cocone, cg.monoid, debug=debug)
+        out[M] = ctx.hom(*_mediator_parts(cf, cocone, cg.monoid, debug))
     return out
 
 
@@ -710,10 +743,8 @@ def roundtrip_fqft(F: QftModel, ctx: TranslationContext, *,
 
     naturality_bad = []
     for cls in ctx.bordism_fragment.operations:
-        lhs = F.hom(cls).then(iota[cls.output])
-        rhs = compose_monoid_homs(
-            forward.hom(cls), tuple(iota[c] for c in cls.inputs)
-        )
+        lhs = ctx.then(F.hom(cls), iota[cls.output])
+        rhs = ctx.compose(forward.hom(cls), tuple(iota[c] for c in cls.inputs))
         if lhs != rhs:
             naturality_bad.append(str(cls))
     rep.add("roundtrip/naturality", t, FAIL if naturality_bad else PASS,
@@ -733,9 +764,8 @@ def roundtrip_fqft(F: QftModel, ctx: TranslationContext, *,
         if any(not h.is_isomorphism for h in legs) or not pivot.is_isomorphism:
             row_bad.append(f"{cls}: a collar leg does not invert")
             continue
-        composite = compose_monoid_homs(
-            F.hom(middle), tuple(h.inverse() for h in legs)
-        ).then(pivot.inverse()).then(F.hom(right_out))
+        core = ctx.compose(F.hom(middle), tuple(ctx.inverse(h) for h in legs))
+        composite = ctx.then(ctx.then(core, ctx.inverse(pivot)), F.hom(right_out))
         checked += 1
         if composite != F.hom(cls):
             row_bad.append(str(cls))
@@ -754,7 +784,7 @@ def roundtrip_fqft(F: QftModel, ctx: TranslationContext, *,
         )
         square_bad = [
             str(c) for c in ctx.bordism_fragment.colors
-            if components[c].then(iota_g[c]) != iota[c].then(round_components[c])
+            if ctx.then(components[c], iota_g[c]) != ctx.then(iota[c], round_components[c])
         ]
         rep.add("roundtrip/morphisms", t, FAIL if square_bad else PASS,
                 witness=square_bad[:3] or None)

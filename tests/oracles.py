@@ -350,3 +350,22 @@ def brute_iota_cells(O, squares) -> tuple[dict, dict]:
             if total in window:
                 associators[(psi, phis, chis)] = total
     return cells, associators
+
+
+def brute_hom_law_error(doms, cod, table) -> str | None:
+    """The first hom-law failure of a table on a product of monoids, or None.
+
+    ``doms`` are the product factors and ``cod`` the codomain, both with
+    ``unit``, ``mul`` and ``elements``; ``table`` maps every argument tuple
+    to an element of ``cod``.  The unit tuple must go to the unit of
+    ``cod``; then every ordered pair of argument tuples, in the table's own
+    key order with the left one slowest, must multiply factor by factor to
+    an argument tuple whose value is the product of the two values.
+    """
+    if table[tuple(m.unit for m in doms)] != cod.unit:
+        return "hom must preserve the unit"
+    for a, b in itertools.product(list(table), repeat=2):
+        ab = tuple(m.mul(x, y) for m, x, y in zip(doms, a, b))
+        if table[ab] != cod.mul(table[a], table[b]):
+            return f"hom breaks multiplication at {a!r}*{b!r}"
+    return None

@@ -45,6 +45,7 @@ from causalops.qft_models import (
 )
 from causalops.report import PASS, SKIP
 from causalops.translate import (
+    TranslationContext,
     aqft_to_fqft,
     build_translation_context,
     chain_translation_context,
@@ -185,7 +186,7 @@ class TestLaterSurfaces:
     def test_maximal_antichain_always_decorates_the_identity(self, data):
         events, relations = data
         M = CausalSet(events, relations)
-        ident = prefactorization_operad((M,)).unit(M)
+        ident = prefactorization_operad((M,), max_arity=1).unit(M)
         top = frozenset(M.maximal_events)
         for surface in cauchy_antichains(M):
             assert top in later_surfaces(ident, (surface,))
@@ -256,6 +257,99 @@ class TestDecorationTable:
                 for later, cls in table.items():
                     assert cls == ctx.resolve(wrapper_bordism(op, surfaces, later))
                 assert ctx.decorations(op, surfaces) is table
+
+
+CYCLIC = tuple(Monoid.cyclic(n) for n in (1, 2, 3, 4))
+
+
+@st.composite
+def hom_tables(draw):
+    """A table from a product of Z1-Z4 factors into one of them, keys shuffled.
+
+    One draw in four is a lawful hom, ``x`` going to the sum of ``x_i g_i``
+    with every ``g_i`` killed by its factor's order; the others take
+    arbitrary values, so most of them break a law.
+    """
+    doms = tuple(draw(st.lists(st.sampled_from(CYCLIC), max_size=2)))
+    cod = draw(st.sampled_from(CYCLIC))
+    keys = draw(st.permutations(list(itertools.product(*(m.elements for m in doms)))))
+    if draw(st.integers(0, 3)) == 0:
+        gens = [draw(st.sampled_from([g for g in cod.elements if len(m) * g % len(cod) == 0]))
+                for m in doms]
+        values = [sum(x * g for x, g in zip(args, gens)) % len(cod) for args in keys]
+    else:
+        values = draw(st.lists(st.sampled_from(cod.elements),
+                               min_size=len(keys), max_size=len(keys)))
+    return doms, cod, dict(zip(keys, values))
+
+
+def public_zigzag(A, zz) -> MonoidHom:
+    """``evaluate_zigzag`` through the public hom operations, with no context."""
+    core = compose_monoid_homs(A.hom(zz.middle),
+                               tuple(A.hom(leg).inverse() for leg in zz.left))
+    return core.then(A.hom(zz.right_in).inverse()).then(A.hom(zz.right_out))
+
+
+class TestHomTable:
+    @given(hom_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_lookups_match_the_hom_law_oracle(self, drawn):
+        doms, cod, table = drawn
+        chain = chain_translation_context()
+        ctx = TranslationContext(chain.aqft_fragment, chain.bordism_fragment,
+                                 chain.bridge)
+        ctx.hom((cod,), cod, {(e,): e for e in cod.elements})
+        expected = oracles.brute_hom_law_error(doms, cod, table)
+        if expected is None:
+            fresh = MonoidHom(doms, cod, table)
+            found = ctx.hom(doms, cod, table)
+            assert found == fresh and found.pairs == fresh.pairs
+            assert ctx.hom(doms, cod, dict(reversed(table.items()))) is found
+            return
+        with pytest.raises(ValueError) as fresh_error:
+            MonoidHom(doms, cod, table)
+        assert str(fresh_error.value) == expected
+        before = list(ctx._homs.items())
+        with pytest.raises(ValueError) as lookup_error:
+            ctx.hom(doms, cod, table)
+        assert str(lookup_error.value) == expected
+        assert list(ctx._homs.items()) == before
+
+    def test_each_derived_hom_is_validated_once_per_context(self, monkeypatch):
+        built = []
+        real = translate_module.MonoidHom
+
+        def counting(doms, cod, table):
+            h = real(doms, cod, table)
+            built.append(h)
+            return h
+
+        monkeypatch.setattr(translate_module, "MonoidHom", counting)
+        ctx = fresh_diamond_context()
+        for monoid in (Z2, Z3):
+            report = roundtrip_aqft(constant_aqft(ctx.aqft_fragment, monoid), ctx,
+                                    debug=True)
+            assert report.ok, report.failures
+        report = roundtrip_fqft(constant_fqft(ctx.bordism_fragment, Z2), ctx, debug=True)
+        assert report.ok, report.failures
+        assert built and len(set(built)) == len(built) == len(ctx._homs)
+        assert set(built) == set(ctx._homs.values())
+
+        count = len(built)
+        roundtrip_aqft(constant_aqft(ctx.aqft_fragment, Z2), ctx, debug=True)
+        assert len(built) == count
+
+        built.clear()
+        other = fresh_diamond_context()
+        roundtrip_aqft(constant_aqft(other.aqft_fragment, Z2), other, debug=True)
+        assert built and set(built) == set(other._homs.values())
+
+    def test_context_zigzags_equal_the_public_compositions(self):
+        ctx = diamond_translation_context()
+        for model in (skew_model(), constant_aqft(ctx.aqft_fragment, Z3)):
+            for cls in ctx.bordism_fragment.operations:
+                for zz in ctx.bridge[cls]:
+                    assert evaluate_zigzag(model, ctx, zz) == public_zigzag(model, zz)
 
 
 class TestTranslationWindow:
@@ -438,10 +532,10 @@ class TestZigZags:
         op = next(op for op in unary_ops_into(ctx.aqft_fragment, D, fs("b"))
                   if op.maps[0].dom.events == ("b",))
         cls = ctx.resolve(wrapper_bordism(op, (fs("b"),), fs("d")))
-        assert evaluate_zigzag(model, ctx.bridge[cls][0]) == times(2)
+        assert evaluate_zigzag(model, ctx, ctx.bridge[cls][0]) == times(2)
         shift = ctx.resolve(wrapper_bordism(ctx.aqft_fragment.unit(D),
                                             (fs("a"),), fs("d")))
-        assert evaluate_zigzag(model, ctx.bridge[shift][0]) == times(1)
+        assert evaluate_zigzag(model, ctx, ctx.bridge[shift][0]) == times(1)
 
     def test_noninvertible_cauchy_leg_raises(self):
         ctx = diamond_translation_context()
@@ -458,7 +552,7 @@ class TestZigZags:
              for op in ctx.aqft_fragment.operations},
         )
         with pytest.raises(TimeSliceRequired, match="does not invert"):
-            evaluate_zigzag(crippled, zz)
+            evaluate_zigzag(crippled, ctx, zz)
 
 
 class TestContexts:
@@ -474,8 +568,6 @@ class TestContexts:
         thinned = dict(ctx.bridge)
         dropped = next(iter(thinned))
         del thinned[dropped]
-        from causalops.translate import TranslationContext
-
         broken = TranslationContext(ctx.aqft_fragment, ctx.bordism_fragment,
                                     thinned, name="broken")
         report = validate_translation_context(broken)
@@ -533,7 +625,7 @@ class TestAqftToFqft:
         ctx = diamond_translation_context()
         model = skew_model()
         for cls in ctx.bordism_fragment.operations:
-            images = {evaluate_zigzag(model, zz) for zz in ctx.bridge[cls]}
+            images = {evaluate_zigzag(model, ctx, zz) for zz in ctx.bridge[cls]}
             assert len(images) == 1, str(cls)
 
     def test_skew_images(self):
