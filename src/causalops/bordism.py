@@ -38,7 +38,7 @@ from .causal_core import (
     is_cauchy_embedding,
 )
 from .errors import FragmentCapExceeded, InvalidComposite, InvalidSurface
-from .operad_kernel import FiniteGroupoid, Operad, apply_permutation
+from .operad_kernel import EmbeddingTuple, FiniteGroupoid, Operad, apply_permutation
 from .pseudo_operad import PseudoOperadData, TauOperation, tau
 from .report import FAIL, PASS, Report
 
@@ -48,6 +48,7 @@ __all__ = [
     "enumerate_germs",
     "Bordism",
     "unit_bordism",
+    "wrapper_bordism",
     "validate_bordism",
     "OverhangRegions",
     "overhang_regions",
@@ -325,6 +326,33 @@ def unit_bordism(obj: PointedObject) -> Bordism:
     """The identity bordism: the carrier itself with full collars."""
     ident = CausalEmbedding.identity(obj.carrier)
     return Bordism((obj,), obj, obj.carrier, (ident,), ident)
+
+
+def wrapper_bordism(op: EmbeddingTuple, surfaces, later) -> Bordism:
+    """The full-collar bordism presenting ``op`` between decorated colors.
+
+    The carrier is the target of the embedding tuple itself, every collar is
+    the whole causal set, and the output map is the identity; only the
+    choice of input surfaces and of the later output surface varies.
+
+    ``surfaces[i]`` is a Cauchy antichain of ``op.maps[i].dom`` in the
+    domain's own event names, not its image in the target; ``later`` is a
+    Cauchy antichain of ``op.target`` in the target's names.  An input
+    surface naming events outside its domain raises :class:`InvalidSurface`.
+    """
+    for i, (m, s) in enumerate(zip(op.maps, surfaces)):
+        stray = frozenset(s).difference(m.dom.events)
+        if stray:
+            raise InvalidSurface(
+                f"input surface {sorted(s)} of map {i} names {sorted(stray)}, "
+                f"which are not events of its domain {list(m.dom.events)}; "
+                "input surfaces use the domain's own event names"
+            )
+    sources = tuple(
+        PointedObject(m.dom, s) for m, s in zip(op.maps, surfaces)
+    )
+    return Bordism(sources, PointedObject(op.target, later), op.target,
+                   op.maps, CausalEmbedding.identity(op.target))
 
 
 def validate_bordism(b: Bordism, report: Report | None = None) -> Report:

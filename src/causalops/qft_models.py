@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-from .bordism import Bordism, PointedObject, resolve_bordism_class
+from .bordism import Bordism, PointedObject, resolve_bordism_class, wrapper_bordism
 from .causal_core import (
     CausalEmbedding,
     CausalSet,
@@ -688,8 +688,8 @@ def _diagram_edges(C: ThinCategory, monoids: Mapping,
     return edges
 
 
-def filtered_colimit_monoids(C: ThinCategory, monoids: Mapping, homs: Mapping,
-                             *, debug: bool = False) -> MonoidColimit:
+def filtered_colimit_monoids(C: ThinCategory, monoids: Mapping,
+                             homs: Mapping) -> MonoidColimit:
     """Colimit of a monoid diagram over a filtered thin category.
 
     The carrier is the disjoint union of the diagram carriers modulo the
@@ -698,13 +698,16 @@ def filtered_colimit_monoids(C: ThinCategory, monoids: Mapping, homs: Mapping,
     common upper object.  A diagram that is constant at one monoid with
     identity transitions collapses to that exact monoid with identity
     legs, which keeps round trips on the nose instead of merely
-    isomorphic.
+    isomorphic.  A colimit that does not collapse, over at most five
+    objects, is always re-verified by brute force: the legs form a cocone,
+    they are jointly surjective, and the product does not depend on the
+    chosen upper bound.
     """
-    return _filtered_colimit(C, monoids, homs, MonoidHom, debug)
+    return _filtered_colimit(C, monoids, homs, MonoidHom)
 
 
 def _filtered_colimit(C: ThinCategory, monoids: Mapping, homs: Mapping,
-                      hom: Callable[..., MonoidHom], debug: bool) -> MonoidColimit:
+                      hom: Callable[..., MonoidHom]) -> MonoidColimit:
     """:func:`filtered_colimit_monoids`, building each leg as ``hom(doms, cod, table)``."""
     if not is_filtered(C):
         witness = next(
@@ -788,12 +791,12 @@ def _filtered_colimit(C: ThinCategory, monoids: Mapping, homs: Mapping,
         for o in C.objects
     }
 
-    if debug and len(C.objects) <= 5:
-        _debug_colimit(C, monoids, edges, legs, members, multiply)
+    if len(C.objects) <= 5:
+        _verify_colimit(C, monoids, edges, legs, members, multiply)
     return MonoidColimit(colimit, legs, members, collapsed=False)
 
 
-def _debug_colimit(C, monoids, edges, legs, members, multiply) -> None:
+def _verify_colimit(C, monoids, edges, legs, members, multiply) -> None:
     """Brute-force re-verification of the universal-property ingredients."""
     for (a, b), h in edges.items():
         for e in monoids[a].elements:
@@ -818,24 +821,26 @@ def _debug_colimit(C, monoids, edges, legs, members, multiply) -> None:
                             )
 
 
-def colimit_mediator(colim: MonoidColimit, cocone: Mapping, target: Monoid,
-                     *, debug: bool = False) -> MonoidHom:
-    """The unique hom out of the colimit through a compatible cocone."""
-    return MonoidHom(*_mediator_parts(colim, cocone, target, debug))
+def colimit_mediator(colim: MonoidColimit, cocone: Mapping,
+                     target: Monoid) -> MonoidHom:
+    """The unique hom out of the colimit through a compatible cocone.
+
+    Compatibility is always checked: a cocone that is not constant on some
+    colimit class raises.
+    """
+    return MonoidHom(*_mediator_parts(colim, cocone, target))
 
 
-def _mediator_parts(colim: MonoidColimit, cocone: Mapping, target: Monoid,
-                    debug: bool) -> tuple:
+def _mediator_parts(colim: MonoidColimit, cocone: Mapping, target: Monoid) -> tuple:
     table = {}
     for element, mem in colim.class_members.items():
         obj, elt = mem[0]
         value = table[(element,)] = cocone[obj](elt)
-        if debug:
-            for o, e in mem:
-                if cocone[o](e) != value:
-                    raise AssertionError(
-                        f"cocone is not constant on the class of {element}"
-                    )
+        for o, e in mem:
+            if cocone[o](e) != value:
+                raise AssertionError(
+                    f"cocone is not constant on the class of {element}"
+                )
     return (colim.monoid,), target, table
 
 
@@ -968,8 +973,7 @@ def check_time_slice(model: QftModel, report: Report | None = None) -> Report:
 
 def _additivity_verdict(rep: Report, tgt: str, C: ThinCategory,
                         available: list, value: Monoid,
-                        diagram: Callable, comparison_legs: Callable,
-                        debug: bool) -> Report:
+                        diagram: Callable, comparison_legs: Callable) -> Report:
     """Shared trunk: restrict, take the colimit, compare against the value."""
     if C.is_empty:
         rep.add("additivity/region-category", tgt, DEGENERATE,
@@ -1002,10 +1006,10 @@ def _additivity_verdict(rep: Report, tgt: str, C: ThinCategory,
     rep.add("additivity/region-category", tgt, PASS)
 
     monoids, homs = diagram(sub)
-    colim = filtered_colimit_monoids(sub, monoids, homs, debug=debug)
+    colim = filtered_colimit_monoids(sub, monoids, homs)
     legs = comparison_legs(sub)
     try:
-        comparison = colimit_mediator(colim, legs, value, debug=debug)
+        comparison = colimit_mediator(colim, legs, value)
     except ValueError as err:
         rep.add("additivity/comparison", tgt, FAIL,
                 witness=f"comparison is not a hom: {err}")
@@ -1025,7 +1029,7 @@ def _additivity_verdict(rep: Report, tgt: str, C: ThinCategory,
     return rep
 
 
-def check_additivity_aqft(A: QftModel, M: CausalSet, *, debug: bool = False,
+def check_additivity_aqft(A: QftModel, M: CausalSet, *,
                           report: Report | None = None) -> Report:
     """The value at M must be the colimit over its fragment subregions.
 
@@ -1068,11 +1072,10 @@ def check_additivity_aqft(A: QftModel, M: CausalSet, *, debug: bool = False,
     proper_only = ThinCategory(proper, lambda a, b: a <= b) if proper else \
         ThinCategory((), ())
     return _additivity_verdict(rep, tgt, proper_only, available, A.value(M),
-                               diagram, comparison_legs, debug)
+                               diagram, comparison_legs)
 
 
 def check_additivity_fqft(F: QftModel, MS: PointedObject, *,
-                          debug: bool = False,
                           report: Report | None = None) -> Report:
     """The value at a pointed region must be the colimit below its surface.
 
@@ -1096,31 +1099,26 @@ def check_additivity_fqft(F: QftModel, MS: PointedObject, *,
     def pointed(obj: tuple) -> PointedObject:
         return PointedObject(M.induced(obj[0]), obj[1])
 
-    def wrapper_into(obj: tuple, target: PointedObject) -> Bordism:
-        carrier = target.carrier
-        emb = CausalEmbedding(M.induced(obj[0]), carrier,
-                              {e: e for e in obj[0]})
-        return Bordism((pointed(obj),), target, carrier, (emb,),
-                       CausalEmbedding.identity(carrier))
+    def hom_into(obj: tuple, target: PointedObject) -> MonoidHom:
+        op = EmbeddingTuple(
+            (CausalEmbedding.inclusion(target.carrier, obj[0]),), target.carrier
+        )
+        b = wrapper_bordism(op, (obj[1],), target.surface)
+        return F.hom(resolve_bordism_class(F.base, b))
 
     def diagram(sub: ThinCategory):
         monoids = {o: F.value(pointed(o)) for o in sub.objects}
-        homs = {}
-        for a, b in sub.hom_pairs:
-            if a == b:
-                continue
-            cls = resolve_bordism_class(F.base, wrapper_into(a, pointed(b)))
-            homs[(a, b)] = F.hom(cls)
+        homs = {
+            (a, b): hom_into(a, pointed(b))
+            for a, b in sub.hom_pairs if a != b
+        }
         return monoids, homs
 
     def comparison_legs(sub: ThinCategory):
-        return {
-            o: F.hom(resolve_bordism_class(F.base, wrapper_into(o, MS)))
-            for o in sub.objects
-        }
+        return {o: hom_into(o, MS) for o in sub.objects}
 
     return _additivity_verdict(rep, tgt, C, available, F.value(MS),
-                               diagram, comparison_legs, debug)
+                               diagram, comparison_legs)
 
 
 # ---- causal commutation --------------------------------------------------------------

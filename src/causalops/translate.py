@@ -33,12 +33,12 @@ from .bordism import (
     _window_data,
     resolve_bordism_class,
     validate_bordism,
+    wrapper_bordism,
 )
 from .causal_core import CausalEmbedding, CausalSet, cauchy_antichains
 from .errors import (
     AdditivityRequired,
     FragmentCapExceeded,
-    InvalidSurface,
     NoLaterSurface,
     NotFiltered,
     TimeSliceRequired,
@@ -50,7 +50,6 @@ from .qft_models import (
     MonoidColimit,
     MonoidHom,
     QftModel,
-    _canonical_pairs,
     _compose_parts,
     _filtered_colimit,
     _inverse_parts,
@@ -96,33 +95,6 @@ def _surfaces(M: CausalSet) -> tuple[frozenset[str], ...]:
     return tuple(sorted(cauchy_antichains(M), key=canonical_label))
 
 
-def wrapper_bordism(op: EmbeddingTuple, surfaces, later) -> Bordism:
-    """The full-collar bordism presenting ``op`` between decorated colors.
-
-    The carrier is the target of the embedding tuple itself, every collar is
-    the whole causal set, and the output map is the identity; only the
-    choice of input surfaces and of the later output surface varies.
-
-    ``surfaces[i]`` is a Cauchy antichain of ``op.maps[i].dom`` in the
-    domain's own event names, not its image in the target; ``later`` is a
-    Cauchy antichain of ``op.target`` in the target's names.  An input
-    surface naming events outside its domain raises :class:`InvalidSurface`.
-    """
-    for i, (m, s) in enumerate(zip(op.maps, surfaces)):
-        stray = frozenset(s).difference(m.dom.events)
-        if stray:
-            raise InvalidSurface(
-                f"input surface {sorted(s)} of map {i} names {sorted(stray)}, "
-                f"which are not events of its domain {list(m.dom.events)}; "
-                "input surfaces use the domain's own event names"
-            )
-    sources = tuple(
-        PointedObject(m.dom, s) for m, s in zip(op.maps, surfaces)
-    )
-    return Bordism(sources, PointedObject(op.target, later), op.target,
-                   op.maps, CausalEmbedding.identity(op.target))
-
-
 def _valid_wrappers(op: EmbeddingTuple, surfaces):
     """Each valid later surface of ``(op, surfaces)`` with its wrapper, in order."""
     for later in _surfaces(op.target):
@@ -140,22 +112,10 @@ def later_surfaces(op: EmbeddingTuple,
     A decoration is valid when the wrapper bordism passes the surface-order
     condition: non-Cauchy input images must lie strictly below it, a single
     Cauchy input merely non-strictly.  Results are sorted canonically, so
-    the first entry is the canonical choice; independence of the choice is
-    re-verified in debug mode by the consumers.
+    the first entry is the canonical choice; :func:`fqft_to_aqft` with
+    ``debug=True`` checks that every other entry induces the same operation.
     """
     return tuple(later for later, _ in _valid_wrappers(op, surfaces))
-
-
-def _surface_choices(ctx: TranslationContext, op: EmbeddingTuple,
-                     surfaces) -> dict[frozenset[str], TauOperation]:
-    """``ctx.decorations(op, surfaces)``, refusing an empty one."""
-    choices = ctx.decorations(op, surfaces)
-    if not choices:
-        raise NoLaterSurface(
-            f"no Cauchy antichain of {op.target!r} lies above the surface "
-            f"images {[sorted(s) for s in surfaces]} of {op}"
-        )
-    return choices
 
 
 # ---- the window of wrapper classes ----------------------------------------------
@@ -202,13 +162,44 @@ class ZigZag:
     inward collar legs are inverted, the carrier acts through ``middle``,
     and the outward collar legs push into the output region.  The two left
     pointing legs (``left`` and ``right_in``) are Cauchy, so time-slice
-    models make them invertible.
+    models make them invertible.  The legs of a bridge entry are region
+    operations; the legs of a collar row (see :func:`roundtrip_fqft`) are
+    the window classes of their wrappers.
     """
 
-    left: tuple[EmbeddingTuple, ...]
-    middle: EmbeddingTuple
-    right_in: EmbeddingTuple
-    right_out: EmbeddingTuple
+    left: tuple
+    middle: object
+    right_in: object
+    right_out: object
+
+    @property
+    def legs(self) -> tuple:
+        return self.left + (self.middle, self.right_in, self.right_out)
+
+    def map(self, f) -> ZigZag:
+        return ZigZag(tuple(f(leg) for leg in self.left), f(self.middle),
+                      f(self.right_in), f(self.right_out))
+
+
+def _collar_legs(b: Bordism) -> ZigZag:
+    """The collar decomposition of ``b``, each leg with its wrapper decoration.
+
+    A leg is ``(op, surfaces, later)``: a region operation with the input
+    and output surfaces that :func:`wrapper_bordism` decorates it with.
+    """
+    def inclusion(obj: PointedObject, collar) -> tuple:
+        op = EmbeddingTuple((CausalEmbedding.inclusion(obj.carrier, collar),),
+                            obj.carrier)
+        return op, (obj.surface,), obj.surface
+
+    through = b.out_surface_image
+    return ZigZag(
+        tuple(inclusion(src, c) for src, c in zip(b.sources, b.in_collars)),
+        (EmbeddingTuple(b.maps_in, b.carrier),
+         tuple(src.surface for src in b.sources), through),
+        (EmbeddingTuple((b.map_out,), b.carrier), (b.target.surface,), through),
+        inclusion(b.target, b.out_collar),
+    )
 
 
 def derive_zigzag(b: Bordism, aqft: Operad) -> ZigZag | None:
@@ -218,34 +209,21 @@ def derive_zigzag(b: Bordism, aqft: Operad) -> ZigZag | None:
     fragment, which happens exactly for proper collars around colors that
     the window does not carry.
     """
+    zz = _collar_legs(b).map(lambda leg: leg[0])
     window = set(aqft.operations)
-    left = []
-    for src, collar in zip(b.sources, b.in_collars):
-        leg = EmbeddingTuple(
-            (CausalEmbedding.inclusion(src.carrier, collar),), src.carrier
-        )
-        if leg not in window:
-            return None
-        left.append(leg)
-    middle = EmbeddingTuple(b.maps_in, b.carrier)
-    right_in = EmbeddingTuple((b.map_out,), b.carrier)
-    right_out = EmbeddingTuple(
-        (CausalEmbedding.inclusion(b.target.carrier, b.out_collar),),
-        b.target.carrier,
-    )
-    for leg in (middle, right_in, right_out):
-        if leg not in window:
-            return None
-    return ZigZag(tuple(left), middle, right_in, right_out)
+    return zz if all(leg in window for leg in zz.legs) else None
 
 
 def evaluate_zigzag(A: QftModel, ctx: TranslationContext, zz: ZigZag) -> MonoidHom:
-    """The image of a bordism class in a region model, via its zig-zag.
+    """The image of a zig-zag in a model whose base carries its legs.
 
-    Every hom derived on the way is taken from ``ctx``'s table of homs.
+    A region model reads a bridge entry and a surface model a collar row;
+    a left pointing leg whose image does not invert raises
+    :class:`TimeSliceRequired`.  Every hom derived on the way is taken from
+    ``ctx``'s table of homs.
     """
 
-    def inverted(leg: EmbeddingTuple) -> MonoidHom:
+    def inverted(leg) -> MonoidHom:
         h = A.hom(leg)
         if not h.is_isomorphism:
             raise TimeSliceRequired(
@@ -275,8 +253,9 @@ class TranslationContext:
     and fills further as translations resolve other bordisms;
     ``_decorations`` sends ``(op, surfaces)`` to its valid later surfaces
     (see :meth:`decorations`) and is read off the window when the context
-    is built; and ``_homs`` sends ``(doms, cod, pairs)`` to the monoid hom
-    with that value (see :meth:`hom`), filling as translations derive homs.
+    is built; and ``_homs`` sends ``(doms, cod, items)``, the items of a
+    table as a frozenset, to the monoid hom with that value (see
+    :meth:`hom`), filling as translations derive homs.
     All three live and die with the context, so a freshly built context
     recomputes everything and no work carries over from one.
     """
@@ -314,13 +293,13 @@ class TranslationContext:
     def hom(self, doms: tuple[Monoid, ...], cod: Monoid, table: dict) -> MonoidHom:
         """The hom ``MonoidHom(doms, cod, table)``, validated once per value.
 
-        A stored hom with the same ``(doms, cod, pairs)`` passed the very
-        checks the constructor would run, which depend on nothing else.  A
-        table that fails them raises the constructor's error and is not
-        stored.  Monoids compare by value, so a stored hom may carry equal
-        monoids under other names.
+        A stored hom with the same ``(doms, cod)`` and the same table, in
+        any key order, passed the very checks the constructor would run,
+        which depend on nothing else.  A table that fails them raises the
+        constructor's error and is not stored.  Monoids compare by value, so
+        a stored hom may carry equal monoids under other names.
         """
-        key = (doms, cod, _canonical_pairs(table))
+        key = (doms, cod, frozenset(table.items()))
         h = self._homs.get(key)
         if h is None:
             h = self._homs[key] = MonoidHom(doms, cod, table)
@@ -402,8 +381,7 @@ def validate_translation_context(ctx: TranslationContext,
             bridge_bad.append(f"{cls} has no zig-zag")
             continue
         for zz in zigzags:
-            legs = zz.left + (zz.middle, zz.right_in, zz.right_out)
-            bad = [leg for leg in legs if leg not in region_ops]
+            bad = [leg for leg in zz.legs if leg not in region_ops]
             if bad:
                 bridge_bad.append(f"{cls} leg {bad[0]} escapes the fragment")
     rep.add("context/bridge", t, FAIL if bridge_bad else PASS,
@@ -465,9 +443,10 @@ def aqft_to_fqft(A: QftModel, ctx: TranslationContext, *,
     """Translate a region model into a surface model over the same context.
 
     Colors forget their surface; classes evaluate through the canonical
-    zig-zag of their least member.  Debug mode recomputes every member's
-    zig-zag and insists the images agree, which is the representative
-    independence that validity plus time-slice guarantees.
+    zig-zag of their least member.  The time-slice gate always runs;
+    ``debug=True`` selects only the re-check of representative
+    independence, which validity plus time-slice guarantees: every other
+    member's zig-zag is evaluated and its image must agree.
     """
     if A.base is not ctx.aqft_fragment:
         raise ValueError("model lives on a different region fragment")
@@ -497,7 +476,7 @@ def aqft_to_fqft(A: QftModel, ctx: TranslationContext, *,
 
 
 def sigma_colimit(F: QftModel, ctx: TranslationContext,
-                  M: CausalSet, *, debug: bool = False) -> MonoidColimit:
+                  M: CausalSet) -> MonoidColimit:
     """Colimit of the surface values of F over the Cauchy antichains of M.
 
     Transition homs are the images of the identity wrappers shifting one
@@ -514,18 +493,43 @@ def sigma_colimit(F: QftModel, ctx: TranslationContext,
         (a, b): F.hom(ctx.decorations(ident, (a,))[b])
         for a, b in C.hom_pairs if a != b
     }
-    return _filtered_colimit(C, monoids, homs, ctx.hom, debug)
+    return _filtered_colimit(C, monoids, homs, ctx.hom)
 
 
-def _induced_operation(F: QftModel, ctx: TranslationContext,
-                       colims: Mapping[CausalSet, MonoidColimit],
-                       op: EmbeddingTuple, debug: bool) -> MonoidHom:
-    """One region operation, induced on the colimits via wrapper classes."""
-    out = colims[op.target]
+def _sigma_colimits(F: QftModel, ctx: TranslationContext) -> dict:
+    """:func:`sigma_colimit` of F at every region color."""
+    return {M: sigma_colimit(F, ctx, M) for M in ctx.aqft_fragment.colors}
 
-    def image_through(surfaces, args):
-        choices = iter(_surface_choices(ctx, op, surfaces).items())
+
+def _region_colimits(F: QftModel, ctx: TranslationContext) -> dict:
+    """The colimits :func:`fqft_to_aqft` builds on, once F passes its gates."""
+    if F.base is not ctx.bordism_fragment:
+        raise ValueError("model lives on a different bordism window")
+    for color in ctx.bordism_fragment.colors:
+        gate = check_additivity_fqft(F, color)
+        if not gate.ok:
+            first = gate.failures[0]
+            raise AdditivityRequired(
+                f"additivity fails at {color}: {first.witness}"
+            )
+    return _sigma_colimits(F, ctx)
+
+
+def _induced_model(F: QftModel, ctx: TranslationContext,
+                   colims: Mapping[CausalSet, MonoidColimit],
+                   debug: bool) -> QftModel:
+    """The region model on ``colims``, operations induced via wrapper classes."""
+
+    def image_through(op, surfaces, args):
+        decorations = ctx.decorations(op, surfaces)
+        if not decorations:
+            raise NoLaterSurface(
+                f"no Cauchy antichain of {op.target!r} lies above the surface "
+                f"images {[sorted(s) for s in surfaces]} of {op}"
+            )
+        choices = iter(decorations.items())
         later, cls = next(choices)
+        out = colims[op.target]
         value = out.legs[later](F.hom(cls)(*args))
         if debug:
             for alt, alt_cls in choices:
@@ -536,35 +540,38 @@ def _induced_operation(F: QftModel, ctx: TranslationContext,
                     )
         return value
 
-    if len(op.maps) == 1:
-        source = op.maps[0].dom
-        cocone = {}
-        for s in ctx.surface_families[source]:
-            dom = colims[source].legs[s].doms[0]
-            cocone[s] = ctx.hom((dom,), out.monoid,
-                                {(x,): image_through((s,), (x,)) for x in dom.elements})
-        return ctx.hom(*_mediator_parts(colims[source], cocone, out.monoid, debug))
+    def induced(op: EmbeddingTuple) -> MonoidHom:
+        out = colims[op.target].monoid
+        if len(op.maps) == 1:
+            source = op.maps[0].dom
+            cocone = {}
+            for s in ctx.surface_families[source]:
+                dom = colims[source].legs[s].doms[0]
+                cocone[s] = ctx.hom((dom,), out, {
+                    (x,): image_through(op, (s,), (x,)) for x in dom.elements
+                })
+            return ctx.hom(*_mediator_parts(colims[source], cocone, out))
 
-    doms = tuple(colims[m.dom].monoid for m in op.maps)
-    table = {}
-    for args in itertools.product(*(m.elements for m in doms)):
-        atoms = tuple(
-            colims[m.dom].class_members[x][0] for m, x in zip(op.maps, args)
-        )
-        surfaces = tuple(a[0] for a in atoms)
-        lifts = tuple(a[1] for a in atoms)
-        table[args] = image_through(surfaces, lifts)
-        if debug:
-            pools = [colims[m.dom].class_members[x]
-                     for m, x in zip(op.maps, args)]
-            for combo in itertools.product(*pools):
-                alt = image_through(tuple(c[0] for c in combo),
-                                    tuple(c[1] for c in combo))
-                if alt != table[args]:
-                    raise AssertionError(
-                        f"{op} depends on the colimit representative at {args}"
-                    )
-    return ctx.hom(doms, out.monoid, table)
+        doms = tuple(colims[m.dom].monoid for m in op.maps)
+        table = {}
+        for args in itertools.product(*(m.elements for m in doms)):
+            pools = [colims[m.dom].class_members[x] for m, x in zip(op.maps, args)]
+            table[args] = image_through(op, tuple(p[0][0] for p in pools),
+                                        tuple(p[0][1] for p in pools))
+            if debug:
+                for combo in itertools.product(*pools):
+                    alt = image_through(op, tuple(c[0] for c in combo),
+                                        tuple(c[1] for c in combo))
+                    if alt != table[args]:
+                        raise AssertionError(
+                            f"{op} depends on the colimit representative at {args}"
+                        )
+        return ctx.hom(doms, out, table)
+
+    colors = {M: colims[M].monoid for M in ctx.aqft_fragment.colors}
+    ops = {op: induced(op) for op in ctx.aqft_fragment.operations}
+    return aqft_model(ctx.aqft_fragment, colors, ops,
+                      name=f"regions({ctx.name})")
 
 
 def fqft_to_aqft(F: QftModel, ctx: TranslationContext, *,
@@ -575,28 +582,12 @@ def fqft_to_aqft(F: QftModel, ctx: TranslationContext, *,
     classes decorated with the canonical later surface.  Additivity of F
     is required up front, and the search for a later surface fails only
     when an input image touches the top of its target region, which the
-    shipped contexts exclude by construction.
+    shipped contexts exclude by construction.  The additivity gate and the
+    colimit checks always run; ``debug=True`` selects only the re-check
+    that the operations depend neither on the later surface chosen nor on
+    the colimit representatives of their arguments.
     """
-    if F.base is not ctx.bordism_fragment:
-        raise ValueError("model lives on a different bordism window")
-    for color in ctx.bordism_fragment.colors:
-        gate = check_additivity_fqft(F, color, debug=debug)
-        if not gate.ok:
-            first = gate.failures[0]
-            raise AdditivityRequired(
-                f"additivity fails at {color}: {first.witness}"
-            )
-    colims = {
-        M: sigma_colimit(F, ctx, M, debug=debug)
-        for M in ctx.aqft_fragment.colors
-    }
-    colors = {M: colims[M].monoid for M in ctx.aqft_fragment.colors}
-    ops = {
-        op: _induced_operation(F, ctx, colims, op, debug)
-        for op in ctx.aqft_fragment.operations
-    }
-    return aqft_model(ctx.aqft_fragment, colors, ops,
-                      name=f"regions({ctx.name})")
+    return _induced_model(F, ctx, _region_colimits(F, ctx), debug)
 
 
 # ---- transformations across the bridge --------------------------------------------
@@ -610,18 +601,23 @@ def translate_transformation_a2f(components: Mapping[CausalSet, MonoidHom],
 
 def translate_transformation_f2a(components: Mapping[PointedObject, MonoidHom],
                                  F: QftModel, G: QftModel,
-                                 ctx: TranslationContext, *,
-                                 debug: bool = False) -> dict:
+                                 ctx: TranslationContext) -> dict:
     """Push a surface transformation to the region colimits by mediation."""
+    return _mediate_transformation(components, _sigma_colimits(F, ctx),
+                                   _sigma_colimits(G, ctx), ctx)
+
+
+def _mediate_transformation(components, colims_f: Mapping, colims_g: Mapping,
+                            ctx: TranslationContext) -> dict:
+    """:func:`translate_transformation_f2a` on colimits already built."""
     out = {}
     for M in ctx.aqft_fragment.colors:
-        cf = sigma_colimit(F, ctx, M, debug=debug)
-        cg = sigma_colimit(G, ctx, M, debug=debug)
+        cf, cg = colims_f[M], colims_g[M]
         cocone = {
             s: ctx.then(components[PointedObject(M, s)], cg.legs[s])
             for s in ctx.surface_families[M]
         }
-        out[M] = ctx.hom(*_mediator_parts(cf, cocone, cg.monoid, debug))
+        out[M] = ctx.hom(*_mediator_parts(cf, cocone, cg.monoid))
     return out
 
 
@@ -637,12 +633,14 @@ def roundtrip_aqft(A: QftModel, ctx: TranslationContext, *,
     transitions, so they collapse to the original monoids and the induced
     operations reproduce the original tables.  Passing ``transformation``
     as a pair of a second model and componentwise homs additionally checks
-    that transformations survive the round trip unchanged.
+    that transformations survive the round trip unchanged.  ``debug`` is
+    passed to both translations.
     """
     rep = report if report is not None else Report()
     t = ctx.name
     F = aqft_to_fqft(A, ctx, debug=debug)
-    back = fqft_to_aqft(F, ctx, debug=debug)
+    colims = _region_colimits(F, ctx)
+    back = _induced_model(F, ctx, colims, debug)
 
     color_bad = [
         canonical_label(frozenset(M.events))
@@ -660,9 +658,9 @@ def roundtrip_aqft(A: QftModel, ctx: TranslationContext, *,
     if transformation is not None:
         B, components = transformation
         G = aqft_to_fqft(B, ctx, debug=debug)
-        forward = translate_transformation_a2f(components, ctx)
-        back_components = translate_transformation_f2a(
-            forward, F, G, ctx, debug=debug
+        back_components = _mediate_transformation(
+            translate_transformation_a2f(components, ctx), colims,
+            _sigma_colimits(G, ctx), ctx,
         )
         morphism_bad = [
             canonical_label(frozenset(M.events))
@@ -674,39 +672,14 @@ def roundtrip_aqft(A: QftModel, ctx: TranslationContext, *,
     return rep
 
 
-def _collar_row(ctx: TranslationContext, b: Bordism):
-    """Resolve the four collar-restriction wrappers of a bordism, if windowed."""
+def _collar_row(ctx: TranslationContext, b: Bordism) -> ZigZag | None:
+    """The window classes of the collar wrappers of ``b``, if all resolve."""
     try:
-        pointed_collars = [
-            PointedObject(emb.dom, src.surface)
-            for src, emb in zip(b.sources, b.maps_in)
-        ]
-        pointed_out = PointedObject(b.map_out.dom, b.target.surface)
-        through = PointedObject(b.carrier, b.out_surface_image)
-        left = tuple(
-            ctx.resolve(Bordism(
-                (collar,), src, src.carrier,
-                (CausalEmbedding.inclusion(src.carrier, frozenset(emb.table)),),
-                CausalEmbedding.identity(src.carrier),
-            ))
-            for collar, src, emb in zip(pointed_collars, b.sources, b.maps_in)
+        return _collar_legs(b).map(
+            lambda leg: ctx.resolve(wrapper_bordism(*leg))
         )
-        middle = ctx.resolve(Bordism(
-            tuple(pointed_collars), through, b.carrier, b.maps_in,
-            CausalEmbedding.identity(b.carrier),
-        ))
-        right_in = ctx.resolve(Bordism(
-            (pointed_out,), through, b.carrier, (b.map_out,),
-            CausalEmbedding.identity(b.carrier),
-        ))
-        right_out = ctx.resolve(Bordism(
-            (pointed_out,), b.target, b.target.carrier,
-            (CausalEmbedding.inclusion(b.target.carrier, b.out_collar),),
-            CausalEmbedding.identity(b.target.carrier),
-        ))
     except ValueError:
         return None
-    return left, middle, right_in, right_out
 
 
 def roundtrip_fqft(F: QftModel, ctx: TranslationContext, *,
@@ -719,16 +692,14 @@ def roundtrip_fqft(F: QftModel, ctx: TranslationContext, *,
     that the collar-restriction row of each representative composes to the
     class image itself.  With ``transformation`` given as a pair of a
     second model and componentwise homs, the squares relating the legs of
-    the two models are checked as well.
+    the two models are checked as well.  ``debug`` is passed to both
+    translations.
     """
     rep = report if report is not None else Report()
     t = ctx.name
-    back = fqft_to_aqft(F, ctx, debug=debug)
+    colims = _region_colimits(F, ctx)
+    back = _induced_model(F, ctx, colims, debug)
     forward = aqft_to_fqft(back, ctx, debug=debug)
-    colims = {
-        M: sigma_colimit(F, ctx, M, debug=debug)
-        for M in ctx.aqft_fragment.colors
-    }
     iota = {
         c: colims[c.carrier].legs[c.surface]
         for c in ctx.bordism_fragment.colors
@@ -758,14 +729,11 @@ def roundtrip_fqft(F: QftModel, ctx: TranslationContext, *,
         if row is None:
             outside += 1
             continue
-        left, middle, right_in, right_out = row
-        legs = [F.hom(l) for l in left]
-        pivot = F.hom(right_in)
-        if any(not h.is_isomorphism for h in legs) or not pivot.is_isomorphism:
+        try:
+            composite = evaluate_zigzag(F, ctx, row)
+        except TimeSliceRequired:
             row_bad.append(f"{cls}: a collar leg does not invert")
             continue
-        core = ctx.compose(F.hom(middle), tuple(ctx.inverse(h) for h in legs))
-        composite = ctx.then(ctx.then(core, ctx.inverse(pivot)), F.hom(right_out))
         checked += 1
         if composite != F.hom(cls):
             row_bad.append(str(cls))
@@ -774,17 +742,14 @@ def roundtrip_fqft(F: QftModel, ctx: TranslationContext, *,
 
     if transformation is not None:
         G, components = transformation
-        iota_g = {
-            c: sigma_colimit(G, ctx, c.carrier, debug=debug).legs[c.surface]
-            for c in ctx.bordism_fragment.colors
-        }
+        colims_g = _sigma_colimits(G, ctx)
         round_components = translate_transformation_a2f(
-            translate_transformation_f2a(components, F, G, ctx, debug=debug),
-            ctx,
+            _mediate_transformation(components, colims, colims_g, ctx), ctx,
         )
         square_bad = [
             str(c) for c in ctx.bordism_fragment.colors
-            if ctx.then(components[c], iota_g[c]) != ctx.then(iota[c], round_components[c])
+            if ctx.then(components[c], colims_g[c.carrier].legs[c.surface])
+            != ctx.then(iota[c], round_components[c])
         ]
         rep.add("roundtrip/morphisms", t, FAIL if square_bad else PASS,
                 witness=square_bad[:3] or None)

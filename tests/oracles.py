@@ -13,6 +13,9 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
+from causalops.bordism import Bordism, PointedObject
+from causalops.causal_core import CausalEmbedding
+
 
 @dataclass
 class OraclePoset:
@@ -369,3 +372,43 @@ def brute_hom_law_error(doms, cod, table) -> str | None:
         if table[ab] != cod.mul(table[a], table[b]):
             return f"hom breaks multiplication at {a!r}*{b!r}"
     return None
+
+
+def hand_built_collar_wrappers(b):
+    """The four collar-restriction wrappers of a bordism, each built by hand.
+
+    Returns ``(left, middle, right_in, right_out)``: one wrapper per input
+    collar including it into its source, the carrier with the collars as
+    inputs, the output collar into the carrier, and the output collar into
+    the target.  Each is a full-collar bordism written out field by field,
+    with no shared constructor; a leg that cannot be built raises
+    ``ValueError``.
+    """
+    pointed_collars = [
+        PointedObject(emb.dom, src.surface)
+        for src, emb in zip(b.sources, b.maps_in)
+    ]
+    pointed_out = PointedObject(b.map_out.dom, b.target.surface)
+    through = PointedObject(b.carrier, b.out_surface_image)
+    left = tuple(
+        Bordism(
+            (collar,), src, src.carrier,
+            (CausalEmbedding.inclusion(src.carrier, frozenset(emb.table)),),
+            CausalEmbedding.identity(src.carrier),
+        )
+        for collar, src, emb in zip(pointed_collars, b.sources, b.maps_in)
+    )
+    middle = Bordism(
+        tuple(pointed_collars), through, b.carrier, b.maps_in,
+        CausalEmbedding.identity(b.carrier),
+    )
+    right_in = Bordism(
+        (pointed_out,), through, b.carrier, (b.map_out,),
+        CausalEmbedding.identity(b.carrier),
+    )
+    right_out = Bordism(
+        (pointed_out,), b.target, b.target.carrier,
+        (CausalEmbedding.inclusion(b.target.carrier, b.out_collar),),
+        CausalEmbedding.identity(b.target.carrier),
+    )
+    return left, middle, right_in, right_out

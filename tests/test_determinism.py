@@ -11,8 +11,9 @@ SRC = TESTS.parent / "src"
 # Builds the chain, diamond and merge fixtures and prints the concatenated
 # canonical report bytes.  The diamond round trips run in debug mode, so they
 # walk every decoration the context keys by hashed (operation, surfaces)
-# tuples; the merge adjunction runs iota, whose inner cells are joined through
-# dicts keyed by operations.
+# tuples; the conjugated surface round trip and its transformation build
+# colimits that do not collapse and mediate between them; the merge adjunction
+# runs iota, whose inner cells are joined through dicts keyed by operations.
 AUDIT = """
 import sys
 from causalops.bordism import bordism_fragment, truncate_bordisms
@@ -27,10 +28,12 @@ from causalops.translate import (
     validate_translation_context,
 )
 from test_bordism import chain_bordism, merge_bordism
+from test_translate import conjugated_model
 
 ctx = chain_translation_context()
 diamond = diamond_translation_context()
 merge = bordism_fragment([merge_bordism()], depth=1, max_ops=128, max_cells=8192)
+conjugated, translated, alpha = conjugated_model()
 reports = [
     validate_translation_context(ctx),
     roundtrip_aqft(constant_aqft(ctx.aqft_fragment, Monoid.cyclic(2)), ctx),
@@ -41,6 +44,8 @@ reports = [
                    diamond, debug=True),
     roundtrip_fqft(constant_fqft(diamond.bordism_fragment, Monoid.cyclic(2)),
                    diamond, debug=True),
+    roundtrip_fqft(conjugated, diamond, debug=True, transformation=(
+        translated, {c: h.inverse() for c, h in alpha.items()})),
     check_two_adjunction(truncate_bordisms(merge), merge),
 ]
 sys.stdout.write("".join(r.dumps() for r in reports))

@@ -429,7 +429,7 @@ class TestColimits:
         monoids = {o: Z2 for o in C.objects}
         homs = {(a, b): MonoidHom.identity(Z2)
                 for a, b in C.hom_pairs if a != b}
-        col = filtered_colimit_monoids(C, monoids, homs, debug=True)
+        col = filtered_colimit_monoids(C, monoids, homs)
         assert col.collapsed
         assert col.monoid == Z2
         assert all(leg == MonoidHom.identity(Z2) for leg in col.legs.values())
@@ -438,7 +438,7 @@ class TestColimits:
         C = chain_category()
         monoids = {"lo": TRIV, "hi": Z2}
         homs = {("lo", "hi"): MonoidHom.unary(TRIV, Z2, {"e": 0})}
-        col = filtered_colimit_monoids(C, monoids, homs, debug=True)
+        col = filtered_colimit_monoids(C, monoids, homs)
         assert not col.collapsed
         assert len(col.monoid) == 2
         assert col.legs["hi"].is_isomorphism
@@ -452,7 +452,7 @@ class TestColimits:
             ("l", "t"): MonoidHom.identity(Z2),
             ("r", "t"): MonoidHom.unary(other, Z2, {"x": 0, "y": 1}),
         }
-        col = filtered_colimit_monoids(C, monoids, homs, debug=True)
+        col = filtered_colimit_monoids(C, monoids, homs)
         assert len(col.monoid) == 2
         assert all(leg.is_isomorphism for leg in col.legs.values())
 
@@ -482,13 +482,25 @@ class TestColimits:
             {"lo": MonoidHom.unary(TRIV, Z2, {"e": 0}),
              "hi": MonoidHom.identity(Z2)},
             Z2,
-            debug=True,
         )
         assert med.is_isomorphism
         for o, leg in col.legs.items():
             assert leg.then(med) == (homs.get(("lo", "hi"))
                                      if o == "lo"
                                      else MonoidHom.identity(Z2))
+
+    def test_mediator_rejects_a_cocone_that_is_not_constant(self):
+        C = ThinCategory(("l", "r", "t"), lambda a, b: a == b or b == "t")
+        monoids = {o: Z2 for o in C.objects}
+        homs = {(a, b): MonoidHom.identity(Z2)
+                for a, b in C.hom_pairs if a != b}
+        col = filtered_colimit_monoids(C, monoids, homs)
+        assert col.collapsed and len(col.class_members[1]) == 3
+        zero = MonoidHom.unary(Z2, Z2, {0: 0, 1: 0})
+        cocone = {"l": MonoidHom.identity(Z2), "r": zero,
+                  "t": MonoidHom.identity(Z2)}
+        with pytest.raises(AssertionError, match="not constant on the class of 1"):
+            colimit_mediator(col, cocone, Z2)
 
     @pytest.mark.parametrize("second", [Z3, Z2])
     def test_colimit_commutes_with_finite_products(self, second):
@@ -522,7 +534,7 @@ class TestColimits:
             )
             for o in C.objects
         }
-        med = colimit_mediator(col12, pairing, target, debug=True)
+        med = colimit_mediator(col12, pairing, target)
         assert med.is_isomorphism
 
 
@@ -599,7 +611,7 @@ class TestAqftCheckers:
                 ops[psi] = (embed if psi.inputs[0] == self.Su
                             else MonoidHom.identity(Z2))
         A = aqft_model(self.base, colors, ops)
-        rep = check_additivity_aqft(A, self.M2, debug=True)
+        rep = check_additivity_aqft(A, self.M2)
         by_check = {e.check: e for e in rep.entries}
         assert by_check["additivity/region-category"].status == PASS
         assert by_check["additivity/comparison"].status == FAIL
@@ -607,12 +619,12 @@ class TestAqftCheckers:
 
     def test_identity_model_passes_additivity(self):
         A = self.all_identity_model()
-        assert check_additivity_aqft(A, self.M2, debug=True).ok
+        assert check_additivity_aqft(A, self.M2).ok
 
     def test_constant_trivial_model_is_additive(self):
         A = constant_aqft(self.base, TRIV)
         assert validate_model(A).ok
-        assert check_additivity_aqft(A, self.M2, debug=True).ok
+        assert check_additivity_aqft(A, self.M2).ok
 
     def test_additivity_requires_a_known_color(self):
         A = self.all_identity_model()
@@ -732,14 +744,14 @@ class TestFqftCheckers:
 
     def test_additivity_passes_at_the_two_chain_target(self):
         F = self.identity_model()
-        rep = check_additivity_fqft(F, self.tgt, debug=True)
+        rep = check_additivity_fqft(F, self.tgt)
         assert rep.ok
         by_check = {e.check: e.status for e in rep.entries}
         assert by_check["additivity/comparison"] == PASS
 
     def test_additivity_degenerates_below_a_minimal_surface(self):
         F = self.identity_model()
-        rep = check_additivity_fqft(F, self.src, debug=True)
+        rep = check_additivity_fqft(F, self.src)
         statuses = {e.status for e in rep.entries}
         assert statuses == {DEGENERATE}
         witness = rep.entries[-1].witness

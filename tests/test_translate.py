@@ -46,6 +46,7 @@ from causalops.qft_models import (
 from causalops.report import PASS, SKIP
 from causalops.translate import (
     TranslationContext,
+    ZigZag,
     aqft_to_fqft,
     build_translation_context,
     chain_translation_context,
@@ -537,6 +538,36 @@ class TestZigZags:
                                             (fs("a"),), fs("d")))
         assert evaluate_zigzag(model, ctx, ctx.bridge[shift][0]) == times(1)
 
+    def test_collar_rows_match_the_hand_built_wrappers(self):
+        diamond = diamond_translation_context()
+        D = diamond_region(diamond)
+        lo = PointedObject(D.induced({"a"}), fs("a"))
+        partial = Bordism(
+            (lo,), PointedObject(D, fs("d")), D,
+            (CausalEmbedding(lo.carrier, D, {"a": "a"}),),
+            CausalEmbedding(D.induced({"d"}), D, {"d": "d"}),
+        )
+        cases = [(diamond, partial)] + [
+            (ctx, b)
+            for ctx in (chain_translation_context(), diamond)
+            for cls in ctx.bordism_fragment.operations
+            for b in sorted(cls.members, key=str)
+        ]
+        rows = 0
+        for ctx, b in cases:
+            try:
+                built = ZigZag(*oracles.hand_built_collar_wrappers(b))
+                expected = built.map(ctx.resolve)
+            except ValueError:
+                expected = None
+            assert translate_module._collar_row(ctx, b) == expected
+            if expected is not None:
+                rows += 1
+                legs = translate_module._collar_legs(b)
+                assert legs.map(lambda leg: wrapper_bordism(*leg)) == built
+        # every member of both windows has a row; the partial bordism has none
+        assert rows == len(cases) - 1 == 80
+
     def test_noninvertible_cauchy_leg_raises(self):
         ctx = diamond_translation_context()
         model = skew_model()
@@ -837,14 +868,13 @@ class TestRoundTrips:
                                 debug=True)
         assert report.ok, report.failures
 
-    def test_nonnatural_components_fail_the_mediator_in_debug(self):
+    def test_nonnatural_components_fail_the_mediator(self):
         ctx = diamond_translation_context()
         model, translated, alpha = conjugated_model()
         skewed = dict(alpha)
         skewed[next(iter(skewed))] = times(2)
         with pytest.raises(AssertionError, match="not constant"):
-            translate_transformation_f2a(skewed, translated, model, ctx,
-                                         debug=True)
+            translate_transformation_f2a(skewed, translated, model, ctx)
 
     @given(poset_data(max_events=4))
     @settings(max_examples=10, deadline=None)
