@@ -504,18 +504,38 @@ class ComposedBordism:
     upper_leg: CausalEmbedding
 
 
-def compose_bordisms_full(outer: Bordism, inners: Sequence[Bordism]) -> ComposedBordism:
-    """Glue inner bordisms into the inputs of an outer one, keeping the legs."""
+def _failed_checks(b: Bordism, validated: set[Bordism] | None) -> list[str]:
+    """The checks ``b`` fails; a value in ``validated`` is not checked again,
+    and one that passes is added to it."""
+    if validated is not None and b in validated:
+        return []
+    failed = [e.check for e in validate_bordism(b).failures]
+    if not failed and validated is not None:
+        validated.add(b)
+    return failed
+
+
+def compose_bordisms_full(outer: Bordism, inners: Sequence[Bordism], *,
+                          validated: set[Bordism] | None = None) -> ComposedBordism:
+    """Glue inner bordisms into the inputs of an outer one, keeping the legs.
+
+    The outer bordism, every inner one and the composite must pass
+    :func:`validate_bordism`, or :class:`InvalidComposite` names the first
+    that fails.  ``validated`` is the record of values that already passed,
+    owned by the window that :func:`bordism_fragment` or
+    ``translate.translation_window`` builds and living as long as it: a value
+    in it is not validated again, and each value that passes is added.  A
+    call without one validates every piece.
+    """
     inners = tuple(inners)
     regions = overhang_regions(outer, inners)
 
     pieces = [("outer", outer)]
     pieces.extend((f"inner {i}", inner) for i, inner in enumerate(inners))
     for what, piece in pieces:
-        rep = validate_bordism(piece)
-        if not rep.ok:
-            first = rep.failures[0]
-            raise InvalidComposite(f"{what} bordism invalid: {first.check}")
+        failed = _failed_checks(piece, validated)
+        if failed:
+            raise InvalidComposite(f"{what} bordism invalid: {failed[0]}")
     _assert_regions(outer, inners, regions)
 
     mids = [
@@ -561,12 +581,9 @@ def compose_bordisms_full(outer: Bordism, inners: Sequence[Bordism]) -> Composed
         tuple(new_maps_in),
         new_out,
     )
-    rep = validate_bordism(composite)
-    if not rep.ok:
-        raise InvalidComposite(
-            "composite failed validation: "
-            + "; ".join(e.check for e in rep.failures)
-        )
+    failed = _failed_checks(composite, validated)
+    if failed:
+        raise InvalidComposite("composite failed validation: " + "; ".join(failed))
     return ComposedBordism(composite, regions, glued.left_legs, glued.right_leg)
 
 
@@ -574,17 +591,25 @@ def compose_bordisms(outer: Bordism, inners: Sequence[Bordism]) -> Bordism:
     return compose_bordisms_full(outer, inners).bordism
 
 
-def _glue(memo: dict, outer: Bordism, inners: tuple[Bordism, ...]) -> ComposedBordism:
-    """compose_bordisms_full, run once per distinct (outer, inners) in memo.
+_Glue = Callable[[Bordism, tuple[Bordism, ...]], ComposedBordism]
 
-    The memo belongs to one caller's build and dies with it, so each
-    configuration is still glued and validated in full once per build.
+
+def _gluer(validated: set[Bordism] | None) -> _Glue:
+    """compose_bordisms_full, run once per distinct (outer, inners).
+
+    The memo lives in the returned function, which belongs to one caller's
+    build and dies with it; every glue hands ``validated`` on.
     """
-    key = (outer, inners)
-    full = memo.get(key)
-    if full is None:
-        full = memo[key] = compose_bordisms_full(outer, inners)
-    return full
+    memo: dict = {}
+
+    def glue(outer: Bordism, inners: tuple[Bordism, ...]) -> ComposedBordism:
+        key = (outer, inners)
+        full = memo.get(key)
+        if full is None:
+            full = memo[key] = compose_bordisms_full(outer, inners,
+                                                     validated=validated)
+        return full
+    return glue
 
 
 # ---- two-cells -------------------------------------------------------------------
@@ -806,11 +831,11 @@ def check_two_cell(cell: TwoCell, report: Report | None = None) -> Report:
 
 def compose_two_cells(outer: TwoCell, inners: Sequence[TwoCell]) -> TwoCell:
     """Horizontal pasting of cells over a composition of their boundaries."""
-    return _compose_two_cells(outer, tuple(inners), {})
+    return _compose_two_cells(outer, tuple(inners), _gluer(None))
 
 
 def _compose_two_cells(outer: TwoCell, inners: tuple[TwoCell, ...],
-                       memo: dict) -> TwoCell:
+                       glue: _Glue) -> TwoCell:
     if len(inners) != outer.dom.arity:
         raise ValueError("arity mismatch: one inner cell per input is required")
     for i, cell in enumerate(inners):
@@ -818,8 +843,8 @@ def _compose_two_cells(outer: TwoCell, inners: tuple[TwoCell, ...],
             raise ValueError(
                 f"inner cell {i} does not feed the matching boundary germ"
             )
-    dom_full = _glue(memo, outer.dom, tuple(c.dom for c in inners))
-    cod_full = _glue(memo, outer.cod, tuple(c.cod for c in inners))
+    dom_full = glue(outer.dom, tuple(c.dom for c in inners))
+    cod_full = glue(outer.cod, tuple(c.cod for c in inners))
 
     up_inv = dom_full.upper_leg.inverse_table
     lo_invs = [leg.inverse_table for leg in dom_full.lower_legs]
@@ -858,10 +883,10 @@ def _trace_compose(
     inners: tuple[Bordism, ...],
     outer_atoms: dict[str, frozenset],
     inner_atoms: Sequence[dict[str, frozenset]],
-    memo: dict,
+    glue: _Glue,
 ) -> tuple[ComposedBordism, dict[str, frozenset]]:
     """Compose while accumulating the provenance tags of merged events."""
-    full = _glue(memo, outer, inners)
+    full = glue(outer, inners)
     atoms: dict[str, set] = {e: set() for e in full.bordism.carrier.events}
     for i, leg in enumerate(full.lower_legs):
         for e in leg.dom.events:
@@ -909,14 +934,14 @@ def coherence_cells(
     of the shared pieces.
     """
     return _coherence_cells(outer, tuple(mids),
-                            tuple(tuple(block) for block in inners), {})
+                            tuple(tuple(block) for block in inners), _gluer(None))
 
 
 def _coherence_cells(
     outer: Bordism,
     mids: tuple[Bordism, ...],
     inners: tuple[tuple[Bordism, ...], ...],
-    memo: dict,
+    glue: _Glue,
 ) -> TwoCell:
     outer_atoms = _seed_atoms(outer, "o")
     mid_atoms = [_seed_atoms(m, f"m{i}") for i, m in enumerate(mids)]
@@ -927,20 +952,20 @@ def _coherence_cells(
     flat_inners = tuple(itertools.chain.from_iterable(inners))
     flat_inner_atoms = list(itertools.chain.from_iterable(inner_atoms))
 
-    first, first_atoms = _trace_compose(outer, mids, outer_atoms, mid_atoms, memo)
+    first, first_atoms = _trace_compose(outer, mids, outer_atoms, mid_atoms, glue)
     left_full, left_atoms = _trace_compose(
-        first.bordism, flat_inners, first_atoms, flat_inner_atoms, memo
+        first.bordism, flat_inners, first_atoms, flat_inner_atoms, glue
     )
 
     blocks = []
     block_atoms = []
     for i, (m, block) in enumerate(zip(mids, inners)):
         full, atoms = _trace_compose(m, block, mid_atoms[i], inner_atoms[i],
-                                     memo)
+                                     glue)
         blocks.append(full.bordism)
         block_atoms.append(atoms)
     right_full, right_atoms = _trace_compose(
-        outer, tuple(blocks), outer_atoms, block_atoms, memo
+        outer, tuple(blocks), outer_atoms, block_atoms, glue
     )
 
     table = _atom_pairing(
@@ -952,15 +977,15 @@ def _coherence_cells(
 
 def unitor_cells(b: Bordism) -> tuple[TwoCell, TwoCell]:
     """Cells from the unit-padded composites of b down to b itself."""
-    return _unitor_cells(b, {})
+    return _unitor_cells(b, _gluer(None))
 
 
-def _unitor_cells(b: Bordism, memo: dict) -> tuple[TwoCell, TwoCell]:
+def _unitor_cells(b: Bordism, glue: _Glue) -> tuple[TwoCell, TwoCell]:
     base = _seed_atoms(b, "b")
 
     unit_out = unit_bordism(b.target)
     left_full, left_atoms = _trace_compose(
-        unit_out, (b,), _seed_atoms(unit_out, "u"), [base], memo
+        unit_out, (b,), _seed_atoms(unit_out, "u"), [base], glue
     )
     left_table = _atom_pairing(
         left_full.bordism.surface_hull, left_atoms, b.surface_hull, base
@@ -969,7 +994,7 @@ def _unitor_cells(b: Bordism, memo: dict) -> tuple[TwoCell, TwoCell]:
 
     units_in = tuple(unit_bordism(s) for s in b.sources)
     unit_atoms = [_seed_atoms(u, f"u{i}") for i, u in enumerate(units_in)]
-    right_full, right_atoms = _trace_compose(b, units_in, base, unit_atoms, memo)
+    right_full, right_atoms = _trace_compose(b, units_in, base, unit_atoms, glue)
     right_table = _atom_pairing(
         right_full.bordism.surface_hull, right_atoms, b.surface_hull, base
     )
@@ -1050,7 +1075,8 @@ def _vertical_by_value(stored: Mapping[tuple, TwoCell]) -> Callable[[TwoCell, Tw
 
 
 def _window_data(objects: FiniteGroupoid, ops: Sequence[Bordism], *,
-                 max_cells: int, name: str) -> tuple[PseudoOperadData, Callable]:
+                 max_cells: int, name: str, validated: set[Bordism],
+                 ) -> tuple[PseudoOperadData, Callable, dict[tuple, TwoCell]]:
     """The part of a bordism window that every window shares, and its interning.
 
     ``objects`` comes from :func:`_germ_groupoid` and ``ops`` is in table
@@ -1059,11 +1085,17 @@ def _window_data(objects: FiniteGroupoid, ops: Sequence[Bordism], *,
     computing composites, actions and globular links on demand are filled
     in.  Composites, cell actions and coherence cells are left empty.
 
+    ``validated`` is the build's record of validated bordism values; the
+    composite hook hands it to every glue on demand, so it lives as long as
+    the window.
+
     The returned ``intern`` maps a value to the window's own germ,
     operation or cell equal to it, or to itself when the window holds none.
     Every germ, operation and cell stored in the tables filled in here went
     through it, and a caller filling the remaining tables passes its values
-    through it too, so the window holds one instance per value.
+    through it too, so the window holds one instance per value.  The
+    returned ``(dom, cod, pairs) -> cell`` table serves vertical composition
+    and a caller's permuted cells.
     """
     ops_by_arity: dict[int, list[Bordism]] = {}
     for op in ops:
@@ -1081,6 +1113,9 @@ def _window_data(objects: FiniteGroupoid, ops: Sequence[Bordism], *,
                     if total_cells > max_cells:
                         raise FragmentCapExceeded(f"cell cap {max_cells} exceeded")
         cells_by_arity[n] = tuple(cells)
+    all_cells = tuple(c for n in sorted(cells_by_arity) for c in cells_by_arity[n])
+    cell_at = {(c.dom, c.cod, c.pairs): c for c in all_cells}
+    vertical = _vertical_by_value(cell_at)
 
     op_groupoids = {
         n: FiniteGroupoid(
@@ -1088,13 +1123,12 @@ def _window_data(objects: FiniteGroupoid, ops: Sequence[Bordism], *,
             cells_by_arity[n],
             {c: c.dom for c in cells_by_arity[n]},
             {c: c.cod for c in cells_by_arity[n]},
-            _vertical_by_value({(c.dom, c.cod, c.pairs): c for c in cells_by_arity[n]}),
+            vertical,
             {op: identity_cell(op) for op in ops_by_arity[n]},
             lambda c: c.inverse(),
         )
         for n in ops_by_arity
     }
-    all_cells = tuple(c for n in sorted(cells_by_arity) for c in cells_by_arity[n])
 
     canon: dict = {g: g for g in objects.morphisms}
     canon.update((op, op) for op in ops)
@@ -1122,11 +1156,12 @@ def _window_data(objects: FiniteGroupoid, ops: Sequence[Bordism], *,
         act_ops=act_ops,
         act_cells={},
         name=name,
-        compose_op_fn=lambda psi, phis: compose_bordisms(psi, tuple(phis)),
+        compose_op_fn=lambda psi, phis: compose_bordisms_full(
+            psi, tuple(phis), validated=validated).bordism,
         act_op_fn=lambda op, sigma: permute_bordism(op, sigma),
         op_link_fn=lambda a, b: bool(globular_cells_between(a, b, limit=1)),
     )
-    return window, intern
+    return window, intern, cell_at
 
 
 def bordism_fragment(
@@ -1144,11 +1179,16 @@ def bordism_fragment(
     given depth, closed under input permutations.  Cells are every
     isomorphism germ between same-arity operations.  Caps guard each stage
     and overflow raises FragmentCapExceeded.  Each (outer, inners)
-    configuration is glued and validated once per build, and its composite
-    is reused by the composites, cell composites, unitors and associators.
-    Table values are canonical instances: a value equal to a germ, an
-    operation or a cell of the window is that very object, so the audits
-    find it in the window's tables by identity.
+    configuration is glued once per build, and its composite is reused by
+    the composites, cell composites, unitors and associators.  Each build
+    owns one record of the bordism values that passed validation, seeded by
+    the generators; every glue of the build reads and extends it, so each
+    distinct value is validated once, and the window's composite hook keeps
+    it for the glues the audits ask for later.  Table values are canonical
+    instances: a value equal to a germ, an operation or a cell of the
+    window is that very object, so the audits find it in the window's
+    tables by identity.  A permuted cell is read from the window's cells,
+    which are closed under the action, not built again.
     """
     objs: list[PointedObject] = []
     gens: list[Bordism] = []
@@ -1159,12 +1199,11 @@ def bordism_fragment(
             gens.append(g)
         else:
             raise TypeError(f"unsupported generator {g!r}")
+    validated: set[Bordism] = set()
     for i, b in enumerate(gens):
-        rep = validate_bordism(b)
-        if not rep.ok:
-            raise ValueError(
-                f"generator bordism {i} invalid: {rep.failures[0].check}"
-            )
+        failed = _failed_checks(b, validated)
+        if failed:
+            raise ValueError(f"generator bordism {i} invalid: {failed[0]}")
 
     colors: set[PointedObject] = set(objs)
     for b in gens:
@@ -1181,7 +1220,7 @@ def bordism_fragment(
     if len(ops) > max_ops:
         raise FragmentCapExceeded(f"operation cap {max_ops} exceeded")
 
-    memo: dict = {}
+    glue = _gluer(validated)
     compose_ops: dict = {}
     for _ in range(depth):
         current = tuple(sorted(ops, key=str))
@@ -1195,7 +1234,7 @@ def bordism_fragment(
                 key = (psi, phis)
                 if key in compose_ops:
                     continue
-                composite = _glue(memo, psi, phis).bordism
+                composite = glue(psi, phis).bordism
                 compose_ops[key] = composite
                 if composite not in ops:
                     new_ops.add(composite)
@@ -1208,8 +1247,9 @@ def bordism_fragment(
             raise FragmentCapExceeded(f"operation cap {max_ops} exceeded")
 
     ops_sorted = tuple(sorted(ops, key=str))
-    window, intern = _window_data(objects, ops_sorted, max_cells=max_cells,
-                                  name=f"bordism-fragment(depth={depth})")
+    window, intern, cell_at = _window_data(
+        objects, ops_sorted, max_cells=max_cells,
+        name=f"bordism-fragment(depth={depth})", validated=validated)
     compose_ops = {key: intern(composite) for key, composite in compose_ops.items()}
     cells_by_arity = {n: g.morphisms for n, g in window.op_groupoids.items()}
     # cells by dom, and by dom and output germ, each in window order
@@ -1233,15 +1273,18 @@ def bordism_fragment(
                 cod_key = (alpha.cod, tuple(b.cod for b in betas))
                 if cod_key not in compose_ops:
                     continue
-                compose_cells[(alpha, betas)] = intern(_compose_two_cells(alpha, betas, memo))
+                compose_cells[(alpha, betas)] = intern(_compose_two_cells(alpha, betas, glue))
                 if len(compose_cells) > max_cells:
                     raise FragmentCapExceeded(f"cell cap {max_cells} exceeded")
 
+    # permute_cell(cell, sigma) keeps the pairs and permutes both ends
+    act_ops = window.act_ops
     act_cells: dict = {}
     for n in sorted(cells_by_arity):
         for cell in cells_by_arity[n]:
             for sigma in itertools.permutations(range(n)):
-                act_cells[(cell, sigma)] = intern(permute_cell(cell, sigma))
+                act_cells[(cell, sigma)] = cell_at[
+                    (act_ops[(cell.dom, sigma)], act_ops[(cell.cod, sigma)], cell.pairs)]
 
     left_unitors: dict = {}
     right_unitors: dict = {}
@@ -1250,7 +1293,7 @@ def bordism_fragment(
         units_in = tuple(unit_bordism(s) for s in op.sources)
         want_right = (op, units_in) in compose_ops
         if want_left or want_right:
-            left, right = _unitor_cells(op, memo)
+            left, right = _unitor_cells(op, glue)
             if want_left:
                 left_unitors[op] = intern(left)
             if want_right:
@@ -1276,7 +1319,7 @@ def bordism_fragment(
                 if (psi, inner_comps) not in compose_ops:
                     continue
                 associators[(psi, phis, chis)] = intern(
-                    _coherence_cells(psi, phis, chis, memo))
+                    _coherence_cells(psi, phis, chis, glue))
                 if len(associators) > max_cells:
                     raise FragmentCapExceeded(f"cell cap {max_cells} exceeded")
 

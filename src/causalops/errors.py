@@ -25,6 +25,10 @@ class InvalidComposite(ValueError):
     """A composed bordism or two-cell failed validation."""
 
 
+class NonConstantCocone(ValueError):
+    """A cocone out of a colimit is not constant on some colimit class."""
+
+
 class NotFiltered(ValueError):
     """A colimit was requested over a non-filtered index category."""
 

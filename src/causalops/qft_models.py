@@ -33,7 +33,7 @@ from .causal_core import (
     convex_subsets,
     is_cauchy_embedding,
 )
-from .errors import NotFiltered
+from .errors import NonConstantCocone, NotFiltered
 from .operad_kernel import (
     EmbeddingTuple,
     Multifunctor,
@@ -826,7 +826,7 @@ def colimit_mediator(colim: MonoidColimit, cocone: Mapping,
     """The unique hom out of the colimit through a compatible cocone.
 
     Compatibility is always checked: a cocone that is not constant on some
-    colimit class raises.
+    colimit class raises :class:`NonConstantCocone`.
     """
     return MonoidHom(*_mediator_parts(colim, cocone, target))
 
@@ -838,7 +838,7 @@ def _mediator_parts(colim: MonoidColimit, cocone: Mapping, target: Monoid) -> tu
         value = table[(element,)] = cocone[obj](elt)
         for o, e in mem:
             if cocone[o](e) != value:
-                raise AssertionError(
+                raise NonConstantCocone(
                     f"cocone is not constant on the class of {element}"
                 )
     return (colim.monoid,), target, table

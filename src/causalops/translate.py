@@ -133,6 +133,9 @@ def translation_window(aqft: Operad, *, max_ops: int = 512,
     permutation actions are computed on demand, then truncated along the
     globular cells; composites stay resolvable inside the window because
     gluing full collars only trims the carrier outside the surface hull.
+    The wrappers have just passed validation, so they seed the window's
+    record of validated values, which lives as long as the window: a
+    composite asked of it validates only the values the record lacks.
     """
     wrappers: set[Bordism] = set()
     for op in aqft.operations:
@@ -146,8 +149,9 @@ def translation_window(aqft: Operad, *, max_ops: int = 512,
     objects = _germ_groupoid(
         PointedObject(M, s) for M in aqft.colors for s in _surfaces(M)
     )
-    window, _ = _window_data(objects, tuple(sorted(wrappers, key=str)),
-                             max_cells=max_cells, name=f"window({aqft.name})")
+    window, _, _ = _window_data(objects, tuple(sorted(wrappers, key=str)),
+                                max_cells=max_cells, name=f"window({aqft.name})",
+                                validated=set(wrappers))
     return tau(window)
 
 

@@ -31,6 +31,7 @@ from causalops.bordism import (
     identity_cell,
     overhang_regions,
     permute_bordism,
+    permute_cell,
     truncate_bordisms,
     unit_bordism,
     unitor_cells,
@@ -613,9 +614,9 @@ class TestFragments:
     def test_each_configuration_is_glued_once_per_build(self, monkeypatch):
         glued: list[tuple] = []
 
-        def counting(outer, inners):
+        def counting(outer, inners, **record):
             glued.append((outer, tuple(inners)))
-            return compose_bordisms_full(outer, inners)
+            return compose_bordisms_full(outer, inners, **record)
 
         monkeypatch.setattr(bordism_module, "compose_bordisms_full", counting)
         chain = chain_bordism("a", "b", "c")
@@ -625,6 +626,47 @@ class TestFragments:
         glued.clear()
         bordism_fragment([chain], depth=2, max_ops=64, max_cells=4096)
         assert Counter(glued) == first
+
+    @pytest.mark.parametrize("generator, depth, caps", [
+        (merge_bordism(), 1, {"max_ops": 128, "max_cells": 8192}),
+        (chain_bordism("a", "b", "c"), 2, {"max_ops": 64, "max_cells": 4096}),
+    ])
+    def test_each_value_is_validated_once_per_build(self, monkeypatch,
+                                                    generator, depth, caps):
+        checked: list[Bordism] = []
+
+        def counting(b, report=None):
+            checked.append(b)
+            return validate_bordism(b, report)
+
+        monkeypatch.setattr(bordism_module, "validate_bordism", counting)
+        builds = []
+        for _ in range(2):
+            checked.clear()
+            frag = bordism_fragment([generator], depth=depth, **caps)
+            # the build validates each of its operations, and nothing else, once
+            assert Counter(checked) == Counter(frag.all_ops())
+            assert check_two_adjunction(truncate_bordisms(frag), frag).ok
+            builds.append(Counter(checked))
+        first, second = builds
+        # the audit's glues on demand validate each new composite once
+        assert len(first) > len(frag.all_ops()) and max(first.values()) == 1
+        assert second == first
+
+    def test_a_window_glue_still_validates_a_broken_piece(self):
+        frag = bordism_fragment([chain_bordism("a", "b", "c")], depth=1)
+        psi = next(op for op in frag.all_ops(1) if op.sources[0].carrier.events == ("a",))
+        good = frag.unit_op(psi.sources[0])
+        # the same ends, but the output surface is not in the collar's past
+        M = CausalSet("ax", [])
+        src = PointedObject(CausalSet("a"), {"a"})
+        broken = Bordism((src,), psi.sources[0], M,
+                         (CausalEmbedding(src.carrier, M, {"a": "x"}),),
+                         CausalEmbedding(psi.sources[0].carrier, M, {"a": "a"}))
+        assert not validate_bordism(broken).ok
+        assert frag.compose_op_fn(psi, (good,)) == compose_bordisms(psi, (good,))
+        with pytest.raises(InvalidComposite, match="inner 0 bordism invalid"):
+            frag.compose_op_fn(psi, (broken,))
 
     def test_every_vertical_has_a_companion(self):
         frag = bordism_fragment([chain_bordism("a", "b", "c")], depth=1)
@@ -735,6 +777,14 @@ class TestCanonicalInstances:
                         compose(g, f)
                     assert str(found.value) == str(built.value)
         assert missing > 0 and refused > 0
+
+
+    def test_permuted_cells_are_the_window_cells(self, window):
+        held = held_instances(window)
+        assert window.act_cells
+        for (cell, sigma), moved in window.act_cells.items():
+            assert moved == permute_cell(cell, sigma)
+            assert held.get(moved) is moved
 
 
 def _key_text(key) -> str:

@@ -19,8 +19,9 @@ from causalops.causal_core import (
     cauchy_antichains,
     chronological_past,
 )
-from causalops.errors import NotFiltered
+from causalops.errors import NonConstantCocone, NotFiltered
 from causalops.operad_kernel import (
+    EmbeddingTuple,
     check_operad_axioms,
     prefactorization_operad,
 )
@@ -499,7 +500,7 @@ class TestColimits:
         zero = MonoidHom.unary(Z2, Z2, {0: 0, 1: 0})
         cocone = {"l": MonoidHom.identity(Z2), "r": zero,
                   "t": MonoidHom.identity(Z2)}
-        with pytest.raises(AssertionError, match="not constant on the class of 1"):
+        with pytest.raises(NonConstantCocone, match="not constant on the class of 1"):
             colimit_mediator(col, cocone, Z2)
 
     @pytest.mark.parametrize("second", [Z3, Z2])
@@ -616,6 +617,24 @@ class TestAqftCheckers:
         assert by_check["additivity/region-category"].status == PASS
         assert by_check["additivity/comparison"].status == FAIL
         assert "not surjective" in by_check["additivity/comparison"].witness
+
+    def test_comparison_legs_that_are_not_a_cocone_fail_additivity(self):
+        # on the chain a < b < c, {a} and {a, b} form a filtered diagram whose
+        # class of 1 holds both generators; the leg of {a, b} sends it to 0
+        M = CausalSet("abc", [("a", "b"), ("b", "c")])
+        AB = M.induced({"a", "b"})
+        base = prefactorization_operad((M.induced({"a"}), AB, M))
+        colors = {c: Z2 for c in base.colors}
+        ops = unit_images(base, colors)
+        top = EmbeddingTuple((CausalEmbedding(AB, M, {"a": "a", "b": "b"}),), M)
+        ops[top] = MonoidHom.unary(Z2, Z2, {0: 0, 1: 0})
+        for psi in base.ops(1):
+            ops.setdefault(psi, MonoidHom.identity(Z2))
+        rep = check_additivity_aqft(aqft_model(base, colors, ops), M)
+        by_check = {e.check: e for e in rep.entries}
+        assert by_check["additivity/region-category"].status == PASS
+        assert by_check["additivity/comparison"].status == FAIL
+        assert "not constant on the class of 1" in by_check["additivity/comparison"].witness
 
     def test_identity_model_passes_additivity(self):
         A = self.all_identity_model()

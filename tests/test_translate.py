@@ -20,6 +20,7 @@ from causalops.errors import (
     FragmentCapExceeded,
     InvalidSurface,
     NoLaterSurface,
+    NonConstantCocone,
     NotFiltered,
     TimeSliceRequired,
 )
@@ -873,7 +874,7 @@ class TestRoundTrips:
         model, translated, alpha = conjugated_model()
         skewed = dict(alpha)
         skewed[next(iter(skewed))] = times(2)
-        with pytest.raises(AssertionError, match="not constant"):
+        with pytest.raises(NonConstantCocone, match="not constant"):
             translate_transformation_f2a(skewed, translated, model, ctx)
 
     @given(poset_data(max_events=4))
