@@ -64,11 +64,9 @@ __all__ = [
     "globular_cells_between",
     "compose_two_cells",
     "find_wide_witness",
-    "check_two_cell",
     "coherence_cells",
     "unitor_cells",
     "companion_bordism",
-    "companion_cells",
     "bordism_fragment",
     "truncate_bordisms",
     "resolve_bordism_class",
@@ -355,9 +353,9 @@ def wrapper_bordism(op: EmbeddingTuple, surfaces, later) -> Bordism:
                    op.maps, CausalEmbedding.identity(op.target))
 
 
-def validate_bordism(b: Bordism, report: Report | None = None) -> Report:
+def validate_bordism(b: Bordism) -> Report:
     """Check the semantic bordism conditions, one report entry per aspect."""
-    rep = report if report is not None else Report()
+    rep = Report()
     t = b.label
 
     collar_bad: list[str] = []
@@ -366,16 +364,14 @@ def validate_bordism(b: Bordism, report: Report | None = None) -> Report:
             collar_bad.append(f"input collar {i} misses its surface")
         if not is_causally_convex(src.carrier, collar):
             collar_bad.append(f"input collar {i} is not causally convex")
-    rep.add("bordism/in-collars", t, FAIL if collar_bad else PASS,
-            witness=collar_bad[:3] or None)
+    rep.verdict("bordism/in-collars", t, collar_bad)
 
     out_bad: list[str] = []
     if not b.out_collar >= b.target.surface:
         out_bad.append("output collar misses its surface")
     if not is_causally_convex(b.target.carrier, b.out_collar):
         out_bad.append("output collar is not causally convex")
-    rep.add("bordism/out-collar", t, FAIL if out_bad else PASS,
-            witness=out_bad[:3] or None)
+    rep.verdict("bordism/out-collar", t, out_bad)
 
     out_cauchy = is_cauchy_embedding(b.map_out)
     rep.add("bordism/out-cauchy", t, PASS if out_cauchy else FAIL,
@@ -388,8 +384,7 @@ def validate_bordism(b: Bordism, report: Report | None = None) -> Report:
         if not are_causally_disjoint(b.carrier, b.maps_in[i].image,
                                      b.maps_in[j].image)
     ]
-    rep.add("bordism/disjoint-inputs", t, FAIL if dis_bad else PASS,
-            witness=dis_bad[:3] or None)
+    rep.verdict("bordism/disjoint-inputs", t, dis_bad)
 
     if b.arity == 0:
         rep.add("bordism/surface-order", t, PASS, witness="no inputs")
@@ -810,25 +805,6 @@ def find_wide_witness(cell: TwoCell) -> CausalEmbedding | None:
     return None
 
 
-def check_two_cell(cell: TwoCell, report: Report | None = None) -> Report:
-    rep = report if report is not None else Report()
-    t = f"cell between {cell.dom.label} and {cell.cod.label}"
-    rep.add("twocell/core-iso", t, PASS,
-            witness={"hull-events": len(cell.pairs)})
-    try:
-        _ = cell.source_germs
-        _ = cell.target_germ
-        rep.add("twocell/boundary-germs", t, PASS)
-    except ValueError as exc:
-        rep.add("twocell/boundary-germs", t, FAIL, witness=str(exc))
-    witness = find_wide_witness(cell)
-    rep.add("twocell/wide-witness", t,
-            PASS if witness is not None else FAIL,
-            witness=sorted(witness.dom.events) if witness is not None else
-            "no convex Cauchy representative extends the hull core")
-    return rep
-
-
 def compose_two_cells(outer: TwoCell, inners: Sequence[TwoCell]) -> TwoCell:
     """Horizontal pasting of cells over a composition of their boundaries."""
     return _compose_two_cells(outer, tuple(inners), _gluer(None))
@@ -1015,15 +991,6 @@ def companion_bordism(germ: Germ) -> Bordism:
         (germ.embedding,),
         CausalEmbedding.identity(germ.tgt.carrier),
     )
-
-
-def companion_cells(germ: Germ) -> tuple[TwoCell, TwoCell]:
-    """Binding cells of the companion: one over (germ, id), one over (id, germ)."""
-    comp = companion_bordism(germ)
-    plus = TwoCell(comp, unit_bordism(germ.tgt),
-                   {e: e for e in comp.surface_hull})
-    minus = TwoCell(unit_bordism(germ.src), comp, germ.table)
-    return plus, minus
 
 
 # ---- fragments and truncation --------------------------------------------------------

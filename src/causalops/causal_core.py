@@ -28,10 +28,8 @@ __all__ = [
     "causal_past",
     "causal_future",
     "chronological_past",
-    "chronological_future",
     "is_causally_convex",
     "convex_hull",
-    "is_antichain",
     "is_cauchy_antichain",
     "is_cauchy_embedding",
     "cauchy_antichains",
@@ -255,14 +253,6 @@ def causal_past(M: CausalSet, members: Iterable[str]) -> frozenset[str]:
     return M._events_of(mask)
 
 
-def chronological_future(M: CausalSet, members: Iterable[str]) -> frozenset[str]:
-    """Strict future I+: everything strictly after some member."""
-    mask = 0
-    for i in M._bits(_member_mask(M, members)):
-        mask |= M._up[i] & ~(1 << i)
-    return M._events_of(mask)
-
-
 def chronological_past(M: CausalSet, members: Iterable[str]) -> frozenset[str]:
     """Strict past I-."""
     mask = 0
@@ -331,10 +321,6 @@ def is_causally_convex(M: CausalSet, members: Iterable[str]) -> bool:
     """Interval-closed: equal to its own convex hull."""
     members = frozenset(members)
     return convex_hull(M, members) == members
-
-
-def is_antichain(M: CausalSet, members: Iterable[str]) -> bool:
-    return _is_antichain_mask(M, _member_mask(M, members))
 
 
 def is_cauchy_antichain(M: CausalSet, members: Iterable[str]) -> bool:

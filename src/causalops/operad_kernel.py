@@ -35,7 +35,6 @@ __all__ = [
     "block_permutation",
     "sum_permutation",
     "all_permutations",
-    "Operation",
     "EmbeddingTuple",
     "Operad",
     "check_operad_axioms",
@@ -104,19 +103,6 @@ def all_permutations(n: int) -> Iterator[tuple[int, ...]]:
 
 
 # ---- operation tokens ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Operation:
-    """Opaque named operation of an explicitly tabulated operad."""
-
-    name: str
-    inputs: tuple[Hashable, ...]
-    output: Hashable
-
-    def __str__(self) -> str:
-        ins = ",".join(str(c) for c in self.inputs)
-        return f"{self.name}:({ins})->{self.output}"
 
 
 @dataclass(frozen=True)
@@ -262,7 +248,6 @@ class Operad:
 
 def check_operad_axioms(
     operad: Operad,
-    report: Report | None = None,
     max_assoc_checks: int | None = 200_000,
 ) -> Report:
     """Exhaustively verify the operad laws over the materialized operations.
@@ -272,14 +257,13 @@ def check_operad_axioms(
     counterexample witness.  Associativity stops after ``max_assoc_checks``
     instances; a check cut short that way reports SKIP, not PASS.
     """
-    rep = report if report is not None else Report()
+    rep = Report()
     target = operad.name
     colors = set(operad.colors)
 
     bad = [op for op in operad.operations if op.output not in colors
            or any(c not in colors for c in op.inputs)]
-    rep.add("operad/signatures", target, FAIL if bad else PASS,
-            witness=[str(op) for op in bad[:3]] or None)
+    rep.verdict("operad/signatures", target, [str(op) for op in bad])
 
     unit_bad = []
     for c in operad.colors:
@@ -290,8 +274,7 @@ def check_operad_axioms(
             continue
         if u.inputs != (c,) or u.output != c:
             unit_bad.append(f"unit of {c} has wrong signature")
-    rep.add("operad/units-present", target, FAIL if unit_bad else PASS,
-            witness=unit_bad[:3] or None)
+    rep.verdict("operad/units-present", target, unit_bad)
 
     unit_law_bad = []
     if not unit_bad:
@@ -305,8 +288,7 @@ def check_operad_axioms(
                     unit_law_bad.append(f"{op};units != {op}")
         except ValueError as exc:
             unit_law_bad.append(str(exc))
-    rep.add("operad/unit-laws", target, FAIL if unit_law_bad else PASS,
-            witness=unit_law_bad[:3] or None)
+    rep.verdict("operad/unit-laws", target, unit_law_bad)
 
     assoc_bad = []
     checked = 0
@@ -358,8 +340,7 @@ def check_operad_axioms(
                         action_bad.append(f"{op} under {sigma} then {tau}")
     except ValueError as exc:
         action_bad.append(str(exc))
-    rep.add("operad/right-action", target, FAIL if action_bad else PASS,
-            witness=action_bad[:3] or None)
+    rep.verdict("operad/right-action", target, action_bad)
 
     try:
         for psi in operad.operations:
@@ -383,8 +364,7 @@ def check_operad_axioms(
                         equiv_bad.append(f"sum equivariance at ({psi}, {taus})")
     except ValueError as exc:
         equiv_bad.append(str(exc))
-    rep.add("operad/equivariance", target, FAIL if equiv_bad else PASS,
-            witness=equiv_bad[:3] or None)
+    rep.verdict("operad/equivariance", target, equiv_bad)
     return rep
 
 
@@ -492,7 +472,7 @@ class Multifunctor:
         return self.on_ops[psi]
 
 
-def check_multifunctor(F: Multifunctor, report: Report | None = None) -> Report:
+def check_multifunctor(F: Multifunctor) -> Report:
     """Multifunctor laws over the materialized window, with coverage.
 
     Finite windows of the embedding and bordism operads are not closed
@@ -501,7 +481,7 @@ def check_multifunctor(F: Multifunctor, report: Report | None = None) -> Report:
     counted and skipped rather than failed; everything inside the window
     is checked exhaustively.
     """
-    rep = report if report is not None else Report()
+    rep = Report()
     src, tgt_op = F.source, F.target
     tgt = f"{src.name}->{tgt_op.name}"
 
@@ -511,16 +491,14 @@ def check_multifunctor(F: Multifunctor, report: Report | None = None) -> Report:
         if (image.inputs != tuple(F.color(c) for c in psi.inputs)
                 or image.output != F.color(psi.output)):
             sig_bad.append(str(psi))
-    rep.add("multifunctor/signatures", tgt, FAIL if sig_bad else PASS,
-            witness=sig_bad[:3] or None)
+    rep.verdict("multifunctor/signatures", tgt, sig_bad)
 
     unit_bad = [
         str(c)
         for c in src.colors
         if F.op(src.unit(c)) != tgt_op.unit(F.color(c))
     ]
-    rep.add("multifunctor/units", tgt, FAIL if unit_bad else PASS,
-            witness=unit_bad[:3] or None)
+    rep.verdict("multifunctor/units", tgt, unit_bad)
 
     table = F.on_ops
     comp_bad = []
@@ -535,8 +513,7 @@ def check_multifunctor(F: Multifunctor, report: Report | None = None) -> Report:
             rhs = tgt_op.compose(F.op(psi), tuple(F.op(p) for p in phis))
             if F.op(composite) != rhs:
                 comp_bad.append(str(psi))
-    rep.add("multifunctor/composition", tgt, FAIL if comp_bad else PASS,
-            witness=comp_bad[:3] or None)
+    rep.verdict("multifunctor/composition", tgt, comp_bad)
     if outside:
         rep.add("multifunctor/composition-coverage", tgt, SKIP,
                 witness={"checked": checked, "outside-window": outside})
@@ -551,8 +528,7 @@ def check_multifunctor(F: Multifunctor, report: Report | None = None) -> Report:
                 continue
             if F.op(moved) != tgt_op.act(F.op(psi), sigma):
                 act_bad.append(f"{psi} under {sigma}")
-    rep.add("multifunctor/equivariance", tgt, FAIL if act_bad else PASS,
-            witness=act_bad[:3] or None)
+    rep.verdict("multifunctor/equivariance", tgt, act_bad)
     if act_outside:
         rep.add("multifunctor/equivariance-coverage", tgt, SKIP,
                 witness={"outside-window": act_outside})
@@ -566,8 +542,8 @@ class MultinaturalTransformation:
     components: Mapping  # color of the common source operad -> 1-ary op of the common target
 
 
-def check_multinatural(zeta: MultinaturalTransformation, report: Report | None = None) -> Report:
-    rep = report if report is not None else Report()
+def check_multinatural(zeta: MultinaturalTransformation) -> Report:
+    rep = Report()
     F, G = zeta.source, zeta.target
     if F.source is not G.source or F.target is not G.target:
         raise ValueError("transformation endpoints do not share operads")
@@ -578,8 +554,7 @@ def check_multinatural(zeta: MultinaturalTransformation, report: Report | None =
         comp = zeta.components[c]
         if comp.inputs != (F.color(c),) or comp.output != G.color(c):
             comp_bad.append(str(c))
-    rep.add("multinatural/components", tgt, FAIL if comp_bad else PASS,
-            witness=comp_bad[:3] or None)
+    rep.verdict("multinatural/components", tgt, comp_bad)
 
     nat_bad = []
     for psi in O.operations:
@@ -587,8 +562,7 @@ def check_multinatural(zeta: MultinaturalTransformation, report: Report | None =
         rhs = T.compose(G.op(psi), tuple(zeta.components[c] for c in psi.inputs))
         if lhs != rhs:
             nat_bad.append(str(psi))
-    rep.add("multinatural/naturality", tgt, FAIL if nat_bad else PASS,
-            witness=nat_bad[:3] or None)
+    rep.verdict("multinatural/naturality", tgt, nat_bad)
     return rep
 
 
@@ -683,8 +657,8 @@ class FiniteGroupoid:
         result = self._inv[g] if isinstance(self._inv, Mapping) else self._inv(g)
         return self._canonical.get(result, result)
 
-    def validate(self, report: Report | None = None, name: str = "groupoid") -> Report:
-        rep = report if report is not None else Report()
+    def validate(self, name: str = "groupoid") -> Report:
+        rep = Report()
         bad: list[str] = []
         for g in self.morphisms:
             if self.src(g) not in self.objects or self.tgt(g) not in self.objects:
@@ -693,7 +667,7 @@ class FiniteGroupoid:
             i = self.id(obj)
             if self.src(i) != obj or self.tgt(i) != obj:
                 bad.append(f"identity of {obj} has wrong endpoints")
-        rep.add("groupoid/endpoints", name, FAIL if bad else PASS, witness=bad[:3] or None)
+        rep.verdict("groupoid/endpoints", name, bad)
 
         law_bad: list[str] = []
         for g in self.morphisms:
@@ -736,5 +710,5 @@ class FiniteGroupoid:
                             law_bad.append(f"associativity at ({h},{g},{f})")
                     elif lhs != rhs:
                         law_bad.append(f"associativity at ({ms[hi]},{ms[gi]},{f})")
-        rep.add("groupoid/laws", name, FAIL if law_bad else PASS, witness=law_bad[:3] or None)
+        rep.verdict("groupoid/laws", name, law_bad)
         return rep

@@ -258,8 +258,7 @@ def _check_cell_boundaries(P: PseudoOperadData, rep: Report) -> None:
                     bad.append(f"leg {i} endpoints at {cell}")
             if P.objects.src(out) != P.op_output[dom] or P.objects.tgt(out) != P.op_output[cod]:
                 bad.append(f"output leg endpoints at {cell}")
-    rep.add("pseudo-operad/boundaries", P.name, FAIL if bad else PASS,
-            witness=bad[:3] or None)
+    rep.verdict("pseudo-operad/boundaries", P.name, bad)
 
     fun_bad: list[str] = []
     for n in P.arities():
@@ -282,8 +281,7 @@ def _check_cell_boundaries(P: PseudoOperadData, rep: Report) -> None:
                 if P.cell_inputs[c] != want_legs or \
                         P.cell_output[c] != P.objects.compose(P.cell_output[b], P.cell_output[a]):
                     fun_bad.append(f"boundary of vertical composite {b} . {a}")
-    rep.add("pseudo-operad/boundary-functoriality", P.name, FAIL if fun_bad else PASS,
-            witness=fun_bad[:3] or None)
+    rep.verdict("pseudo-operad/boundary-functoriality", P.name, fun_bad)
 
 
 def _check_composition(P: PseudoOperadData, rep: Report) -> None:
@@ -295,8 +293,7 @@ def _check_composition(P: PseudoOperadData, rep: Report) -> None:
         want_inputs = tuple(itertools.chain.from_iterable(P.op_inputs[p] for p in phis))
         if P.op_inputs[result] != want_inputs or P.op_output[result] != P.op_output[psi]:
             bad.append(f"composite signature at {psi}")
-    rep.add("pseudo-operad/compose-signatures", P.name, FAIL if bad else PASS,
-            witness=bad[:3] or None)
+    rep.verdict("pseudo-operad/compose-signatures", P.name, bad)
 
     cell_bad: list[str] = []
     interchanged = 0
@@ -338,8 +335,7 @@ def _check_composition(P: PseudoOperadData, rep: Report) -> None:
         stacked = P.compose_cells.get(key)
         if stacked is not None and stacked != G_out.id(result):
             cell_bad.append(f"identity cells compose wrong at {psi}")
-    rep.add("pseudo-operad/interchange", P.name, FAIL if cell_bad else PASS,
-            witness=cell_bad[:3] or {"pairs-checked": interchanged})
+    rep.verdict("pseudo-operad/interchange", P.name, cell_bad, {"pairs-checked": interchanged})
 
 
 def _check_units_and_action(P: PseudoOperadData, rep: Report) -> None:
@@ -361,7 +357,7 @@ def _check_units_and_action(P: PseudoOperadData, rep: Report) -> None:
             got = P.groupoid_of_cell(P.unit_cells[g]).compose(P.unit_cells[g2], P.unit_cells[g1])
             if got != P.unit_cells[g]:
                 bad.append(f"unit cell functoriality at {g2} . {g1}")
-    rep.add("pseudo-operad/units", P.name, FAIL if bad else PASS, witness=bad[:3] or None)
+    rep.verdict("pseudo-operad/units", P.name, bad)
 
     act_bad: list[str] = []
     for (op, sigma), moved in P.act_ops.items():
@@ -386,8 +382,7 @@ def _check_units_and_action(P: PseudoOperadData, rep: Report) -> None:
             H = P.groupoid_of_cell(moved)
             if H.src(moved) != moved_dom or H.tgt(moved) != moved_cod:
                 act_bad.append(f"cell action endpoints at {cell}")
-    rep.add("pseudo-operad/action", P.name, FAIL if act_bad else PASS,
-            witness=act_bad[:3] or None)
+    rep.verdict("pseudo-operad/action", P.name, act_bad)
 
     eq_bad: list[str] = []
     eq_checked = 0
@@ -414,8 +409,7 @@ def _check_units_and_action(P: PseudoOperadData, rep: Report) -> None:
                 eq_checked += 1
                 if lhs != rhs:
                     eq_bad.append(f"sum equivariance at {psi}")
-    rep.add("pseudo-operad/equivariance", P.name, FAIL if eq_bad else PASS,
-            witness=eq_bad[:3] or {"instances-checked": eq_checked})
+    rep.verdict("pseudo-operad/equivariance", P.name, eq_bad, {"instances-checked": eq_checked})
 
 
 def _check_coherence(P: PseudoOperadData, rep: Report, max_pentagons: int) -> None:
@@ -452,8 +446,7 @@ def _check_coherence(P: PseudoOperadData, rep: Report, max_pentagons: int) -> No
         G = P.groupoid_of_cell(cell)
         if G.src(cell) != padded or G.tgt(cell) != op or not P.is_globular(cell):
             bad.append(f"right unitor at {op}")
-    rep.add("pseudo-operad/coherence-boundaries", P.name, FAIL if bad else PASS,
-            witness=bad[:3] or None)
+    rep.verdict("pseudo-operad/coherence-boundaries", P.name, bad)
 
     tri_bad: list[str] = []
     tri_checked = 0
@@ -475,8 +468,7 @@ def _check_coherence(P: PseudoOperadData, rep: Report, max_pentagons: int) -> No
         tri_checked += 1
         if lhs != rhs:
             tri_bad.append(f"triangle at {psi}")
-    rep.add("pseudo-operad/triangle", P.name, FAIL if tri_bad else PASS,
-            witness=tri_bad[:3] or {"instances-checked": tri_checked})
+    rep.verdict("pseudo-operad/triangle", P.name, tri_bad, {"instances-checked": tri_checked})
 
     pent_bad: list[str] = []
     pent_checked = 0
@@ -508,8 +500,7 @@ def _check_coherence(P: PseudoOperadData, rep: Report, max_pentagons: int) -> No
             pent_checked += 1
             if not result:
                 pent_bad.append(f"pentagon at {psi}")
-    rep.add("pseudo-operad/pentagon", P.name, FAIL if pent_bad else PASS,
-            witness=pent_bad[:3] or {"instances-checked": pent_checked})
+    rep.verdict("pseudo-operad/pentagon", P.name, pent_bad, {"instances-checked": pent_checked})
 
 
 def _pentagon_holds(P, psi, phis, chis, omegas) -> bool:
@@ -556,16 +547,12 @@ def omg_regroup(omegas) -> list[tuple]:
     return out
 
 
-def check_pseudo_operad(
-    P: PseudoOperadData,
-    report: Report | None = None,
-    max_pentagons: int = 512,
-) -> Report:
+def check_pseudo_operad(P: PseudoOperadData, max_pentagons: int = 512) -> Report:
     """Audit all materialized pseudo-operad structure, recording coverage."""
-    rep = report if report is not None else Report()
-    P.objects.validate(rep, name=f"{P.name}/objects")
+    rep = Report()
+    rep.extend(P.objects.validate(name=f"{P.name}/objects"))
     for n in P.arities():
-        P.op_groupoids[n].validate(rep, name=f"{P.name}/ops[{n}]")
+        rep.extend(P.op_groupoids[n].validate(name=f"{P.name}/ops[{n}]"))
     _check_cell_boundaries(P, rep)
     _check_composition(P, rep)
     _check_units_and_action(P, rep)
@@ -994,11 +981,7 @@ def _operads_equal(A: Operad, B: Operad) -> tuple[bool, str | None]:
     return True, None
 
 
-def check_two_adjunction(
-    O: Operad,
-    P: PseudoOperadData | None = None,
-    report: Report | None = None,
-) -> Report:
+def check_two_adjunction(O: Operad, P: PseudoOperadData | None = None) -> Report:
     """Verify the collapse/fatten adjunction identities strictly.
 
     Checks, in order: collapsing the fattened operad returns it on the
@@ -1006,7 +989,7 @@ def check_two_adjunction(
     of verticals and class tokens of operations; the unit of a fattened
     operad is the identity; and collapsing the unit yields an identity.
     """
-    rep = report if report is not None else Report()
+    rep = Report()
     fat = iota(O)
 
     collapsed = tau_full(fat)
@@ -1055,8 +1038,7 @@ def check_two_adjunction(
                     break
     except (NotFibrant, ValueError) as exc:
         unit_bad.append(str(exc))
-    rep.add("two-adjunction/unit-strict", P.name, FAIL if unit_bad else PASS,
-            witness=unit_bad[:3] or None)
+    rep.verdict("two-adjunction/unit-strict", P.name, unit_bad)
 
     # unit on a fattened operad is the identity assignment
     iota_unit_bad: list[str] = []
@@ -1070,8 +1052,7 @@ def check_two_adjunction(
         for op in fat.all_ops():
             if collapsed.class_of[op] != op:
                 iota_unit_bad.append(f"class token of {op} moved")
-    rep.add("two-adjunction/unit-identity-on-iota", O.name,
-            FAIL if iota_unit_bad else PASS, witness=iota_unit_bad[:3] or None)
+    rep.verdict("two-adjunction/unit-identity-on-iota", O.name, iota_unit_bad)
 
     # collapsing the unit gives the identity on the collapsed operad
     tau_unit_bad: list[str] = []
@@ -1085,6 +1066,5 @@ def check_two_adjunction(
                 tau_unit_bad.append(f"collapsed unit moves {op}")
     except ValueError as exc:
         tau_unit_bad.append(str(exc))
-    rep.add("two-adjunction/tau-of-unit-identity", P.name,
-            FAIL if tau_unit_bad else PASS, witness=tau_unit_bad[:3] or None)
+    rep.verdict("two-adjunction/tau-of-unit-identity", P.name, tau_unit_bad)
     return rep

@@ -490,15 +490,6 @@ class ThinCategory:
         keep = set(objects) & set(self.objects)
         return ThinCategory(keep, lambda a, b: self.has(a, b))
 
-    def validate(self, report: Report | None = None,
-                 name: str = "thin-category") -> Report:
-        rep = report if report is not None else Report()
-        rep.add("thin/reflexive", name, PASS)
-        gaps = self.transitivity_gaps
-        rep.add("thin/transitive", name, FAIL if gaps else PASS,
-                witness=[tuple(canonical_label(x) for x in g) for g in gaps[:3]] or None)
-        return rep
-
     def __len__(self) -> int:
         return len(self.objects)
 
@@ -919,9 +910,9 @@ def constant_fqft(base: Operad, monoid: Monoid) -> QftModel:
     return fqft_model(base, colors, ops, name=f"const-{monoid}")
 
 
-def validate_model(model: QftModel, report: Report | None = None) -> Report:
+def validate_model(model: QftModel) -> Report:
     """The multifunctor laws of the model's assignment over its window."""
-    return check_multifunctor(model.assignment, report)
+    return check_multifunctor(model.assignment)
 
 
 # ---- time-slice ------------------------------------------------------------------
@@ -941,17 +932,16 @@ def _is_cauchy_unary(op) -> bool:
     return False
 
 
-def check_time_slice(model: QftModel, report: Report | None = None) -> Report:
+def check_time_slice(model: QftModel) -> Report:
     """Every Cauchy embedding or bordism class must go to a monoid isomorphism."""
-    rep = report if report is not None else Report()
+    rep = Report()
     base, assignment = model.base, model.assignment
     tgt = base.name
     unit_bad = []
     for c in base.colors:
         if not _is_identity(assignment.op(base.unit(c)), assignment.color(c)):
             unit_bad.append(canonical_label(c))
-    rep.add("timeslice/units", tgt, FAIL if unit_bad else PASS,
-            witness=sorted(unit_bad)[:3] or None)
+    rep.verdict("timeslice/units", tgt, sorted(unit_bad))
 
     cauchy_ops = sorted(
         (op for op in base.ops(1) if _is_cauchy_unary(op)),
@@ -971,10 +961,10 @@ def check_time_slice(model: QftModel, report: Report | None = None) -> Report:
 # ---- additivity --------------------------------------------------------------------
 
 
-def _additivity_verdict(rep: Report, tgt: str, C: ThinCategory,
-                        available: list, value: Monoid,
+def _additivity_verdict(tgt: str, C: ThinCategory, available: list, value: Monoid,
                         diagram: Callable, comparison_legs: Callable) -> Report:
     """Shared trunk: restrict, take the colimit, compare against the value."""
+    rep = Report()
     if C.is_empty:
         rep.add("additivity/region-category", tgt, DEGENERATE,
                 witness="empty region category")
@@ -1029,8 +1019,7 @@ def _additivity_verdict(rep: Report, tgt: str, C: ThinCategory,
     return rep
 
 
-def check_additivity_aqft(A: QftModel, M: CausalSet, *,
-                          report: Report | None = None) -> Report:
+def check_additivity_aqft(A: QftModel, M: CausalSet) -> Report:
     """The value at M must be the colimit over its fragment subregions.
 
     The diagram runs over the proper causally convex subsets of M that are
@@ -1038,7 +1027,6 @@ def check_additivity_aqft(A: QftModel, M: CausalSet, *,
     comparison trivially invertible.  Missing transition operations raise,
     since then the fragment cannot express the restriction functor at all.
     """
-    rep = report if report is not None else Report()
     tgt = canonical_label(frozenset(M.events))
     if M not in A.base.colors:
         raise ValueError("additivity target must be a color of the base")
@@ -1071,12 +1059,11 @@ def check_additivity_aqft(A: QftModel, M: CausalSet, *,
 
     proper_only = ThinCategory(proper, lambda a, b: a <= b) if proper else \
         ThinCategory((), ())
-    return _additivity_verdict(rep, tgt, proper_only, available, A.value(M),
+    return _additivity_verdict(tgt, proper_only, available, A.value(M),
                                diagram, comparison_legs)
 
 
-def check_additivity_fqft(F: QftModel, MS: PointedObject, *,
-                          report: Report | None = None) -> Report:
+def check_additivity_fqft(F: QftModel, MS: PointedObject) -> Report:
     """The value at a pointed region must be the colimit below its surface.
 
     Degenerate outcomes are reported, not failed: the region category is
@@ -1084,7 +1071,6 @@ def check_additivity_fqft(F: QftModel, MS: PointedObject, *,
     restriction to fragment colors can fail to be filtered on finite
     carriers; both are artifacts of discreteness rather than of the model.
     """
-    rep = report if report is not None else Report()
     tgt = str(MS)
     if MS not in F.base.colors:
         raise ValueError("additivity target must be a color of the base")
@@ -1117,14 +1103,14 @@ def check_additivity_fqft(F: QftModel, MS: PointedObject, *,
     def comparison_legs(sub: ThinCategory):
         return {o: hom_into(o, MS) for o in sub.objects}
 
-    return _additivity_verdict(rep, tgt, C, available, F.value(MS),
+    return _additivity_verdict(tgt, C, available, F.value(MS),
                                diagram, comparison_legs)
 
 
 # ---- causal commutation --------------------------------------------------------------
 
 
-def check_einstein_causality(A: QftModel, report: Report | None = None) -> Report:
+def check_einstein_causality(A: QftModel) -> Report:
     """Images of the two slots of every binary operation must commute.
 
     Binary operations of the embedding operads have causally disjoint
@@ -1133,7 +1119,7 @@ def check_einstein_causality(A: QftModel, report: Report | None = None) -> Repor
     product monoid.  The check therefore only ever fails on raw
     assignments that cannot extend to a model.
     """
-    rep = report if report is not None else Report()
+    rep = Report()
     tgt = A.base.name
     binary = sorted(A.base.ops(2), key=canonical_label)
     if not binary:
@@ -1159,8 +1145,7 @@ def check_einstein_causality(A: QftModel, report: Report | None = None) -> Repor
                         f"{canonical_label(x)} and {canonical_label(y)} "
                         "do not commute"
                     )
-    rep.add("causality/commutation", tgt, FAIL if bad else PASS,
-            witness=bad[:3] or None)
+    rep.verdict("causality/commutation", tgt, bad)
     if skipped:
         rep.add("causality/coverage", tgt, SKIP, witness=skipped[:3])
     return rep

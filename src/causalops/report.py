@@ -1,15 +1,31 @@
 """Deterministic check reports.
 
-Every checker in the package appends ``ReportEntry`` rows to a ``Report``.
-Serialization is canonical (sorted keys, insertion order preserved) so that
-identical inputs yield byte-identical report files.
+Every checker in the package builds its own ``Report`` of ``ReportEntry``
+rows.  Serialization is canonical (sorted keys, insertion order preserved)
+so that identical inputs yield byte-identical report files.
+
+A law row follows one rule, kept in ``Report.verdict``: no offenders is a
+PASS whose witness is the check's counts (or none), and any offenders is a
+FAIL whose witness is the first three of them.  Rows with another rule are
+written with ``Report.add``:
+
+- ``operad/associativity``, a SKIP when its budget stops it;
+- the SKIP rows ``multifunctor/*-coverage`` and ``causality/coverage``;
+- ``pseudo-operad/coverage``, DEGENERATE over zero operations;
+- ``two-adjunction/counit-identity``, one verdict from two conditions;
+- ``timeslice/cauchy-isos``, which says when there is no Cauchy operation;
+- the ``additivity/*`` rows, DEGENERATE or SKIP on region categories that
+  are empty or not filtered, and a FAIL that names why the comparison fails;
+- ``causality/commutation`` without binary operations;
+- ``bordism/out-cauchy`` and ``bordism/surface-order``, whose offenders are
+  a single condition or the first five events.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 PASS = "pass"
 FAIL = "fail"
@@ -45,6 +61,13 @@ class Report:
         entry = ReportEntry(check, target, status, witness)
         self.entries.append(entry)
         return entry
+
+    def verdict(self, check: str, target: str, bad: Sequence,
+                counts: Any = None) -> ReportEntry:
+        """PASS with ``counts`` when ``bad`` is empty, else FAIL with ``bad[:3]``."""
+        if bad:
+            return self.add(check, target, FAIL, witness=bad[:3])
+        return self.add(check, target, PASS, witness=counts)
 
     def extend(self, other: "Report") -> None:
         self.entries.extend(other.entries)

@@ -62,7 +62,7 @@ from .qft_models import (
     fqft_model,
     sigma_category,
 )
-from .report import FAIL, PASS, Report
+from .report import Report
 
 __all__ = [
     "ZigZag",
@@ -359,10 +359,9 @@ def build_translation_context(aqft: Operad, *,
                               _classes=classes, _decorations=decorations)
 
 
-def validate_translation_context(ctx: TranslationContext,
-                                 report: Report | None = None) -> Report:
+def validate_translation_context(ctx: TranslationContext) -> Report:
     """Check the bridge invariants: color matching and composition respect."""
-    rep = report if report is not None else Report()
+    rep = Report()
     t = ctx.name
 
     color_bad = []
@@ -373,8 +372,7 @@ def validate_translation_context(ctx: TranslationContext,
     have = set(ctx.bordism_fragment.colors)
     color_bad += [f"missing {c}" for c in sorted(want - have, key=str)]
     color_bad += [f"unexpected {c}" for c in sorted(have - want, key=str)]
-    rep.add("context/colors", t, FAIL if color_bad else PASS,
-            witness=color_bad[:3] or None)
+    rep.verdict("context/colors", t, color_bad)
 
     region_ops = set(ctx.aqft_fragment.operations)
     window_ops = set(ctx.bordism_fragment.operations)
@@ -388,8 +386,7 @@ def validate_translation_context(ctx: TranslationContext,
             bad = [leg for leg in zz.legs if leg not in region_ops]
             if bad:
                 bridge_bad.append(f"{cls} leg {bad[0]} escapes the fragment")
-    rep.add("context/bridge", t, FAIL if bridge_bad else PASS,
-            witness=bridge_bad[:3] or None)
+    rep.verdict("context/bridge", t, bridge_bad)
 
     comp_bad = []
     checked = 0
@@ -411,8 +408,7 @@ def validate_translation_context(ctx: TranslationContext,
             if direct not in composite.members:
                 comp_bad.append(f"{psi} over {[str(p) for p in phis]} "
                                 "misses its collar wrapper")
-    rep.add("context/composition", t, FAIL if comp_bad else PASS,
-            witness=comp_bad[:3] or {"checked": checked})
+    rep.verdict("context/composition", t, comp_bad, {"checked": checked})
     return rep
 
 
@@ -629,8 +625,7 @@ def _mediate_transformation(components, colims_f: Mapping, colims_g: Mapping,
 
 
 def roundtrip_aqft(A: QftModel, ctx: TranslationContext, *,
-                   transformation=None, debug: bool = False,
-                   report: Report | None = None) -> Report:
+                   transformation=None, debug: bool = False) -> Report:
     """Verify that translating a region model out and back returns it exactly.
 
     The surface colimits of the translated model are constant with identity
@@ -640,7 +635,7 @@ def roundtrip_aqft(A: QftModel, ctx: TranslationContext, *,
     that transformations survive the round trip unchanged.  ``debug`` is
     passed to both translations.
     """
-    rep = report if report is not None else Report()
+    rep = Report()
     t = ctx.name
     F = aqft_to_fqft(A, ctx, debug=debug)
     colims = _region_colimits(F, ctx)
@@ -650,14 +645,12 @@ def roundtrip_aqft(A: QftModel, ctx: TranslationContext, *,
         canonical_label(frozenset(M.events))
         for M in ctx.aqft_fragment.colors if back.value(M) != A.value(M)
     ]
-    rep.add("roundtrip/objects", t, FAIL if color_bad else PASS,
-            witness=color_bad[:3] or None)
+    rep.verdict("roundtrip/objects", t, color_bad)
     op_bad = [
         str(op) for op in ctx.aqft_fragment.operations
         if back.hom(op) != A.hom(op)
     ]
-    rep.add("roundtrip/operations", t, FAIL if op_bad else PASS,
-            witness=op_bad[:3] or None)
+    rep.verdict("roundtrip/operations", t, op_bad)
 
     if transformation is not None:
         B, components = transformation
@@ -671,8 +664,7 @@ def roundtrip_aqft(A: QftModel, ctx: TranslationContext, *,
             for M in ctx.aqft_fragment.colors
             if back_components[M] != components[M]
         ]
-        rep.add("roundtrip/morphisms", t, FAIL if morphism_bad else PASS,
-                witness=morphism_bad[:3] or None)
+        rep.verdict("roundtrip/morphisms", t, morphism_bad)
     return rep
 
 
@@ -687,8 +679,7 @@ def _collar_row(ctx: TranslationContext, b: Bordism) -> ZigZag | None:
 
 
 def roundtrip_fqft(F: QftModel, ctx: TranslationContext, *,
-                   transformation=None, debug: bool = False,
-                   report: Report | None = None) -> Report:
+                   transformation=None, debug: bool = False) -> Report:
     """Verify that a surface model round-trips to an isomorphic model.
 
     The comparison components are the colimit legs; the report checks that
@@ -699,7 +690,7 @@ def roundtrip_fqft(F: QftModel, ctx: TranslationContext, *,
     the two models are checked as well.  ``debug`` is passed to both
     translations.
     """
-    rep = report if report is not None else Report()
+    rep = Report()
     t = ctx.name
     colims = _region_colimits(F, ctx)
     back = _induced_model(F, ctx, colims, debug)
@@ -713,8 +704,7 @@ def roundtrip_fqft(F: QftModel, ctx: TranslationContext, *,
         str(c) for c in ctx.bordism_fragment.colors
         if not iota[c].is_isomorphism
     ]
-    rep.add("roundtrip/components", t, FAIL if component_bad else PASS,
-            witness=component_bad[:3] or None)
+    rep.verdict("roundtrip/components", t, component_bad)
 
     naturality_bad = []
     for cls in ctx.bordism_fragment.operations:
@@ -722,8 +712,7 @@ def roundtrip_fqft(F: QftModel, ctx: TranslationContext, *,
         rhs = ctx.compose(forward.hom(cls), tuple(iota[c] for c in cls.inputs))
         if lhs != rhs:
             naturality_bad.append(str(cls))
-    rep.add("roundtrip/naturality", t, FAIL if naturality_bad else PASS,
-            witness=naturality_bad[:3] or None)
+    rep.verdict("roundtrip/naturality", t, naturality_bad)
 
     row_bad = []
     outside = 0
@@ -741,8 +730,8 @@ def roundtrip_fqft(F: QftModel, ctx: TranslationContext, *,
         checked += 1
         if composite != F.hom(cls):
             row_bad.append(str(cls))
-    rep.add("roundtrip/base-diagram", t, FAIL if row_bad else PASS,
-            witness=row_bad[:3] or {"checked": checked, "outside-window": outside})
+    rep.verdict("roundtrip/base-diagram", t, row_bad,
+                {"checked": checked, "outside-window": outside})
 
     if transformation is not None:
         G, components = transformation
@@ -755,6 +744,5 @@ def roundtrip_fqft(F: QftModel, ctx: TranslationContext, *,
             if ctx.then(components[c], colims_g[c.carrier].legs[c.surface])
             != ctx.then(iota[c], round_components[c])
         ]
-        rep.add("roundtrip/morphisms", t, FAIL if square_bad else PASS,
-                witness=square_bad[:3] or None)
+        rep.verdict("roundtrip/morphisms", t, square_bad)
     return rep

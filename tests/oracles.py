@@ -52,10 +52,6 @@ def brute_strict_past(P: OraclePoset, subset: set[str]) -> set[str]:
     return {x for x in P.events if any(P.le(x, a) and x != a for a in subset)}
 
 
-def brute_strict_future(P: OraclePoset, subset: set[str]) -> set[str]:
-    return {x for x in P.events if any(P.le(a, x) and x != a for a in subset)}
-
-
 def brute_convex(P: OraclePoset, subset: set[str]) -> bool:
     for x, z in itertools.product(subset, repeat=2):
         for y in P.events:

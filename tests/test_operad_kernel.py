@@ -1,8 +1,10 @@
 """Operad kernel: permutations, table operads, prefactorization, functors."""
 
+import hashlib
 import itertools
 import random
 from dataclasses import dataclass
+from typing import Hashable
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,7 +17,6 @@ from causalops.operad_kernel import (
     Multifunctor,
     MultinaturalTransformation,
     Operad,
-    Operation,
     apply_permutation,
     block_permutation,
     check_multifunctor,
@@ -33,6 +34,19 @@ from causalops.operad_kernel import (
 from causalops.report import FAIL, PASS
 
 import oracles
+
+
+@dataclass(frozen=True)
+class Operation:
+    """Opaque named operation of an explicitly tabulated operad."""
+
+    name: str
+    inputs: tuple[Hashable, ...]
+    output: Hashable
+
+    def __str__(self) -> str:
+        ins = ",".join(str(c) for c in self.inputs)
+        return f"{self.name}:({ins})->{self.output}"
 
 
 st_perm = st.integers(min_value=0, max_value=5).flatmap(
@@ -104,6 +118,57 @@ def cyclic_group_operad() -> Operad:
     return Operad([color], [u, f], {color: u}, table, action, name="rot2")
 
 
+def broken_unit_operad() -> Operad:
+    """The two-element group with a unit that absorbs instead of passing through."""
+    color = "c"
+    u = Operation("u", (color,), color)
+    f = Operation("f", (color,), color)
+    table = {
+        (u, (u,)): u, (u, (f,)): u,  # unit absorbs instead of passing through
+        (f, (u,)): f, (f, (f,)): u,
+    }
+    action = {(u, (0,)): u, (f, (0,)): f}
+    return Operad([color], [u, f], {color: u}, table, action, name="broken")
+
+
+def skew_operad() -> Operad:
+    """Composition with g swaps two binaries but not their permuted twins."""
+    # three colors keep the table finite: binaries land in a sink color
+    uc = Operation("uc", ("c",), "c")
+    ud = Operation("ud", ("d",), "d")
+    ue = Operation("ue", ("e",), "e")
+    g = Operation("g", ("c",), "c")
+    b1 = Operation("b1", ("c", "d"), "e")
+    b2 = Operation("b2", ("c", "d"), "e")
+    b1s = Operation("b1s", ("d", "c"), "e")
+    b2s = Operation("b2s", ("d", "c"), "e")
+    ops = [uc, ud, ue, g, b1, b2, b1s, b2s]
+    table = {
+        (uc, (uc,)): uc, (uc, (g,)): g,
+        (ud, (ud,)): ud,
+        (g, (uc,)): g, (g, (g,)): uc,
+        (ue, (ue,)): ue,
+        (ue, (b1,)): b1, (ue, (b2,)): b2,
+        (ue, (b1s,)): b1s, (ue, (b2s,)): b2s,
+        (b1, (uc, ud)): b1,
+        (b1, (g, ud)): b2,     # composing with g jumps tracks...
+        (b2, (uc, ud)): b2, (b2, (g, ud)): b1,
+        (b1s, (ud, uc)): b1s,
+        (b1s, (ud, g)): b1s,   # ...but not on the permuted twin
+        (b2s, (ud, uc)): b2s, (b2s, (ud, g)): b2s,
+    }
+    action = {}
+    for op in [uc, ud, ue, g]:
+        action[(op, (0,))] = op
+    for plain, twisted in [(b1, b1s), (b2, b2s)]:
+        action[(plain, (0, 1))] = plain
+        action[(plain, (1, 0))] = twisted
+        action[(twisted, (0, 1))] = twisted
+        action[(twisted, (1, 0))] = plain
+    return Operad(["c", "d", "e"], ops, {"c": uc, "d": ud, "e": ue},
+                  table, action, name="skew")
+
+
 class TestOperadChecker:
     def test_fold_operad_satisfies_all_laws(self):
         report = check_operad_axioms(commutative_fold_operad())
@@ -114,57 +179,24 @@ class TestOperadChecker:
         assert report.ok, report.failures
 
     def test_broken_unit_law_is_caught_with_witness(self):
-        color = "c"
-        u = Operation("u", (color,), color)
-        f = Operation("f", (color,), color)
-        table = {
-            (u, (u,)): u, (u, (f,)): u,  # unit absorbs instead of passing through
-            (f, (u,)): f, (f, (f,)): u,
-        }
-        action = {(u, (0,)): u, (f, (0,)): f}
-        bad = Operad([color], [u, f], {color: u}, table, action, name="broken")
-        report = check_operad_axioms(bad)
+        report = check_operad_axioms(broken_unit_operad())
         assert not report.ok
         assert any(e.check == "operad/unit-laws" for e in report.failures)
 
     def test_broken_equivariance_is_caught(self):
-        # three colors keep the table finite: binaries land in a sink color
-        uc = Operation("uc", ("c",), "c")
-        ud = Operation("ud", ("d",), "d")
-        ue = Operation("ue", ("e",), "e")
-        g = Operation("g", ("c",), "c")
-        b1 = Operation("b1", ("c", "d"), "e")
-        b2 = Operation("b2", ("c", "d"), "e")
-        b1s = Operation("b1s", ("d", "c"), "e")
-        b2s = Operation("b2s", ("d", "c"), "e")
-        ops = [uc, ud, ue, g, b1, b2, b1s, b2s]
-        table = {
-            (uc, (uc,)): uc, (uc, (g,)): g,
-            (ud, (ud,)): ud,
-            (g, (uc,)): g, (g, (g,)): uc,
-            (ue, (ue,)): ue,
-            (ue, (b1,)): b1, (ue, (b2,)): b2,
-            (ue, (b1s,)): b1s, (ue, (b2s,)): b2s,
-            (b1, (uc, ud)): b1,
-            (b1, (g, ud)): b2,     # composing with g jumps tracks...
-            (b2, (uc, ud)): b2, (b2, (g, ud)): b1,
-            (b1s, (ud, uc)): b1s,
-            (b1s, (ud, g)): b1s,   # ...but not on the permuted twin
-            (b2s, (ud, uc)): b2s, (b2s, (ud, g)): b2s,
-        }
-        action = {}
-        for op in [uc, ud, ue, g]:
-            action[(op, (0,))] = op
-        for plain, twisted in [(b1, b1s), (b2, b2s)]:
-            action[(plain, (0, 1))] = plain
-            action[(plain, (1, 0))] = twisted
-            action[(twisted, (0, 1))] = twisted
-            action[(twisted, (1, 0))] = plain
-        bad = Operad(["c", "d", "e"], ops, {"c": uc, "d": ud, "e": ue},
-                     table, action, name="skew")
-        report = check_operad_axioms(bad)
+        report = check_operad_axioms(skew_operad())
         assert not report.ok
         assert any(e.check == "operad/equivariance" for e in report.failures)
+
+    def test_failing_reports_are_pinned(self):
+        digests = [
+            hashlib.sha256(check_operad_axioms(O).dumps().encode()).hexdigest()
+            for O in (broken_unit_operad(), skew_operad())
+        ]
+        assert digests == [
+            "8b174ba989e7afc764ac849fb04eee02fba71b4355ff969bbde0add03e2e56b6",
+            "fef8928e29ec3ac265da21ba829c251c251eb0fb951c2efd3038163ec49a771d",
+        ]
 
     def test_composition_signature_violations_are_rejected_eagerly(self):
         O = cyclic_group_operad()
@@ -397,6 +429,10 @@ class TestFiniteGroupoid:
         report = self.build_flip(bad=True).validate()
         assert not report.ok
         assert any("laws" in e.check for e in report.failures)
+
+    def test_failing_report_is_pinned(self):
+        report = self.build_flip(bad=True).validate()
+        assert hashlib.sha256(report.dumps().encode()).hexdigest() == "59dc2f568f557cbe9b72dca0d3e7556785ad918edbd505225e7f6af0b3e02e7c"
 
     def test_results_are_the_stored_morphisms(self):
         # the tables build a fresh arrow on every call, equal to a stored one

@@ -55,13 +55,21 @@ class TestIota:
         report = check_pseudo_operad(P)
         assert report.ok, report.failures
 
-    def test_corrupted_associator_is_caught(self):
+    @staticmethod
+    def corrupted_associator() -> PseudoOperadData:
         P = iota(cyclic_group_operad())
         key = next(iter(P.associators))
         cells = [c for c in P.all_cells(1) if c.dom != c.cod]
         P.associators[key] = cells[0]  # wrong endpoints, not even globular
-        report = check_pseudo_operad(P)
+        return P
+
+    def test_corrupted_associator_is_caught(self):
+        report = check_pseudo_operad(self.corrupted_associator())
         assert not report.ok
+
+    def test_failing_report_is_pinned(self):
+        report = check_pseudo_operad(self.corrupted_associator())
+        assert hashlib.sha256(report.dumps().encode()).hexdigest() == "4f8fad2bfd7f683a40957b0d22ec084df845e2befa01b31e3d2fdc9b9fa6a969"
 
 
 def assert_iota_matches_brute_walk(O) -> None:

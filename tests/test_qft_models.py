@@ -1,5 +1,6 @@
 """Monoid-valued models: region categories, colimits, and the checkers."""
 
+import hashlib
 import itertools
 import random
 
@@ -577,7 +578,7 @@ class TestAqftCheckers:
             "timeslice/units", "timeslice/cauchy-isos",
         }
 
-    def test_collapse_on_a_cauchy_inclusion_fails_time_slice(self):
+    def collapse_model(self) -> QftModel:
         colors = {self.Su: Z2, self.M2: TRIV}
         ops = unit_images(self.base, colors)
         collapse = MonoidHom.unary(Z2, TRIV, {0: "e", 1: "e"})
@@ -585,23 +586,37 @@ class TestAqftCheckers:
             if psi not in ops:
                 ops[psi] = (collapse if psi.inputs[0] == self.Su
                             else MonoidHom.identity(TRIV))
-        A = aqft_model(self.base, colors, ops)
-        rep = check_time_slice(A)
-        assert not rep.ok
-        assert "non-invertible" in rep.failures[0].witness[0]
+        return aqft_model(self.base, colors, ops)
 
-    def test_twisted_unit_image_fails_the_unit_entry(self):
+    def twisted_unit_model(self) -> QftModel:
         colors = {self.Su: Z3, self.M2: Z3}
         double = MonoidHom.unary(Z3, Z3, {0: 0, 1: 2, 2: 1})
         ops = unit_images(self.base, colors)
         ops[self.base.unit(self.Su)] = double
         for psi in self.base.ops(1):
             ops.setdefault(psi, MonoidHom.identity(Z3))
-        A = aqft_model(self.base, colors, ops)
-        rep = check_time_slice(A)
+        return aqft_model(self.base, colors, ops)
+
+    def test_collapse_on_a_cauchy_inclusion_fails_time_slice(self):
+        rep = check_time_slice(self.collapse_model())
+        assert not rep.ok
+        assert "non-invertible" in rep.failures[0].witness[0]
+
+    def test_twisted_unit_image_fails_the_unit_entry(self):
+        rep = check_time_slice(self.twisted_unit_model())
         by_check = {e.check: e.status for e in rep.entries}
         assert by_check["timeslice/units"] == FAIL
         assert by_check["timeslice/cauchy-isos"] == PASS
+
+    def test_failing_time_slice_reports_are_pinned(self):
+        digests = [
+            hashlib.sha256(check_time_slice(A).dumps().encode()).hexdigest()
+            for A in (self.collapse_model(), self.twisted_unit_model())
+        ]
+        assert digests == [
+            "2defdd5b8f860c7d834e3cc8bd63902722cf76ed0427478f3cdd5bc12835391b",
+            "69a196230260806a7884be43f73b36230720a94a68502dc2aa506c763d572be2",
+        ]
 
     def test_unit_embedding_fails_additivity_comparison(self):
         colors = {self.Su: TRIV, self.M2: Z2}
@@ -691,7 +706,7 @@ class TestEinsteinCausality:
         with pytest.raises(ValueError, match="commutative"):
             constant_aqft(self.base, left_zero_monoid())
 
-    def test_raw_noncommutative_assignment_fails(self):
+    def noncommutative_model(self) -> QftModel:
         L = left_zero_monoid()
         colors = {c: L for c in self.base.colors}
         ops = {
@@ -700,10 +715,16 @@ class TestEinsteinCausality:
             )
             for psi in self.base.ops(2)
         }
-        A = aqft_model(self.base, colors, ops)
-        rep = check_einstein_causality(A)
+        return aqft_model(self.base, colors, ops)
+
+    def test_raw_noncommutative_assignment_fails(self):
+        rep = check_einstein_causality(self.noncommutative_model())
         assert not rep.ok
         assert "do not commute" in rep.failures[0].witness[0]
+
+    def test_failing_report_is_pinned(self):
+        rep = check_einstein_causality(self.noncommutative_model())
+        assert hashlib.sha256(rep.dumps().encode()).hexdigest() == "546d1bd59d6a39f6d98b09b51ecd85056c6bad939b5c5d72708cc04329b00720"
 
     def test_unassigned_binary_operations_are_reported_as_skipped(self):
         L = left_zero_monoid()
@@ -745,7 +766,7 @@ class TestFqftCheckers:
     def test_identity_model_passes_time_slice(self):
         assert check_time_slice(self.identity_model()).ok
 
-    def test_collapse_fails_time_slice(self):
+    def collapse_model(self) -> QftModel:
         colors = {c: (TRIV if c == self.tgt else Z2) for c in self.tau.colors}
         ops = {}
         for psi in self.tau.operations:
@@ -757,9 +778,15 @@ class TestFqftCheckers:
                 ops[psi] = MonoidHom.unary(Z2, TRIV, {0: "e", 1: "e"})
             else:
                 ops[psi] = MonoidHom.unary(TRIV, Z2, {"e": 0})
-        F = fqft_model(self.tau, colors, ops)
-        rep = check_time_slice(F)
+        return fqft_model(self.tau, colors, ops)
+
+    def test_collapse_fails_time_slice(self):
+        rep = check_time_slice(self.collapse_model())
         assert not rep.ok
+
+    def test_failing_report_is_pinned(self):
+        rep = check_time_slice(self.collapse_model())
+        assert hashlib.sha256(rep.dumps().encode()).hexdigest() == "c0ef40feb7caa9abd3758ddb912e257c8c1efd6933719736c944d850c02f96b1"
 
     def test_additivity_passes_at_the_two_chain_target(self):
         F = self.identity_model()

@@ -1,5 +1,6 @@
 """Region/surface model translation: windows, zig-zags, and round trips."""
 
+import hashlib
 import itertools
 import random
 
@@ -595,17 +596,24 @@ class TestContexts:
             by_check = {e.check: e for e in report.entries}
             assert by_check["context/composition"].witness["checked"] > 0
 
-    def test_missing_bridge_entries_are_reported(self):
+    @staticmethod
+    def thinned_context() -> TranslationContext:
         ctx = chain_translation_context()
         thinned = dict(ctx.bridge)
         dropped = next(iter(thinned))
         del thinned[dropped]
-        broken = TranslationContext(ctx.aqft_fragment, ctx.bordism_fragment,
-                                    thinned, name="broken")
-        report = validate_translation_context(broken)
+        return TranslationContext(ctx.aqft_fragment, ctx.bordism_fragment,
+                                  thinned, name="broken")
+
+    def test_missing_bridge_entries_are_reported(self):
+        report = validate_translation_context(self.thinned_context())
         assert not report.ok
         assert any(e.check == "context/bridge" and e.status == "fail"
                    for e in report.entries)
+
+    def test_failing_report_is_pinned(self):
+        report = validate_translation_context(self.thinned_context())
+        assert hashlib.sha256(report.dumps().encode()).hexdigest() == "be9abe1469327aad4d5b754af871e21bd9ad1cb7fb6fd026401976a9a9a4ed9f"
 
     def test_building_requires_collar_descriptions(self):
         M = CausalSet(("u", "v"), (("u", "v"),))
