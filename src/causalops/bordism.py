@@ -25,12 +25,12 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .causal_core import (
     CausalEmbedding,
     CausalSet,
+    _cached_hash,
     _is_induced,
     _pinned_maps,
     causal_past,
     chronological_past,
     convex_hull,
-    convex_subsets,
     are_causally_disjoint,
     glue_pushout,
     is_causally_convex,
@@ -63,7 +63,6 @@ __all__ = [
     "cells_between",
     "globular_cells_between",
     "compose_two_cells",
-    "find_wide_witness",
     "coherence_cells",
     "unitor_cells",
     "companion_bordism",
@@ -104,12 +103,7 @@ class PointedObject:
         """The carrier restricted to the convex hull of the surface."""
         return self.carrier.induced(self.surface_hull)
 
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((PointedObject, self.carrier, self.surface))
-            self.__dict__["_hash"] = h
-        return h
+    __hash__ = _cached_hash(lambda self: (PointedObject, self.carrier, self.surface))
 
     @cached_property
     def _text(self) -> str:
@@ -175,12 +169,7 @@ class Germ:
     def inverse(self) -> "Germ":
         return Germ(self.tgt, self.src, {v: e for e, v in self.pairs})
 
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((Germ, self.src, self.tgt, self.pairs))
-            self.__dict__["_hash"] = h
-        return h
+    __hash__ = _cached_hash(lambda self: (Germ, self.src, self.tgt, self.pairs))
 
     @cached_property
     def _text(self) -> str:
@@ -298,13 +287,8 @@ class Bordism:
     def label(self) -> str:
         return f"{self.arity}-ary bordism on {len(self.carrier.events)} events"
 
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((Bordism, self.sources, self.target, self.carrier,
-                      self.maps_in, self.map_out))
-            self.__dict__["_hash"] = h
-        return h
+    __hash__ = _cached_hash(lambda self: (Bordism, self.sources, self.target, self.carrier,
+                                          self.maps_in, self.map_out))
 
     @cached_property
     def _text(self) -> str:
@@ -696,12 +680,7 @@ class TwoCell:
             table[x] = y
         return Germ(self.dom.target, self.cod.target, table)
 
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((TwoCell, self.dom, self.cod, self.pairs))
-            self.__dict__["_hash"] = h
-        return h
+    __hash__ = _cached_hash(lambda self: (TwoCell, self.dom, self.cod, self.pairs))
 
     @cached_property
     def _text(self) -> str:
@@ -742,10 +721,6 @@ def cells_between(a: Bordism, b: Bordism) -> tuple[TwoCell, ...]:
     return tuple(sorted(found, key=str))
 
 
-class _PinClash(Exception):
-    pass
-
-
 def globular_cells_between(a: Bordism, b: Bordism,
                            limit: int | None = None) -> tuple[TwoCell, ...]:
     """Cells whose boundary germs are all identities.
@@ -756,53 +731,18 @@ def globular_cells_between(a: Bordism, b: Bordism,
     if a.arity != b.arity or a.sources != b.sources or a.target != b.target:
         return ()
     pins: dict[str, str] = {}
-
-    def pin(key: str, value: str) -> None:
-        if pins.setdefault(key, value) != value:
-            raise _PinClash
-
-    try:
-        for i in range(a.arity):
-            fwd_a, fwd_b = a.maps_in[i], b.maps_in[i]
-            for x in a.sources[i].surface_hull:
-                pin(fwd_a(x), fwd_b(x))
-        for x in a.target.surface_hull:
-            pin(a.map_out(x), b.map_out(x))
-    except _PinClash:
-        return ()
-
+    for fwd_a, fwd_b, obj in (*zip(a.maps_in, b.maps_in, a.sources),
+                              (a.map_out, b.map_out, a.target)):
+        for x in obj.surface_hull:
+            y = fwd_b(x)
+            if pins.setdefault(fwd_a(x), y) != y:
+                return ()
     cells: list[TwoCell] = []
     for iso in _pinned_maps(a.hull_core, b.hull_core, iso=True, pins=pins):
         cells.append(TwoCell(a, b, iso))
         if limit is not None and len(cells) >= limit:
             return tuple(cells)
     return tuple(sorted(cells, key=str))
-
-
-def find_wide_witness(cell: TwoCell) -> CausalEmbedding | None:
-    """Search for a Cauchy embedding on a convex region presenting the cell.
-
-    Canonical restrictions need not stay Cauchy, so cells are identified by
-    their hull cores alone; this reconstructs a wide representative when one
-    exists, preferring the smallest region.
-    """
-    dom_carrier = cell.dom.carrier
-    cod_carrier = cell.cod.carrier
-    base = cell.dom.surface_hull
-    # convex_subsets leaves out the empty region, the smallest for an empty hull
-    regions = [base] if not base else []
-    regions += [U for U in convex_subsets(dom_carrier) if base <= U]
-    for region in regions:
-        sub = dom_carrier.induced(region)
-        for assignment in _pinned_maps(sub, cod_carrier, iso=False,
-                                       pins=cell.table):
-            try:
-                emb = CausalEmbedding(sub, cod_carrier, assignment)
-            except ValueError:
-                continue
-            if is_cauchy_embedding(emb):
-                return emb
-    return None
 
 
 def compose_two_cells(outer: TwoCell, inners: Sequence[TwoCell]) -> TwoCell:
@@ -1273,8 +1213,6 @@ def bordism_fragment(
     for psi in ops_sorted:
         for phis in sorted(by_outer.get(psi, []), key=str):
             pools = [sorted(by_outer.get(p, []), key=str) for p in phis]
-            if any(not pool for pool in pools):
-                continue
             middle = compose_ops[(psi, phis)]
             for chis in itertools.product(*pools):
                 flat = tuple(itertools.chain.from_iterable(chis))
@@ -1309,15 +1247,19 @@ def truncate_bordisms(fragment: PseudoOperadData) -> Operad:
 def resolve_bordism_class(window: Operad, b: Bordism) -> TauOperation:
     """The window class presenting a bordism, found by signature and germ.
 
-    Membership is checked first; otherwise a single globular cell to the
-    class representative suffices, since cells compose and classes are
-    already maximal.
+    Membership in every class of the same signature is checked before any
+    globular search.  A member of one class has no globular cell to another
+    class's representative, since classes are maximal under the window's
+    cells, so the class found is the same.  A bordism outside the window
+    then needs a single globular cell to a class representative, since
+    cells compose.
     """
-    for cls in window.ops(b.arity):
-        if cls.inputs != b.sources or cls.output != b.target:
-            continue
-        if b == cls.rep or b in cls.members:
+    same = [cls for cls in window.ops(b.arity)
+            if cls.inputs == b.sources and cls.output == b.target]
+    for cls in same:
+        if b in cls.members:
             return cls
+    for cls in same:
         if globular_cells_between(b, cls.rep, limit=1):
             return cls
     raise ValueError(f"window has no class presenting {b}")

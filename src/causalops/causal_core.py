@@ -16,7 +16,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import GluingCycle, NonConvexCocone
 
@@ -37,6 +37,23 @@ __all__ = [
     "are_causally_disjoint",
     "glue_pushout",
 ]
+
+
+def _cached_hash(key: Callable[[object], tuple]) -> Callable[[object], int]:
+    """A ``__hash__`` that hashes ``key(self)`` once and keeps it in ``_hash``.
+
+    Immutable values are hashed constantly as parts of composite keys, so
+    the hash is computed on first use and cached in the instance dict.
+    """
+
+    def __hash__(self) -> int:
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash(key(self))
+            self.__dict__["_hash"] = h
+        return h
+
+    return __hash__
 
 
 class CausalSet:
@@ -125,13 +142,7 @@ class CausalSet:
             return NotImplemented
         return self.events == other.events and self._up == other._up
 
-    def __hash__(self) -> int:
-        # hashed constantly as part of composite keys, so cache aggressively
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.events, self._up))
-            self.__dict__["_hash"] = h
-        return h
+    __hash__ = _cached_hash(lambda self: (self.events, self._up))
 
     def __repr__(self) -> str:
         return f"CausalSet({list(self.events)!r}, covers={sorted(self.covers)!r})"
@@ -380,12 +391,8 @@ class MonotoneMap:
     cod: CausalSet
     pairs: tuple[tuple[str, str], ...]
 
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.__class__.__name__, self.dom, self.cod, self.pairs))
-            self.__dict__["_hash"] = h
-        return h
+    __hash__ = _cached_hash(
+        lambda self: (self.__class__.__name__, self.dom, self.cod, self.pairs))
 
     def __init__(self, dom: CausalSet, cod: CausalSet, mapping: dict[str, str] | Iterable[tuple[str, str]]):
         table = dict(mapping)

@@ -102,6 +102,34 @@ def all_permutations(n: int) -> Iterator[tuple[int, ...]]:
     return itertools.permutations(range(n))
 
 
+# ---- equivalence classes ------------------------------------------------------
+
+
+def _least_representatives(items: Iterable[Hashable],
+                           pairs: Iterable[tuple[Hashable, Hashable]],
+                           key: Callable[[Hashable], object]) -> dict:
+    """Name each class of the equivalence that ``pairs`` generate on ``items``
+    by its least member under ``key``.
+
+    Returns ``{item: least member of its class}`` in the order of ``items``.
+    A union-find whose root is always the least member seen in its class.
+    """
+    parent: dict = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            parent[x] = parent.get(parent[x], parent[x])
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            lo, hi = (ra, rb) if key(ra) <= key(rb) else (rb, ra)
+            parent[hi] = lo
+    return {x: find(x) for x in items}
+
+
 # ---- operation tokens ---------------------------------------------------------
 
 

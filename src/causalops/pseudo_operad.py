@@ -22,10 +22,12 @@ from bisect import insort
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Mapping, Sequence
 
+from .causal_core import _cached_hash
 from .errors import NotFibrant
 from .operad_kernel import (
     FiniteGroupoid,
     Operad,
+    _least_representatives,
     all_permutations,
     apply_permutation,
     block_permutation,
@@ -120,19 +122,22 @@ class PseudoOperadData:
         return found
 
     def unit_op(self, color):
-        if color not in self.unit_ops:
+        found = self.unit_ops.get(color)
+        if found is None:
             raise ValueError(f"unit operation missing for color {color}")
-        return self.unit_ops[color]
+        return found
 
     def unit_cell(self, vertical):
-        if vertical not in self.unit_cells:
+        found = self.unit_cells.get(vertical)
+        if found is None:
             raise ValueError(f"unit cell missing for vertical {vertical}")
-        return self.unit_cells[vertical]
+        return found
 
     def act_op(self, op, sigma: Sequence[int]):
         key = (op, tuple(sigma))
-        if key in self.act_ops:
-            return self.act_ops[key]
+        found = self.act_ops.get(key)
+        if found is not None:
+            return found
         if self.act_op_fn is not None:
             cache = self.__dict__.setdefault("_act_cache", {})
             if key not in cache:
@@ -147,14 +152,16 @@ class PseudoOperadData:
         return found
 
     def left_unitor(self, op):
-        if op not in self.left_unitors:
+        found = self.left_unitors.get(op)
+        if found is None:
             raise ValueError(f"left unitor missing at {op}")
-        return self.left_unitors[op]
+        return found
 
     def right_unitor(self, op):
-        if op not in self.right_unitors:
+        found = self.right_unitors.get(op)
+        if found is None:
             raise ValueError(f"right unitor missing at {op}")
-        return self.right_unitors[op]
+        return found
 
     # -- structural helpers --
 
@@ -212,12 +219,7 @@ class Square:
     legs: tuple
     out: Hashable
 
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((Square, self.dom, self.cod, self.legs, self.out))
-            self.__dict__["_hash"] = h
-        return h
+    __hash__ = _cached_hash(lambda self: (Square, self.dom, self.cod, self.legs, self.out))
 
     def __str__(self) -> str:
         legs = ",".join(str(g) for g in self.legs)
@@ -428,24 +430,23 @@ def _check_coherence(P: PseudoOperadData, rep: Report, max_pentagons: int) -> No
             bad.append(f"associator endpoints at {psi}")
         if not P.is_globular(cell):
             bad.append(f"associator not globular at {psi}")
-    for op, cell in P.left_unitors.items():
-        try:
-            padded = P.compose_op(P.unit_op(P.op_output[op]), (op,))
-        except ValueError:
-            bad.append(f"left unitor over missing composite at {op}")
-            continue
-        G = P.groupoid_of_cell(cell)
-        if G.src(cell) != padded or G.tgt(cell) != op or not P.is_globular(cell):
-            bad.append(f"left unitor at {op}")
-    for op, cell in P.right_unitors.items():
-        try:
-            padded = P.compose_op(op, tuple(P.unit_op(c) for c in P.op_inputs[op]))
-        except ValueError:
-            bad.append(f"right unitor over missing composite at {op}")
-            continue
-        G = P.groupoid_of_cell(cell)
-        if G.src(cell) != padded or G.tgt(cell) != op or not P.is_globular(cell):
-            bad.append(f"right unitor at {op}")
+    # a unitor runs from the operation padded by units to the operation
+    sides = (
+        ("left", P.left_unitors,
+         lambda op: P.compose_op(P.unit_op(P.op_output[op]), (op,))),
+        ("right", P.right_unitors,
+         lambda op: P.compose_op(op, tuple(P.unit_op(c) for c in P.op_inputs[op]))),
+    )
+    for side, unitors, pad in sides:
+        for op, cell in unitors.items():
+            try:
+                padded = pad(op)
+            except ValueError:
+                bad.append(f"{side} unitor over missing composite at {op}")
+                continue
+            G = P.groupoid_of_cell(cell)
+            if G.src(cell) != padded or G.tgt(cell) != op or not P.is_globular(cell):
+                bad.append(f"{side} unitor at {op}")
     rep.verdict("pseudo-operad/coherence-boundaries", P.name, bad)
 
     tri_bad: list[str] = []
@@ -482,8 +483,6 @@ def _check_coherence(P: PseudoOperadData, rep: Report, max_pentagons: int) -> No
         # extend downward by one more layer drawn from materialized composites
         flat_chis = tuple(itertools.chain.from_iterable(chis))
         omega_pools = [inners_of.get(chi, []) for chi in flat_chis]
-        if any(not pool for pool in omega_pools):
-            continue
         for omegas_flat in itertools.product(*[pool[:2] for pool in omega_pools]):
             if pent_checked >= max_pentagons:
                 break
@@ -837,12 +836,8 @@ class TauOperation:
     inputs: tuple
     output: Hashable
 
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((TauOperation, self.rep, self.members, self.inputs, self.output))
-            self.__dict__["_hash"] = h
-        return h
+    __hash__ = _cached_hash(
+        lambda self: (TauOperation, self.rep, self.members, self.inputs, self.output))
 
     def __str__(self) -> str:
         return f"[{self.rep}]"
@@ -866,28 +861,13 @@ def tau_full(P: PseudoOperadData) -> TauResult:
     matched against known class representatives via the hook and only mints
     a fresh singleton class when no link exists.
     """
-    parents: dict = {}
-
-    def find(x):
-        while parents.get(x, x) != x:
-            parents[x] = parents.get(parents[x], parents[x])
-            x = parents[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parents[max(ra, rb, key=str)] = min(ra, rb, key=str)
-
+    links = []
     for n in P.arities():
         G = P.op_groupoids[n]
-        for cell in G.morphisms:
-            if P.is_globular(cell):
-                union(G.src(cell), G.tgt(cell))
-
+        links += [(G.src(c), G.tgt(c)) for c in G.morphisms if P.is_globular(c)]
     classes: dict = {}
-    for op in P.all_ops():
-        classes.setdefault(find(op), set()).add(op)
+    for op, least in _least_representatives(P.all_ops(), links, str).items():
+        classes.setdefault(least, set()).add(op)
     token_reuse = all(len(members) == 1 for members in classes.values())
 
     wrap_tokens = not token_reuse or P.op_link_fn is not None
@@ -898,8 +878,7 @@ def tau_full(P: PseudoOperadData) -> TauResult:
         registry: dict = {}
         # class tokens by signature, each bucket in str order
         by_signature: dict = {}
-        for members in classes.values():
-            rep = min(members, key=str)
+        for rep, members in classes.items():
             token = TauOperation(rep, frozenset(members),
                                  P.op_inputs[rep], P.op_output[rep])
             for m in members:
@@ -921,19 +900,15 @@ def tau_full(P: PseudoOperadData) -> TauResult:
         def action_rule(op, sigma):
             return P.act_op(op, sigma)
     else:
-        def signature_of(op):
-            if op in P.op_inputs:
-                return tuple(P.op_inputs[op]), P.op_output[op]
-            # Composites computed through *_fn hooks fall outside the
-            # materialized window; such operations must expose their own
-            # signature through .inputs/.output.
-            return tuple(op.inputs), op.output
-
         def resolve(op):
             token = registry.get(op)
             if token is not None:
                 return token
-            sig = signature_of(op)
+            # Every window operation is registered, so this one is a
+            # composite computed through *_fn hooks outside the materialized
+            # window; such operations expose their own signature through
+            # .inputs/.output.
+            sig = tuple(op.inputs), op.output
             if P.op_link_fn is not None:
                 for token in by_signature.get(sig, ()):
                     if P.op_link_fn(op, token.rep):

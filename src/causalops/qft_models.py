@@ -27,6 +27,7 @@ from .bordism import Bordism, PointedObject, resolve_bordism_class, wrapper_bord
 from .causal_core import (
     CausalEmbedding,
     CausalSet,
+    _cached_hash,
     cauchy_antichains,
     causal_past,
     chronological_past,
@@ -38,6 +39,7 @@ from .operad_kernel import (
     EmbeddingTuple,
     Multifunctor,
     Operad,
+    _least_representatives,
     apply_permutation,
     check_multifunctor,
     invert_permutation,
@@ -167,12 +169,7 @@ class Monoid:
         return (self.elements == other.elements and self.unit == other.unit
                 and self.pairs == other.pairs)
 
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((Monoid, self.elements, self.unit, self.pairs))
-            self.__dict__["_hash"] = h
-        return h
+    __hash__ = _cached_hash(lambda self: (Monoid, self.elements, self.unit, self.pairs))
 
     @cached_property
     def _text(self) -> str:
@@ -313,12 +310,7 @@ class MonoidHom:
         return (self.doms == other.doms and self.cod == other.cod
                 and self.pairs == other.pairs)
 
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((MonoidHom, self.doms, self.cod, self.pairs))
-            self.__dict__["_hash"] = h
-        return h
+    __hash__ = _cached_hash(lambda self: (MonoidHom, self.doms, self.cod, self.pairs))
 
     @cached_property
     def _text(self) -> str:
@@ -520,14 +512,23 @@ class ThinFunctor:
         return self.mapping[o]
 
 
+def _unbounded_pair(C: ThinCategory) -> tuple | None:
+    """The first pair of distinct objects, in ``itertools.combinations``
+    order, with no upper bound in ``C``; None when every pair has one.
+
+    A pair ``(a, a)`` is always bounded by ``a``, since ``ThinCategory``
+    enforces reflexivity, so only distinct pairs are scanned.
+    """
+    return next(
+        ((a, b) for a, b in itertools.combinations(C.objects, 2)
+         if not C.upper_bounds(a, b)),
+        None,
+    )
+
+
 def is_filtered(C: ThinCategory) -> bool:
     """Nonempty with an upper bound for every pair; enough in the thin case."""
-    if C.is_empty:
-        return False
-    return all(
-        C.upper_bounds(a, b)
-        for a, b in itertools.combinations_with_replacement(C.objects, 2)
-    )
+    return not C.is_empty and _unbounded_pair(C) is None
 
 
 def is_final(F: ThinFunctor) -> bool:
@@ -611,16 +612,20 @@ def rc_pointed_category(MS: PointedObject) -> ThinCategory:
     return ThinCategory(objects, lambda a, b: _pointed_morphism(M, a, b))
 
 
+def _surfaces(M: CausalSet) -> tuple[frozenset[str], ...]:
+    """The Cauchy antichains of a nonempty M, in ``canonical_label`` order."""
+    if not len(M):
+        raise NotFiltered("surface category needs a nonempty causal set")
+    return tuple(sorted(cauchy_antichains(M), key=canonical_label))
+
+
 def sigma_category(M: CausalSet) -> ThinCategory:
     """Cauchy antichains of M, related when one lies in the past of the other.
 
     The maximal-element antichain bounds everything, so the category is
     filtered for every nonempty M.
     """
-    if not len(M):
-        raise NotFiltered("surface category needs a nonempty causal set")
-    return ThinCategory(cauchy_antichains(M),
-                        lambda a, b: a <= causal_past(M, b))
+    return ThinCategory(_surfaces(M), lambda a, b: a <= causal_past(M, b))
 
 
 def q_category(M: CausalSet) -> ThinCategory:
@@ -700,15 +705,8 @@ def filtered_colimit_monoids(C: ThinCategory, monoids: Mapping,
 def _filtered_colimit(C: ThinCategory, monoids: Mapping, homs: Mapping,
                       hom: Callable[..., MonoidHom]) -> MonoidColimit:
     """:func:`filtered_colimit_monoids`, building each leg as ``hom(doms, cod, table)``."""
-    if not is_filtered(C):
-        witness = next(
-            (
-                (a, b)
-                for a, b in itertools.combinations(C.objects, 2)
-                if not C.upper_bounds(a, b)
-            ),
-            None,
-        )
+    witness = _unbounded_pair(C)
+    if C.is_empty or witness is not None:
         detail = (
             f"no upper bound for {canonical_label(witness[0])} and "
             f"{canonical_label(witness[1])}" if witness else "empty category"
@@ -731,27 +729,12 @@ def _filtered_colimit(C: ThinCategory, monoids: Mapping, homs: Mapping,
         return MonoidColimit(A, legs, members, collapsed=True)
 
     atoms = [(o, e) for o in C.objects for e in monoids[o].elements]
-    parent = {a: a for a in atoms}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            lo, hi = sorted((rx, ry), key=canonical_label)
-            parent[hi] = lo
-
-    for (a, b), h in edges.items():
-        for e in monoids[a].elements:
-            union((a, e), (b, h(e)))
-
+    links = (((a, e), (b, h(e)))
+             for (a, b), h in edges.items() for e in monoids[a].elements)
+    least = _least_representatives(atoms, links, canonical_label)
     classes: dict = {}
-    for atom in atoms:
-        classes.setdefault(find(atom), []).append(atom)
+    for atom, rep in least.items():
+        classes.setdefault(rep, []).append(atom)
     members = {
         rep: tuple(sorted(mem, key=canonical_label))
         for rep, mem in classes.items()
@@ -769,16 +752,16 @@ def _filtered_colimit(C: ThinCategory, monoids: Mapping, homs: Mapping,
 
     def multiply(p, q):
         w = bound_for(p[0], q[0])
-        return find((w, monoids[w].mul(push(*p, w), push(*q, w))))
+        return least[(w, monoids[w].mul(push(*p, w), push(*q, w)))]
 
     table = {(p, q): multiply(p, q) for p in carrier for q in carrier}
     unit_obj = C.objects[0]
-    unit = find((unit_obj, monoids[unit_obj].unit))
+    unit = least[(unit_obj, monoids[unit_obj].unit)]
     colimit = Monoid(carrier, table, unit,
                      name=f"colim[{len(C.objects)}]")
     legs = {
         o: hom((monoids[o],), colimit,
-               {(e,): find((o, e)) for e in monoids[o].elements})
+               {(e,): least[(o, e)] for e in monoids[o].elements})
         for o in C.objects
     }
 
@@ -976,21 +959,13 @@ def _additivity_verdict(tgt: str, C: ThinCategory, available: list, value: Monoi
                 witness="no subregions materialized in the fragment")
         rep.add("additivity/comparison", tgt, SKIP)
         return rep
+    # ``available`` is a nonempty part of ``C``, so ``sub`` is nonempty and
+    # filtered exactly when no pair lacks an upper bound
     sub = C.full_subcategory(available)
-    if not is_filtered(sub):
-        pair = next(
-            (
-                (a, b)
-                for a, b in itertools.combinations(sub.objects, 2)
-                if not sub.upper_bounds(a, b)
-            ),
-            None,
-        )
-        witness = (
-            [canonical_label(pair[0]), canonical_label(pair[1])]
-            if pair else "restricted category not filtered"
-        )
-        rep.add("additivity/region-category", tgt, DEGENERATE, witness=witness)
+    pair = _unbounded_pair(sub)
+    if pair is not None:
+        rep.add("additivity/region-category", tgt, DEGENERATE,
+                witness=[canonical_label(pair[0]), canonical_label(pair[1])])
         rep.add("additivity/comparison", tgt, SKIP)
         return rep
     rep.add("additivity/region-category", tgt, PASS)

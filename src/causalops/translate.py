@@ -35,12 +35,11 @@ from .bordism import (
     validate_bordism,
     wrapper_bordism,
 )
-from .causal_core import CausalEmbedding, CausalSet, cauchy_antichains
+from .causal_core import CausalEmbedding, CausalSet
 from .errors import (
     AdditivityRequired,
     FragmentCapExceeded,
     NoLaterSurface,
-    NotFiltered,
     TimeSliceRequired,
 )
 from .operad_kernel import EmbeddingTuple, Operad, prefactorization_operad
@@ -54,6 +53,7 @@ from .qft_models import (
     _filtered_colimit,
     _inverse_parts,
     _mediator_parts,
+    _surfaces,
     _then_parts,
     aqft_model,
     canonical_label,
@@ -87,12 +87,6 @@ __all__ = [
 
 
 # ---- wrapper bordisms over a region fragment -----------------------------------
-
-
-def _surfaces(M: CausalSet) -> tuple[frozenset[str], ...]:
-    if not len(M):
-        raise NotFiltered("surface category needs a nonempty causal set")
-    return tuple(sorted(cauchy_antichains(M), key=canonical_label))
 
 
 def _valid_wrappers(op: EmbeddingTuple, surfaces):

@@ -408,3 +408,39 @@ def hand_built_collar_wrappers(b):
         CausalEmbedding.identity(b.target.carrier),
     )
     return left, middle, right_in, right_out
+
+
+def brute_least_representatives(items, pairs, key) -> dict:
+    """Each item mapped to the least member, under ``key``, of its connected
+    component in the undirected graph that ``pairs`` draws on ``items``."""
+    items = list(items)
+    neighbours: dict = {x: set() for x in items}
+    for a, b in pairs:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    out: dict = {}
+    for start in items:
+        if start in out:
+            continue
+        component, frontier = {start}, [start]
+        while frontier:
+            x = frontier.pop(0)
+            for y in neighbours[x]:
+                if y not in component:
+                    component.add(y)
+                    frontier.append(y)
+        least = min(component, key=key)
+        for x in component:
+            out[x] = least
+    return {x: out[x] for x in items}
+
+
+def brute_unbounded_pair(objects, has):
+    """The first pair (a, b), a listed before b, with no object above both
+    under the relation ``has``, or None."""
+    objects = list(objects)
+    for i, a in enumerate(objects):
+        for b in objects[i + 1:]:
+            if not any(has(a, o) and has(b, o) for o in objects):
+                return a, b
+    return None

@@ -23,7 +23,6 @@ from causalops.bordism import (
     compose_bordisms_full,
     compose_two_cells,
     enumerate_germs,
-    find_wide_witness,
     globular_cells_between,
     identity_cell,
     overhang_regions,
@@ -53,7 +52,7 @@ from causalops.pseudo_operad import (
 )
 
 import oracles
-from oracles import OraclePoset
+from oracles import OraclePoset, brute_least_representatives
 
 
 def point(name: str) -> PointedObject:
@@ -437,31 +436,6 @@ class TestTwoCells:
         cell = coherence_cells(top, (mid,), ((low,),))
         assert cell.source_germs == (Germ.identity(low.sources[0]),)
         assert cell.target_germ == Germ.identity(top.target)
-
-    def test_wide_witness_and_report(self):
-        cell = identity_cell(chain_bordism("a", "b", "c"))
-        witness = find_wide_witness(cell)
-        assert witness is not None
-
-    def test_wide_witness_takes_the_first_smallest_region(self):
-        # the hull {m} is not Cauchy; {m, x} and {m, y} both are, and the
-        # smallest regions are tried in combinations order
-        M = CausalSet("mxy", [("x", "y")])
-        m = point("m")
-        inc = CausalEmbedding(m.carrier, M, {"m": "m"})
-        witness = find_wide_witness(identity_cell(Bordism((m,), m, M, (inc,), inc)))
-        assert witness.dom.events == ("m", "x")
-        assert witness.table == {"m": "m", "x": "x"}
-
-    def test_an_empty_hull_is_witnessed_by_the_empty_region_first(self):
-        E = PointedObject(CausalSet([], []), ())
-        witness = find_wide_witness(identity_cell(unit_bordism(E)))
-        assert witness is not None and witness.dom.events == ()
-        # on a nonempty carrier the empty region fails and a point follows
-        X = CausalSet("x", [])
-        b = Bordism((), E, X, (), CausalEmbedding(CausalSet([], []), X, {}))
-        witness = find_wide_witness(identity_cell(b))
-        assert witness is not None and witness.dom.events == ("x",)
 
 
 class TestRegions:
@@ -852,3 +826,29 @@ class TestTruncation:
         two = compose_bordisms(outer, (wide,))
         assert one != two
         assert len(globular_cells_between(one, two)) == 1
+
+    def test_classes_are_the_components_of_the_globular_cells(self, window):
+        links = [(G.src(c), G.tgt(c)) for G in window.op_groupoids.values()
+                 for c in G.morphisms if window.is_globular(c)]
+        least = brute_least_representatives(window.all_ops(), links, str)
+        collapsed = tau_full(window)
+        for op in window.all_ops():
+            token = collapsed.class_of[op]
+            assert token.rep == least[op]
+            assert token.members == {x for x, rep in least.items() if rep == least[op]}
+
+    def test_acting_on_a_fresh_class_runs_the_window_action_hook(self):
+        frag = bordism_fragment([chain_bordism("a", "b", "c")], depth=1)
+        hook, ran = frag.act_op_fn, []
+        frag.act_op_fn = lambda op, sigma: ran.append((op, sigma)) or hook(op, sigma)
+        T = truncate_bordisms(frag)
+        composites = (T.compose(outer, inners) for outer in T.operations
+                      for inners in T.composable_inner_tuples(outer))
+        # the first composite of two classes that lies outside the window
+        fresh = next(c for c in composites if c not in T.operations)
+        assert fresh.members == {fresh.rep}
+        assert fresh.rep not in frag.all_ops()
+        sigma = tuple(range(len(fresh.inputs)))
+        acted = T.act(fresh, sigma)
+        assert ran == [(fresh.rep, sigma)]
+        assert acted.rep == permute_bordism(fresh.rep, sigma)

@@ -17,6 +17,7 @@ from causalops.operad_kernel import (
     Multifunctor,
     MultinaturalTransformation,
     Operad,
+    _least_representatives,
     apply_permutation,
     block_permutation,
     check_multifunctor,
@@ -52,6 +53,23 @@ class Operation:
 st_perm = st.integers(min_value=0, max_value=5).flatmap(
     lambda n: st.permutations(list(range(n)))
 )
+
+
+@st.composite
+def graph_case(draw):
+    """Up to 6 items in a drawn order, a drawn ranking of them as the key,
+    and edges with repeats and reversed copies."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    items = draw(st.permutations([f"x{i}" for i in range(n)]))
+    rank = dict(zip(items, draw(st.permutations(range(n)))))
+    if not items:
+        return items, [], rank
+    node = st.sampled_from(items)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=8))
+    if pairs:
+        again = draw(st.lists(st.sampled_from(pairs), max_size=4))
+        pairs += again + [(b, a) for a, b in again]
+    return items, pairs, rank
 
 
 class TestPermutations:
@@ -167,6 +185,20 @@ def skew_operad() -> Operad:
         action[(twisted, (1, 0))] = plain
     return Operad(["c", "d", "e"], ops, {"c": uc, "d": ud, "e": ue},
                   table, action, name="skew")
+
+
+class TestLeastRepresentatives:
+    @settings(max_examples=200, deadline=None)
+    @given(graph_case())
+    def test_classes_are_components_named_by_their_least_member(self, case):
+        items, pairs, rank = case
+        got = _least_representatives(items, pairs, rank.__getitem__)
+        assert got == oracles.brute_least_representatives(items, pairs, rank.__getitem__)
+        assert list(got) == items
+
+    def test_a_chain_of_links_is_named_by_its_least_member(self):
+        got = _least_representatives("dcba", [("d", "c"), ("b", "a"), ("c", "b")], str)
+        assert got == dict.fromkeys("dcba", "a")
 
 
 class TestOperadChecker:

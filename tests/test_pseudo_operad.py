@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from causalops import CausalSet, NotFibrant
-from causalops.bordism import bordism_fragment, truncate_bordisms
+from causalops.bordism import Germ, bordism_fragment, identity_cell, truncate_bordisms
+from causalops.causal_core import CausalEmbedding, MonotoneMap
 from causalops.operad_kernel import (
     FiniteGroupoid,
     enumerate_embeddings,
@@ -26,8 +27,9 @@ from causalops.pseudo_operad import (
     tau,
     tau_full,
 )
+from causalops.qft_models import Monoid, MonoidHom
 import oracles
-from test_bordism import chain_bordism, merge_bordism
+from test_bordism import chain_bordism, merge_bordism, point
 from test_operad_kernel import commutative_fold_operad, cyclic_group_operad
 
 
@@ -167,7 +169,49 @@ class TestCellIndex:
             P.groupoid_of_cell("nowhere")
 
 
+def _twice(build):
+    return build, build
+
+
+def _map_parts():
+    return CausalSet("a"), CausalSet("ab", [("a", "b")]), {"a": "b"}
+
+
+# two builders per hashed value class whose values are equal but built
+# separately; the first CausalSet and MonoidHom builders bypass __init__
+EQUAL_VALUES = {
+    "CausalSet": (lambda: CausalSet("abc", [("a", "b"), ("b", "c")]).induced({"a", "b"}),
+                  lambda: CausalSet("ab", [("a", "b")])),
+    "MonotoneMap": _twice(lambda: MonotoneMap(*_map_parts())),
+    "CausalEmbedding": _twice(lambda: CausalEmbedding(*_map_parts())),
+    "PointedObject": _twice(lambda: point("a")),
+    "Germ": _twice(lambda: Germ.identity(point("a"))),
+    "Bordism": _twice(lambda: chain_bordism("a", "b")),
+    "TwoCell": _twice(lambda: identity_cell(chain_bordism("a", "b"))),
+    "Monoid": (lambda: Monoid.cyclic(2),
+               lambda: Monoid((1, 0), {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}, 0)),
+    "MonoidHom": (lambda: MonoidHom.unchecked((Monoid.cyclic(2),), Monoid.cyclic(2),
+                                              {(0,): 0, (1,): 1}),
+                  lambda: MonoidHom((Monoid.cyclic(2),), Monoid.cyclic(2),
+                                    {(0,): 0, (1,): 1})),
+}
+
+
 class TestTokenHashes:
+    @pytest.mark.parametrize("name", sorted(EQUAL_VALUES))
+    def test_equal_values_hash_equally(self, name):
+        build_a, build_b = EQUAL_VALUES[name]
+        a, b = build_a(), build_b()
+        assert a is not b and a == b
+        assert hash(a) == hash(b)
+        assert {a: name}[b] == name and {b: name}[a] == name
+
+    def test_a_monotone_map_is_not_the_embedding_with_its_fields(self):
+        plain, embedding = MonotoneMap(*_map_parts()), CausalEmbedding(*_map_parts())
+        assert (plain.dom, plain.cod, plain.pairs) == \
+            (embedding.dom, embedding.cod, embedding.pairs)
+        assert plain != embedding and embedding != plain
+
     def test_equal_squares_hash_equally(self):
         O = cyclic_group_operad()
         u, f = O.ops(1)

@@ -32,6 +32,7 @@ from causalops.qft_models import (
     QftModel,
     ThinCategory,
     ThinFunctor,
+    _unbounded_pair,
     aqft_model,
     canonical_label,
     check_additivity_aqft,
@@ -263,6 +264,32 @@ class TestThinCategory:
         assert not is_final(F)
         G = ThinFunctor(dom, dom, {"a": "a"})
         assert is_final(G)
+
+
+@st.composite
+def reflexive_relation(draw):
+    """Up to 6 objects and a reflexive relation on them."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    pairs = set(draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=20))) if n else set()
+    return n, pairs | {(i, i) for i in range(n)}
+
+
+class TestFilteredness:
+    @settings(max_examples=200, deadline=None)
+    @given(reflexive_relation())
+    def test_unbounded_pair_and_is_filtered_match_the_oracle(self, case):
+        n, pairs = case
+        C = ThinCategory(range(n), pairs)
+        expected = oracles.brute_unbounded_pair(range(n), lambda a, b: (a, b) in pairs)
+        assert _unbounded_pair(C) == expected
+        assert is_filtered(C) == (n > 0 and expected is None)
+
+    def test_the_first_unbounded_pair_is_named(self):
+        C = ThinCategory("abcd", lambda x, y: x == y or (x, y) == ("a", "b"))
+        assert _unbounded_pair(C) == ("a", "c")
+        with pytest.raises(NotFiltered, match="no upper bound for a and c"):
+            filtered_colimit_monoids(C, dict.fromkeys("abcd", Z2), {})
 
 
 class TestRegionCategories:
