@@ -981,6 +981,18 @@ def _vertical_by_value(stored: Mapping[tuple, TwoCell]) -> Callable[[TwoCell, Tw
     return compose
 
 
+def _inverse_by_value(stored: Mapping[tuple, TwoCell]) -> Callable[[TwoCell], TwoCell]:
+    """The inverse of a cell, the stored cell equal to it when there is one.
+
+    The inverse of ``c`` has the pairs of ``c`` swapped; see
+    :func:`_vertical_by_value` for why a stored cell needs no validation.
+    """
+    def inverse(c: TwoCell) -> TwoCell:
+        found = stored.get((c.cod, c.dom, tuple(sorted((v, e) for e, v in c.pairs))))
+        return c.inverse() if found is None else found
+    return inverse
+
+
 def _window_data(objects: FiniteGroupoid, ops: Sequence[Bordism], *,
                  max_cells: int, name: str, validated: set[Bordism],
                  ) -> tuple[PseudoOperadData, Callable, dict[tuple, TwoCell]]:
@@ -1022,7 +1034,7 @@ def _window_data(objects: FiniteGroupoid, ops: Sequence[Bordism], *,
         cells_by_arity[n] = tuple(cells)
     all_cells = tuple(c for n in sorted(cells_by_arity) for c in cells_by_arity[n])
     cell_at = {(c.dom, c.cod, c.pairs): c for c in all_cells}
-    vertical = _vertical_by_value(cell_at)
+    vertical, inverse = _vertical_by_value(cell_at), _inverse_by_value(cell_at)
 
     op_groupoids = {
         n: FiniteGroupoid(
@@ -1032,7 +1044,7 @@ def _window_data(objects: FiniteGroupoid, ops: Sequence[Bordism], *,
             {c: c.cod for c in cells_by_arity[n]},
             vertical,
             {op: identity_cell(op) for op in ops_by_arity[n]},
-            lambda c: c.inverse(),
+            inverse,
         )
         for n in ops_by_arity
     }

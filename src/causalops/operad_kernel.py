@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .causal_core import (
@@ -623,6 +624,14 @@ def vertical_compose(
 # ---- finite groupoids ---------------------------------------------------------------
 
 
+def _reader(keys: tuple) -> Callable[[Mapping], tuple]:
+    """The function ``row -> tuple(row[k] for k in keys)``; a missing key raises KeyError."""
+    if len(keys) == 1:
+        key, = keys
+        return lambda row: (row[key],)
+    return itemgetter(*keys) if keys else (lambda row: ())
+
+
 class FiniteGroupoid:
     """Objects and invertible morphisms with explicit tables.
 
@@ -630,6 +639,15 @@ class FiniteGroupoid:
     the stored morphism equal to their result whenever one exists, so
     tables keyed by morphisms are hit by identity instead of by walking
     equal values.
+
+    Morphisms are numbered in tuple order, and so are objects.  A value
+    that is no morphism (a composite outside the list, an inverse, an
+    identity) gets the next free number when it is first met, so two
+    numbers are equal exactly when their values are.  Endpoints are
+    numbered on the first ``compose``, ``validate`` or ``table``, not
+    before.  Vertical composition is one table on numbers,
+    ``table()[f][g]`` being the number of g.f; each entry is filled once,
+    on first use, and ``validate`` fills every composable pair.
     """
 
     def __init__(
@@ -644,16 +662,24 @@ class FiniteGroupoid:
     ):
         self.objects = tuple(dict.fromkeys(objects))
         self.morphisms = tuple(dict.fromkeys(morphisms))
-        self._canonical = {m: m for m in self.morphisms}
+        self._numbers = {m: i for i, m in enumerate(self.morphisms)}
+        self._values = list(self.morphisms)
         self._src = dict(src)
         self._tgt = dict(tgt)
-        self._compose = compose
-        self._id = {obj: self._canonical.get(i, i) for obj, i in identities.items()}
-        self._inv = inverses
-        self._compose_memo: dict = {}
+        self._compose = (lambda g, f: compose[(g, f)]) if isinstance(compose, Mapping) \
+            else compose
+        self._id = {obj: self._canonical(i) for obj, i in identities.items()}
+        self._inv = inverses.__getitem__ if isinstance(inverses, Mapping) else inverses
+        self._ends: tuple[list[int], list[int]] | None = None
+        self._rows: list[dict[int, int]] = []
+        self._filled = False
 
     def __repr__(self) -> str:
         return f"FiniteGroupoid(objects={len(self.objects)}, morphisms={len(self.morphisms)})"
+
+    def _canonical(self, value):
+        n = self._numbers.get(value)
+        return value if n is None else self._values[n]
 
     def src(self, g):
         return self._src[g]
@@ -664,79 +690,139 @@ class FiniteGroupoid:
     def id(self, obj):
         return self._id[obj]
 
+    def number(self, value) -> int:
+        """The number of ``value``; a value met for the first time gets the next one."""
+        n = self._numbers.setdefault(value, len(self._values))
+        if n == len(self._values):
+            self._values.append(value)
+        return n
+
+    def value(self, n: int):
+        return self._values[n]
+
+    def ends(self) -> tuple[list[int], list[int]]:
+        """The object numbers of each morphism's source and target.
+
+        Objects are numbered in tuple order; an endpoint that is no object
+        gets the next free number, so it is at least ``len(self.objects)``.
+        """
+        if self._ends is None:
+            numbers = {obj: i for i, obj in enumerate(self.objects)}
+            src = [numbers.setdefault(self._src[m], len(numbers)) for m in self.morphisms]
+            tgt = [numbers.setdefault(self._tgt[m], len(numbers)) for m in self.morphisms]
+            self._ends = (src, tgt)
+            self._rows = [{} for _ in self.morphisms]
+        return self._ends
+
+    def after(self) -> list[list[int]]:
+        """For each morphism f, the morphisms g with src g = tgt f, in tuple order."""
+        src, tgt = self.ends()
+        by_src: dict[int, list[int]] = {}
+        for g, s in enumerate(src):
+            by_src.setdefault(s, []).append(g)
+        return [by_src.get(t, []) for t in tgt]
+
+    def composite(self, g: int, f: int) -> int:
+        """The number of g after f, for morphism numbers g and f."""
+        src, tgt = self.ends()
+        row = self._rows[f]
+        gf = row.get(g)
+        if gf is None:
+            if tgt[f] != src[g]:
+                raise ValueError("morphisms do not compose")
+            gf = row[g] = self.number(self._compose(self.morphisms[g], self.morphisms[f]))
+        return gf
+
+    def table(self) -> list[dict[int, int]]:
+        """``table()[f][g]`` is the number of g.f for every composable pair."""
+        if not self._filled:
+            for f, gs in enumerate(self.after()):
+                for g in gs:
+                    self.composite(g, f)
+            self._filled = True
+        return self._rows
+
     def compose(self, g, f):
         """g after f."""
-        key = (g, f)
-        result = self._compose_memo.get(key)
-        if result is not None:
-            # stored only after the endpoint test below passed
-            return result
+        count = len(self.morphisms)
+        gi, fi = self._numbers.get(g, count), self._numbers.get(f, count)
+        if gi < count and fi < count:
+            return self._values[self.composite(gi, fi)]
+        # outside the table: composed by value
         if self.tgt(f) != self.src(g):
             raise ValueError("morphisms do not compose")
-        if isinstance(self._compose, Mapping):
-            result = self._compose[key]
-        else:
-            result = self._compose(g, f)
-        result = self._canonical.get(result, result)
-        self._compose_memo[key] = result
-        return result
+        return self._canonical(self._compose(g, f))
 
     def inv(self, g):
-        result = self._inv[g] if isinstance(self._inv, Mapping) else self._inv(g)
-        return self._canonical.get(result, result)
+        return self._canonical(self._inv(g))
 
     def validate(self, name: str = "groupoid") -> Report:
         rep = Report()
-        bad: list[str] = []
-        for g in self.morphisms:
-            if self.src(g) not in self.objects or self.tgt(g) not in self.objects:
-                bad.append(f"dangling morphism {g}")
+        ms = self.morphisms
+        count = len(ms)
+        src, tgt = self.ends()
+        dangling = [g for g in range(count)
+                    if src[g] >= len(self.objects) or tgt[g] >= len(self.objects)]
+        bad = [f"dangling morphism {ms[g]}" for g in dangling]
         for obj in self.objects:
             i = self.id(obj)
             if self.src(i) != obj or self.tgt(i) != obj:
                 bad.append(f"identity of {obj} has wrong endpoints")
         rep.verdict("groupoid/endpoints", name, bad)
 
+        def comp(g: int, f: int) -> int:
+            if g < count and f < count:
+                return self.composite(g, f)
+            return self.number(self.compose(self._values[g], self._values[f]))
+
+        # The laws on numbers; a pair with a number outside the morphisms is
+        # composed by value.  A dangling morphism need not compose at its
+        # dangling end, so a law instance that composes one there is left
+        # out: it is already named by the endpoints row.
         law_bad: list[str] = []
-        for g in self.morphisms:
-            if self.compose(g, self.id(self.src(g))) != g:
-                law_bad.append(f"right identity at {g}")
-            if self.compose(self.id(self.tgt(g)), g) != g:
-                law_bad.append(f"left identity at {g}")
-            gi = self.inv(g)
-            if self.compose(gi, g) != self.id(self.src(g)):
-                law_bad.append(f"left inverse at {g}")
-            if self.compose(g, gi) != self.id(self.tgt(g)):
-                law_bad.append(f"right inverse at {g}")
-        # Associativity on morphism indices.  table[f][g] is the index of
-        # g.f, composed once per composable pair, or None when g.f is not
-        # among self.morphisms; a triple touching such a composite, or a
-        # composite with the wrong endpoints, is composed and compared by
-        # value as written.
-        ms = self.morphisms
-        index = {m: i for i, m in enumerate(ms)}
-        by_src: dict = {}
-        for i, g in enumerate(ms):
-            by_src.setdefault(self.src(g), []).append(i)
-        after = [by_src.get(self.tgt(f), ()) for f in ms]
-        table = [
-            {gi: index.get(self.compose(ms[gi], f)) for gi in after[fi]}
-            for fi, f in enumerate(ms)
-        ]
-        for fi, f in enumerate(ms):
-            row_f = table[fi]
-            for gi in after[fi]:
-                gfi = row_f[gi]
-                row_gf = table[gfi] if gfi is not None else {}
-                row_g = table[gi]
-                for hi in after[gi]:
-                    lhs = row_gf.get(hi)
-                    rhs = row_f.get(row_g[hi])
-                    if lhs is None or rhs is None:
-                        h, g = ms[hi], ms[gi]
-                        if self.compose(h, self.compose(g, f)) != self.compose(self.compose(h, g), f):
-                            law_bad.append(f"associativity at ({h},{g},{f})")
-                    elif lhs != rhs:
-                        law_bad.append(f"associativity at ({ms[hi]},{ms[gi]},{f})")
+        dangling = set(dangling)
+        ident = [self.number(self.id(obj)) for obj in self.objects]
+        for g in range(count):
+            if g in dangling:
+                continue
+            s, t = ident[src[g]], ident[tgt[g]]
+            if s in dangling or t in dangling:
+                continue
+            if comp(g, s) != g:
+                law_bad.append(f"right identity at {ms[g]}")
+            if comp(t, g) != g:
+                law_bad.append(f"left identity at {ms[g]}")
+            gi = self.number(self.inv(ms[g]))
+            if gi in dangling:
+                continue
+            if comp(gi, g) != s:
+                law_bad.append(f"left inverse at {ms[g]}")
+            if comp(g, gi) != t:
+                law_bad.append(f"right inverse at {ms[g]}")
+        # Associativity: h.(g.f) against (h.g).f for every composable triple,
+        # f slowest.  For each (f, g) all h are read from the table at once:
+        # then[g] lists the numbers of h.g, and when tgt g.f = tgt g the
+        # numbers of h.(g.f) are then[g.f].  When a side is not in the table
+        # (a composite outside the morphisms, or one whose endpoints do not
+        # meet) or the sides differ, that (f, g) is walked again one h at a
+        # time, composing each side as written.
+        after = self.after()
+        rows = self.table()
+        then = [tuple(rows[g][h] for h in hs) for g, hs in enumerate(after)]
+        read_then = [_reader(hgs) for hgs in then]  # row of f -> numbers of (h.g).f
+        for f in range(count):
+            row_f = rows[f]
+            for g in after[f]:
+                gf = row_f[g]
+                try:
+                    same = gf < count and tgt[gf] == tgt[g] and then[gf] == read_then[g](row_f)
+                except KeyError:
+                    same = False
+                if not same:
+                    for h, hg in zip(after[g], then[g]):
+                        if gf in dangling or hg in dangling:
+                            continue
+                        if comp(h, gf) != comp(hg, f):
+                            law_bad.append(f"associativity at ({ms[h]},{ms[g]},{ms[f]})")
         rep.verdict("groupoid/laws", name, law_bad)
         return rep

@@ -192,7 +192,10 @@ class PseudoOperadData:
             raise ValueError(f"cell {cell} belongs to no operation groupoid") from None
 
     def is_identity_vertical(self, g) -> bool:
-        return g == self.objects.id(self.objects.src(g))
+        try:
+            return g == self.objects.id(self.objects.src(g))
+        except KeyError:  # g is no vertical
+            return False
 
     def is_globular(self, cell) -> bool:
         return all(self.is_identity_vertical(g) for g in self.cell_inputs[cell]) \
@@ -237,9 +240,114 @@ class Companion:
 # ---- validity checking ---------------------------------------------------------
 
 
-def _check_cell_boundaries(P: PseudoOperadData, rep: Report) -> None:
+class _Numbered:
+    """A pseudo-operad's cells, verticals and operations as numbers.
+
+    Verticals are numbered by ``P.objects``, in the tuple order of its
+    morphisms; operations and cells in arity order, then in the tuple order
+    of their groupoid.  A value outside those tuples (a leg that is no
+    vertical, a composite outside the window) gets the next free number of
+    its kind when first met, so two numbers are equal exactly when their
+    values are.  ``ins`` and ``out`` hold each cell's legs and output leg as
+    vertical numbers, ``dom`` and ``cod`` its ends as operation numbers
+    (``None`` for a cell outside the window), and ``after[a][b]`` the
+    number of the vertical composite b.a, copied from the groupoid tables.
+    A cell is ``sound`` when its legs are verticals and its ends are
+    operations of its groupoid; the law walks leave out the others, whose
+    boundary or endpoints rows name them.
+    """
+
+    def __init__(self, P: PseudoOperadData):
+        self.P = P
+        V = P.objects
+        self.vert = V.number
+        self.vert_after = V.table()
+        self.op_no: dict = {}
+        for n in P.arities():
+            for op in P.op_groupoids[n].objects:
+                self.op(op)
+        self.cells: list = []
+        self.cell_no: dict = {}
+        self.ins: list = []
+        self.out: list = []
+        self.dom: list = []
+        self.cod: list = []
+        self.sound: list[bool] = []
+        verticals = len(V.morphisms)
+        for n in P.arities():
+            G = P.op_groupoids[n]
+            src, tgt = G.ends()
+            for i, c in enumerate(G.morphisms):
+                self.cell_no[c] = len(self.cells)
+                self._add(c, P.cell_inputs[c], P.cell_output[c], G.src(c), G.tgt(c))
+                self.sound.append(max(src[i], tgt[i]) < len(G.objects)
+                                  and max(self.ins[-1] + (self.out[-1],)) < verticals)
+        self.window = len(self.cells)
+        self.after: list[dict[int, int]] = [{} for _ in self.cells]
+        base = 0
+        for n in P.arities():
+            G = P.op_groupoids[n]
+            count = len(G.morphisms)
+            for f, row in enumerate(G.table()):
+                self.after[base + f].update(
+                    (base + g, base + gf if gf < count else self.cell(G.value(gf)))
+                    for g, gf in row.items())
+            base += count
+
+    def _add(self, c, legs, out, dom=None, cod=None) -> None:
+        self.cells.append(c)
+        self.ins.append(None if legs is None else tuple(map(self.vert, legs)))
+        self.out.append(None if out is None else self.vert(out))
+        self.dom.append(None if dom is None else self.op(dom))
+        self.cod.append(None if cod is None else self.op(cod))
+
+    def op(self, op) -> int:
+        return self.op_no.setdefault(op, len(self.op_no))
+
+    def cell(self, c) -> int:
+        n = self.cell_no.get(c)
+        if n is None:
+            n = self.cell_no[c] = len(self.cells)
+            self._add(c, self.P.cell_inputs.get(c), self.P.cell_output.get(c))
+            self.sound.append(False)
+            self.after.append({})
+        return n
+
+    def window_cell(self, c) -> int:
+        """The number of a cell of the window; any other value is refused."""
+        n = self.cell_no.get(c)
+        if n is None or n >= self.window:
+            self.P.groupoid_of_cell(c)  # raises: c belongs to no groupoid
+        return n
+
+    def ends(self, c: int) -> tuple[int, int]:
+        if c >= self.window:
+            self.P.groupoid_of_cell(self.cells[c])  # raises
+        return self.dom[c], self.cod[c]
+
+    def vertical(self, b: int, a: int) -> int:
+        """The number of the vertical composite b.a of two cells."""
+        try:
+            return self.after[a][b]
+        except KeyError:
+            # not in the tables: composed by value, which raises when the
+            # cells do not compose
+            cell_a = self.cells[a]
+            return self.cell(self.P.groupoid_of_cell(cell_a).compose(self.cells[b], cell_a))
+
+    def vertical_legs(self, g2: int, g1: int) -> int:
+        """The number of the vertical composite g2.g1 of two verticals."""
+        try:
+            return self.vert_after[g1][g2]
+        except (IndexError, KeyError):
+            V = self.P.objects
+            return V.number(V.compose(V.value(g2), V.value(g1)))
+
+
+def _check_cell_boundaries(P: PseudoOperadData, N: _Numbered, rep: Report) -> None:
     bad: list[str] = []
     colors = set(P.objects.objects)
+    V = P.objects
     for n in P.arities():
         G = P.op_groupoids[n]
         for op in G.objects:
@@ -251,18 +359,27 @@ def _check_cell_boundaries(P: PseudoOperadData, rep: Report) -> None:
         for cell in G.morphisms:
             legs = P.cell_inputs[cell]
             out = P.cell_output[cell]
-            dom, cod = G.src(cell), G.tgt(cell)
             if len(legs) != n:
                 bad.append(f"leg count at {cell}")
                 continue
+            c = N.cell_no[cell]
+            if max(N.ins[c] + (N.out[c],)) >= len(V.morphisms):
+                bad.append(f"unknown vertical at {cell}")
+                continue
+            if not N.sound[c]:
+                continue  # a dangling cell, named by groupoid/endpoints
+            dom, cod = G.src(cell), G.tgt(cell)
             for i, g in enumerate(legs):
-                if P.objects.src(g) != P.op_inputs[dom][i] or P.objects.tgt(g) != P.op_inputs[cod][i]:
+                if V.src(g) != P.op_inputs[dom][i] or V.tgt(g) != P.op_inputs[cod][i]:
                     bad.append(f"leg {i} endpoints at {cell}")
-            if P.objects.src(out) != P.op_output[dom] or P.objects.tgt(out) != P.op_output[cod]:
+            if V.src(out) != P.op_output[dom] or V.tgt(out) != P.op_output[cod]:
                 bad.append(f"output leg endpoints at {cell}")
     rep.verdict("pseudo-operad/boundaries", P.name, bad)
 
     fun_bad: list[str] = []
+    ins, out, sound, vertical_legs = N.ins, N.out, N.sound, N.vertical_legs
+    getitem = dict.__getitem__
+    base = 0
     for n in P.arities():
         G = P.op_groupoids[n]
         for op in G.objects:
@@ -270,23 +387,32 @@ def _check_cell_boundaries(P: PseudoOperadData, rep: Report) -> None:
             if any(not P.is_identity_vertical(g) for g in P.cell_inputs[i]) \
                     or not P.is_identity_vertical(P.cell_output[i]):
                 fun_bad.append(f"identity cell of {op} has moving boundary")
-        by_src: dict = {}
-        for b in G.morphisms:
-            by_src.setdefault(G.src(b), []).append(b)
-        for a in G.morphisms:
-            for b in by_src.get(G.tgt(a), ()):
-                c = G.compose(b, a)
-                want_legs = tuple(
-                    P.objects.compose(g2, g1)
-                    for g1, g2 in zip(P.cell_inputs[a], P.cell_inputs[b])
-                )
-                if P.cell_inputs[c] != want_legs or \
-                        P.cell_output[c] != P.objects.compose(P.cell_output[b], P.cell_output[a]):
-                    fun_bad.append(f"boundary of vertical composite {b} . {a}")
+        cells = range(base, base + len(G.morphisms))
+        by_dom: dict[int, list[int]] = {}
+        for c in cells:
+            by_dom.setdefault(N.dom[c], []).append(c)
+        for a in cells:
+            if not sound[a]:
+                continue
+            leg_rows = [N.vert_after[g] for g in ins[a]]
+            out_row = N.vert_after[out[a]]
+            for b in by_dom.get(N.cod[a], ()):
+                c = N.vertical(b, a)
+                if not (sound[b] and sound[c]):
+                    continue
+                try:
+                    same = ins[c] == tuple(map(getitem, leg_rows, ins[b])) \
+                        and out[c] == out_row[out[b]]
+                except KeyError:  # verticals that do not compose
+                    same = ins[c] == tuple(map(vertical_legs, ins[b], ins[a])) \
+                        and out[c] == vertical_legs(out[b], out[a])
+                if not same:
+                    fun_bad.append(f"boundary of vertical composite {N.cells[b]} . {N.cells[a]}")
+        base += len(G.morphisms)
     rep.verdict("pseudo-operad/boundary-functoriality", P.name, fun_bad)
 
 
-def _check_composition(P: PseudoOperadData, rep: Report) -> None:
+def _check_composition(P: PseudoOperadData, N: _Numbered, rep: Report) -> None:
     bad: list[str] = []
     for (psi, phis), result in P.compose_ops.items():
         if tuple(P.op_output[phi] for phi in phis) != P.op_inputs[psi]:
@@ -297,40 +423,53 @@ def _check_composition(P: PseudoOperadData, rep: Report) -> None:
             bad.append(f"composite signature at {psi}")
     rep.verdict("pseudo-operad/compose-signatures", P.name, bad)
 
+    compose_ops = {
+        (N.op(psi), tuple(map(N.op, phis))): N.op(result)
+        for (psi, phis), result in P.compose_ops.items()
+    }
+    entries = [
+        (N.window_cell(alpha), tuple(map(N.window_cell, betas)), N.cell(result))
+        for (alpha, betas), result in P.compose_cells.items()
+    ]
+    compose_cells = {(a, bs): r for a, bs, r in entries}
+    ins, out, dom, cod = N.ins, N.out, N.dom, N.cod
     cell_bad: list[str] = []
     interchanged = 0
-    for (alpha, betas), result in P.compose_cells.items():
-        if tuple(P.cell_output[b] for b in betas) != P.cell_inputs[alpha]:
-            cell_bad.append(f"inner outputs do not feed the legs of {alpha}")
+    for a, bs, r in entries:
+        if tuple(out[b] for b in bs) != ins[a]:
+            cell_bad.append(f"inner outputs do not feed the legs of {N.cells[a]}")
             continue
-        dom_op = P.compose_ops.get((P.cell_dom(alpha), tuple(P.cell_dom(b) for b in betas)))
-        cod_op = P.compose_ops.get((P.cell_cod(alpha), tuple(P.cell_cod(b) for b in betas)))
-        if dom_op is not None and cod_op is not None:
-            G = P.groupoid_of_cell(result)
-            if G.src(result) != dom_op or G.tgt(result) != cod_op:
-                cell_bad.append(f"cell composite endpoints at {alpha}")
-        want_legs = tuple(itertools.chain.from_iterable(P.cell_inputs[b] for b in betas))
-        if P.cell_inputs[result] != want_legs or P.cell_output[result] != P.cell_output[alpha]:
-            cell_bad.append(f"cell composite boundary at {alpha}")
+        dom_op = compose_ops.get((dom[a], tuple(dom[b] for b in bs)))
+        cod_op = compose_ops.get((cod[a], tuple(cod[b] for b in bs)))
+        if dom_op is not None and cod_op is not None and N.ends(r) != (dom_op, cod_op):
+            cell_bad.append(f"cell composite endpoints at {N.cells[a]}")
+        want_legs = tuple(itertools.chain.from_iterable(ins[b] for b in bs))
+        if ins[r] != want_legs or out[r] != out[a]:
+            cell_bad.append(f"cell composite boundary at {N.cells[a]}")
+    # the interchange stacks the entries whose cells are all sound
+    sound = N.sound
+    stackable = [e for e in entries
+                 if sound[e[0]] and sound[e[2]] and all(map(sound.__getitem__, e[1]))]
     by_dom_profile: dict = {}
-    for (a2, bs2), r2 in P.compose_cells.items():
-        profile = (P.cell_dom(a2), tuple(P.cell_dom(b) for b in bs2))
+    for a2, bs2, r2 in stackable:
+        profile = (dom[a2], tuple(dom[b] for b in bs2))
         by_dom_profile.setdefault(profile, []).append((a2, bs2, r2))
-    for (a1, bs1), r1 in P.compose_cells.items():
-        profile = (P.cell_cod(a1), tuple(P.cell_cod(b) for b in bs1))
+    vertical, after, getitem = N.vertical, N.after, dict.__getitem__
+    for a1, bs1, r1 in stackable:
+        profile = (cod[a1], tuple(cod[b] for b in bs1))
+        row_a1, rows_bs1 = after[a1], [after[b] for b in bs1]
         for a2, bs2, r2 in by_dom_profile.get(profile, ()):
-            G = P.groupoid_of_cell(a1)
-            stacked_key = (
-                G.compose(a2, a1),
-                tuple(P.groupoid_of_cell(b1).compose(b2, b1) for b1, b2 in zip(bs1, bs2)),
-            )
-            lhs = P.compose_cells.get(stacked_key)
+            try:
+                stacked = (row_a1[a2], tuple(map(getitem, rows_bs1, bs2)))
+            except KeyError:  # cells that do not compose
+                stacked = (vertical(a2, a1), tuple(map(vertical, bs2, bs1)))
+            lhs = compose_cells.get(stacked)
             if lhs is None:
                 continue
             interchanged += 1
-            rhs = P.groupoid_of_cell(r1).compose(r2, r1)
-            if lhs != rhs:
-                cell_bad.append(f"interchange at {a1} / {a2}")
+            rhs = after[r1].get(r2)
+            if lhs != (vertical(r2, r1) if rhs is None else rhs):
+                cell_bad.append(f"interchange at {N.cells[a1]} / {N.cells[a2]}")
     for (psi, phis), result in P.compose_ops.items():
         G_out = P.op_groupoids[len(P.op_inputs[result])]
         key = (P.groupoid_of(psi).id(psi), tuple(P.groupoid_of(p).id(p) for p in phis))
@@ -340,7 +479,7 @@ def _check_composition(P: PseudoOperadData, rep: Report) -> None:
     rep.verdict("pseudo-operad/interchange", P.name, cell_bad, {"pairs-checked": interchanged})
 
 
-def _check_units_and_action(P: PseudoOperadData, rep: Report) -> None:
+def _check_units_and_action(P: PseudoOperadData, N: _Numbered, rep: Report) -> None:
     bad: list[str] = []
     for color, u in P.unit_ops.items():
         if P.op_inputs[u] != (color,) or P.op_output[u] != color:
@@ -373,17 +512,16 @@ def _check_units_and_action(P: PseudoOperadData, rep: Report) -> None:
             total = P.act_ops.get((op, compose_permutations(sigma, tau_)))
             if first is not None and total is not None and first != total:
                 act_bad.append(f"action composition at {op}")
+    act_ops = {(N.op(op), sigma): N.op(moved) for (op, sigma), moved in P.act_ops.items()}
     for (cell, sigma), moved in P.act_cells.items():
-        if P.cell_inputs[moved] != apply_permutation(P.cell_inputs[cell], sigma) \
-                or P.cell_output[moved] != P.cell_output[cell]:
+        c, m = N.window_cell(cell), N.cell(moved)
+        if N.ins[m] != apply_permutation(N.ins[c], sigma) or N.out[m] != N.out[c]:
             act_bad.append(f"cell action boundary at {cell}")
-        G = P.groupoid_of_cell(cell)
-        moved_dom = P.act_ops.get((G.src(cell), sigma))
-        moved_cod = P.act_ops.get((G.tgt(cell), sigma))
-        if moved_dom is not None and moved_cod is not None:
-            H = P.groupoid_of_cell(moved)
-            if H.src(moved) != moved_dom or H.tgt(moved) != moved_cod:
-                act_bad.append(f"cell action endpoints at {cell}")
+        moved_dom = act_ops.get((N.dom[c], sigma))
+        moved_cod = act_ops.get((N.cod[c], sigma))
+        if moved_dom is not None and moved_cod is not None \
+                and N.ends(m) != (moved_dom, moved_cod):
+            act_bad.append(f"cell action endpoints at {cell}")
     rep.verdict("pseudo-operad/action", P.name, act_bad)
 
     eq_bad: list[str] = []
@@ -547,14 +685,25 @@ def omg_regroup(omegas) -> list[tuple]:
 
 
 def check_pseudo_operad(P: PseudoOperadData, max_pentagons: int = 512) -> Report:
-    """Audit all materialized pseudo-operad structure, recording coverage."""
+    """Audit all materialized pseudo-operad structure, recording coverage.
+
+    The groupoid, boundary, composition, unit and action laws are walked on
+    numbers: each call numbers P's verticals, operations and cells once, in
+    the tuple order of their groupoids, and reads vertical composites from
+    the groupoids' tables.  Numbers are turned back into the objects only to
+    write a witness, so the report is the one the same walk on values
+    writes.  A cell whose legs are not verticals, or whose ends are not
+    operations of its groupoid, fails the boundary or endpoints row and is
+    left out of the walks that compose it.
+    """
     rep = Report()
     rep.extend(P.objects.validate(name=f"{P.name}/objects"))
     for n in P.arities():
         rep.extend(P.op_groupoids[n].validate(name=f"{P.name}/ops[{n}]"))
-    _check_cell_boundaries(P, rep)
-    _check_composition(P, rep)
-    _check_units_and_action(P, rep)
+    N = _Numbered(P)
+    _check_cell_boundaries(P, N, rep)
+    _check_composition(P, N, rep)
+    _check_units_and_action(P, N, rep)
     _check_coherence(P, rep, max_pentagons)
     cov = P.coverage()
     rep.add("pseudo-operad/coverage", P.name, PASS if cov["ops"] else DEGENERATE,

@@ -15,6 +15,16 @@ from typing import Sequence
 
 from causalops.bordism import Bordism, PointedObject
 from causalops.causal_core import CausalEmbedding
+from causalops.operad_kernel import (
+    all_permutations,
+    apply_permutation,
+    block_permutation,
+    compose_permutations,
+    identity_permutation,
+    sum_permutation,
+)
+from causalops.pseudo_operad import _check_coherence
+from causalops.report import DEGENERATE, PASS, Report
 
 
 @dataclass
@@ -444,3 +454,254 @@ def brute_unbounded_pair(objects, has):
             if not any(has(a, o) and has(b, o) for o in objects):
                 return a, b
     return None
+
+
+def oracle_groupoid_report(G, name: str = "groupoid") -> Report:
+    """``FiniteGroupoid.validate`` by value-level loops.
+
+    The same rows, witnesses and errors as the numbered walk, from a walk on
+    values: each composable pair is composed once through the groupoid's own
+    composition rule, memoized here by value, then every composable triple
+    (f, g, h), f slowest, compares h.(g.f) with (h.g).f.
+    """
+    memo: dict = {}
+
+    def compose(g, f):
+        key = (g, f)
+        if key not in memo:
+            if G.tgt(f) != G.src(g):
+                raise ValueError("morphisms do not compose")
+            memo[key] = G._compose(g, f)  # the raw rule, not the numbered table
+        return memo[key]
+
+    rep = Report()
+    bad: list[str] = []
+    for g in G.morphisms:
+        if G.src(g) not in G.objects or G.tgt(g) not in G.objects:
+            bad.append(f"dangling morphism {g}")
+    for obj in G.objects:
+        i = G.id(obj)
+        if G.src(i) != obj or G.tgt(i) != obj:
+            bad.append(f"identity of {obj} has wrong endpoints")
+    rep.verdict("groupoid/endpoints", name, bad)
+
+    law_bad: list[str] = []
+    for g in G.morphisms:
+        if compose(g, G.id(G.src(g))) != g:
+            law_bad.append(f"right identity at {g}")
+        if compose(G.id(G.tgt(g)), g) != g:
+            law_bad.append(f"left identity at {g}")
+        gi = G.inv(g)
+        if compose(gi, g) != G.id(G.src(g)):
+            law_bad.append(f"left inverse at {g}")
+        if compose(g, gi) != G.id(G.tgt(g)):
+            law_bad.append(f"right inverse at {g}")
+    by_src: dict = {}
+    for g in G.morphisms:
+        by_src.setdefault(G.src(g), []).append(g)
+    after = {f: by_src.get(G.tgt(f), ()) for f in G.morphisms}
+    for f in G.morphisms:
+        for g in after[f]:
+            compose(g, f)
+    for f in G.morphisms:
+        for g in after[f]:
+            for h in after[g]:
+                if compose(h, compose(g, f)) != compose(compose(h, g), f):
+                    law_bad.append(f"associativity at ({h},{g},{f})")
+    rep.verdict("groupoid/laws", name, law_bad)
+    return rep
+
+
+def _oracle_cell_boundaries(P, rep: Report) -> None:
+    bad: list[str] = []
+    colors = set(P.objects.objects)
+    for n in P.arities():
+        G = P.op_groupoids[n]
+        for op in G.objects:
+            ins = P.op_inputs[op]
+            if len(ins) != n:
+                bad.append(f"arity mismatch at {op}")
+            if any(c not in colors for c in ins) or P.op_output[op] not in colors:
+                bad.append(f"unknown color at {op}")
+        for cell in G.morphisms:
+            legs = P.cell_inputs[cell]
+            out = P.cell_output[cell]
+            dom, cod = G.src(cell), G.tgt(cell)
+            if len(legs) != n:
+                bad.append(f"leg count at {cell}")
+                continue
+            for i, g in enumerate(legs):
+                if P.objects.src(g) != P.op_inputs[dom][i] or P.objects.tgt(g) != P.op_inputs[cod][i]:
+                    bad.append(f"leg {i} endpoints at {cell}")
+            if P.objects.src(out) != P.op_output[dom] or P.objects.tgt(out) != P.op_output[cod]:
+                bad.append(f"output leg endpoints at {cell}")
+    rep.verdict("pseudo-operad/boundaries", P.name, bad)
+
+    fun_bad: list[str] = []
+    for n in P.arities():
+        G = P.op_groupoids[n]
+        for op in G.objects:
+            i = G.id(op)
+            if any(not P.is_identity_vertical(g) for g in P.cell_inputs[i]) \
+                    or not P.is_identity_vertical(P.cell_output[i]):
+                fun_bad.append(f"identity cell of {op} has moving boundary")
+        by_src: dict = {}
+        for b in G.morphisms:
+            by_src.setdefault(G.src(b), []).append(b)
+        for a in G.morphisms:
+            for b in by_src.get(G.tgt(a), ()):
+                c = G.compose(b, a)
+                want_legs = tuple(
+                    P.objects.compose(g2, g1)
+                    for g1, g2 in zip(P.cell_inputs[a], P.cell_inputs[b])
+                )
+                if P.cell_inputs[c] != want_legs or \
+                        P.cell_output[c] != P.objects.compose(P.cell_output[b], P.cell_output[a]):
+                    fun_bad.append(f"boundary of vertical composite {b} . {a}")
+    rep.verdict("pseudo-operad/boundary-functoriality", P.name, fun_bad)
+
+
+def _oracle_composition(P, rep: Report) -> None:
+    bad: list[str] = []
+    for (psi, phis), result in P.compose_ops.items():
+        if tuple(P.op_output[phi] for phi in phis) != P.op_inputs[psi]:
+            bad.append(f"non-composable entry at {psi}")
+            continue
+        want_inputs = tuple(itertools.chain.from_iterable(P.op_inputs[p] for p in phis))
+        if P.op_inputs[result] != want_inputs or P.op_output[result] != P.op_output[psi]:
+            bad.append(f"composite signature at {psi}")
+    rep.verdict("pseudo-operad/compose-signatures", P.name, bad)
+
+    cell_bad: list[str] = []
+    interchanged = 0
+    for (alpha, betas), result in P.compose_cells.items():
+        if tuple(P.cell_output[b] for b in betas) != P.cell_inputs[alpha]:
+            cell_bad.append(f"inner outputs do not feed the legs of {alpha}")
+            continue
+        dom_op = P.compose_ops.get((P.cell_dom(alpha), tuple(P.cell_dom(b) for b in betas)))
+        cod_op = P.compose_ops.get((P.cell_cod(alpha), tuple(P.cell_cod(b) for b in betas)))
+        if dom_op is not None and cod_op is not None:
+            G = P.groupoid_of_cell(result)
+            if G.src(result) != dom_op or G.tgt(result) != cod_op:
+                cell_bad.append(f"cell composite endpoints at {alpha}")
+        want_legs = tuple(itertools.chain.from_iterable(P.cell_inputs[b] for b in betas))
+        if P.cell_inputs[result] != want_legs or P.cell_output[result] != P.cell_output[alpha]:
+            cell_bad.append(f"cell composite boundary at {alpha}")
+    by_dom_profile: dict = {}
+    for (a2, bs2), r2 in P.compose_cells.items():
+        profile = (P.cell_dom(a2), tuple(P.cell_dom(b) for b in bs2))
+        by_dom_profile.setdefault(profile, []).append((a2, bs2, r2))
+    for (a1, bs1), r1 in P.compose_cells.items():
+        profile = (P.cell_cod(a1), tuple(P.cell_cod(b) for b in bs1))
+        for a2, bs2, r2 in by_dom_profile.get(profile, ()):
+            G = P.groupoid_of_cell(a1)
+            stacked_key = (
+                G.compose(a2, a1),
+                tuple(P.groupoid_of_cell(b1).compose(b2, b1) for b1, b2 in zip(bs1, bs2)),
+            )
+            lhs = P.compose_cells.get(stacked_key)
+            if lhs is None:
+                continue
+            interchanged += 1
+            rhs = P.groupoid_of_cell(r1).compose(r2, r1)
+            if lhs != rhs:
+                cell_bad.append(f"interchange at {a1} / {a2}")
+    for (psi, phis), result in P.compose_ops.items():
+        G_out = P.op_groupoids[len(P.op_inputs[result])]
+        key = (P.groupoid_of(psi).id(psi), tuple(P.groupoid_of(p).id(p) for p in phis))
+        stacked = P.compose_cells.get(key)
+        if stacked is not None and stacked != G_out.id(result):
+            cell_bad.append(f"identity cells compose wrong at {psi}")
+    rep.verdict("pseudo-operad/interchange", P.name, cell_bad, {"pairs-checked": interchanged})
+
+
+def _oracle_units_and_action(P, rep: Report) -> None:
+    bad: list[str] = []
+    for color, u in P.unit_ops.items():
+        if P.op_inputs[u] != (color,) or P.op_output[u] != color:
+            bad.append(f"unit of {color}")
+    for g, cell in P.unit_cells.items():
+        G = P.groupoid_of_cell(cell)
+        if G.src(cell) != P.unit_op(P.objects.src(g)) or G.tgt(cell) != P.unit_op(P.objects.tgt(g)):
+            bad.append(f"unit cell endpoints of {g}")
+        if P.cell_inputs[cell] != (g,) or P.cell_output[cell] != g:
+            bad.append(f"unit cell boundary of {g}")
+    for g1, g2 in itertools.product(P.unit_cells, repeat=2):
+        if P.objects.tgt(g1) != P.objects.src(g2):
+            continue
+        g = P.objects.compose(g2, g1)
+        if g in P.unit_cells:
+            got = P.groupoid_of_cell(P.unit_cells[g]).compose(P.unit_cells[g2], P.unit_cells[g1])
+            if got != P.unit_cells[g]:
+                bad.append(f"unit cell functoriality at {g2} . {g1}")
+    rep.verdict("pseudo-operad/units", P.name, bad)
+
+    act_bad: list[str] = []
+    for (op, sigma), moved in P.act_ops.items():
+        if P.op_inputs[moved] != apply_permutation(P.op_inputs[op], sigma) \
+                or P.op_output[moved] != P.op_output[op]:
+            act_bad.append(f"action signature at {op}")
+        if sigma == identity_permutation(len(sigma)) and moved != op:
+            act_bad.append(f"identity permutation moved {op}")
+        for tau_ in all_permutations(len(sigma)):
+            first = P.act_ops.get((moved, tau_))
+            total = P.act_ops.get((op, compose_permutations(sigma, tau_)))
+            if first is not None and total is not None and first != total:
+                act_bad.append(f"action composition at {op}")
+    for (cell, sigma), moved in P.act_cells.items():
+        if P.cell_inputs[moved] != apply_permutation(P.cell_inputs[cell], sigma) \
+                or P.cell_output[moved] != P.cell_output[cell]:
+            act_bad.append(f"cell action boundary at {cell}")
+        G = P.groupoid_of_cell(cell)
+        moved_dom = P.act_ops.get((G.src(cell), sigma))
+        moved_cod = P.act_ops.get((G.tgt(cell), sigma))
+        if moved_dom is not None and moved_cod is not None:
+            H = P.groupoid_of_cell(moved)
+            if H.src(moved) != moved_dom or H.tgt(moved) != moved_cod:
+                act_bad.append(f"cell action endpoints at {cell}")
+    rep.verdict("pseudo-operad/action", P.name, act_bad)
+
+    eq_bad: list[str] = []
+    eq_checked = 0
+    for (psi, phis), composite in P.compose_ops.items():
+        n = len(phis)
+        arities = tuple(P.arity_of(p) for p in phis)
+        for sigma in all_permutations(n):
+            moved_psi = P.act_ops.get((psi, sigma))
+            if moved_psi is None:
+                continue
+            lhs = P.compose_ops.get((moved_psi, apply_permutation(phis, sigma)))
+            rhs = P.act_ops.get((composite, block_permutation(sigma, arities)))
+            if lhs is not None and rhs is not None:
+                eq_checked += 1
+                if lhs != rhs:
+                    eq_bad.append(f"block equivariance at {psi}")
+        for taus in itertools.product(*[tuple(all_permutations(k)) for k in arities]):
+            moved = tuple(P.act_ops.get((phi, t)) for phi, t in zip(phis, taus))
+            if any(m is None for m in moved):
+                continue
+            lhs = P.compose_ops.get((psi, moved))
+            rhs = P.act_ops.get((composite, sum_permutation(taus)))
+            if lhs is not None and rhs is not None:
+                eq_checked += 1
+                if lhs != rhs:
+                    eq_bad.append(f"sum equivariance at {psi}")
+    rep.verdict("pseudo-operad/equivariance", P.name, eq_bad, {"instances-checked": eq_checked})
+
+
+def oracle_pseudo_operad_report(P, max_pentagons: int = 512) -> Report:
+    """``check_pseudo_operad`` with its groupoid, boundary, composition, unit
+    and action rows walked on values, the way they were before the audit
+    walked numbers.  The coherence rows and the coverage row are the
+    package's own."""
+    rep = Report()
+    rep.extend(oracle_groupoid_report(P.objects, f"{P.name}/objects"))
+    for n in P.arities():
+        rep.extend(oracle_groupoid_report(P.op_groupoids[n], f"{P.name}/ops[{n}]"))
+    _oracle_cell_boundaries(P, rep)
+    _oracle_composition(P, rep)
+    _oracle_units_and_action(P, rep)
+    _check_coherence(P, rep, max_pentagons)
+    cov = P.coverage()
+    rep.add("pseudo-operad/coverage", P.name, PASS if cov["ops"] else DEGENERATE, witness=cov)
+    return rep

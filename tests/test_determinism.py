@@ -13,7 +13,9 @@ SRC = TESTS.parent / "src"
 # walk every decoration the context keys by hashed (operation, surfaces)
 # tuples; the conjugated surface round trip and its transformation build
 # colimits that do not collapse and mediate between them; the merge adjunction
-# runs iota, whose inner cells are joined through dicts keyed by operations.
+# runs iota, whose inner cells are joined through dicts keyed by operations;
+# the merge audit numbers the window's verticals, operations and cells, and
+# walks its binary cells on those numbers.
 AUDIT = """
 import sys
 from causalops.bordism import bordism_fragment, truncate_bordisms
@@ -46,6 +48,7 @@ reports = [
                    diamond, debug=True),
     roundtrip_fqft(conjugated, diamond, debug=True, transformation=(
         translated, {c: h.inverse() for c, h in alpha.items()})),
+    check_pseudo_operad(merge),
     check_two_adjunction(truncate_bordisms(merge), merge),
 ]
 sys.stdout.write("".join(r.dumps() for r in reports))

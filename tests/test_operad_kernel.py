@@ -466,6 +466,10 @@ class TestFiniteGroupoid:
         report = self.build_flip(bad=True).validate()
         assert hashlib.sha256(report.dumps().encode()).hexdigest() == "59dc2f568f557cbe9b72dca0d3e7556785ad918edbd505225e7f6af0b3e02e7c"
 
+    def test_failing_report_matches_the_value_walk(self):
+        report = self.build_flip(bad=True).validate()
+        assert report.dumps() == oracles.oracle_groupoid_report(self.build_flip(bad=True)).dumps()
+
     def test_results_are_the_stored_morphisms(self):
         # the tables build a fresh arrow on every call, equal to a stored one
         stored = {name: Arrow(name) for name in ("id", "s")}

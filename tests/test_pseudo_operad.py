@@ -1,5 +1,6 @@
 """Pseudo-operads: fattening, companions, truncation, the strict adjunction."""
 
+import functools
 import hashlib
 import itertools
 import random
@@ -9,7 +10,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from causalops import CausalSet, NotFibrant
-from causalops.bordism import Germ, bordism_fragment, identity_cell, truncate_bordisms
+from causalops.bordism import (
+    Germ,
+    PointedObject,
+    bordism_fragment,
+    identity_cell,
+    truncate_bordisms,
+)
 from causalops.causal_core import CausalEmbedding, MonotoneMap
 from causalops.operad_kernel import (
     FiniteGroupoid,
@@ -402,3 +409,105 @@ class TestTwoAdjunction:
         adjunction = check_two_adjunction(truncate_bordisms(frag), frag)
         assert hashlib.sha256(adjunction.dumps().encode()).hexdigest() == \
             "bff634585acae4b558991ea9db3d477c38fe79b5bb744eb6656eb933b7938d99"
+
+
+# every fixture whose audit is compared with the value-level walk of
+# oracles.oracle_pseudo_operad_report; the last one fails some rows
+AUDITED = {
+    "merge": lambda: bordism_fragment([merge_bordism()], depth=1, max_ops=128, max_cells=8192),
+    "chain-depth-1": lambda: bordism_fragment([chain_bordism("a", "b", "c")], depth=1),
+    "chain-depth-2": lambda: bordism_fragment([chain_bordism("a", "b", "c")], depth=2,
+                                              max_ops=64, max_cells=4096),
+    "antichain": lambda: bordism_fragment(
+        [PointedObject(CausalSet("uv", []), {"u", "v"})], depth=1),
+    "iota-cyclic": lambda: iota(cyclic_group_operad()),
+    "iota-fold": lambda: iota(commutative_fold_operad()),
+    "iota-prefactorization": lambda: iota(prefactorization_operad(
+        [CausalSet("p", []), CausalSet("bc", [])], max_arity=2)),
+    "quotient": quotient_example,
+    "corrupted-associator": TestIota.corrupted_associator,
+}
+
+
+def _outcome(audit, P):
+    """The report bytes of ``audit(P)``, or the type and text of what it raised."""
+    try:
+        return audit(P).dumps()
+    except Exception as exc:  # compared, not swallowed
+        return type(exc).__name__, str(exc)
+
+
+@functools.cache
+def _shared(name: str) -> PseudoOperadData:
+    return AUDITED[name]()
+
+
+class TestNumberedAudit:
+    """The audit walks numbers; the oracle walks the same laws on values."""
+
+    @pytest.mark.parametrize("name", list(AUDITED))
+    def test_reports_match_the_value_walk(self, name):
+        got = check_pseudo_operad(AUDITED[name]()).dumps()
+        assert got == oracles.oracle_pseudo_operad_report(AUDITED[name]()).dumps()
+
+    @pytest.mark.parametrize("name", ["chain-depth-1", "iota-cyclic"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_one_replaced_entry_fails_like_the_value_walk(self, name, data):
+        P = _shared(name)
+        table_name = data.draw(st.sampled_from(
+            ["compose_cells", "cell_output", "cell_inputs", "act_cells", "compose_ops"]))
+        table = getattr(P, table_name)
+        key = data.draw(st.sampled_from(list(table)))
+        verticals = st.sampled_from(P.objects.morphisms)
+        if table_name in ("compose_cells", "act_cells"):
+            value = data.draw(st.sampled_from(P.all_cells()))
+        elif table_name == "cell_output":
+            value = data.draw(verticals)
+        elif table_name == "cell_inputs":
+            value = tuple(data.draw(verticals) for _ in table[key])
+        else:
+            value = data.draw(st.sampled_from(P.all_ops()))
+        old = table[key]
+        table[key] = value
+        try:
+            got = _outcome(check_pseudo_operad, P)
+            want = _outcome(oracles.oracle_pseudo_operad_report, P)
+        finally:
+            table[key] = old
+        assert got == want
+
+
+class TestDanglingReferences:
+    """A reference to nothing in the window fails a row; it does not crash the audit."""
+
+    @staticmethod
+    def digest(report) -> str:
+        return hashlib.sha256(report.dumps().encode()).hexdigest()
+
+    def test_a_cell_from_a_stray_operation_is_a_dangling_morphism(self):
+        P = iota(cyclic_group_operad())
+        old = P.op_groupoids[1]
+        stray = next(c for c in old.morphisms if c.dom != c.cod)
+        P.op_groupoids[1] = FiniteGroupoid(
+            old.objects, old.morphisms,
+            {c: "stray-op" if c == stray else old.src(c) for c in old.morphisms},
+            {c: old.tgt(c) for c in old.morphisms},
+            old.compose, {op: old.id(op) for op in old.objects}, old.inv,
+        )
+        report = check_pseudo_operad(P)
+        rows = {(e.check, e.target): e for e in report.entries}
+        row = rows[("groupoid/endpoints", f"{P.name}/ops[1]")]
+        assert (row.status, row.witness) == ("fail", [f"dangling morphism {stray}"])
+        assert self.digest(report) == \
+            "1fd9d02fe03c885ae524822accdf0cc4f13b2a52e33a4dfa5993dea250ec8dcf"
+
+    def test_a_leg_outside_the_verticals_fails_the_boundaries(self):
+        P = iota(cyclic_group_operad())
+        cell = next(c for c in P.all_cells(1) if c.dom != c.cod)
+        P.cell_inputs[cell] = ("stray-vertical",)
+        report = check_pseudo_operad(P)
+        row = next(e for e in report.entries if e.check == "pseudo-operad/boundaries")
+        assert (row.status, row.witness) == ("fail", [f"unknown vertical at {cell}"])
+        assert self.digest(report) == \
+            "7dc53a0cf0543ecf6ee42f9326efbba2a74e72e34fef19977221ce774a505637"
