@@ -748,8 +748,9 @@ class FiniteGroupoid:
         gi, fi = self._numbers.get(g, count), self._numbers.get(f, count)
         if gi < count and fi < count:
             return self._values[self.composite(gi, fi)]
-        # outside the table: composed by value
-        if self.tgt(f) != self.src(g):
+        # outside the table: composed by value; a value with no endpoints
+        # composes with nothing
+        if f not in self._tgt or g not in self._src or self.tgt(f) != self.src(g):
             raise ValueError("morphisms do not compose")
         return self._canonical(self._compose(g, f))
 

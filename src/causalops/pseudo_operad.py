@@ -101,75 +101,51 @@ class PseudoOperadData:
     def groupoid_of(self, op) -> FiniteGroupoid:
         return self.op_groupoids[self.arity_of(op)]
 
-    def compose_op(self, psi, phis: Sequence):
-        key = (psi, tuple(phis))
-        found = self.compose_ops.get(key)
+    def _entry(self, table: dict, key, missing: str, subject, hook: Callable | None = None):
+        """``table[key]``, else the hook's value at ``key``, else ValueError.
+
+        Hook values are cached apart from ``table``: the tables are the
+        audited window and must not grow while checkers walk them.
+        """
+        found = table.get(key)
         if found is not None:
             return found
-        if self.compose_op_fn is not None:
-            # hook results stay out of compose_ops: that dict is the audited
-            # window and must not grow while checkers walk it
-            cache = self.__dict__.setdefault("_compose_cache", {})
-            if key not in cache:
-                cache[key] = self.compose_op_fn(psi, tuple(phis))
-            return cache[key]
-        raise ValueError(f"operadic composite not materialized at {psi}")
+        if hook is None:
+            raise ValueError(missing.format(subject))
+        cache = self.__dict__.setdefault("_hook_values", {})
+        if (hook, key) not in cache:
+            cache[(hook, key)] = hook(*key)
+        return cache[(hook, key)]
+
+    def compose_op(self, psi, phis: Sequence):
+        return self._entry(self.compose_ops, (psi, tuple(phis)),
+                           "operadic composite not materialized at {}", psi, self.compose_op_fn)
 
     def compose_cell(self, alpha, betas: Sequence):
-        found = self.compose_cells.get((alpha, tuple(betas)))
-        if found is None:
-            raise ValueError(f"operadic cell composite not materialized at {alpha}")
-        return found
+        return self._entry(self.compose_cells, (alpha, tuple(betas)),
+                           "operadic cell composite not materialized at {}", alpha)
 
     def unit_op(self, color):
-        found = self.unit_ops.get(color)
-        if found is None:
-            raise ValueError(f"unit operation missing for color {color}")
-        return found
+        return self._entry(self.unit_ops, color, "unit operation missing for color {}", color)
 
     def unit_cell(self, vertical):
-        found = self.unit_cells.get(vertical)
-        if found is None:
-            raise ValueError(f"unit cell missing for vertical {vertical}")
-        return found
+        return self._entry(self.unit_cells, vertical, "unit cell missing for vertical {}", vertical)
 
     def act_op(self, op, sigma: Sequence[int]):
-        key = (op, tuple(sigma))
-        found = self.act_ops.get(key)
-        if found is not None:
-            return found
-        if self.act_op_fn is not None:
-            cache = self.__dict__.setdefault("_act_cache", {})
-            if key not in cache:
-                cache[key] = self.act_op_fn(op, tuple(sigma))
-            return cache[key]
-        raise ValueError(f"action not materialized at {op}")
+        return self._entry(self.act_ops, (op, tuple(sigma)),
+                           "action not materialized at {}", op, self.act_op_fn)
 
     def associator(self, psi, phis: Sequence, chis: Sequence[Sequence]):
-        found = self.associators.get((psi, tuple(phis), tuple(tuple(c) for c in chis)))
-        if found is None:
-            raise ValueError(f"associator not materialized at {psi}")
-        return found
+        return self._entry(self.associators, (psi, tuple(phis), tuple(tuple(c) for c in chis)),
+                           "associator not materialized at {}", psi)
 
     def left_unitor(self, op):
-        found = self.left_unitors.get(op)
-        if found is None:
-            raise ValueError(f"left unitor missing at {op}")
-        return found
+        return self._entry(self.left_unitors, op, "left unitor missing at {}", op)
 
     def right_unitor(self, op):
-        found = self.right_unitors.get(op)
-        if found is None:
-            raise ValueError(f"right unitor missing at {op}")
-        return found
+        return self._entry(self.right_unitors, op, "right unitor missing at {}", op)
 
     # -- structural helpers --
-
-    def cell_dom(self, cell):
-        return self.groupoid_of_cell(cell).src(cell)
-
-    def cell_cod(self, cell):
-        return self.groupoid_of_cell(cell).tgt(cell)
 
     def groupoid_of_cell(self, cell) -> FiniteGroupoid:
         # the index is stamped with the operation groupoids it was built
@@ -241,143 +217,93 @@ class Companion:
 
 
 class _Numbered:
-    """A pseudo-operad's cells, verticals and operations as numbers.
+    """A pseudo-operad's cells, verticals and operations as numbers, and
+    which cells are sound.
 
     Verticals are numbered by ``P.objects``, in the tuple order of its
-    morphisms; operations and cells in arity order, then in the tuple order
-    of their groupoid.  A value outside those tuples (a leg that is no
-    vertical, a composite outside the window) gets the next free number of
-    its kind when first met, so two numbers are equal exactly when their
-    values are.  ``ins`` and ``out`` hold each cell's legs and output leg as
-    vertical numbers, ``dom`` and ``cod`` its ends as operation numbers
-    (``None`` for a cell outside the window), and ``after[a][b]`` the
-    number of the vertical composite b.a, copied from the groupoid tables.
-    A cell is ``sound`` when its legs are verticals and its ends are
-    operations of its groupoid; the law walks leave out the others, whose
-    boundary or endpoints rows name them.
+    morphisms; operations in arity order, then in the tuple order of their
+    groupoid, and then the ends of cells that are no operation of their
+    groupoid, as met; cells (``cell_no``) in arity order, then in the tuple
+    order of their groupoid.  ``ins`` and ``out`` hold each cell's legs and
+    output leg as vertical numbers, ``dom`` and ``cod`` its ends as
+    operation numbers, and ``after[a][b]`` the number of the vertical
+    composite b.a when that composite is a cell of the window.
+
+    A cell is ``sound`` when its ends are objects of its groupoid, it has
+    one leg per input, its legs and output are verticals, and each of them
+    runs between the colors that its ends demand: leg i from input i of its
+    domain to input i of its codomain, the output from output to output.
+    ``faults`` are the texts of the ``pseudo-operad/boundaries`` row in walk
+    order; a cell with dangling ends is named by its groupoid's endpoints
+    row instead.  The law walks compose sound cells only.
     """
 
     def __init__(self, P: PseudoOperadData):
-        self.P = P
         V = P.objects
-        self.vert = V.number
-        self.vert_after = V.table()
-        self.op_no: dict = {}
-        for n in P.arities():
-            for op in P.op_groupoids[n].objects:
-                self.op(op)
-        self.cells: list = []
-        self.cell_no: dict = {}
-        self.ins: list = []
-        self.out: list = []
-        self.dom: list = []
-        self.cod: list = []
-        self.sound: list[bool] = []
+        color = {obj: i for i, obj in enumerate(V.objects)}
+        vsrc, vtgt = V.ends()
         verticals = len(V.morphisms)
+        self.vert_after = V.table()
+        self.op_no = {op: i for i, op in enumerate(P.all_ops())}
+        self.cells = P.all_cells()
+        self.cell_no = {c: i for i, c in enumerate(self.cells)}
+        self.ins: list[tuple[int, ...]] = []
+        self.out: list[int] = []
+        self.dom: list[int] = []
+        self.cod: list[int] = []
+        self.sound: list[bool] = []
+        self.faults: list[str] = []
+        self.after: list[dict[int, int]] = []
+        faults, op_no = self.faults, self.op_no
+        signature: list[tuple[tuple[int, ...], int]] = []  # by operation number
         for n in P.arities():
             G = P.op_groupoids[n]
+            for op in G.objects:
+                ins = tuple(color.get(c, -1) for c in P.op_inputs[op])
+                signature.append((ins, color.get(P.op_output[op], -1)))
+                if len(ins) != n:
+                    faults.append(f"arity mismatch at {op}")
+                if min(ins + (signature[-1][1],)) < 0:
+                    faults.append(f"unknown color at {op}")
             src, tgt = G.ends()
+            base = len(self.ins)
             for i, c in enumerate(G.morphisms):
-                self.cell_no[c] = len(self.cells)
-                self._add(c, P.cell_inputs[c], P.cell_output[c], G.src(c), G.tgt(c))
-                self.sound.append(max(src[i], tgt[i]) < len(G.objects)
-                                  and max(self.ins[-1] + (self.out[-1],)) < verticals)
-        self.window = len(self.cells)
-        self.after: list[dict[int, int]] = [{} for _ in self.cells]
-        base = 0
-        for n in P.arities():
-            G = P.op_groupoids[n]
+                legs = tuple(map(V.number, P.cell_inputs[c]))
+                out = V.number(P.cell_output[c])
+                dom = op_no.setdefault(G.src(c), len(op_no))
+                cod = op_no.setdefault(G.tgt(c), len(op_no))
+                self.ins.append(legs)
+                self.out.append(out)
+                self.dom.append(dom)
+                self.cod.append(cod)
+                sound = False
+                if len(legs) != n:
+                    faults.append(f"leg count at {c}")
+                elif max(legs + (out,)) >= verticals:
+                    faults.append(f"unknown vertical at {c}")
+                elif max(src[i], tgt[i]) < len(G.objects):
+                    (dom_ins, dom_out), (cod_ins, cod_out) = signature[dom], signature[cod]
+                    known = len(faults)
+                    faults.extend(f"leg {k} endpoints at {c}" for k, g in enumerate(legs)
+                                  if vsrc[g] != dom_ins[k] or vtgt[g] != cod_ins[k])
+                    if vsrc[out] != dom_out or vtgt[out] != cod_out:
+                        faults.append(f"output leg endpoints at {c}")
+                    sound = len(faults) == known
+                self.sound.append(sound)
             count = len(G.morphisms)
-            for f, row in enumerate(G.table()):
-                self.after[base + f].update(
-                    (base + g, base + gf if gf < count else self.cell(G.value(gf)))
-                    for g, gf in row.items())
-            base += count
-
-    def _add(self, c, legs, out, dom=None, cod=None) -> None:
-        self.cells.append(c)
-        self.ins.append(None if legs is None else tuple(map(self.vert, legs)))
-        self.out.append(None if out is None else self.vert(out))
-        self.dom.append(None if dom is None else self.op(dom))
-        self.cod.append(None if cod is None else self.op(cod))
+            self.after.extend({base + g: base + gf for g, gf in row.items() if gf < count}
+                              for row in G.table())
 
     def op(self, op) -> int:
-        return self.op_no.setdefault(op, len(self.op_no))
-
-    def cell(self, c) -> int:
-        n = self.cell_no.get(c)
-        if n is None:
-            n = self.cell_no[c] = len(self.cells)
-            self._add(c, self.P.cell_inputs.get(c), self.P.cell_output.get(c))
-            self.sound.append(False)
-            self.after.append({})
-        return n
-
-    def window_cell(self, c) -> int:
-        """The number of a cell of the window; any other value is refused."""
-        n = self.cell_no.get(c)
-        if n is None or n >= self.window:
-            self.P.groupoid_of_cell(c)  # raises: c belongs to no groupoid
-        return n
-
-    def ends(self, c: int) -> tuple[int, int]:
-        if c >= self.window:
-            self.P.groupoid_of_cell(self.cells[c])  # raises
-        return self.dom[c], self.cod[c]
-
-    def vertical(self, b: int, a: int) -> int:
-        """The number of the vertical composite b.a of two cells."""
-        try:
-            return self.after[a][b]
-        except KeyError:
-            # not in the tables: composed by value, which raises when the
-            # cells do not compose
-            cell_a = self.cells[a]
-            return self.cell(self.P.groupoid_of_cell(cell_a).compose(self.cells[b], cell_a))
-
-    def vertical_legs(self, g2: int, g1: int) -> int:
-        """The number of the vertical composite g2.g1 of two verticals."""
-        try:
-            return self.vert_after[g1][g2]
-        except (IndexError, KeyError):
-            V = self.P.objects
-            return V.number(V.compose(V.value(g2), V.value(g1)))
+        """The number of an operation; a value that was not numbered is -1."""
+        return self.op_no.get(op, -1)
 
 
 def _check_cell_boundaries(P: PseudoOperadData, N: _Numbered, rep: Report) -> None:
-    bad: list[str] = []
-    colors = set(P.objects.objects)
-    V = P.objects
-    for n in P.arities():
-        G = P.op_groupoids[n]
-        for op in G.objects:
-            ins = P.op_inputs[op]
-            if len(ins) != n:
-                bad.append(f"arity mismatch at {op}")
-            if any(c not in colors for c in ins) or P.op_output[op] not in colors:
-                bad.append(f"unknown color at {op}")
-        for cell in G.morphisms:
-            legs = P.cell_inputs[cell]
-            out = P.cell_output[cell]
-            if len(legs) != n:
-                bad.append(f"leg count at {cell}")
-                continue
-            c = N.cell_no[cell]
-            if max(N.ins[c] + (N.out[c],)) >= len(V.morphisms):
-                bad.append(f"unknown vertical at {cell}")
-                continue
-            if not N.sound[c]:
-                continue  # a dangling cell, named by groupoid/endpoints
-            dom, cod = G.src(cell), G.tgt(cell)
-            for i, g in enumerate(legs):
-                if V.src(g) != P.op_inputs[dom][i] or V.tgt(g) != P.op_inputs[cod][i]:
-                    bad.append(f"leg {i} endpoints at {cell}")
-            if V.src(out) != P.op_output[dom] or V.tgt(out) != P.op_output[cod]:
-                bad.append(f"output leg endpoints at {cell}")
-    rep.verdict("pseudo-operad/boundaries", P.name, bad)
+    rep.verdict("pseudo-operad/boundaries", P.name, N.faults)
 
     fun_bad: list[str] = []
-    ins, out, sound, vertical_legs = N.ins, N.out, N.sound, N.vertical_legs
+    ins, out, sound, after, vert_after = N.ins, N.out, N.sound, N.after, N.vert_after
     getitem = dict.__getitem__
     base = 0
     for n in P.arities():
@@ -387,26 +313,21 @@ def _check_cell_boundaries(P: PseudoOperadData, N: _Numbered, rep: Report) -> No
             if any(not P.is_identity_vertical(g) for g in P.cell_inputs[i]) \
                     or not P.is_identity_vertical(P.cell_output[i]):
                 fun_bad.append(f"identity cell of {op} has moving boundary")
-        cells = range(base, base + len(G.morphisms))
+        cells = [c for c in range(base, base + len(G.morphisms)) if sound[c]]
         by_dom: dict[int, list[int]] = {}
         for c in cells:
             by_dom.setdefault(N.dom[c], []).append(c)
         for a in cells:
-            if not sound[a]:
-                continue
-            leg_rows = [N.vert_after[g] for g in ins[a]]
-            out_row = N.vert_after[out[a]]
+            # sound cells that compose have legs that compose
+            leg_rows = [vert_after[g] for g in ins[a]]
+            out_row = vert_after[out[a]]
+            row = after[a]
             for b in by_dom.get(N.cod[a], ()):
-                c = N.vertical(b, a)
-                if not (sound[b] and sound[c]):
+                c = row.get(b)
+                if c is None or not sound[c]:
                     continue
-                try:
-                    same = ins[c] == tuple(map(getitem, leg_rows, ins[b])) \
-                        and out[c] == out_row[out[b]]
-                except KeyError:  # verticals that do not compose
-                    same = ins[c] == tuple(map(vertical_legs, ins[b], ins[a])) \
-                        and out[c] == vertical_legs(out[b], out[a])
-                if not same:
+                if ins[c] != tuple(map(getitem, leg_rows, ins[b])) \
+                        or out[c] != out_row[out[b]]:
                     fun_bad.append(f"boundary of vertical composite {N.cells[b]} . {N.cells[a]}")
         base += len(G.morphisms)
     rep.verdict("pseudo-operad/boundary-functoriality", P.name, fun_bad)
@@ -423,52 +344,52 @@ def _check_composition(P: PseudoOperadData, N: _Numbered, rep: Report) -> None:
             bad.append(f"composite signature at {psi}")
     rep.verdict("pseudo-operad/compose-signatures", P.name, bad)
 
+    op = N.op
     compose_ops = {
-        (N.op(psi), tuple(map(N.op, phis))): N.op(result)
+        (op(psi), tuple(map(op, phis))): op(result)
         for (psi, phis), result in P.compose_ops.items()
     }
-    entries = [
-        (N.window_cell(alpha), tuple(map(N.window_cell, betas)), N.cell(result))
-        for (alpha, betas), result in P.compose_cells.items()
-    ]
-    compose_cells = {(a, bs): r for a, bs, r in entries}
-    ins, out, dom, cod = N.ins, N.out, N.dom, N.cod
+    ins, out, dom, cod, sound, cell_no = N.ins, N.out, N.dom, N.cod, N.sound, N.cell_no
     cell_bad: list[str] = []
-    interchanged = 0
-    for a, bs, r in entries:
-        if tuple(out[b] for b in bs) != ins[a]:
-            cell_bad.append(f"inner outputs do not feed the legs of {N.cells[a]}")
+    # the entries whose cells all lie in the window; those that also pass
+    # their own checks and whose cells are sound are stacked
+    compose_cells: dict = {}
+    stackable = []
+    for (alpha, betas), result in P.compose_cells.items():
+        a, r, bs = cell_no.get(alpha), cell_no.get(result), tuple(map(cell_no.get, betas))
+        if a is None or r is None or None in bs:
+            cell_bad.append(f"cell composite entry outside the window at {alpha}")
             continue
+        compose_cells[(a, bs)] = r
+        if tuple(out[b] for b in bs) != ins[a]:
+            cell_bad.append(f"inner outputs do not feed the legs of {alpha}")
+            continue
+        known = len(cell_bad)
         dom_op = compose_ops.get((dom[a], tuple(dom[b] for b in bs)))
         cod_op = compose_ops.get((cod[a], tuple(cod[b] for b in bs)))
-        if dom_op is not None and cod_op is not None and N.ends(r) != (dom_op, cod_op):
-            cell_bad.append(f"cell composite endpoints at {N.cells[a]}")
+        if dom_op is not None and cod_op is not None and (dom[r], cod[r]) != (dom_op, cod_op):
+            cell_bad.append(f"cell composite endpoints at {alpha}")
         want_legs = tuple(itertools.chain.from_iterable(ins[b] for b in bs))
         if ins[r] != want_legs or out[r] != out[a]:
-            cell_bad.append(f"cell composite boundary at {N.cells[a]}")
-    # the interchange stacks the entries whose cells are all sound
-    sound = N.sound
-    stackable = [e for e in entries
-                 if sound[e[0]] and sound[e[2]] and all(map(sound.__getitem__, e[1]))]
+            cell_bad.append(f"cell composite boundary at {alpha}")
+        if len(cell_bad) == known and sound[a] and sound[r] and all(map(sound.__getitem__, bs)):
+            stackable.append((a, bs, r))
     by_dom_profile: dict = {}
     for a2, bs2, r2 in stackable:
         profile = (dom[a2], tuple(dom[b] for b in bs2))
         by_dom_profile.setdefault(profile, []).append((a2, bs2, r2))
-    vertical, after, getitem = N.vertical, N.after, dict.__getitem__
+    after, get = N.after, dict.get
+    interchanged = 0
     for a1, bs1, r1 in stackable:
         profile = (cod[a1], tuple(cod[b] for b in bs1))
         row_a1, rows_bs1 = after[a1], [after[b] for b in bs1]
         for a2, bs2, r2 in by_dom_profile.get(profile, ()):
-            try:
-                stacked = (row_a1[a2], tuple(map(getitem, rows_bs1, bs2)))
-            except KeyError:  # cells that do not compose
-                stacked = (vertical(a2, a1), tuple(map(vertical, bs2, bs1)))
-            lhs = compose_cells.get(stacked)
+            # a stacked cell outside the window has no entry
+            lhs = compose_cells.get((row_a1.get(a2), tuple(map(get, rows_bs1, bs2))))
             if lhs is None:
                 continue
             interchanged += 1
-            rhs = after[r1].get(r2)
-            if lhs != (vertical(r2, r1) if rhs is None else rhs):
+            if lhs != after[r1].get(r2):
                 cell_bad.append(f"interchange at {N.cells[a1]} / {N.cells[a2]}")
     for (psi, phis), result in P.compose_ops.items():
         G_out = P.op_groupoids[len(P.op_inputs[result])]
@@ -514,13 +435,16 @@ def _check_units_and_action(P: PseudoOperadData, N: _Numbered, rep: Report) -> N
                 act_bad.append(f"action composition at {op}")
     act_ops = {(N.op(op), sigma): N.op(moved) for (op, sigma), moved in P.act_ops.items()}
     for (cell, sigma), moved in P.act_cells.items():
-        c, m = N.window_cell(cell), N.cell(moved)
+        c, m = N.cell_no.get(cell), N.cell_no.get(moved)
+        if c is None or m is None:
+            act_bad.append(f"cell action entry outside the window at {cell}")
+            continue
         if N.ins[m] != apply_permutation(N.ins[c], sigma) or N.out[m] != N.out[c]:
             act_bad.append(f"cell action boundary at {cell}")
         moved_dom = act_ops.get((N.dom[c], sigma))
         moved_cod = act_ops.get((N.cod[c], sigma))
         if moved_dom is not None and moved_cod is not None \
-                and N.ends(m) != (moved_dom, moved_cod):
+                and (N.dom[m], N.cod[m]) != (moved_dom, moved_cod):
             act_bad.append(f"cell action endpoints at {cell}")
     rep.verdict("pseudo-operad/action", P.name, act_bad)
 
@@ -692,9 +616,14 @@ def check_pseudo_operad(P: PseudoOperadData, max_pentagons: int = 512) -> Report
     the tuple order of their groupoids, and reads vertical composites from
     the groupoids' tables.  Numbers are turned back into the objects only to
     write a witness, so the report is the one the same walk on values
-    writes.  A cell whose legs are not verticals, or whose ends are not
-    operations of its groupoid, fails the boundary or endpoints row and is
-    left out of the walks that compose it.
+    writes.  Soundness is decided once: a cell is sound when its ends are
+    operations of its groupoid, it has one leg per input, and its legs and
+    output are verticals that run between the colors its ends demand.  An
+    unsound cell fails the boundaries row (or its groupoid's endpoints row)
+    and the walks compose sound cells only.  A ``compose_cells`` or
+    ``act_cells`` entry that names a cell outside the window fails its own
+    row and is left out of the walks; a ``compose_cells`` entry that fails
+    its own checks is not stacked in the interchange.
     """
     rep = Report()
     rep.extend(P.objects.validate(name=f"{P.name}/objects"))

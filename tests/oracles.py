@@ -512,9 +512,25 @@ def oracle_groupoid_report(G, name: str = "groupoid") -> Report:
     return rep
 
 
-def _oracle_cell_boundaries(P, rep: Report) -> None:
+def _ends(P, cell) -> tuple:
+    G = P.groupoid_of_cell(cell)
+    return G.src(cell), G.tgt(cell)
+
+
+def _oracle_cell_boundaries(P, rep: Report) -> set:
+    """The boundaries and boundary-functoriality rows; returns the sound cells.
+
+    A cell is sound when its ends are operations of its groupoid, it has one
+    leg per input, and its legs and output are verticals that run between
+    the colors its ends demand; only sound cells are composed.
+    """
     bad: list[str] = []
-    colors = set(P.objects.objects)
+    V = P.objects
+    colors = set(V.objects)
+    # a vertical with an end outside the colors runs between no colors
+    runs = {g: (V.src(g), V.tgt(g)) for g in V.morphisms
+            if V.src(g) in colors and V.tgt(g) in colors}
+    sound: set = set()
     for n in P.arities():
         G = P.op_groupoids[n]
         for op in G.objects:
@@ -530,11 +546,18 @@ def _oracle_cell_boundaries(P, rep: Report) -> None:
             if len(legs) != n:
                 bad.append(f"leg count at {cell}")
                 continue
-            for i, g in enumerate(legs):
-                if P.objects.src(g) != P.op_inputs[dom][i] or P.objects.tgt(g) != P.op_inputs[cod][i]:
-                    bad.append(f"leg {i} endpoints at {cell}")
-            if P.objects.src(out) != P.op_output[dom] or P.objects.tgt(out) != P.op_output[cod]:
-                bad.append(f"output leg endpoints at {cell}")
+            if any(g not in V.morphisms for g in legs + (out,)):
+                bad.append(f"unknown vertical at {cell}")
+                continue
+            if dom not in G.objects or cod not in G.objects:
+                continue  # named by the groupoid's endpoints row
+            faults = [f"leg {i} endpoints at {cell}" for i, g in enumerate(legs)
+                      if runs.get(g) != (P.op_inputs[dom][i], P.op_inputs[cod][i])]
+            if runs.get(out) != (P.op_output[dom], P.op_output[cod]):
+                faults.append(f"output leg endpoints at {cell}")
+            bad += faults
+            if not faults:
+                sound.add(cell)
     rep.verdict("pseudo-operad/boundaries", P.name, bad)
 
     fun_bad: list[str] = []
@@ -550,18 +573,23 @@ def _oracle_cell_boundaries(P, rep: Report) -> None:
             by_src.setdefault(G.src(b), []).append(b)
         for a in G.morphisms:
             for b in by_src.get(G.tgt(a), ()):
+                if a not in sound or b not in sound:
+                    continue
                 c = G.compose(b, a)
+                if c not in sound:
+                    continue
                 want_legs = tuple(
-                    P.objects.compose(g2, g1)
+                    V.compose(g2, g1)
                     for g1, g2 in zip(P.cell_inputs[a], P.cell_inputs[b])
                 )
                 if P.cell_inputs[c] != want_legs or \
-                        P.cell_output[c] != P.objects.compose(P.cell_output[b], P.cell_output[a]):
+                        P.cell_output[c] != V.compose(P.cell_output[b], P.cell_output[a]):
                     fun_bad.append(f"boundary of vertical composite {b} . {a}")
     rep.verdict("pseudo-operad/boundary-functoriality", P.name, fun_bad)
+    return sound
 
 
-def _oracle_composition(P, rep: Report) -> None:
+def _oracle_composition(P, sound: set, rep: Report) -> None:
     bad: list[str] = []
     for (psi, phis), result in P.compose_ops.items():
         if tuple(P.op_output[phi] for phi in phis) != P.op_inputs[psi]:
@@ -572,38 +600,51 @@ def _oracle_composition(P, rep: Report) -> None:
             bad.append(f"composite signature at {psi}")
     rep.verdict("pseudo-operad/compose-signatures", P.name, bad)
 
+    window = set(P.all_cells())
     cell_bad: list[str] = []
     interchanged = 0
+    # entries naming a cell outside the window fail and are left out; the
+    # others that pass their own checks on sound cells are stacked
+    in_window: dict = {}
+    stackable = []
     for (alpha, betas), result in P.compose_cells.items():
+        if not window.issuperset((alpha, result, *betas)):
+            cell_bad.append(f"cell composite entry outside the window at {alpha}")
+            continue
+        in_window[(alpha, betas)] = result
         if tuple(P.cell_output[b] for b in betas) != P.cell_inputs[alpha]:
             cell_bad.append(f"inner outputs do not feed the legs of {alpha}")
             continue
-        dom_op = P.compose_ops.get((P.cell_dom(alpha), tuple(P.cell_dom(b) for b in betas)))
-        cod_op = P.compose_ops.get((P.cell_cod(alpha), tuple(P.cell_cod(b) for b in betas)))
-        if dom_op is not None and cod_op is not None:
-            G = P.groupoid_of_cell(result)
-            if G.src(result) != dom_op or G.tgt(result) != cod_op:
-                cell_bad.append(f"cell composite endpoints at {alpha}")
+        faults = []
+        (dom_a, cod_a), inner = _ends(P, alpha), [_ends(P, b) for b in betas]
+        dom_op = P.compose_ops.get((dom_a, tuple(d for d, _ in inner)))
+        cod_op = P.compose_ops.get((cod_a, tuple(c for _, c in inner)))
+        if dom_op is not None and cod_op is not None and _ends(P, result) != (dom_op, cod_op):
+            faults.append(f"cell composite endpoints at {alpha}")
         want_legs = tuple(itertools.chain.from_iterable(P.cell_inputs[b] for b in betas))
         if P.cell_inputs[result] != want_legs or P.cell_output[result] != P.cell_output[alpha]:
-            cell_bad.append(f"cell composite boundary at {alpha}")
+            faults.append(f"cell composite boundary at {alpha}")
+        cell_bad += faults
+        if not faults and sound.issuperset((alpha, result, *betas)):
+            stackable.append((alpha, betas, result))
     by_dom_profile: dict = {}
-    for (a2, bs2), r2 in P.compose_cells.items():
-        profile = (P.cell_dom(a2), tuple(P.cell_dom(b) for b in bs2))
+    for a2, bs2, r2 in stackable:
+        profile = (_ends(P, a2)[0], tuple(_ends(P, b)[0] for b in bs2))
         by_dom_profile.setdefault(profile, []).append((a2, bs2, r2))
-    for (a1, bs1), r1 in P.compose_cells.items():
-        profile = (P.cell_cod(a1), tuple(P.cell_cod(b) for b in bs1))
+    for a1, bs1, r1 in stackable:
+        profile = (_ends(P, a1)[1], tuple(_ends(P, b)[1] for b in bs1))
         for a2, bs2, r2 in by_dom_profile.get(profile, ()):
             G = P.groupoid_of_cell(a1)
             stacked_key = (
                 G.compose(a2, a1),
                 tuple(P.groupoid_of_cell(b1).compose(b2, b1) for b1, b2 in zip(bs1, bs2)),
             )
-            lhs = P.compose_cells.get(stacked_key)
+            lhs = in_window.get(stacked_key)
             if lhs is None:
                 continue
             interchanged += 1
-            rhs = P.groupoid_of_cell(r1).compose(r2, r1)
+            H = P.groupoid_of_cell(r1)
+            rhs = H.compose(r2, r1) if H.tgt(r1) == H.src(r2) else None
             if lhs != rhs:
                 cell_bad.append(f"interchange at {a1} / {a2}")
     for (psi, phis), result in P.compose_ops.items():
@@ -648,17 +689,20 @@ def _oracle_units_and_action(P, rep: Report) -> None:
             total = P.act_ops.get((op, compose_permutations(sigma, tau_)))
             if first is not None and total is not None and first != total:
                 act_bad.append(f"action composition at {op}")
+    window = set(P.all_cells())
     for (cell, sigma), moved in P.act_cells.items():
+        if cell not in window or moved not in window:
+            act_bad.append(f"cell action entry outside the window at {cell}")
+            continue
         if P.cell_inputs[moved] != apply_permutation(P.cell_inputs[cell], sigma) \
                 or P.cell_output[moved] != P.cell_output[cell]:
             act_bad.append(f"cell action boundary at {cell}")
-        G = P.groupoid_of_cell(cell)
-        moved_dom = P.act_ops.get((G.src(cell), sigma))
-        moved_cod = P.act_ops.get((G.tgt(cell), sigma))
-        if moved_dom is not None and moved_cod is not None:
-            H = P.groupoid_of_cell(moved)
-            if H.src(moved) != moved_dom or H.tgt(moved) != moved_cod:
-                act_bad.append(f"cell action endpoints at {cell}")
+        dom, cod = _ends(P, cell)
+        moved_dom = P.act_ops.get((dom, sigma))
+        moved_cod = P.act_ops.get((cod, sigma))
+        if moved_dom is not None and moved_cod is not None \
+                and _ends(P, moved) != (moved_dom, moved_cod):
+            act_bad.append(f"cell action endpoints at {cell}")
     rep.verdict("pseudo-operad/action", P.name, act_bad)
 
     eq_bad: list[str] = []
@@ -698,8 +742,7 @@ def oracle_pseudo_operad_report(P, max_pentagons: int = 512) -> Report:
     rep.extend(oracle_groupoid_report(P.objects, f"{P.name}/objects"))
     for n in P.arities():
         rep.extend(oracle_groupoid_report(P.op_groupoids[n], f"{P.name}/ops[{n}]"))
-    _oracle_cell_boundaries(P, rep)
-    _oracle_composition(P, rep)
+    _oracle_composition(P, _oracle_cell_boundaries(P, rep), rep)
     _oracle_units_and_action(P, rep)
     _check_coherence(P, rep, max_pentagons)
     cov = P.coverage()

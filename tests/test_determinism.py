@@ -15,7 +15,9 @@ SRC = TESTS.parent / "src"
 # colimits that do not collapse and mediate between them; the merge adjunction
 # runs iota, whose inner cells are joined through dicts keyed by operations;
 # the merge audit numbers the window's verticals, operations and cells, and
-# walks its binary cells on those numbers.
+# walks its binary cells on those numbers; the chain window with one leg
+# replaced by a vertical with the wrong endpoints fails rows, and its
+# witnesses are the same under both seeds.
 AUDIT = """
 import sys
 from causalops.bordism import bordism_fragment, truncate_bordisms
@@ -35,6 +37,10 @@ from test_translate import conjugated_model
 ctx = chain_translation_context()
 diamond = diamond_translation_context()
 merge = bordism_fragment([merge_bordism()], depth=1, max_ops=128, max_cells=8192)
+broken = bordism_fragment([chain_bordism("a", "b", "c")], depth=1)
+cell, legs = broken.all_cells(1)[0], broken.objects.morphisms
+start = broken.op_inputs[broken.op_groupoids[1].src(cell)][0]
+broken.cell_inputs[cell] = (next(g for g in legs if broken.objects.src(g) != start),)
 conjugated, translated, alpha = conjugated_model()
 reports = [
     validate_translation_context(ctx),
@@ -50,6 +56,7 @@ reports = [
         translated, {c: h.inverse() for c, h in alpha.items()})),
     check_pseudo_operad(merge),
     check_two_adjunction(truncate_bordisms(merge), merge),
+    check_pseudo_operad(broken),
 ]
 sys.stdout.write("".join(r.dumps() for r in reports))
 """

@@ -450,13 +450,14 @@ class TestNumberedAudit:
         got = check_pseudo_operad(AUDITED[name]()).dumps()
         assert got == oracles.oracle_pseudo_operad_report(AUDITED[name]()).dumps()
 
-    @pytest.mark.parametrize("name", ["chain-depth-1", "iota-cyclic"])
+    @pytest.mark.parametrize("name", ["chain-depth-1", "iota-cyclic", "quotient"])
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_one_replaced_entry_fails_like_the_value_walk(self, name, data):
         P = _shared(name)
-        table_name = data.draw(st.sampled_from(
-            ["compose_cells", "cell_output", "cell_inputs", "act_cells", "compose_ops"]))
+        table_name = data.draw(st.sampled_from([
+            t for t in ("compose_cells", "cell_output", "cell_inputs", "act_cells", "compose_ops")
+            if getattr(P, t)]))
         table = getattr(P, table_name)
         key = data.draw(st.sampled_from(list(table)))
         verticals = st.sampled_from(P.objects.morphisms)
@@ -475,6 +476,7 @@ class TestNumberedAudit:
             want = _outcome(oracles.oracle_pseudo_operad_report, P)
         finally:
             table[key] = old
+        assert isinstance(got, str), got
         assert got == want
 
 
@@ -511,3 +513,54 @@ class TestDanglingReferences:
         assert (row.status, row.witness) == ("fail", [f"unknown vertical at {cell}"])
         assert self.digest(report) == \
             "7dc53a0cf0543ecf6ee42f9326efbba2a74e72e34fef19977221ce774a505637"
+
+    def test_a_leg_with_the_wrong_endpoints_fails_the_boundaries(self):
+        P = AUDITED["chain-depth-1"]()
+        G, V = P.op_groupoids[1], P.objects
+        cell = P.all_cells(1)[0]
+        leg = next(g for g in V.morphisms if V.src(g) != P.op_inputs[G.src(cell)][0])
+        P.cell_inputs[cell] = (leg,)
+        report = check_pseudo_operad(P)
+        assert report.dumps() == oracles.oracle_pseudo_operad_report(P).dumps()
+        row = next(e for e in report.entries if e.check == "pseudo-operad/boundaries")
+        assert (row.status, row.witness) == ("fail", [f"leg 0 endpoints at {cell}"])
+        assert self.digest(report) == \
+            "e1c028dfec08631c587ba2ff9a9ec9e281114f51821993f60d26b7341ec80fc0"
+
+    def test_a_cell_composite_outside_the_window_fails_the_interchange(self):
+        P = iota(cyclic_group_operad())
+        key = next(iter(P.compose_cells))
+        P.compose_cells[key] = "stray-cell"
+        report = check_pseudo_operad(P)
+        assert report.dumps() == oracles.oracle_pseudo_operad_report(P).dumps()
+        row = next(e for e in report.entries if e.check == "pseudo-operad/interchange")
+        # the entry was the identity cells' composite, so that check fails too
+        assert (row.status, row.witness) == ("fail", [
+            f"cell composite entry outside the window at {key[0]}",
+            f"identity cells compose wrong at {key[0].dom}"])
+        assert self.digest(report) == \
+            "246bfbd542c11d15fa9700d5f64275a3930dd516764a709121a2388da1c5e404"
+
+    def test_a_cell_composite_key_outside_the_window_fails_the_interchange(self):
+        P = iota(cyclic_group_operad())
+        (_, betas), result = next(iter(P.compose_cells.items()))
+        P.compose_cells[("stray-cell", betas)] = result
+        report = check_pseudo_operad(P)
+        assert report.dumps() == oracles.oracle_pseudo_operad_report(P).dumps()
+        row = next(e for e in report.entries if e.check == "pseudo-operad/interchange")
+        assert (row.status, row.witness) == \
+            ("fail", ["cell composite entry outside the window at stray-cell"])
+        assert self.digest(report) == \
+            "8c10b494f6d9b315ce7b3107f873d0d9da327e480a2bc9d7fece7ef384bc1d89"
+
+    def test_a_cell_action_outside_the_window_fails_the_action(self):
+        P = iota(cyclic_group_operad())
+        key = next(iter(P.act_cells))
+        P.act_cells[key] = "stray-cell"
+        report = check_pseudo_operad(P)
+        assert report.dumps() == oracles.oracle_pseudo_operad_report(P).dumps()
+        row = next(e for e in report.entries if e.check == "pseudo-operad/action")
+        assert (row.status, row.witness) == \
+            ("fail", [f"cell action entry outside the window at {key[0]}"])
+        assert self.digest(report) == \
+            "c9ac5a54da1afe3a5bdfa036746b0d36fd8627d7304889c0337e788d742cf832"
