@@ -39,7 +39,8 @@ from .causal_core import (
 )
 from .errors import FragmentCapExceeded, InvalidComposite, InvalidSurface
 from .operad_kernel import EmbeddingTuple, FiniteGroupoid, Operad, apply_permutation
-from .pseudo_operad import PseudoOperadData, TauOperation, tau
+from .pseudo_operad import (PseudoOperadData, TauOperation, _associator_triples,
+                            _cell_composites, tau)
 from .report import FAIL, PASS, Report
 
 __all__ = [
@@ -142,22 +143,15 @@ class Germ:
             raise ValueError("germ must cover exactly the target surface hull")
         if emb.image_of(src.surface) != tgt.surface:
             raise ValueError("germ must carry the surface onto the target surface")
-        self.__dict__["embedding"] = emb
+        self.__dict__["embedding"] = emb  # an attribute, not a field
 
     @classmethod
     def identity(cls, obj: PointedObject) -> "Germ":
         return cls(obj, obj, {e: e for e in obj.surface_hull})
 
     @cached_property
-    def embedding(self) -> CausalEmbedding:
-        return CausalEmbedding(self.src.core, self.tgt.carrier, dict(self.pairs))
-
-    @cached_property
     def table(self) -> dict[str, str]:
         return dict(self.pairs)
-
-    def __call__(self, event: str) -> str:
-        return self.embedding(event)
 
     def then(self, other: "Germ") -> "Germ":
         """Composite germ, applying self first."""
@@ -478,7 +472,6 @@ class ComposedBordism:
     """A composite together with the gluing data that produced it."""
 
     bordism: Bordism
-    regions: OverhangRegions
     lower_legs: tuple[CausalEmbedding, ...]
     upper_leg: CausalEmbedding
 
@@ -563,7 +556,7 @@ def compose_bordisms_full(outer: Bordism, inners: Sequence[Bordism], *,
     failed = _failed_checks(composite, validated)
     if failed:
         raise InvalidComposite("composite failed validation: " + "; ".join(failed))
-    return ComposedBordism(composite, regions, glued.left_legs, glued.right_leg)
+    return ComposedBordism(composite, glued.left_legs, glued.right_leg)
 
 
 def compose_bordisms(outer: Bordism, inners: Sequence[Bordism]) -> Bordism:
@@ -626,11 +619,7 @@ class TwoCell:
                 raise ValueError(f"cell does not match input surface image {i}")
         if emb.image_of(dom.out_surface_image) != cod.out_surface_image:
             raise ValueError("cell does not match the output surface image")
-        self.__dict__["embedding"] = emb
-
-    @cached_property
-    def embedding(self) -> CausalEmbedding:
-        return CausalEmbedding(self.dom.hull_core, self.cod.carrier, dict(self.pairs))
+        self.__dict__["embedding"] = emb  # an attribute, not a field
 
     @cached_property
     def table(self) -> dict[str, str]:
@@ -1107,7 +1096,10 @@ def bordism_fragment(
     instances: a value equal to a germ, an operation or a cell of the
     window is that very object, so the audits find it in the window's
     tables by identity.  A permuted cell is read from the window's cells,
-    which are closed under the action, not built again.
+    which are closed under the action, not built again.  Cell composites
+    and associators are read off the composites by the walks that ``iota``
+    uses too.  Every table comes in construction order and none is sorted
+    again, so its order does not depend on ``PYTHONHASHSEED``.
     """
     objs: list[PointedObject] = []
     gens: list[Bordism] = []
@@ -1170,37 +1162,17 @@ def bordism_fragment(
         objects, ops_sorted, max_cells=max_cells,
         name=f"bordism-fragment(depth={depth})", validated=validated)
     compose_ops = {key: intern(composite) for key, composite in compose_ops.items()}
-    cells_by_arity = {n: g.morphisms for n, g in window.op_groupoids.items()}
-    # cells by dom, and by dom and output germ, each in window order
-    cells_from: dict[Bordism, list[TwoCell]] = {}
-    feeding: dict[tuple[Bordism, Germ], list[TwoCell]] = {}
-    for cells in cells_by_arity.values():
-        for c in cells:
-            cells_from.setdefault(c.dom, []).append(c)
-            feeding.setdefault((c.dom, window.cell_output[c]), []).append(c)
-
     compose_cells: dict = {}
-    for (psi, phis), composite in sorted(
-        compose_ops.items(), key=lambda kv: str(kv[0])
-    ):
-        for alpha in cells_from.get(psi, ()):
-            # inner cells must hand their output germs to alpha's input germs
-            inner_pools = [
-                feeding.get((p, g), ()) for p, g in zip(phis, window.cell_inputs[alpha])
-            ]
-            for betas in itertools.product(*inner_pools):
-                cod_key = (alpha.cod, tuple(b.cod for b in betas))
-                if cod_key not in compose_ops:
-                    continue
-                compose_cells[(alpha, betas)] = intern(_compose_two_cells(alpha, betas, glue))
-                if len(compose_cells) > max_cells:
-                    raise FragmentCapExceeded(f"cell cap {max_cells} exceeded")
+    for alpha, betas, _, _ in _cell_composites(window, compose_ops):
+        compose_cells[(alpha, betas)] = intern(_compose_two_cells(alpha, betas, glue))
+        if len(compose_cells) > max_cells:
+            raise FragmentCapExceeded(f"cell cap {max_cells} exceeded")
 
     # permute_cell(cell, sigma) keeps the pairs and permutes both ends
     act_ops = window.act_ops
     act_cells: dict = {}
-    for n in sorted(cells_by_arity):
-        for cell in cells_by_arity[n]:
+    for n in window.arities():
+        for cell in window.op_groupoids[n].morphisms:
             for sigma in itertools.permutations(range(n)):
                 act_cells[(cell, sigma)] = cell_at[
                     (act_ops[(cell.dom, sigma)], act_ops[(cell.cod, sigma)], cell.pairs)]
@@ -1218,27 +1190,11 @@ def bordism_fragment(
             if want_right:
                 right_unitors[op] = intern(right)
 
-    by_outer: dict[Bordism, list[tuple]] = {}
-    for (psi, phis) in compose_ops:
-        by_outer.setdefault(psi, []).append(phis)
     associators: dict = {}
-    for psi in ops_sorted:
-        for phis in sorted(by_outer.get(psi, []), key=str):
-            pools = [sorted(by_outer.get(p, []), key=str) for p in phis]
-            middle = compose_ops[(psi, phis)]
-            for chis in itertools.product(*pools):
-                flat = tuple(itertools.chain.from_iterable(chis))
-                if (middle, flat) not in compose_ops:
-                    continue
-                inner_comps = tuple(
-                    compose_ops[(p, c)] for p, c in zip(phis, chis)
-                )
-                if (psi, inner_comps) not in compose_ops:
-                    continue
-                associators[(psi, phis, chis)] = intern(
-                    _coherence_cells(psi, phis, chis, glue))
-                if len(associators) > max_cells:
-                    raise FragmentCapExceeded(f"cell cap {max_cells} exceeded")
+    for psi, phis, chis, _ in _associator_triples(compose_ops):
+        associators[(psi, phis, chis)] = intern(_coherence_cells(psi, phis, chis, glue))
+        if len(associators) > max_cells:
+            raise FragmentCapExceeded(f"cell cap {max_cells} exceeded")
 
     return replace(
         window,

@@ -697,9 +697,6 @@ class FiniteGroupoid:
             self._values.append(value)
         return n
 
-    def value(self, n: int):
-        return self._values[n]
-
     def ends(self) -> tuple[list[int], list[int]]:
         """The object numbers of each morphism's source and target.
 

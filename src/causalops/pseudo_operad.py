@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 from .causal_core import _cached_hash
 from .errors import NotFibrant
@@ -99,7 +99,7 @@ class PseudoOperadData:
         return len(self.op_inputs[op])
 
     def groupoid_of(self, op) -> FiniteGroupoid:
-        return self.op_groupoids[self.arity_of(op)]
+        return self._home(op, "operation")
 
     def _entry(self, table: dict, key, missing: str, subject, hook: Callable | None = None):
         """``table[key]``, else the hook's value at ``key``, else ValueError.
@@ -148,24 +148,26 @@ class PseudoOperadData:
     # -- structural helpers --
 
     def groupoid_of_cell(self, cell) -> FiniteGroupoid:
-        # the index is stamped with the operation groupoids it was built
-        # from and rebuilt when one of them is swapped; groupoids compare by
-        # identity, and the stamp holds them, so none can be mistaken for a
-        # new one while it is cached
+        return self._home(cell, "cell")
+
+    def _home(self, value, what: str) -> FiniteGroupoid:
+        """The operation groupoid holding ``value`` as an operation (an
+        object) or as a cell (a morphism); a value of none raises ValueError."""
+        # the indexes are stamped with the operation groupoids they were
+        # built from and rebuilt when one of them is swapped; groupoids
+        # compare by identity, and the stamp holds them, so none can be
+        # mistaken for a new one while it is cached
         homes = tuple(self.op_groupoids.values())
-        cached = self.__dict__.get("_cell_home")
+        cached = self.__dict__.get("_homes")
         if cached is None or cached[0] != homes:
-            index = {
-                c: self.op_groupoids[n]
-                for n in self.arities()
-                for c in self.op_groupoids[n].morphisms
-            }
-            cached = (homes, index)
-            self.__dict__["_cell_home"] = cached
+            groupoids = [self.op_groupoids[n] for n in self.arities()]
+            cached = (homes, {"operation": {op: G for G in groupoids for op in G.objects},
+                              "cell": {c: G for G in groupoids for c in G.morphisms}})
+            self.__dict__["_homes"] = cached
         try:
-            return cached[1][cell]
+            return cached[1][what][value]
         except KeyError:
-            raise ValueError(f"cell {cell} belongs to no operation groupoid") from None
+            raise ValueError(f"{what} {value} belongs to no operation groupoid") from None
 
     def is_identity_vertical(self, g) -> bool:
         try:
@@ -211,6 +213,82 @@ class Companion:
     op: Hashable
     unit_binding: Hashable   # cell op => unit, over (vertical, id)
     counit_binding: Hashable  # cell unit => op, over (id, vertical)
+
+
+# ---- tables derived from a window's composites ----------------------------------
+
+
+def _inner_tuples(compose_ops: Mapping) -> dict:
+    """Each outer operation's inner tuples, in table order."""
+    inners_of: dict = {}
+    for outer, inners in compose_ops:
+        inners_of.setdefault(outer, []).append(inners)
+    return inners_of
+
+
+def _cell_composites(P: PseudoOperadData, compose_ops: Mapping) -> Iterator[tuple]:
+    """The cell composites that ``compose_ops`` calls for, in window cell order.
+
+    Yields ``(alpha, betas, dom, cod)`` for each cell alpha of ``P`` and each
+    pick ``betas`` of one cell per input, whose output vertical is alpha's
+    leg there, such that ``dom``, the composite of alpha's domain with the
+    betas' domains, and ``cod``, that of the codomains, are entries of
+    ``compose_ops``.  Ends, legs and output verticals are read from ``P``'s
+    tables.  Inner cells are joined on the composites: the inner cells of
+    each slot are walked in window order, and a branch is cut as soon as its
+    inner doms, or its inner cods, begin no inner tuple of an entry.  So only
+    picks that are kept are met, in the order of the full product walk.
+    """
+    # the composites as a trie over (outer, inner_1, ..., inner_n): the node
+    # at the end of a path is the composite
+    trie: dict = {}
+    for (psi, phis), composite in compose_ops.items():
+        node, path = trie, (psi, *phis)
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = composite
+    # each cell with its ends, in window order, and by output vertical
+    cells: list[tuple] = []
+    feeding: dict = {}
+    for n in P.arities():
+        G = P.op_groupoids[n]
+        for c in G.morphisms:
+            cells.append((c, G.src(c), G.tgt(c)))
+            feeding.setdefault(P.cell_output[c], []).append(cells[-1])
+
+    def join(pools: list, dom, cod, betas: tuple) -> Iterator[tuple]:
+        if len(betas) == len(pools):
+            yield betas, dom, cod
+            return
+        for beta, beta_dom, beta_cod in pools[len(betas)]:
+            d = dom.get(beta_dom)
+            c = None if d is None else cod.get(beta_cod)
+            if c is not None:
+                yield from join(pools, d, c, betas + (beta,))
+
+    for alpha, alpha_dom, alpha_cod in cells:
+        dom, cod = trie.get(alpha_dom), trie.get(alpha_cod)
+        if dom is not None and cod is not None:
+            pools = [feeding.get(g, ()) for g in P.cell_inputs[alpha]]
+            for betas, d, c in join(pools, dom, cod, ()):
+                yield alpha, betas, d, c
+
+
+def _associator_triples(compose_ops: Mapping) -> Iterator[tuple]:
+    """The nestings of entries whose two bracketings are entries, in table order.
+
+    Yields ``(psi, phis, chis, total)`` for each entry ``(psi, phis) ->
+    middle`` and each pick of entries ``(phi_i, chis_i)``, such that
+    ``(middle, chis joined) -> total`` and psi with the composites of the
+    ``(phi_i, chis_i)`` are entries.
+    """
+    inners_of = _inner_tuples(compose_ops)
+    for (psi, phis), middle in compose_ops.items():
+        for chis in itertools.product(*[inners_of.get(phi, ()) for phi in phis]):
+            total = compose_ops.get((middle, tuple(itertools.chain.from_iterable(chis))))
+            if total is not None and \
+                    (psi, tuple(map(compose_ops.get, zip(phis, chis)))) in compose_ops:
+                yield psi, phis, chis, total
 
 
 # ---- validity checking ---------------------------------------------------------
@@ -260,11 +338,14 @@ class _Numbered:
             G = P.op_groupoids[n]
             for op in G.objects:
                 ins = tuple(color.get(c, -1) for c in P.op_inputs[op])
-                signature.append((ins, color.get(P.op_output[op], -1)))
+                out = color.get(P.op_output[op], -1)
                 if len(ins) != n:
                     faults.append(f"arity mismatch at {op}")
-                if min(ins + (signature[-1][1],)) < 0:
+                if min(ins + (out,)) < 0:
                     faults.append(f"unknown color at {op}")
+                # an input that the operation lacks is no color, so no leg
+                # runs from or to it
+                signature.append(((ins + (-1,) * n)[:n], out))
             src, tgt = G.ends()
             base = len(self.ins)
             for i, c in enumerate(G.morphisms):
@@ -336,6 +417,9 @@ def _check_cell_boundaries(P: PseudoOperadData, N: _Numbered, rep: Report) -> No
 def _check_composition(P: PseudoOperadData, N: _Numbered, rep: Report) -> None:
     bad: list[str] = []
     for (psi, phis), result in P.compose_ops.items():
+        if not all(op in P.op_inputs for op in (psi, *phis, result)):
+            bad.append(f"composite entry outside the window at {psi}")
+            continue
         if tuple(P.op_output[phi] for phi in phis) != P.op_inputs[psi]:
             bad.append(f"non-composable entry at {psi}")
             continue
@@ -391,11 +475,10 @@ def _check_composition(P: PseudoOperadData, N: _Numbered, rep: Report) -> None:
             interchanged += 1
             if lhs != after[r1].get(r2):
                 cell_bad.append(f"interchange at {N.cells[a1]} / {N.cells[a2]}")
+    identity = {op: G.id(op) for G in P.op_groupoids.values() for op in G.objects}
     for (psi, phis), result in P.compose_ops.items():
-        G_out = P.op_groupoids[len(P.op_inputs[result])]
-        key = (P.groupoid_of(psi).id(psi), tuple(P.groupoid_of(p).id(p) for p in phis))
-        stacked = P.compose_cells.get(key)
-        if stacked is not None and stacked != G_out.id(result):
+        stacked = P.compose_cells.get((identity.get(psi), tuple(map(identity.get, phis))))
+        if stacked is not None and stacked != identity.get(result):
             cell_bad.append(f"identity cells compose wrong at {psi}")
     rep.verdict("pseudo-operad/interchange", P.name, cell_bad, {"pairs-checked": interchanged})
 
@@ -405,25 +488,31 @@ def _check_units_and_action(P: PseudoOperadData, N: _Numbered, rep: Report) -> N
     for color, u in P.unit_ops.items():
         if P.op_inputs[u] != (color,) or P.op_output[u] != color:
             bad.append(f"unit of {color}")
+    # a unit cell that is no window cell fails here and is composed with
+    # nothing; unit cells compose on numbers, and cells that do not compose
+    # have no composite
+    units = {g: N.cell_no[cell] for g, cell in P.unit_cells.items() if cell in N.cell_no}
     for g, cell in P.unit_cells.items():
+        if g not in units:
+            bad.append(f"unit cell entry outside the window at {g}")
+            continue
         G = P.groupoid_of_cell(cell)
         if G.src(cell) != P.unit_op(P.objects.src(g)) or G.tgt(cell) != P.unit_op(P.objects.tgt(g)):
             bad.append(f"unit cell endpoints of {g}")
         if P.cell_inputs[cell] != (g,) or P.cell_output[cell] != g:
             bad.append(f"unit cell boundary of {g}")
-    for g1, g2 in itertools.product(P.unit_cells, repeat=2):
+    for g1, g2 in itertools.product(units, repeat=2):
         if P.objects.tgt(g1) != P.objects.src(g2):
             continue
         g = P.objects.compose(g2, g1)
-        if g in P.unit_cells:
-            got = P.groupoid_of_cell(P.unit_cells[g]).compose(P.unit_cells[g2], P.unit_cells[g1])
-            if got != P.unit_cells[g]:
-                bad.append(f"unit cell functoriality at {g2} . {g1}")
+        if g in units and N.after[units[g1]].get(units[g2]) != units[g]:
+            bad.append(f"unit cell functoriality at {g2} . {g1}")
     rep.verdict("pseudo-operad/units", P.name, bad)
 
     act_bad: list[str] = []
     for (op, sigma), moved in P.act_ops.items():
-        if P.op_inputs[moved] != apply_permutation(P.op_inputs[op], sigma) \
+        ins = P.op_inputs[op]
+        if len(ins) != len(sigma) or P.op_inputs[moved] != apply_permutation(ins, sigma) \
                 or P.op_output[moved] != P.op_output[op]:
             act_bad.append(f"action signature at {op}")
         if sigma == identity_permutation(len(sigma)) and moved != op:
@@ -477,17 +566,31 @@ def _check_units_and_action(P: PseudoOperadData, N: _Numbered, rep: Report) -> N
 
 
 def _check_coherence(P: PseudoOperadData, rep: Report, max_pentagons: int) -> None:
+    def composite(psi, phis):
+        # a composite entry that is no operation fails compose-signatures and
+        # is composed with nothing; a hook's value is an operation
+        op = P.compose_op(psi, phis)
+        if op not in P.op_inputs and P.compose_ops.get((psi, tuple(phis))) is op:
+            raise ValueError(f"composite entry outside the window at {psi}")
+        return op
+
+    # an associator or unitor that is no window cell fails here; the triangle
+    # and the pentagon find no composite with it and skip their instance
     bad: list[str] = []
     for (psi, phis, chis), cell in P.associators.items():
         flat = tuple(itertools.chain.from_iterable(chis))
         try:
-            middle = P.compose_op(psi, phis)
-            lhs = P.compose_op(middle, flat)
-            rhs = P.compose_op(psi, tuple(P.compose_op(p, c) for p, c in zip(phis, chis)))
+            middle = composite(psi, phis)
+            lhs = composite(middle, flat)
+            rhs = composite(psi, tuple(composite(p, c) for p, c in zip(phis, chis)))
         except ValueError:
             bad.append(f"associator over missing composites at {psi}")
             continue
-        G = P.groupoid_of_cell(cell)
+        try:
+            G = P.groupoid_of_cell(cell)
+        except ValueError:
+            bad.append(f"associator entry outside the window at {psi}")
+            continue
         if G.src(cell) != lhs or G.tgt(cell) != rhs:
             bad.append(f"associator endpoints at {psi}")
         if not P.is_globular(cell):
@@ -495,9 +598,9 @@ def _check_coherence(P: PseudoOperadData, rep: Report, max_pentagons: int) -> No
     # a unitor runs from the operation padded by units to the operation
     sides = (
         ("left", P.left_unitors,
-         lambda op: P.compose_op(P.unit_op(P.op_output[op]), (op,))),
+         lambda op: composite(P.unit_op(P.op_output[op]), (op,))),
         ("right", P.right_unitors,
-         lambda op: P.compose_op(op, tuple(P.unit_op(c) for c in P.op_inputs[op]))),
+         lambda op: composite(op, tuple(P.unit_op(c) for c in P.op_inputs[op]))),
     )
     for side, unitors, pad in sides:
         for op, cell in unitors.items():
@@ -506,7 +609,11 @@ def _check_coherence(P: PseudoOperadData, rep: Report, max_pentagons: int) -> No
             except ValueError:
                 bad.append(f"{side} unitor over missing composite at {op}")
                 continue
-            G = P.groupoid_of_cell(cell)
+            try:
+                G = P.groupoid_of_cell(cell)
+            except ValueError:
+                bad.append(f"{side} unitor entry outside the window at {op}")
+                continue
             if G.src(cell) != padded or G.tgt(cell) != op or not P.is_globular(cell):
                 bad.append(f"{side} unitor at {op}")
     rep.verdict("pseudo-operad/coherence-boundaries", P.name, bad)
@@ -535,11 +642,8 @@ def _check_coherence(P: PseudoOperadData, rep: Report, max_pentagons: int) -> No
 
     pent_bad: list[str] = []
     pent_checked = 0
-    assoc_keys = list(P.associators)
-    inners_of: dict = {}
-    for outer, inners in P.compose_ops:
-        inners_of.setdefault(outer, []).append(inners)
-    for (psi, phis, chis) in assoc_keys:
+    inners_of = _inner_tuples(P.compose_ops)
+    for (psi, phis, chis) in list(P.associators):
         if pent_checked >= max_pentagons:
             break
         # extend downward by one more layer drawn from materialized composites
@@ -710,11 +814,9 @@ def iota(O: Operad, max_squares_per_arity: int = 100_000) -> PseudoOperadData:
 
     Only the window ``O.operations`` is tabulated: a composite of operations,
     of cells or of nested operations is recorded when its operations lie in
-    the window.  Inner cells are joined on the window's composites: for each
-    square, the inner squares of each slot are walked in enumeration order,
-    and a branch is cut as soon as its inner doms, or its inner cods, begin
-    no inner tuple whose composite is in the window.  So only cell composites
-    that are kept are built, in the order of the full product walk.
+    the window.  Cell composites and associators are read off the window's
+    composites by :func:`_cell_composites` and :func:`_associator_triples`;
+    an associator is the identity cell of its total composite.
     """
     inverses = _invertible_unaries(O)
     verticals = tuple(inverses)
@@ -797,48 +899,6 @@ def iota(O: Operad, max_squares_per_arity: int = 100_000) -> PseudoOperadData:
             composite = O.compose(psi, phis)
             if composite in window:
                 compose_ops[(psi, phis)] = composite
-    # the window's composites as a trie over (outer, inner_1, ..., inner_n):
-    # the node at the end of a path is the composite, so a prefix of inners
-    # with no node has no composite in the window
-    joins: dict = {}
-    for (psi, phis), composite in compose_ops.items():
-        node, path = joins, (psi, *phis)
-        for key in path[:-1]:
-            node = node.setdefault(key, {})
-        node[path[-1]] = composite
-    # inner cells must hand their output vertical to the matching leg
-    feeding: dict = {}
-    for m in O.arities:
-        for s in squares_by_arity[m]:
-            feeding.setdefault((s.dom.output, s.cod.output, s.out), []).append(s)
-    compose_cells: dict = {}
-
-    def join(alpha: Square, pools: list, dom, cod, betas: tuple) -> None:
-        # picks in itertools.product order, each branch cut as soon as its
-        # inner doms or inner cods leave the window's trie
-        i = len(betas)
-        if i == len(pools):
-            legs = tuple(itertools.chain.from_iterable(b.legs for b in betas))
-            compose_cells[(alpha, betas)] = Square(dom, cod, legs, alpha.out)
-            return
-        for beta in pools[i]:
-            d = dom.get(beta.dom)
-            if d is None:
-                continue
-            c = cod.get(beta.cod)
-            if c is not None:
-                join(alpha, pools, d, c, betas + (beta,))
-
-    for n, squares in squares_by_arity.items():
-        for alpha in squares:
-            dom, cod = joins.get(alpha.dom), joins.get(alpha.cod)
-            if dom is None or cod is None:
-                continue
-            pools = [
-                feeding.get((alpha.dom.inputs[i], alpha.cod.inputs[i], alpha.legs[i]), [])
-                for i in range(n)
-            ]
-            join(alpha, pools, dom, cod, ())
 
     unit_ops = {c: O.unit(c) for c in O.colors}
     unit_cells = {
@@ -860,27 +920,14 @@ def iota(O: Operad, max_squares_per_arity: int = 100_000) -> PseudoOperadData:
                     s.out,
                 )
 
-    associators: dict = {}
     left_unitors: dict = {}
     right_unitors: dict = {}
-    inners_of: dict = {}
-    for outer, inners in compose_ops:
-        inners_of.setdefault(outer, []).append(inners)
-    for (psi, phis), middle in compose_ops.items():
-        chis_pools = [inners_of.get(phi, []) for phi in phis]
-        for chis in itertools.product(*chis_pools):
-            flat = tuple(itertools.chain.from_iterable(chis))
-            total = compose_ops.get((middle, flat))
-            if total is None:
-                continue
-            g = op_groupoids[len(total.inputs)]
-            associators[(psi, phis, chis)] = g.id(total)
     for op in O.operations:
         g = op_groupoids[len(op.inputs)]
         left_unitors[op] = g.id(op)
         right_unitors[op] = g.id(op)
 
-    return PseudoOperadData(
+    P = PseudoOperadData(
         objects=objects,
         op_groupoids=op_groupoids,
         op_inputs=op_inputs,
@@ -888,18 +935,23 @@ def iota(O: Operad, max_squares_per_arity: int = 100_000) -> PseudoOperadData:
         cell_inputs=cell_inputs,
         cell_output=cell_output,
         compose_ops=compose_ops,
-        compose_cells=compose_cells,
+        compose_cells={},
         unit_ops=unit_ops,
         unit_cells=unit_cells,
         act_ops=act_ops,
         act_cells=act_cells,
-        associators=associators,
         left_unitors=left_unitors,
         right_unitors=right_unitors,
         name=f"iota({O.name})",
         compose_op_fn=lambda psi, phis: O.compose(psi, phis),
         act_op_fn=lambda op, sigma: O.act(op, sigma),
     )
+    for alpha, betas, dom, cod in _cell_composites(P, compose_ops):
+        legs = tuple(itertools.chain.from_iterable(b.legs for b in betas))
+        P.compose_cells[(alpha, betas)] = Square(dom, cod, legs, alpha.out)
+    for psi, phis, chis, total in _associator_triples(compose_ops):
+        P.associators[(psi, phis, chis)] = op_groupoids[len(total.inputs)].id(total)
+    return P
 
 
 # ---- truncation ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-from .bordism import Bordism, PointedObject, resolve_bordism_class, wrapper_bordism
+from .bordism import PointedObject, resolve_bordism_class, wrapper_bordism
 from .causal_core import (
     CausalEmbedding,
     CausalSet,
@@ -278,14 +278,6 @@ class MonoidHom:
     @property
     def arity(self) -> int:
         return len(self.doms)
-
-    @cached_property
-    def dom(self) -> Monoid:
-        return product_monoid(*self.doms)
-
-    @cached_property
-    def table(self) -> dict:
-        return dict(self.pairs)
 
     def __call__(self, *args: Hashable) -> Hashable:
         return self._table[args]
@@ -903,12 +895,8 @@ def validate_model(model: QftModel) -> Report:
 
 def _is_cauchy_unary(op) -> bool:
     """Whether a 1-ary base operation is a Cauchy morphism in its own terms."""
-    if len(op.inputs) != 1:
-        return False
     if isinstance(op, EmbeddingTuple):
         return is_cauchy_embedding(op.maps[0])
-    if isinstance(op, Bordism):
-        return op.is_cauchy_case
     members = getattr(op, "members", None)
     if members is not None:
         return any(getattr(m, "is_cauchy_case", False) for m in members)

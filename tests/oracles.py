@@ -317,33 +317,11 @@ def brute_groupoid_law_witnesses(morphisms, src, tgt, compose, identities, inver
     return bad
 
 
-def brute_iota_cells(O, squares) -> tuple[dict, dict]:
-    """The cell composites and associators of ``iota(O)`` by plain product walks.
-
-    ``squares`` lists every square of ``iota(O)`` in its enumeration order.
-    An inner pick for a square ``alpha`` takes, per slot ``i``, any square
-    from ``alpha.dom.inputs[i]`` to ``alpha.cod.inputs[i]`` whose output
-    vertical is ``alpha.legs[i]``; picks are walked in ``itertools.product``
-    order, both composites are built with ``O.compose``, and a pick is kept
-    when both lie among ``O.operations``.  Cells map ``(alpha, betas)`` to
-    ``(dom, cod, legs, out)``.  Associators map ``(psi, phis, chis)`` to the
-    composite operation for every nesting of window composites whose total
-    is in the window, walked the same way.
-    """
+def brute_composites(O) -> dict:
+    """Every composite of ``O.operations`` that lies among them, by a plain
+    product walk: outer operations in order, inner tuples in
+    ``itertools.product`` order over the operations with each input's color."""
     window = set(O.operations)
-    cells = {}
-    for alpha in squares:
-        pools = [
-            [s for s in squares
-             if (s.dom.output, s.cod.output, s.out) == (a, b, g)]
-            for a, b, g in zip(alpha.dom.inputs, alpha.cod.inputs, alpha.legs)
-        ]
-        for betas in itertools.product(*pools):
-            dom = O.compose(alpha.dom, tuple(b.dom for b in betas))
-            cod = O.compose(alpha.cod, tuple(b.cod for b in betas))
-            if dom in window and cod in window:
-                legs = tuple(leg for b in betas for leg in b.legs)
-                cells[(alpha, betas)] = (dom, cod, legs, alpha.out)
     composites = {}
     for psi in O.operations:
         pools = [[op for op in O.operations if op.output == c] for c in psi.inputs]
@@ -351,12 +329,52 @@ def brute_iota_cells(O, squares) -> tuple[dict, dict]:
             composite = O.compose(psi, phis)
             if composite in window:
                 composites[(psi, phis)] = composite
+    return composites
+
+
+def brute_window_cells(P) -> tuple[dict, dict]:
+    """The cell composites and associators that a window's composites call
+    for, by plain product walks over the window's own tables.
+
+    An inner pick for a cell ``alpha`` takes, per slot ``i``, any cell of the
+    window whose output vertical is leg ``i`` of alpha; picks are walked in
+    ``itertools.product`` order over the cells in window order (by arity,
+    then in groupoid order), and a pick is kept when alpha's domain with the
+    picks' domains, and alpha's codomain with the picks' codomains, are both
+    entries of ``compose_ops``.  Cells map ``(alpha, betas)`` to the two
+    composites ``(dom, cod)``.  Associators map ``(psi, phis, chis)`` to the
+    composite of ``(middle, flat)``, for each entry ``(psi, phis) -> middle``
+    in table order and each pick of entries ``(phi_i, chis_i)`` in table
+    order, such that ``(middle, flat)`` and psi with the composites of the
+    ``(phi_i, chis_i)`` are both entries.
+    """
+    compose_ops = P.compose_ops
+    ends = {c: (G.src(c), G.tgt(c)) for n in P.arities()
+            for G in [P.op_groupoids[n]] for c in G.morphisms}
+    cells = {}
+    for alpha, (alpha_dom, alpha_cod) in ends.items():
+        # slot i's pool: the cells in window order whose output is leg i and
+        # whose ends are inner i of some entry of alpha's ends; no cell left
+        # out can be in a kept pick
+        doms = [phis for psi, phis in compose_ops if psi == alpha_dom]
+        cods = [phis for psi, phis in compose_ops if psi == alpha_cod]
+        pools = [
+            [b for b, (d, c) in ends.items() if P.cell_output[b] == g
+             and any(phis[i] == d for phis in doms) and any(phis[i] == c for phis in cods)]
+            for i, g in enumerate(P.cell_inputs[alpha])
+        ]
+        for betas in itertools.product(*pools):
+            dom = compose_ops.get((alpha_dom, tuple(ends[b][0] for b in betas)))
+            cod = compose_ops.get((alpha_cod, tuple(ends[b][1] for b in betas)))
+            if dom is not None and cod is not None:
+                cells[(alpha, betas)] = (dom, cod)
     associators = {}
-    for (psi, phis), middle in composites.items():
-        pools = [[inners for outer, inners in composites if outer == phi] for phi in phis]
+    for (psi, phis), middle in compose_ops.items():
+        pools = [[inners for outer, inners in compose_ops if outer == phi] for phi in phis]
         for chis in itertools.product(*pools):
-            total = O.compose(middle, tuple(chi for inners in chis for chi in inners))
-            if total in window:
+            total = compose_ops.get((middle, tuple(chi for inners in chis for chi in inners)))
+            inner = tuple(compose_ops[(phi, c)] for phi, c in zip(phis, chis))
+            if total is not None and (psi, inner) in compose_ops:
                 associators[(psi, phis, chis)] = total
     return cells, associators
 
@@ -551,8 +569,10 @@ def _oracle_cell_boundaries(P, rep: Report) -> set:
                 continue
             if dom not in G.objects or cod not in G.objects:
                 continue  # named by the groupoid's endpoints row
+            # an input that an end lacks is no color
+            dom_ins, cod_ins = (P.op_inputs[op] + (None,) * n for op in (dom, cod))
             faults = [f"leg {i} endpoints at {cell}" for i, g in enumerate(legs)
-                      if runs.get(g) != (P.op_inputs[dom][i], P.op_inputs[cod][i])]
+                      if runs.get(g) != (dom_ins[i], cod_ins[i])]
             if runs.get(out) != (P.op_output[dom], P.op_output[cod]):
                 faults.append(f"output leg endpoints at {cell}")
             bad += faults
@@ -592,6 +612,9 @@ def _oracle_cell_boundaries(P, rep: Report) -> set:
 def _oracle_composition(P, sound: set, rep: Report) -> None:
     bad: list[str] = []
     for (psi, phis), result in P.compose_ops.items():
+        if any(op not in P.op_inputs for op in (psi, *phis, result)):
+            bad.append(f"composite entry outside the window at {psi}")
+            continue
         if tuple(P.op_output[phi] for phi in phis) != P.op_inputs[psi]:
             bad.append(f"non-composable entry at {psi}")
             continue
@@ -647,11 +670,16 @@ def _oracle_composition(P, sound: set, rep: Report) -> None:
             rhs = H.compose(r2, r1) if H.tgt(r1) == H.src(r2) else None
             if lhs != rhs:
                 cell_bad.append(f"interchange at {a1} / {a2}")
+
+    def identity(op):
+        try:
+            return P.groupoid_of(op).id(op)
+        except ValueError:  # no operation, so no identity cell
+            return None
+
     for (psi, phis), result in P.compose_ops.items():
-        G_out = P.op_groupoids[len(P.op_inputs[result])]
-        key = (P.groupoid_of(psi).id(psi), tuple(P.groupoid_of(p).id(p) for p in phis))
-        stacked = P.compose_cells.get(key)
-        if stacked is not None and stacked != G_out.id(result):
+        stacked = P.compose_cells.get((identity(psi), tuple(map(identity, phis))))
+        if stacked is not None and stacked != identity(result):
             cell_bad.append(f"identity cells compose wrong at {psi}")
     rep.verdict("pseudo-operad/interchange", P.name, cell_bad, {"pairs-checked": interchanged})
 
@@ -661,7 +689,11 @@ def _oracle_units_and_action(P, rep: Report) -> None:
     for color, u in P.unit_ops.items():
         if P.op_inputs[u] != (color,) or P.op_output[u] != color:
             bad.append(f"unit of {color}")
+    window = set(P.all_cells())
     for g, cell in P.unit_cells.items():
+        if cell not in window:
+            bad.append(f"unit cell entry outside the window at {g}")
+            continue
         G = P.groupoid_of_cell(cell)
         if G.src(cell) != P.unit_op(P.objects.src(g)) or G.tgt(cell) != P.unit_op(P.objects.tgt(g)):
             bad.append(f"unit cell endpoints of {g}")
@@ -671,15 +703,20 @@ def _oracle_units_and_action(P, rep: Report) -> None:
         if P.objects.tgt(g1) != P.objects.src(g2):
             continue
         g = P.objects.compose(g2, g1)
-        if g in P.unit_cells:
-            got = P.groupoid_of_cell(P.unit_cells[g]).compose(P.unit_cells[g2], P.unit_cells[g1])
-            if got != P.unit_cells[g]:
+        cells = [P.unit_cells.get(h) for h in (g, g2, g1)]
+        if window.issuperset(cells):
+            G = P.groupoid_of_cell(cells[0])
+            # unit cells that do not compose in that groupoid have no composite
+            composes = all(P.groupoid_of_cell(c) is G for c in cells[1:]) \
+                and G.tgt(cells[2]) == G.src(cells[1])
+            if not composes or G.compose(cells[1], cells[2]) != cells[0]:
                 bad.append(f"unit cell functoriality at {g2} . {g1}")
     rep.verdict("pseudo-operad/units", P.name, bad)
 
     act_bad: list[str] = []
     for (op, sigma), moved in P.act_ops.items():
-        if P.op_inputs[moved] != apply_permutation(P.op_inputs[op], sigma) \
+        if len(P.op_inputs[op]) != len(sigma) \
+                or P.op_inputs[moved] != apply_permutation(P.op_inputs[op], sigma) \
                 or P.op_output[moved] != P.op_output[op]:
             act_bad.append(f"action signature at {op}")
         if sigma == identity_permutation(len(sigma)) and moved != op:
@@ -689,7 +726,6 @@ def _oracle_units_and_action(P, rep: Report) -> None:
             total = P.act_ops.get((op, compose_permutations(sigma, tau_)))
             if first is not None and total is not None and first != total:
                 act_bad.append(f"action composition at {op}")
-    window = set(P.all_cells())
     for (cell, sigma), moved in P.act_cells.items():
         if cell not in window or moved not in window:
             act_bad.append(f"cell action entry outside the window at {cell}")

@@ -754,9 +754,9 @@ class TestWindowNames:
     digest, so a change in how pushouts are named cannot go unseen."""
 
     DIGESTS = {
-        "merge": (1247, "da1f016832f02c2b329cbe4de5b34864e22f6b240448638ceffa9710842438ae"),
-        "chain": (222, "487758ba32e5eb5811d1a0f9c9728f5262df4de1d093eb81a5979284ff4e35c4"),
-        "antichain": (44, "abc6439eaa1335de92c7e8a292d672029112b9ccf5f821bc2dad9a194309013a"),
+        "merge": (1247, "fdfe5b11e7b910ae47bfc97935bf7e2d39828c715beea5910bb5f1982f20bb47"),
+        "chain": (222, "b264108dd2bb6bb901246bf52b99890a5464e58b523c5a9928f3c1dc75fce017"),
+        "antichain": (44, "7f98d63909f54d6a33b3357ac50948cef9205af497cd297c2880e118d81d7b34"),
     }
 
     def test_composites_keep_their_names(self, window, request):
@@ -767,6 +767,16 @@ class TestWindowNames:
         ]
         digest = hashlib.sha256("".join(lines).encode()).hexdigest()
         assert (len(lines), digest) == self.DIGESTS[request.node.callspec.params["window"]]
+
+    def test_cell_composites_and_associators_follow_the_product_walk(self, window):
+        # order included: the tables come in construction order, not sorted
+        cells, associators = oracles.brute_window_cells(window)
+        assert list(window.compose_cells) == list(cells)
+        for key, (dom, cod) in cells.items():
+            composite = window.compose_cells[key]
+            G = window.groupoid_of_cell(composite)
+            assert (G.src(composite), G.tgt(composite)) == (dom, cod)
+        assert list(window.associators) == list(associators)
 
 
 class TestTruncation:

@@ -1,4 +1,4 @@
-"""Report bytes do not depend on PYTHONHASHSEED."""
+"""Report bytes and window table order do not depend on PYTHONHASHSEED."""
 
 import os
 import subprocess
@@ -61,16 +61,42 @@ reports = [
 sys.stdout.write("".join(r.dumps() for r in reports))
 """
 
+# Builds the window of two crossing surfaces of one 4-event poset (50
+# operations, 5,000 cells) and prints the keys of its tables, in table order.
+# Their order follows the window's own construction: a table sorted by the
+# text of its tuple keys would print frozenset surfaces in hash order, which
+# seeds 0 and 1 happen to agree on and seed 2 does not.
+WINDOW_KEYS = """
+import sys
+from causalops.bordism import PointedObject, bordism_fragment
+from causalops.causal_core import CausalSet
+from test_bordism import _key_text
 
-def _audit_bytes(hash_seed: str) -> bytes:
+M = CausalSet("abcd", [("a", "c"), ("b", "d")])
+window = bordism_fragment([PointedObject(M, {"a", "d"}), PointedObject(M, {"b", "c"})],
+                          depth=1, max_cells=8192)
+for name in ("compose_ops", "compose_cells", "associators", "left_unitors",
+             "right_unitors", "unit_ops", "unit_cells", "act_ops", "act_cells"):
+    sys.stdout.write("".join(f"{name}\\t{_key_text(key)}\\n" for key in getattr(window, name)))
+"""
+
+
+def _stdout(script: str, hash_seed: str) -> bytes:
     env = dict(os.environ, PYTHONHASHSEED=hash_seed,
                PYTHONPATH=os.pathsep.join((str(SRC), str(TESTS))))
-    done = subprocess.run([sys.executable, "-c", AUDIT], env=env, cwd=TESTS,
+    done = subprocess.run([sys.executable, "-c", script], env=env, cwd=TESTS,
                           capture_output=True, check=True, timeout=300)
     return done.stdout
 
 
 def test_reports_are_identical_under_two_hash_seeds():
-    first = _audit_bytes("0")
+    first = _stdout(AUDIT, "0")
     assert first
-    assert _audit_bytes("1") == first
+    assert _stdout(AUDIT, "1") == first
+
+
+def test_window_table_order_is_identical_under_four_hash_seeds():
+    first = _stdout(WINDOW_KEYS, "0")
+    assert first.count(b"\n") == 10_140
+    for seed in ("1", "2", "3"):
+        assert _stdout(WINDOW_KEYS, seed) == first, seed

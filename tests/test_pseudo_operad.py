@@ -82,12 +82,15 @@ class TestIota:
 
 
 def assert_iota_matches_brute_walk(O) -> None:
-    """iota's cell composites and associators, order included, are the product walk's."""
+    """iota's composites are those of O, and its cell composites and
+    associators, order included, are the product walk's over its tables."""
     P = iota(O)
-    squares = [s for n in sorted(P.op_groupoids) for s in P.op_groupoids[n].morphisms]
-    cells, associators = oracles.brute_iota_cells(O, squares)
-    assert [(key, (c.dom, c.cod, c.legs, c.out)) for key, c in P.compose_cells.items()] \
-        == list(cells.items())
+    assert list(P.compose_ops.items()) == list(oracles.brute_composites(O).items())
+    cells, associators = oracles.brute_window_cells(P)
+    assert [(key, (c.dom, c.cod, c.legs, c.out)) for key, c in P.compose_cells.items()] == [
+        ((alpha, betas), (dom, cod, tuple(g for b in betas for g in b.legs), alpha.out))
+        for (alpha, betas), (dom, cod) in cells.items()
+    ]
     identities = [
         (key, (t, t, tuple(O.unit(c) for c in t.inputs), O.unit(t.output)))
         for key, t in associators.items()
@@ -429,6 +432,11 @@ AUDITED = {
 }
 
 
+# the tables whose entries the one-entry replacements draw from
+REPLACEABLE = ("compose_cells", "cell_output", "cell_inputs", "act_cells", "compose_ops",
+               "unit_cells", "associators", "left_unitors", "right_unitors")
+
+
 def _outcome(audit, P):
     """The report bytes of ``audit(P)``, or the type and text of what it raised."""
     try:
@@ -456,19 +464,20 @@ class TestNumberedAudit:
     def test_one_replaced_entry_fails_like_the_value_walk(self, name, data):
         P = _shared(name)
         table_name = data.draw(st.sampled_from([
-            t for t in ("compose_cells", "cell_output", "cell_inputs", "act_cells", "compose_ops")
-            if getattr(P, t)]))
+            t for t in REPLACEABLE if getattr(P, t)]))
         table = getattr(P, table_name)
         key = data.draw(st.sampled_from(list(table)))
-        verticals = st.sampled_from(P.objects.morphisms)
-        if table_name in ("compose_cells", "act_cells"):
-            value = data.draw(st.sampled_from(P.all_cells()))
-        elif table_name == "cell_output":
+        # a value of the window, or a fresh one that no window holds
+        stray = st.just(f"stray-{table_name}")
+        verticals = st.sampled_from(P.objects.morphisms) | stray
+        if table_name == "cell_output":
             value = data.draw(verticals)
         elif table_name == "cell_inputs":
             value = tuple(data.draw(verticals) for _ in table[key])
+        elif table_name == "compose_ops":
+            value = data.draw(st.sampled_from(P.all_ops()) | stray)
         else:
-            value = data.draw(st.sampled_from(P.all_ops()))
+            value = data.draw(st.sampled_from(P.all_cells()) | stray)
         old = table[key]
         table[key] = value
         try:
@@ -564,3 +573,56 @@ class TestDanglingReferences:
             ("fail", [f"cell action entry outside the window at {key[0]}"])
         assert self.digest(report) == \
             "c9ac5a54da1afe3a5bdfa036746b0d36fd8627d7304889c0337e788d742cf832"
+
+    def test_a_composite_outside_the_window_fails_the_signatures(self):
+        P = iota(cyclic_group_operad())
+        key = next(iter(P.compose_ops))
+        P.compose_ops[key] = "stray-op"
+        report = check_pseudo_operad(P)
+        assert report.dumps() == oracles.oracle_pseudo_operad_report(P).dumps()
+        row = next(e for e in report.entries if e.check == "pseudo-operad/compose-signatures")
+        assert (row.status, row.witness) == \
+            ("fail", [f"composite entry outside the window at {key[0]}"])
+        assert self.digest(report) == \
+            "6539be26bf79a83dfba2b44097bf94ff9d576b67377ed4e6f57e65e7477e702c"
+
+    def test_an_operation_short_of_inputs_fails_the_boundaries(self):
+        P = quotient_example()
+        P.op_inputs["f1"] = ()
+        report = check_pseudo_operad(P)
+        assert report.dumps() == oracles.oracle_pseudo_operad_report(P).dumps()
+        row = next(e for e in report.entries if e.check == "pseudo-operad/boundaries")
+        assert (row.status, row.witness) == \
+            ("fail", ["arity mismatch at f1", "leg 0 endpoints at if1", "leg 0 endpoints at al"])
+        assert self.digest(report) == \
+            "5e9ace160e9e73b95b1d8246276644e57f85c5b30f16fb16886875c41a12bc7f"
+        # a unary operation left with no inputs still finds its identity cell
+        # in the triangle, through the groupoid that holds it
+        P = iota(cyclic_group_operad())
+        P.op_inputs[P.all_ops(1)[0]] = ()
+        assert check_pseudo_operad(P).dumps() == oracles.oracle_pseudo_operad_report(P).dumps()
+
+    @pytest.mark.parametrize("table, check, text, digest", [
+        ("unit_cells", "pseudo-operad/units", "unit cell entry outside the window at {}",
+         "3c9633044cbac98bc4540578c00ecf79588e782ad67d464797b89aa11b02aad0"),
+        ("associators", "pseudo-operad/coherence-boundaries",
+         "associator entry outside the window at {}",
+         "dc4b5fe97f2b0fca5d51113174eacce91c0ed6673e436ee3e59480bf913972f4"),
+        ("left_unitors", "pseudo-operad/coherence-boundaries",
+         "left unitor entry outside the window at {}",
+         "6a93e5e2358580d49cfc368635593521dcbd1356ac830dfb0cd67455dc24703d"),
+        ("right_unitors", "pseudo-operad/coherence-boundaries",
+         "right unitor entry outside the window at {}",
+         "0296b0c5455870f87e84ab4d7d6a46defc4c30c45d5b320b22580f1c422da69e"),
+    ])
+    def test_a_unit_or_coherence_cell_outside_the_window_fails_its_row(
+            self, table, check, text, digest):
+        P = iota(cyclic_group_operad())
+        key = next(iter(getattr(P, table)))
+        getattr(P, table)[key] = "stray-cell"
+        report = check_pseudo_operad(P)
+        assert report.dumps() == oracles.oracle_pseudo_operad_report(P).dumps()
+        # the functoriality, triangle and pentagon walks leave the entry out
+        assert [(e.check, e.witness) for e in report.failures] == \
+            [(check, [text.format(key[0] if table == "associators" else key)])]
+        assert self.digest(report) == digest
