@@ -439,34 +439,6 @@ def overhang_regions(outer: Bordism, inners: Sequence[Bordism]) -> OverhangRegio
     return OverhangRegions(upper, lower, overlaps)
 
 
-def _assert_regions(outer: Bordism, inners: tuple[Bordism, ...],
-                    regions: OverhangRegions) -> None:
-    """The region properties every composition relies on, checked every call."""
-    if not is_causally_convex(outer.carrier, regions.upper):
-        raise InvalidComposite("upper overhang region is not causally convex")
-    if not regions.upper >= outer.out_surface_image:
-        raise InvalidComposite("upper region lost the output surface")
-    for i, inner in enumerate(inners):
-        iface = outer.sources[i]
-        w = regions.overlaps[i]
-        if not w >= iface.surface:
-            raise InvalidComposite(f"collar overlap {i} misses the shared surface")
-        if not is_causally_convex(iface.carrier, w):
-            raise InvalidComposite(f"collar overlap {i} is not causally convex")
-        if not regions.upper >= outer.surface_images[i]:
-            raise InvalidComposite(f"upper region lost input surface image {i}")
-        lo = regions.lower[i]
-        if not is_causally_convex(inner.carrier, lo):
-            raise InvalidComposite(f"lower region {i} is not causally convex")
-        if not lo >= inner.map_out.image_of(w):
-            raise InvalidComposite(f"lower region {i} lost its overlap image")
-        for j, img in enumerate(inner.surface_images):
-            if not lo >= img:
-                raise InvalidComposite(
-                    f"lower region {i} lost inner input surface image {j}"
-                )
-
-
 @dataclass(frozen=True)
 class ComposedBordism:
     """A composite together with the gluing data that produced it."""
@@ -498,6 +470,13 @@ def compose_bordisms_full(outer: Bordism, inners: Sequence[Bordism], *,
     ``translate.translation_window`` builds and living as long as it: a value
     in it is not validated again, and each value that passes is added.  A
     call without one validates every piece.
+
+    Between those checks all holds by construction: the upper region is a
+    future set plus convex collar overlaps holding the surfaces, each lower
+    region is a past set, so all are convex and keep their surfaces, and
+    every restriction, leg and collar is an embedding.  The composite can
+    fail ``bordism/out-cauchy``: the glue may cut away the part of the
+    outer output collar's Cauchy antichain below an input surface.
     """
     inners = tuple(inners)
     regions = overhang_regions(outer, inners)
@@ -508,51 +487,30 @@ def compose_bordisms_full(outer: Bordism, inners: Sequence[Bordism], *,
         failed = _failed_checks(piece, validated)
         if failed:
             raise InvalidComposite(f"{what} bordism invalid: {failed[0]}")
-    _assert_regions(outer, inners, regions)
 
-    mids = [
-        outer.sources[i].carrier.induced(w)
-        for i, w in enumerate(regions.overlaps)
-    ]
-    lowers = [
-        inner.carrier.induced(lo)
-        for inner, lo in zip(inners, regions.lower)
-    ]
+    mids = [src.carrier.induced(w) for src, w in zip(outer.sources, regions.overlaps)]
+    lowers = [inner.carrier.induced(lo) for inner, lo in zip(inners, regions.lower)]
     upper_poset = outer.carrier.induced(regions.upper)
-    try:
-        into_left = [
-            CausalEmbedding(mid, lo, {e: inner.map_out(e) for e in mid.events})
-            for inner, mid, lo in zip(inners, mids, lowers)
-        ]
-        into_right = [
-            CausalEmbedding(mid, upper_poset, {e: emb(e) for e in mid.events})
-            for emb, mid in zip(outer.maps_in, mids)
-        ]
-    except ValueError as exc:
-        raise InvalidComposite(f"collar restriction failed: {exc}") from None
 
+    def collar(emb: CausalEmbedding, mid: CausalSet, into: CausalSet) -> CausalEmbedding:
+        table = emb.table
+        return CausalEmbedding._unchecked(mid, into, tuple((e, table[e]) for e in mid.events))
+
+    into_left = [collar(inner.map_out, mid, lo) for inner, mid, lo in zip(inners, mids, lowers)]
+    into_right = [collar(emb, mid, upper_poset) for emb, mid in zip(outer.maps_in, mids)]
     glued = glue_pushout(lowers, mids, upper_poset, into_left, into_right)
 
-    try:
-        new_maps_in = []
-        for i, inner in enumerate(inners):
-            for emb in inner.maps_in:
-                pre = emb.preimage_of(regions.lower[i])
-                new_maps_in.append(
-                    emb.restrict_into(pre, lowers[i]).then(glued.left_legs[i])
-                )
-        pre_out = outer.map_out.preimage_of(regions.upper)
-        new_out = outer.map_out.restrict_into(pre_out, upper_poset).then(glued.right_leg)
-    except ValueError as exc:
-        raise InvalidComposite(f"composite collar construction failed: {exc}") from None
+    new_maps_in = [
+        emb.restrict_into(emb.preimage_of(regions.lower[i]), lowers[i])
+        .then(glued.left_legs[i])
+        for i, inner in enumerate(inners)
+        for emb in inner.maps_in
+    ]
+    pre_out = outer.map_out.preimage_of(regions.upper)
+    new_out = outer.map_out.restrict_into(pre_out, upper_poset).then(glued.right_leg)
 
-    composite = Bordism(
-        tuple(s for inner in inners for s in inner.sources),
-        outer.target,
-        glued.result,
-        tuple(new_maps_in),
-        new_out,
-    )
+    composite = Bordism(tuple(s for inner in inners for s in inner.sources),
+                        outer.target, glued.result, new_maps_in, new_out)
     failed = _failed_checks(composite, validated)
     if failed:
         raise InvalidComposite("composite failed validation: " + "; ".join(failed))

@@ -198,12 +198,18 @@ class CausalSet:
     # ---- derived structure ------------------------------------------------
 
     def induced(self, members: Iterable[str]) -> "CausalSet":
-        """Sub-poset on ``members`` with the restricted order.
+        """Sub-poset on ``members`` with the restricted order; the value is
+        immutable, so each instance builds it once per member set."""
+        mask = _member_mask(self, frozenset(members))
+        memo = self.__dict__.setdefault("_induced", {})
+        if mask not in memo:
+            memo[mask] = self._induce(mask)
+        return memo[mask]
 
-        A restriction of a closed order is closed, and the kept events stay
-        sorted, so the masks are restricted and compressed with no closure.
-        """
-        keep = tuple(self._bits(_member_mask(self, frozenset(members))))
+    def _induce(self, mask: int) -> "CausalSet":
+        # a restriction of a closed order is closed, and the kept events stay
+        # sorted, so the masks are restricted and compressed with no closure
+        keep = tuple(self._bits(mask))
 
         def compress(mask: int) -> int:
             return sum(1 << k for k, i in enumerate(keep) if mask >> i & 1)
@@ -232,13 +238,18 @@ def _member_mask(M: CausalSet, members: Iterable[str]) -> int:
 def _is_induced(sub: CausalSet, M: CausalSet) -> bool:
     """Does ``sub`` carry the order that ``M`` induces on ``sub``'s events?
 
-    Every event of ``sub`` must be an event of ``M``.  Both event tuples are
-    sorted, so ``sub``'s k-th event sits at ``place[k]`` in ``M``; each
-    up-mask of ``sub``, carried into ``M``, must equal ``M``'s up-mask of
-    that event cut down to ``sub``'s events.  No causal set is built.
+    Not when an event of ``sub`` is no event of ``M``; yes when ``sub`` is
+    what ``M.induced`` built.  Else both event tuples are sorted, so
+    ``sub``'s k-th event sits at ``place[k]`` in ``M``; each up-mask of
+    ``sub``, carried into ``M``, must equal ``M``'s up-mask of that event
+    cut down to ``sub``'s events.  No causal set is built.
     """
-    place = [M._index[e] for e in sub.events]
+    place = [M._index.get(e) for e in sub.events]
+    if None in place:
+        return False
     members = sum(1 << i for i in place)
+    if M.__dict__.get("_induced", {}).get(members) is sub:
+        return True
     for i, up in zip(place, sub._up):
         carried = 0
         for k in sub._bits(up):
@@ -505,8 +516,17 @@ class CausalEmbedding(MonotoneMap):
         return f, image, reflected
 
     @classmethod
+    def _unchecked(cls, dom: CausalSet, cod: CausalSet,
+                   pairs: tuple[tuple[str, str], ...]) -> "CausalEmbedding":
+        """The embedding with these ``pairs``, sorted by domain event, built
+        unchecked for a caller whose map is one by construction."""
+        emb = object.__new__(cls)
+        emb.__dict__.update(dom=dom, cod=cod, pairs=pairs)
+        return emb
+
+    @classmethod
     def identity(cls, M: CausalSet) -> "CausalEmbedding":
-        return cls(M, M, {e: e for e in M.events})
+        return cls._unchecked(M, M, tuple((e, e) for e in M.events))
 
     @classmethod
     def inclusion(cls, M: CausalSet, members: Iterable[str]) -> "CausalEmbedding":
@@ -515,21 +535,38 @@ class CausalEmbedding(MonotoneMap):
         return cls(sub, M, {e: e for e in sub.events})
 
     def then(self, other: "CausalEmbedding") -> "CausalEmbedding":
-        """Composite self;other (apply self first)."""
+        """Composite self;other (apply self first).
+
+        Only ``other.dom == self.cod`` is checked: injective order embeddings
+        compose, and ``other`` maps the convex image of ``self`` onto a
+        convex region, as its own image is convex and it reflects the order.
+        """
         if other.dom != self.cod:
             raise ValueError("embeddings do not compose")
-        return CausalEmbedding(self.dom, other.cod, {e: other(self(e)) for e in self.dom.events})
+        table = other.table
+        return CausalEmbedding._unchecked(
+            self.dom, other.cod, tuple((e, table[v]) for e, v in self.pairs))
 
     def restrict_into(self, members: Iterable[str], target: CausalSet) -> "CausalEmbedding":
         """Restrict the domain to ``members`` and corestrict the codomain to
-        ``target``, the caller's induced sub-poset on a convex region.
+        ``target``; when ``members`` is the whole domain, the domain is kept.
 
-        When ``members`` is the whole domain, the domain itself is kept."""
+        Only the preconditions are checked, on masks: ``members`` is convex,
+        and ``target`` is induced by the codomain and holds their image.
+        Then ``target`` orders the image as the codomain does, and an event
+        of it between two image events lies in the convex image of ``self``
+        with its preimage between two members, so the result is an
+        embedding.  Otherwise the validating constructor names what is wrong.
+        """
         members = frozenset(members)
-        dom = self.dom
-        if len(members) != len(dom) or not members.issuperset(dom.events):
-            dom = dom.induced(members)
-        return CausalEmbedding(dom, target, {e: self(e) for e in members})
+        mask = _member_mask(self.dom, members)
+        dom = self.dom if mask == (1 << len(self.dom)) - 1 else self.dom.induced(members)
+        table = self.table
+        pairs = tuple((e, table[e]) for e in dom.events)
+        if (_hull_mask(self.dom, mask) == mask and all(v in target for _, v in pairs)
+                and _is_induced(target, self.cod)):
+            return CausalEmbedding._unchecked(dom, target, pairs)
+        return CausalEmbedding(dom, target, pairs)
 
 
 def is_cauchy_embedding(emb: CausalEmbedding) -> bool:
@@ -662,7 +699,10 @@ def glue_pushout(
 
     Raises GluingCycle when the pushed-forward order acquires a cycle and
     NonConvexCocone when a cocone map fails to be a causal embedding;
-    neither can occur when all legs are genuine CausalEmbeddings.
+    neither can occur when all legs are CausalEmbeddings, so their cocone
+    maps are not checked: a chain that leaves a piece and comes back passes
+    through the convex image of its middle on both sides, and the right
+    images are causally disjoint.  Cocones of ``MonotoneMap`` legs are.
     """
     k = len(mid)
     if not (len(left) == len(into_left) == len(into_right) == k):
@@ -703,7 +743,12 @@ def glue_pushout(
     except ValueError as exc:
         raise GluingCycle(str(exc)) from None
 
+    trusted = all(isinstance(m, CausalEmbedding) for m in (*into_left, *into_right))
+
     def leg(dom: CausalSet, mapping: dict[str, str]) -> CausalEmbedding:
+        if trusted:
+            return CausalEmbedding._unchecked(
+                dom, result, tuple((e, mapping[e]) for e in dom.events))
         try:
             return CausalEmbedding(dom, result, mapping)
         except ValueError as exc:

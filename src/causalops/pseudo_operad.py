@@ -486,7 +486,9 @@ def _check_composition(P: PseudoOperadData, N: _Numbered, rep: Report) -> None:
 def _check_units_and_action(P: PseudoOperadData, N: _Numbered, rep: Report) -> None:
     bad: list[str] = []
     for color, u in P.unit_ops.items():
-        if P.op_inputs[u] != (color,) or P.op_output[u] != color:
+        if u not in P.op_inputs:
+            bad.append(f"unit entry outside the window at {color}")
+        elif P.op_inputs[u] != (color,) or P.op_output[u] != color:
             bad.append(f"unit of {color}")
     # a unit cell that is no window cell fails here and is composed with
     # nothing; unit cells compose on numbers, and cells that do not compose
@@ -512,7 +514,9 @@ def _check_units_and_action(P: PseudoOperadData, N: _Numbered, rep: Report) -> N
     act_bad: list[str] = []
     for (op, sigma), moved in P.act_ops.items():
         ins = P.op_inputs[op]
-        if len(ins) != len(sigma) or P.op_inputs[moved] != apply_permutation(ins, sigma) \
+        if moved not in P.op_inputs:
+            act_bad.append(f"action entry outside the window at {op}")
+        elif len(ins) != len(sigma) or P.op_inputs[moved] != apply_permutation(ins, sigma) \
                 or P.op_output[moved] != P.op_output[op]:
             act_bad.append(f"action signature at {op}")
         if sigma == identity_permutation(len(sigma)) and moved != op:
@@ -595,12 +599,20 @@ def _check_coherence(P: PseudoOperadData, rep: Report, max_pentagons: int) -> No
             bad.append(f"associator endpoints at {psi}")
         if not P.is_globular(cell):
             bad.append(f"associator not globular at {psi}")
+
+    def unit(color):
+        # a unit entry that is no operation fails the units row and pads nothing
+        u = P.unit_op(color)
+        if u not in P.op_inputs:
+            raise ValueError(f"unit entry outside the window at {color}")
+        return u
+
     # a unitor runs from the operation padded by units to the operation
     sides = (
         ("left", P.left_unitors,
-         lambda op: composite(P.unit_op(P.op_output[op]), (op,))),
+         lambda op: composite(unit(P.op_output[op]), (op,))),
         ("right", P.right_unitors,
-         lambda op: composite(op, tuple(P.unit_op(c) for c in P.op_inputs[op]))),
+         lambda op: composite(op, tuple(unit(c) for c in P.op_inputs[op]))),
     )
     for side, unitors, pad in sides:
         for op, cell in unitors.items():

@@ -687,7 +687,9 @@ def _oracle_composition(P, sound: set, rep: Report) -> None:
 def _oracle_units_and_action(P, rep: Report) -> None:
     bad: list[str] = []
     for color, u in P.unit_ops.items():
-        if P.op_inputs[u] != (color,) or P.op_output[u] != color:
+        if u not in P.op_inputs:
+            bad.append(f"unit entry outside the window at {color}")
+        elif P.op_inputs[u] != (color,) or P.op_output[u] != color:
             bad.append(f"unit of {color}")
     window = set(P.all_cells())
     for g, cell in P.unit_cells.items():
@@ -715,7 +717,9 @@ def _oracle_units_and_action(P, rep: Report) -> None:
 
     act_bad: list[str] = []
     for (op, sigma), moved in P.act_ops.items():
-        if len(P.op_inputs[op]) != len(sigma) \
+        if moved not in P.op_inputs:
+            act_bad.append(f"action entry outside the window at {op}")
+        elif len(P.op_inputs[op]) != len(sigma) \
                 or P.op_inputs[moved] != apply_permutation(P.op_inputs[op], sigma) \
                 or P.op_output[moved] != P.op_output[op]:
             act_bad.append(f"action signature at {op}")

@@ -37,10 +37,14 @@ from causalops.causal_core import (
     CausalEmbedding,
     CausalSet,
     _pinned_maps,
+    cauchy_antichains,
     causal_future,
     causal_past,
     chronological_past,
     convex_hull,
+    convex_subsets,
+    glue_pushout,
+    is_cauchy_antichain,
 )
 from causalops.errors import FragmentCapExceeded, InvalidComposite
 from causalops.operad_kernel import block_permutation
@@ -53,6 +57,7 @@ from causalops.pseudo_operad import (
 
 import oracles
 from oracles import OraclePoset, brute_least_representatives
+from test_causal_core import as_oracle
 
 
 def point(name: str) -> PointedObject:
@@ -486,6 +491,234 @@ class TestRegions:
             assert img <= strict
 
 
+# fresh event names, shared by all pieces so that the pushout has to rename
+FRESH = ("a", "b", "x", "y")
+
+
+def extend_around(rng: random.Random, base: CausalSet, names,
+                  above: float = 0.5) -> CausalSet:
+    """``base`` with up to two fresh events from ``names`` around it, each
+    one above it with probability ``above``.
+
+    Each fresh event lies below an up-set of ``base`` or above a down-set of
+    it, and none above ``base`` lies below one under it, so no chain leaves
+    ``base`` and comes back: ``base`` stays a convex, induced sub-poset.
+    """
+    pool = [n for n in names if n not in base]
+    fresh = rng.sample(pool, min(rng.randint(0, 2), len(pool)))
+    above = {f: rng.random() < above for f in fresh}
+    relations = list(base.covers)
+    for f in fresh:
+        seed = oracles.random_subset(rng, base.events, 0.4)
+        if above[f]:
+            relations += [(e, f) for e in causal_past(base, seed)]
+        else:
+            relations += [(f, e) for e in causal_future(base, seed)]
+    relations += [(f, g) for f, g in itertools.combinations(fresh, 2)
+                  if not (above[f] and not above[g]) and rng.random() < 0.4]
+    return CausalSet([*base.events, *fresh], relations)
+
+
+def _random_interface(rng: random.Random, tag: str) -> PointedObject:
+    events, relations = oracles.random_poset_data(rng, rng.randint(1, 3), 0.4)
+    rename = {e: f"{n}{tag}" for e, n in zip(events, "uvw")}
+    M = CausalSet(rename.values(), [(rename[a], rename[b]) for a, b in relations])
+    return PointedObject(M, rng.choice(list(cauchy_antichains(M))))
+
+
+def _hull_around(rng: random.Random, obj: PointedObject) -> frozenset[str]:
+    """A convex region of the carrier holding the surface."""
+    return convex_hull(obj.carrier, obj.surface | oracles.random_subset(rng, obj.carrier.events))
+
+
+def _random_inner(rng: random.Random, target: PointedObject, arity: int) -> Bordism | None:
+    """A bordism into ``target`` with ``arity`` inputs, or None when the
+    drawn one is invalid.
+
+    Each input is a fresh poset of one or two events, its maximal events
+    pointed, glued below some events of the target surface; events of one
+    input are then below the output surface and unrelated to the others.
+    """
+    collar = _hull_around(rng, target)
+    names = iter(rng.sample(FRESH + ("p", "q", "r", "s"), 2 * arity))
+    relations = list(target.carrier.induced(collar).covers)
+    blocks = []
+    for _ in range(arity):
+        block = [next(names) for _ in range(rng.randint(1, 2))]
+        if len(block) == 2 and rng.random() < 0.5:
+            relations.append((block[0], block[1]))
+        tops = set(block) - {a for a, b in relations if a in block and b in block}
+        relations += [(t, e) for t in tops
+                      for e in oracles.random_subset(rng, target.surface) or target.surface]
+        blocks.append(block)
+    base = CausalSet([*collar, *(e for block in blocks for e in block)], relations)
+    N = extend_around(rng, base, FRESH, above=0.3)
+    sources = []
+    for block in blocks:
+        carrier = N.induced(block)
+        sources.append(PointedObject(carrier, carrier.maximal_events))
+    b = Bordism(sources, target, N,
+                [CausalEmbedding.inclusion(N, block) for block in blocks],
+                CausalEmbedding(target.carrier.induced(collar), N,
+                                {e: e for e in collar}))
+    return b if validate_bordism(b).ok else None
+
+
+def _random_outer(rng: random.Random, sources: list[PointedObject]) -> Bordism | None:
+    """A bordism out of ``sources`` whose input collars are renamed apart,
+    or None when the drawn one is invalid."""
+    rename, relations = [], []
+    for i, src in enumerate(sources):
+        collar = _hull_around(rng, src)
+        rename.append({e: f"{e}{i}" for e in collar})
+        relations += [(rename[i][a], rename[i][b])
+                      for a, b in src.carrier.induced(collar).covers]
+    images = [rename[i][e] for i, src in enumerate(sources) for e in src.surface]
+    events = [e for r in rename for e in r.values()]
+    if rng.random() < 0.5:
+        # one event above every input surface
+        events.append("t")
+        relations += [(e, "t") for e in images]
+    M = extend_around(rng, CausalSet(events, relations), FRESH)
+    P = as_oracle(M)
+    # one input may reach the output surface; more must stay strictly below
+    below = M.le if len(sources) == 1 else M.lt
+    tops = [t for t in oracles.all_antichains(P) if t
+            and all(any(below(s, e) for e in t) for s in images)]
+    if not tops:
+        return None
+    top = rng.choice(tops)
+    collar = convex_hull(M, top | oracles.random_subset(rng, M.events, 0.3))
+    carrier = M.induced(collar)
+    if rng.random() < 0.5:
+        carrier = extend_around(rng, carrier, ("c", "d"))
+    if not is_cauchy_antichain(carrier, top):
+        return None
+    target = PointedObject(carrier, top)
+    b = Bordism(sources, target, M,
+                [CausalEmbedding(src.carrier.induced(r), M, r)
+                 for src, r in zip(sources, rename)],
+                CausalEmbedding(carrier.induced(collar), M, {e: e for e in collar}))
+    return b if validate_bordism(b).ok else None
+
+
+@st.composite
+def valid_pieces(draw):
+    """An outer bordism of arity 0 to 2 and an inner one of arity 0 to 2 into
+    each input, all valid.  The arities are drawn first; a piece that comes
+    out invalid is drawn again, with the same arities, from the same seed."""
+    arities = draw(st.integers(min_value=0, max_value=2).flatmap(
+        lambda n: st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    while True:
+        sources = [_random_interface(rng, str(i)) for i in range(len(arities))]
+        outer = _random_outer(rng, sources)
+        inners = [next((b for b in (_random_inner(rng, src, n) for _ in range(20))
+                        if b is not None), None)
+                  for src, n in zip(sources, arities)]
+        if outer is not None and None not in inners:
+            return outer, tuple(inners)
+
+
+class TestGluingValidPieces:
+    """Composition checks its pieces and its composite, and nothing between.
+
+    The region, collar and leg conditions it does not check are shown to
+    hold on generated valid pieces by brute force; the composite is checked,
+    because valid pieces can glue to an invalid composite.
+    """
+
+    @given(valid_pieces())
+    @settings(max_examples=150, deadline=None)
+    def test_valid_pieces_meet_every_region_condition(self, pieces):
+        outer, inners = pieces
+        regions = overhang_regions(outer, inners)
+        O = as_oracle(outer.carrier)
+        removed = set()
+        for img in outer.surface_images:
+            removed |= oracles.brute_past(O, img)
+        added = set()
+        for emb, w in zip(outer.maps_in, regions.overlaps):
+            added |= emb.image_of(w)
+        upper = regions.upper
+        assert upper == (set(O.events) - removed) | added
+        assert oracles.brute_convex(O, set(upper))
+        assert upper >= outer.out_surface_image
+        for i, inner in enumerate(inners):
+            iface, w, lo = outer.sources[i], regions.overlaps[i], regions.lower[i]
+            I, N = as_oracle(iface.carrier), as_oracle(inner.carrier)
+            assert w == inner.out_collar & outer.in_collars[i]
+            assert w >= iface.surface and oracles.brute_convex(I, set(w))
+            assert upper >= outer.surface_images[i]
+            assert lo == oracles.brute_past(N, inner.map_out.image_of(w))
+            assert oracles.brute_convex(N, set(lo))
+            assert all(lo >= img for img in inner.surface_images)
+            # both collar restrictions are causal embeddings
+            mid = oracles.sub_oracle(I, set(w))
+            assert oracles.brute_map_error(
+                mid, oracles.sub_oracle(N, set(lo)),
+                {e: inner.map_out(e) for e in w}, True) is None
+            assert oracles.brute_map_error(
+                mid, oracles.sub_oracle(O, set(upper)),
+                {e: outer.maps_in[i](e) for e in w}, True) is None
+
+    @given(valid_pieces())
+    @settings(max_examples=150, deadline=None)
+    def test_valid_pieces_glue_like_the_validating_constructors(self, pieces):
+        outer, inners = pieces
+        regions = overhang_regions(outer, inners)
+        mids = [src.carrier.induced(w) for src, w in zip(outer.sources, regions.overlaps)]
+        lowers = [inner.carrier.induced(lo) for inner, lo in zip(inners, regions.lower)]
+        upper = outer.carrier.induced(regions.upper)
+        # every map goes through the validating constructor here
+        glued = glue_pushout(
+            lowers, mids, upper,
+            [CausalEmbedding(mid, lo, {e: inner.map_out(e) for e in mid.events})
+             for inner, mid, lo in zip(inners, mids, lowers)],
+            [CausalEmbedding(mid, upper, {e: emb(e) for e in mid.events})
+             for emb, mid in zip(outer.maps_in, mids)])
+        Q = as_oracle(glued.result)
+        for leg in (*glued.left_legs, glued.right_leg):
+            assert oracles.brute_map_error(as_oracle(leg.dom), Q, leg.table, True) is None
+        maps_in = []
+        for inner, lo, leg in zip(inners, regions.lower, glued.left_legs):
+            for emb in inner.maps_in:
+                pre = emb.preimage_of(lo)
+                maps_in.append(CausalEmbedding(emb.dom.induced(pre), glued.result,
+                                               {e: leg(emb(e)) for e in pre}))
+        pre = outer.map_out.preimage_of(regions.upper)
+        map_out = CausalEmbedding(outer.map_out.dom.induced(pre), glued.result,
+                                  {e: glued.right_leg(outer.map_out(e)) for e in pre})
+        expected = Bordism([s for inner in inners for s in inner.sources], outer.target,
+                           glued.result, maps_in, map_out)
+        try:
+            full = compose_bordisms_full(outer, inners)
+        except InvalidComposite as exc:
+            # the one check left between the pieces and the result
+            assert str(exc).startswith("composite failed validation: ")
+            assert not validate_bordism(expected).ok
+        else:
+            assert full.bordism == expected
+            assert (full.lower_legs, full.upper_leg) == (glued.left_legs, glued.right_leg)
+
+    def test_valid_pieces_can_glue_to_a_composite_without_a_cauchy_output(self):
+        # x < s < t, x < y, z < t; the output collar {x, s, z, t} holds the
+        # Cauchy antichain {x, z}, the surface {t} is not Cauchy, and the
+        # glue along the input surface {s} cuts x away, which leaves y
+        # alone and outside the collar
+        O = CausalSet("stxyz", [("x", "s"), ("s", "t"), ("x", "y"), ("z", "t")])
+        collar = O.induced("xszt")
+        outer = Bordism((point("s"),), PointedObject(collar, {"t"}), O,
+                        (CausalEmbedding.inclusion(O, {"s"}),),
+                        CausalEmbedding.inclusion(O, collar.events))
+        inner = unit_bordism(point("s"))
+        assert validate_bordism(outer).ok and validate_bordism(inner).ok
+        assert overhang_regions(outer, (inner,)).upper == {"s", "t", "y", "z"}
+        with pytest.raises(InvalidComposite,
+                           match="^composite failed validation: bordism/out-cauchy$"):
+            compose_bordisms_full(outer, (inner,))
+
+
 class TestConditionStrictness:
     """A one-input bordism without a wide collar must sit strictly below.
 
@@ -606,6 +839,31 @@ class TestFragments:
         # the audit's glues on demand validate each new composite once
         assert len(first) > len(frag.all_ops()) and max(first.values()) == 1
         assert second == first
+
+    def test_the_audits_validate_no_embedding_that_holds_by_construction(self, monkeypatch):
+        counts: Counter = Counter()
+        validate, induce = CausalEmbedding._validate, CausalSet._induce
+
+        def validating(emb, table):
+            counts["validations"] += 1
+            return validate(emb, table)
+
+        def inducing(M, mask):
+            counts["inductions"] += 1
+            return induce(M, mask)
+
+        fragments = [(merge_bordism(), 1, {"max_ops": 128, "max_cells": 8192}),
+                     (chain_bordism("a", "b", "c"), 2, {"max_ops": 64, "max_cells": 4096})]
+        monkeypatch.setattr(CausalEmbedding, "_validate", validating)
+        monkeypatch.setattr(CausalSet, "_induce", inducing)
+        for generator, depth, caps in fragments:
+            frag = bordism_fragment([generator], depth=depth, **caps)
+            assert check_pseudo_operad(frag).ok
+            assert check_two_adjunction(truncate_bordisms(frag), frag).ok
+        # germs and cells validate their embeddings; composites, restrictions,
+        # collars, pushout legs and identities are embeddings by construction,
+        # and each causal set builds each of its sub-posets once
+        assert counts == {"validations": 4195, "inductions": 382}
 
     def test_a_window_glue_still_validates_a_broken_piece(self):
         frag = bordism_fragment([chain_bordism("a", "b", "c")], depth=1)

@@ -70,6 +70,11 @@ def suborder_case(draw):
     return M, CausalSet(subset, covers), change
 
 
+def as_oracle(M: CausalSet) -> OraclePoset:
+    """The oracle poset of a causal set, read off its order."""
+    return OraclePoset(M.events, frozenset((a, b) for a in M for b in M if M.lt(a, b)))
+
+
 # left event names, shared with the right events so that they collide
 # across pieces and with the right poset
 GLUE_NAMES = ("e0", "e1", "e2", "e3", "x", "y", "z")
@@ -98,13 +103,14 @@ class GluingCase:
 
 
 @st.composite
-def gluing_case(draw, empty_overlaps=True):
+def gluing_case(draw, empty_overlaps=True, above=False):
     """One to three pieces glued into a random right poset.
 
     The overlaps are convex and pairwise causally disjoint (with
     ``empty_overlaps``, possibly empty).  Each left piece is a copy of its
-    overlap with up to two extra events below it, so both legs are causal
-    embeddings; its names are drawn from ``GLUE_NAMES``.
+    overlap with up to two extra events below it (with ``above``, each one
+    below or above it, and none above it below one under it), so both legs
+    are causal embeddings; its names are drawn from ``GLUE_NAMES``.
     """
     events, relations = draw(poset_data(max_events=5))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
@@ -127,15 +133,40 @@ def gluing_case(draw, empty_overlaps=True):
         names = rng.sample(GLUE_NAMES, len(overlap) + rng.randint(0, 2))
         copy = dict(zip(overlap, names))
         extras = names[len(overlap):]
+        up = {a: above and rng.random() < 0.5 for a in extras}
         rels = [(copy[a], copy[b]) for a, b in P.strict if a in region and b in region]
-        rels += [(a, b) for a, b in itertools.combinations(extras, 2) if rng.random() < 0.4]
-        rels += [(a, copy[m]) for a in extras for m in overlap if rng.random() < 0.4]
+        rels += [(a, b) for a, b in itertools.combinations(extras, 2)
+                 if not (up[a] and not up[b]) and rng.random() < 0.4]
+        rels += [(copy[m], a) if up[a] else (a, copy[m])
+                 for a in extras for m in overlap if rng.random() < 0.4]
         mid = right.induced(region)
         left = CausalSet(names, rels)
         pieces.append((left, mid, CausalEmbedding(mid, left, copy),
                        CausalEmbedding.inclusion(right, region), OraclePoset.build(names, rels)))
     left, mid, into_left, into_right, left_oracle = zip(*pieces)
     return GluingCase(left, mid, right, into_left, into_right, left_oracle, P)
+
+
+@st.composite
+def embedding_pair(draw):
+    """Embeddings ``f: A -> B`` and ``g: B -> C`` into a random poset C.
+
+    Each domain is a convex region of the next poset, renamed, so every
+    map is a causal embedding and no map is an identity on names.
+    """
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    events, relations = oracles.random_poset_data(
+        rng, draw(st.integers(min_value=2, max_value=6)), draw(st.sampled_from([0.3, 0.5])))
+
+    def region_of(M: CausalSet) -> CausalEmbedding:
+        members = convex_hull(M, oracles.random_subset(rng, M.events, 0.7))
+        rename = dict(zip(sorted(members), rng.sample(GLUE_NAMES, len(members))))
+        dom = CausalSet(rename.values(),
+                        [(rename[a], rename[b]) for a, b in M.induced(members).covers])
+        return CausalEmbedding(dom, M, {v: e for e, v in rename.items()})
+
+    g = region_of(CausalSet(events, relations))
+    return region_of(g.dom), g
 
 
 def diamond() -> CausalSet:
@@ -293,6 +324,12 @@ class TestPropertiesAgainstOracle:
         with pytest.raises(ValueError) as raised:
             M.induced(subset | {"zz"})
         assert str(raised.value) == "event 'zz' is not an event of the causal set"
+        # each instance hands out one sub-poset per member set, which its
+        # order test knows as induced
+        assert M.induced(list(subset)) is sub and sub.induced(inner) is sub.induced(inner)
+        assert _is_induced(sub, M)
+        if subset:
+            assert not _is_induced(sub, M.induced(subset - {min(subset)}))
 
     @given(suborder_case())
     @settings(max_examples=200, deadline=None)
@@ -381,6 +418,54 @@ class TestMaps:
         assert incl.dom.events == ("b", "c")
         again = incl.then(ident)
         assert again.pairs == incl.pairs
+
+    @given(embedding_pair())
+    @settings(max_examples=150, deadline=None)
+    def test_a_composite_is_the_validated_embedding(self, maps):
+        f, g = maps
+        table = {e: g(f(e)) for e in f.dom.events}
+        assert f.then(g) == CausalEmbedding(f.dom, g.cod, table)
+        assert oracles.brute_map_error(as_oracle(f.dom), as_oracle(g.cod), table, True) is None
+        if g.cod != f.dom:
+            with pytest.raises(ValueError, match="^embeddings do not compose$"):
+                g.then(f)
+
+    @given(embedding_pair(), st.sampled_from(["induced", "antichain", "short"]),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_a_restriction_is_the_validated_embedding(self, maps, kind, seed):
+        _, g = maps
+        rng = random.Random(seed)
+        # members need not be convex (half the time the domain less an
+        # event between two others); the target is the induced sub-poset on
+        # a region holding their image, the same events with no order, or
+        # the induced sub-poset missing one image event
+        members = oracles.random_subset(rng, g.dom.events)
+        middle = [e for e in g.dom.events
+                  if any(g.dom.lt(a, e) for a in g.dom) and any(g.dom.lt(e, b) for b in g.dom)]
+        if middle and rng.random() < 0.5:
+            members = set(g.dom.events) - {rng.choice(middle)}
+        region = g.image_of(members) | oracles.random_subset(rng, g.cod.events)
+        if kind == "short" and members:
+            region -= {g(rng.choice(sorted(members)))}
+        target = g.cod.induced(region)
+        if kind == "antichain":
+            target = CausalSet(target.events, [])
+        dom = g.dom.induced(members)
+        table = {e: g(e) for e in members}
+        try:
+            want = CausalEmbedding(dom, target, table)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                g.restrict_into(members, target)
+            assert str(raised.value) == str(exc)
+        else:
+            assert g.restrict_into(members, target) == want
+            assert oracles.brute_map_error(as_oracle(dom), as_oracle(target), table,
+                                           True) is None
+        with pytest.raises(ValueError) as raised:
+            g.restrict_into(members | {"zz"}, target)
+        assert str(raised.value) == "event 'zz' is not an event of the causal set"
 
     @given(poset_data(max_events=5), poset_data(max_events=5))
     @settings(max_examples=60, deadline=None)
@@ -570,6 +655,27 @@ class TestGluing:
         assert len(glued.result) == len(Q.events)
         for a, b in itertools.product(image, repeat=2):
             assert glued.result.le(image[a], image[b]) == Q.le(name[a], name[b]), (a, b)
+
+    @given(gluing_case(above=True))
+    @settings(max_examples=150, deadline=None)
+    def test_cocones_on_embedding_legs_are_the_validated_embeddings(self, case):
+        glued = case.glue()
+        name, Q = oracles.brute_pushout(
+            case.left_oracle, case.right_oracle,
+            [emb.table for emb in case.into_left],
+            [emb.table for emb in case.into_right],
+        )
+        legs = [(glued.right_leg, case.right_oracle, {r: ("R", r) for r in case.right.events})]
+        legs += [(leg, case.left_oracle[i], {e: ("L", i, e) for e in leg.dom.events})
+                 for i, leg in enumerate(glued.left_legs)]
+        assert len(glued.result) == len(Q.events)
+        for leg, dom, atoms in legs:
+            assert leg == CausalEmbedding(leg.dom, leg.cod, leg.table)
+            # the same map into the union-find quotient is an embedding too
+            assert oracles.brute_map_error(
+                dom, Q, {e: name[atom] for e, atom in atoms.items()}, True) is None
+            for a, b in itertools.product(atoms, repeat=2):
+                assert glued.result.le(leg(a), leg(b)) == Q.le(name[atoms[a]], name[atoms[b]])
 
     @given(gluing_case(empty_overlaps=False))
     @settings(max_examples=100, deadline=None)

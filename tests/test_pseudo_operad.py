@@ -434,7 +434,8 @@ AUDITED = {
 
 # the tables whose entries the one-entry replacements draw from
 REPLACEABLE = ("compose_cells", "cell_output", "cell_inputs", "act_cells", "compose_ops",
-               "unit_cells", "associators", "left_unitors", "right_unitors")
+               "unit_ops", "act_ops", "unit_cells", "associators", "left_unitors",
+               "right_unitors")
 
 
 def _outcome(audit, P):
@@ -474,7 +475,7 @@ class TestNumberedAudit:
             value = data.draw(verticals)
         elif table_name == "cell_inputs":
             value = tuple(data.draw(verticals) for _ in table[key])
-        elif table_name == "compose_ops":
+        elif table_name in ("compose_ops", "unit_ops", "act_ops"):
             value = data.draw(st.sampled_from(P.all_ops()) | stray)
         else:
             value = data.draw(st.sampled_from(P.all_cells()) | stray)
@@ -601,6 +602,35 @@ class TestDanglingReferences:
         P = iota(cyclic_group_operad())
         P.op_inputs[P.all_ops(1)[0]] = ()
         assert check_pseudo_operad(P).dumps() == oracles.oracle_pseudo_operad_report(P).dumps()
+
+    def test_a_unit_outside_the_operations_fails_the_units(self):
+        P = iota(cyclic_group_operad())
+        P.unit_ops["c"] = "stray-op"
+        report = check_pseudo_operad(P)
+        assert report.dumps() == oracles.oracle_pseudo_operad_report(P).dumps()
+        # the unit cells end elsewhere, and the unitors find no padded composite
+        assert [(e.check, e.witness) for e in report.failures] == [
+            ("pseudo-operad/units", ["unit entry outside the window at c",
+                                     "unit cell endpoints of rot0:(c)->c",
+                                     "unit cell endpoints of rot1:(c)->c"]),
+            ("pseudo-operad/coherence-boundaries",
+             ["left unitor over missing composite at rot0:(c)->c",
+              "left unitor over missing composite at rot1:(c)->c",
+              "right unitor over missing composite at rot0:(c)->c"]),
+        ]
+        assert self.digest(report) == \
+            "55f9b0d2570ec334a26e16d5ee632485e9777caf34169c9fe46a9a5bc381598b"
+
+    def test_an_action_outside_the_operations_fails_the_action(self):
+        P = iota(cyclic_group_operad())
+        key = next(iter(P.act_ops))
+        P.act_ops[key] = "stray-op"
+        report = check_pseudo_operad(P)
+        assert report.dumps() == oracles.oracle_pseudo_operad_report(P).dumps()
+        row = next(e for e in report.entries if e.check == "pseudo-operad/action")
+        assert row.witness[0] == f"action entry outside the window at {key[0]}"
+        assert self.digest(report) == \
+            "4fce11d866067af073e4469075dbe8f083eecebb328dd9e4f6ab19c932eca775"
 
     @pytest.mark.parametrize("table, check, text, digest", [
         ("unit_cells", "pseudo-operad/units", "unit cell entry outside the window at {}",
