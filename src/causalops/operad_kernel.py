@@ -20,6 +20,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from .causal_core import (
     CausalEmbedding,
     CausalSet,
+    _cached_hash,
     _hull_mask,
     _member_mask,
     _pinned_maps,
@@ -140,6 +141,8 @@ class EmbeddingTuple:
 
     maps: tuple[CausalEmbedding, ...]
     target: CausalSet
+
+    __hash__ = _cached_hash(lambda self: (EmbeddingTuple, self.maps, self.target))
 
     def __post_init__(self) -> None:
         for f in self.maps:
@@ -696,6 +699,10 @@ class FiniteGroupoid:
         if n == len(self._values):
             self._values.append(value)
         return n
+
+    def value(self, n: int):
+        """The value numbered ``n``."""
+        return self._values[n]
 
     def ends(self) -> tuple[list[int], list[int]]:
         """The object numbers of each morphism's source and target.

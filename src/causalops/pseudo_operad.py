@@ -98,9 +98,6 @@ class PseudoOperadData:
     def arity_of(self, op) -> int:
         return len(self.op_inputs[op])
 
-    def groupoid_of(self, op) -> FiniteGroupoid:
-        return self._home(op, "operation")
-
     def _entry(self, table: dict, key, missing: str, subject, hook: Callable | None = None):
         """``table[key]``, else the hook's value at ``key``, else ValueError.
 
@@ -121,10 +118,6 @@ class PseudoOperadData:
         return self._entry(self.compose_ops, (psi, tuple(phis)),
                            "operadic composite not materialized at {}", psi, self.compose_op_fn)
 
-    def compose_cell(self, alpha, betas: Sequence):
-        return self._entry(self.compose_cells, (alpha, tuple(betas)),
-                           "operadic cell composite not materialized at {}", alpha)
-
     def unit_op(self, color):
         return self._entry(self.unit_ops, color, "unit operation missing for color {}", color)
 
@@ -135,39 +128,25 @@ class PseudoOperadData:
         return self._entry(self.act_ops, (op, tuple(sigma)),
                            "action not materialized at {}", op, self.act_op_fn)
 
-    def associator(self, psi, phis: Sequence, chis: Sequence[Sequence]):
-        return self._entry(self.associators, (psi, tuple(phis), tuple(tuple(c) for c in chis)),
-                           "associator not materialized at {}", psi)
-
-    def left_unitor(self, op):
-        return self._entry(self.left_unitors, op, "left unitor missing at {}", op)
-
-    def right_unitor(self, op):
-        return self._entry(self.right_unitors, op, "right unitor missing at {}", op)
-
     # -- structural helpers --
 
     def groupoid_of_cell(self, cell) -> FiniteGroupoid:
-        return self._home(cell, "cell")
-
-    def _home(self, value, what: str) -> FiniteGroupoid:
-        """The operation groupoid holding ``value`` as an operation (an
-        object) or as a cell (a morphism); a value of none raises ValueError."""
-        # the indexes are stamped with the operation groupoids they were
-        # built from and rebuilt when one of them is swapped; groupoids
-        # compare by identity, and the stamp holds them, so none can be
-        # mistaken for a new one while it is cached
+        """The operation groupoid holding ``cell`` as a morphism; a value that
+        is no cell raises ValueError."""
+        # the index is stamped with the operation groupoids it was built from
+        # and rebuilt when one of them is swapped; groupoids compare by
+        # identity, and the stamp holds them, so none can be mistaken for a
+        # new one while it is cached
         homes = tuple(self.op_groupoids.values())
         cached = self.__dict__.get("_homes")
         if cached is None or cached[0] != homes:
-            groupoids = [self.op_groupoids[n] for n in self.arities()]
-            cached = (homes, {"operation": {op: G for G in groupoids for op in G.objects},
-                              "cell": {c: G for G in groupoids for c in G.morphisms}})
+            cached = (homes, {c: self.op_groupoids[n] for n in self.arities()
+                              for c in self.op_groupoids[n].morphisms})
             self.__dict__["_homes"] = cached
         try:
-            return cached[1][what][value]
+            return cached[1][cell]
         except KeyError:
-            raise ValueError(f"{what} {value} belongs to no operation groupoid") from None
+            raise ValueError(f"cell {cell} belongs to no operation groupoid") from None
 
     def is_identity_vertical(self, g) -> bool:
         try:
@@ -295,25 +274,27 @@ def _associator_triples(compose_ops: Mapping) -> Iterator[tuple]:
 
 
 class _Numbered:
-    """A pseudo-operad's cells, verticals and operations as numbers, and
-    which cells are sound.
+    """A pseudo-operad's verticals, operations, cells and tables as numbers.
 
-    Verticals are numbered by ``P.objects``, in the tuple order of its
-    morphisms; operations in arity order, then in the tuple order of their
-    groupoid, and then the ends of cells that are no operation of their
-    groupoid, as met; cells (``cell_no``) in arity order, then in the tuple
-    order of their groupoid.  ``ins`` and ``out`` hold each cell's legs and
-    output leg as vertical numbers, ``dom`` and ``cod`` its ends as
-    operation numbers, and ``after[a][b]`` the number of the vertical
-    composite b.a when that composite is a cell of the window.
+    Verticals are numbered by ``P.objects``; operations (``ops``) and cells
+    (``cells``) in arity order, then in the tuple order of their groupoid,
+    and then any other value, such as a cell's dangling end or a stray table
+    entry, as it is met.  So two numbers are equal exactly when their values
+    are, and the window's operations and cells are the numbers below
+    ``op_count`` and ``cell_count``.  ``ins``, ``out``, ``dom`` and ``cod``
+    hold each cell's legs, output leg and ends, ``globular`` whether its
+    legs and output are identities, and ``after[a][b]`` the vertical
+    composite b.a when it is a window cell.  ``composites``,
+    ``cell_composites``, ``units`` (by color), ``associators`` and the
+    unitors are ``P``'s tables on numbers, in table order, and ``identity``
+    maps each operation to its identity cell.
 
     A cell is ``sound`` when its ends are objects of its groupoid, it has
-    one leg per input, its legs and output are verticals, and each of them
-    runs between the colors that its ends demand: leg i from input i of its
-    domain to input i of its codomain, the output from output to output.
-    ``faults`` are the texts of the ``pseudo-operad/boundaries`` row in walk
-    order; a cell with dangling ends is named by its groupoid's endpoints
-    row instead.  The law walks compose sound cells only.
+    one leg per input, and its legs and output are verticals that run
+    between the colors its ends demand: leg i from input i of its domain to
+    input i of its codomain, the output from output to output.  ``faults``
+    are the ``pseudo-operad/boundaries`` texts in walk order; a cell with
+    dangling ends is named by its groupoid's endpoints row instead.
     """
 
     def __init__(self, P: PseudoOperadData):
@@ -321,42 +302,52 @@ class _Numbered:
         color = {obj: i for i, obj in enumerate(V.objects)}
         vsrc, vtgt = V.ends()
         verticals = len(V.morphisms)
+        # a vertical is an identity when it is the identity of its source
+        identities = [V.number(V.id(obj)) for obj in V.objects]
+        is_identity = [s < len(identities) and identities[s] == g for g, s in enumerate(vsrc)]
         self.vert_after = V.table()
-        self.op_no = {op: i for i, op in enumerate(P.all_ops())}
-        self.cells = P.all_cells()
+        self.ops = list(P.all_ops())
+        self.op_no = {op: i for i, op in enumerate(self.ops)}
+        self.op_count = len(self.ops)
+        self.cells = list(P.all_cells())
         self.cell_no = {c: i for i, c in enumerate(self.cells)}
+        self.cell_count = len(self.cells)
         self.ins: list[tuple[int, ...]] = []
         self.out: list[int] = []
         self.dom: list[int] = []
         self.cod: list[int] = []
         self.sound: list[bool] = []
+        self.globular: list[bool] = []
         self.faults: list[str] = []
         self.after: list[dict[int, int]] = []
-        faults, op_no = self.faults, self.op_no
+        self.home: list[tuple[FiniteGroupoid, int]] = []  # groupoid, its first cell
+        self.identity: dict[int, int] = {}
+        faults, op, cell = self.faults, self.op, self.cell
         signature: list[tuple[tuple[int, ...], int]] = []  # by operation number
         for n in P.arities():
             G = P.op_groupoids[n]
-            for op in G.objects:
-                ins = tuple(color.get(c, -1) for c in P.op_inputs[op])
-                out = color.get(P.op_output[op], -1)
+            for o in G.objects:
+                ins = tuple(color.get(c, -1) for c in P.op_inputs[o])
+                out = color.get(P.op_output[o], -1)
                 if len(ins) != n:
-                    faults.append(f"arity mismatch at {op}")
+                    faults.append(f"arity mismatch at {o}")
                 if min(ins + (out,)) < 0:
-                    faults.append(f"unknown color at {op}")
+                    faults.append(f"unknown color at {o}")
                 # an input that the operation lacks is no color, so no leg
                 # runs from or to it
                 signature.append(((ins + (-1,) * n)[:n], out))
             src, tgt = G.ends()
             base = len(self.ins)
+            self.home += [(G, base)] * len(G.morphisms)
             for i, c in enumerate(G.morphisms):
                 legs = tuple(map(V.number, P.cell_inputs[c]))
                 out = V.number(P.cell_output[c])
-                dom = op_no.setdefault(G.src(c), len(op_no))
-                cod = op_no.setdefault(G.tgt(c), len(op_no))
+                dom, cod = op(G.src(c)), op(G.tgt(c))
                 self.ins.append(legs)
                 self.out.append(out)
                 self.dom.append(dom)
                 self.cod.append(cod)
+                self.globular.append(all(g < verticals and is_identity[g] for g in legs + (out,)))
                 sound = False
                 if len(legs) != n:
                     faults.append(f"leg count at {c}")
@@ -374,10 +365,45 @@ class _Numbered:
             count = len(G.morphisms)
             self.after.extend({base + g: base + gf for g, gf in row.items() if gf < count}
                               for row in G.table())
+            self.identity.update((self.op_no[o], cell(G.id(o))) for o in G.objects)
+        self.composites = {(op(psi), tuple(map(op, phis))): op(result)
+                           for (psi, phis), result in P.compose_ops.items()}
+        self.cell_composites = {(cell(alpha), tuple(map(cell, betas))): cell(result)
+                                for (alpha, betas), result in P.compose_cells.items()}
+        self.units = {c: op(u) for c, u in P.unit_ops.items()}
+        self.associators = {
+            (op(psi), tuple(map(op, phis)), tuple(tuple(map(op, chi)) for chi in chis)): cell(a)
+            for (psi, phis, chis), a in P.associators.items()}
+        self.left_unitors = {op(o): cell(c) for o, c in P.left_unitors.items()}
+        self.right_unitors = {op(o): cell(c) for o, c in P.right_unitors.items()}
 
-    def op(self, op) -> int:
-        """The number of an operation; a value that was not numbered is -1."""
-        return self.op_no.get(op, -1)
+    def op(self, value) -> int:
+        """The number of an operation, or of a value first met here."""
+        n = self.op_no.setdefault(value, len(self.ops))
+        if n == len(self.ops):
+            self.ops.append(value)
+        return n
+
+    def cell(self, value) -> int:
+        """The number of a cell, or of a value first met here."""
+        n = self.cell_no.setdefault(value, len(self.cells))
+        if n == len(self.cells):
+            self.cells.append(value)
+        return n
+
+    def vertical(self, f: int | None, g: int | None) -> int | None:
+        """The number of the vertical composite g.f, or None when f or g is no
+        window cell or the two do not compose in one groupoid.  A composite
+        outside the window is numbered by its value, like any other value a
+        table names, so it compares by value and composes with nothing."""
+        if f is None or g is None or max(f, g) >= self.cell_count:
+            return None
+        (G, base), (H, _) = self.home[f], self.home[g]
+        src, tgt = G.ends()
+        if G is not H or tgt[f - base] != src[g - base]:
+            return None
+        gf = G.composite(g - base, f - base)
+        return base + gf if gf < len(G.morphisms) else self.cell(G.value(gf))
 
 
 def _check_cell_boundaries(P: PseudoOperadData, N: _Numbered, rep: Report) -> None:
@@ -390,9 +416,7 @@ def _check_cell_boundaries(P: PseudoOperadData, N: _Numbered, rep: Report) -> No
     for n in P.arities():
         G = P.op_groupoids[n]
         for op in G.objects:
-            i = G.id(op)
-            if any(not P.is_identity_vertical(g) for g in P.cell_inputs[i]) \
-                    or not P.is_identity_vertical(P.cell_output[i]):
+            if not N.globular[N.identity[N.op_no[op]]]:
                 fun_bad.append(f"identity cell of {op} has moving boundary")
         cells = [c for c in range(base, base + len(G.morphisms)) if sound[c]]
         by_dom: dict[int, list[int]] = {}
@@ -428,29 +452,23 @@ def _check_composition(P: PseudoOperadData, N: _Numbered, rep: Report) -> None:
             bad.append(f"composite signature at {psi}")
     rep.verdict("pseudo-operad/compose-signatures", P.name, bad)
 
-    op = N.op
-    compose_ops = {
-        (op(psi), tuple(map(op, phis))): op(result)
-        for (psi, phis), result in P.compose_ops.items()
-    }
-    ins, out, dom, cod, sound, cell_no = N.ins, N.out, N.dom, N.cod, N.sound, N.cell_no
+    ins, out, dom, cod, sound = N.ins, N.out, N.dom, N.cod, N.sound
+    composites, cell_composites, window = N.composites, N.cell_composites, N.cell_count
     cell_bad: list[str] = []
-    # the entries whose cells all lie in the window; those that also pass
-    # their own checks and whose cells are sound are stacked
-    compose_cells: dict = {}
+    # the entries whose cells all lie in the window and that pass their own
+    # checks on sound cells are stacked
     stackable = []
-    for (alpha, betas), result in P.compose_cells.items():
-        a, r, bs = cell_no.get(alpha), cell_no.get(result), tuple(map(cell_no.get, betas))
-        if a is None or r is None or None in bs:
-            cell_bad.append(f"cell composite entry outside the window at {alpha}")
+    for (a, bs), r in cell_composites.items():
+        if max(a, r, *bs) >= window:
+            cell_bad.append(f"cell composite entry outside the window at {N.cells[a]}")
             continue
-        compose_cells[(a, bs)] = r
+        alpha = N.cells[a]
         if tuple(out[b] for b in bs) != ins[a]:
             cell_bad.append(f"inner outputs do not feed the legs of {alpha}")
             continue
         known = len(cell_bad)
-        dom_op = compose_ops.get((dom[a], tuple(dom[b] for b in bs)))
-        cod_op = compose_ops.get((cod[a], tuple(cod[b] for b in bs)))
+        dom_op = composites.get((dom[a], tuple(dom[b] for b in bs)))
+        cod_op = composites.get((cod[a], tuple(cod[b] for b in bs)))
         if dom_op is not None and cod_op is not None and (dom[r], cod[r]) != (dom_op, cod_op):
             cell_bad.append(f"cell composite endpoints at {alpha}")
         want_legs = tuple(itertools.chain.from_iterable(ins[b] for b in bs))
@@ -468,18 +486,19 @@ def _check_composition(P: PseudoOperadData, N: _Numbered, rep: Report) -> None:
         profile = (cod[a1], tuple(cod[b] for b in bs1))
         row_a1, rows_bs1 = after[a1], [after[b] for b in bs1]
         for a2, bs2, r2 in by_dom_profile.get(profile, ()):
-            # a stacked cell outside the window has no entry
-            lhs = compose_cells.get((row_a1.get(a2), tuple(map(get, rows_bs1, bs2))))
-            if lhs is None:
+            # a stacked cell, or its recorded composite, outside the window
+            # has no entry
+            lhs = cell_composites.get((row_a1.get(a2), tuple(map(get, rows_bs1, bs2))))
+            if lhs is None or lhs >= window:
                 continue
             interchanged += 1
             if lhs != after[r1].get(r2):
                 cell_bad.append(f"interchange at {N.cells[a1]} / {N.cells[a2]}")
-    identity = {op: G.id(op) for G in P.op_groupoids.values() for op in G.objects}
-    for (psi, phis), result in P.compose_ops.items():
-        stacked = P.compose_cells.get((identity.get(psi), tuple(map(identity.get, phis))))
+    identity = N.identity
+    for (psi, phis), result in composites.items():
+        stacked = cell_composites.get((identity.get(psi), tuple(map(identity.get, phis))))
         if stacked is not None and stacked != identity.get(result):
-            cell_bad.append(f"identity cells compose wrong at {psi}")
+            cell_bad.append(f"identity cells compose wrong at {N.ops[psi]}")
     rep.verdict("pseudo-operad/interchange", P.name, cell_bad, {"pairs-checked": interchanged})
 
 
@@ -491,24 +510,25 @@ def _check_units_and_action(P: PseudoOperadData, N: _Numbered, rep: Report) -> N
         elif P.op_inputs[u] != (color,) or P.op_output[u] != color:
             bad.append(f"unit of {color}")
     # a unit cell that is no window cell fails here and is composed with
-    # nothing; unit cells compose on numbers, and cells that do not compose
-    # have no composite
-    units = {g: N.cell_no[cell] for g, cell in P.unit_cells.items() if cell in N.cell_no}
+    # nothing; cells that do not compose have no composite
+    V = P.objects
+    vsrc, vtgt = V.ends()
+    units: dict[int, int] = {}  # vertical number -> unit cell number
     for g, cell in P.unit_cells.items():
-        if g not in units:
+        c = N.cell(cell)
+        if c >= N.cell_count:
             bad.append(f"unit cell entry outside the window at {g}")
             continue
-        G = P.groupoid_of_cell(cell)
-        if G.src(cell) != P.unit_op(P.objects.src(g)) or G.tgt(cell) != P.unit_op(P.objects.tgt(g)):
+        v = V.number(g)
+        units[v] = c
+        if (N.dom[c], N.cod[c]) != (N.units.get(V.src(g)), N.units.get(V.tgt(g))):
             bad.append(f"unit cell endpoints of {g}")
-        if P.cell_inputs[cell] != (g,) or P.cell_output[cell] != g:
+        if N.ins[c] != (v,) or N.out[c] != v:
             bad.append(f"unit cell boundary of {g}")
-    for g1, g2 in itertools.product(units, repeat=2):
-        if P.objects.tgt(g1) != P.objects.src(g2):
-            continue
-        g = P.objects.compose(g2, g1)
-        if g in units and N.after[units[g1]].get(units[g2]) != units[g]:
-            bad.append(f"unit cell functoriality at {g2} . {g1}")
+    for v1, v2 in itertools.product(units, repeat=2):
+        v = V.composite(v2, v1) if vtgt[v1] == vsrc[v2] else None
+        if v in units and N.after[units[v1]].get(units[v2]) != units[v]:
+            bad.append(f"unit cell functoriality at {V.morphisms[v2]} . {V.morphisms[v1]}")
     rep.verdict("pseudo-operad/units", P.name, bad)
 
     act_bad: list[str] = []
@@ -528,8 +548,8 @@ def _check_units_and_action(P: PseudoOperadData, N: _Numbered, rep: Report) -> N
                 act_bad.append(f"action composition at {op}")
     act_ops = {(N.op(op), sigma): N.op(moved) for (op, sigma), moved in P.act_ops.items()}
     for (cell, sigma), moved in P.act_cells.items():
-        c, m = N.cell_no.get(cell), N.cell_no.get(moved)
-        if c is None or m is None:
+        c, m = N.cell(cell), N.cell(moved)
+        if max(c, m) >= N.cell_count:
             act_bad.append(f"cell action entry outside the window at {cell}")
             continue
         if N.ins[m] != apply_permutation(N.ins[c], sigma) or N.out[m] != N.out[c]:
@@ -569,177 +589,120 @@ def _check_units_and_action(P: PseudoOperadData, N: _Numbered, rep: Report) -> N
     rep.verdict("pseudo-operad/equivariance", P.name, eq_bad, {"instances-checked": eq_checked})
 
 
-def _check_coherence(P: PseudoOperadData, rep: Report, max_pentagons: int) -> None:
-    def composite(psi, phis):
+def _check_coherence(P: PseudoOperadData, N: _Numbered, rep: Report, max_pentagons: int) -> None:
+    associators, cell_composites, identity = N.associators, N.cell_composites, N.identity
+    dom, cod, globular, window, ops = N.dom, N.cod, N.globular, N.cell_count, N.ops
+
+    def composite(psi, phis: tuple) -> int | None:
         # a composite entry that is no operation fails compose-signatures and
-        # is composed with nothing; a hook's value is an operation
-        op = P.compose_op(psi, phis)
-        if op not in P.op_inputs and P.compose_ops.get((psi, tuple(phis))) is op:
-            raise ValueError(f"composite entry outside the window at {psi}")
-        return op
+        # is composed with nothing
+        op = N.composites.get((psi, phis))
+        return op if op is not None and op < N.op_count else None
 
     # an associator or unitor that is no window cell fails here; the triangle
     # and the pentagon find no composite with it and skip their instance
     bad: list[str] = []
-    for (psi, phis, chis), cell in P.associators.items():
-        flat = tuple(itertools.chain.from_iterable(chis))
-        try:
-            middle = composite(psi, phis)
-            lhs = composite(middle, flat)
-            rhs = composite(psi, tuple(composite(p, c) for p, c in zip(phis, chis)))
-        except ValueError:
-            bad.append(f"associator over missing composites at {psi}")
-            continue
-        try:
-            G = P.groupoid_of_cell(cell)
-        except ValueError:
-            bad.append(f"associator entry outside the window at {psi}")
-            continue
-        if G.src(cell) != lhs or G.tgt(cell) != rhs:
-            bad.append(f"associator endpoints at {psi}")
-        if not P.is_globular(cell):
-            bad.append(f"associator not globular at {psi}")
-
-    def unit(color):
-        # a unit entry that is no operation fails the units row and pads nothing
-        u = P.unit_op(color)
-        if u not in P.op_inputs:
-            raise ValueError(f"unit entry outside the window at {color}")
-        return u
-
-    # a unitor runs from the operation padded by units to the operation
+    for (psi, phis, chis), c in associators.items():
+        lhs = composite(composite(psi, phis), tuple(itertools.chain.from_iterable(chis)))
+        rhs = composite(psi, tuple(map(composite, phis, chis)))
+        if lhs is None or rhs is None:
+            bad.append(f"associator over missing composites at {ops[psi]}")
+        elif c >= window:
+            bad.append(f"associator entry outside the window at {ops[psi]}")
+        else:
+            if (dom[c], cod[c]) != (lhs, rhs):
+                bad.append(f"associator endpoints at {ops[psi]}")
+            if not globular[c]:
+                bad.append(f"associator not globular at {ops[psi]}")
+    # a unitor runs from the operation padded by units to the operation; a
+    # unit entry that is no operation begins no recorded composite
+    unit = N.units.get
     sides = (
-        ("left", P.left_unitors,
-         lambda op: composite(unit(P.op_output[op]), (op,))),
-        ("right", P.right_unitors,
-         lambda op: composite(op, tuple(unit(c) for c in P.op_inputs[op]))),
+        ("left", N.left_unitors, lambda op: composite(unit(P.op_output[ops[op]]), (op,))),
+        ("right", N.right_unitors,
+         lambda op: composite(op, tuple(map(unit, P.op_inputs[ops[op]])))),
     )
     for side, unitors, pad in sides:
-        for op, cell in unitors.items():
-            try:
-                padded = pad(op)
-            except ValueError:
-                bad.append(f"{side} unitor over missing composite at {op}")
-                continue
-            try:
-                G = P.groupoid_of_cell(cell)
-            except ValueError:
-                bad.append(f"{side} unitor entry outside the window at {op}")
-                continue
-            if G.src(cell) != padded or G.tgt(cell) != op or not P.is_globular(cell):
-                bad.append(f"{side} unitor at {op}")
+        for op, c in unitors.items():
+            padded = pad(op)
+            if padded is None:
+                bad.append(f"{side} unitor over missing composite at {ops[op]}")
+            elif c >= window:
+                bad.append(f"{side} unitor entry outside the window at {ops[op]}")
+            elif dom[c] != padded or cod[c] != op or not globular[c]:
+                bad.append(f"{side} unitor at {ops[op]}")
     rep.verdict("pseudo-operad/coherence-boundaries", P.name, bad)
 
+    # an instance whose cells are not all recorded, or do not compose, is
+    # skipped
     tri_bad: list[str] = []
     tri_checked = 0
-    for (psi, phis), composite in list(P.compose_ops.items()):
-        units = tuple(P.unit_ops.get(P.op_output[p]) for p in phis)
-        if any(u is None for u in units):
-            continue
-        assoc = P.associators.get((psi, units, tuple((p,) for p in phis)))
-        if assoc is None:
-            continue
-        try:
-            left_cells = tuple(P.left_unitor(p) for p in phis)
-            lhs = P.groupoid_of_cell(assoc).compose(
-                P.compose_cell(P.groupoid_of(psi).id(psi), left_cells), assoc
-            )
-            rhs = P.compose_cell(P.right_unitor(psi), tuple(P.groupoid_of(p).id(p) for p in phis))
-        except ValueError:
+    for psi, phis in N.composites:
+        units = tuple(unit(P.op_output[ops[p]]) for p in phis)
+        assoc = associators.get((psi, units, tuple((p,) for p in phis)))
+        lefts = tuple(map(N.left_unitors.get, phis))
+        lhs = N.vertical(assoc, cell_composites.get((identity.get(psi), lefts)))
+        rhs = cell_composites.get((N.right_unitors.get(psi), tuple(map(identity.get, phis))))
+        if lhs is None or rhs is None:
             continue
         tri_checked += 1
         if lhs != rhs:
-            tri_bad.append(f"triangle at {psi}")
+            tri_bad.append(f"triangle at {ops[psi]}")
     rep.verdict("pseudo-operad/triangle", P.name, tri_bad, {"instances-checked": tri_checked})
 
+    # each associator extended downward by one more layer of recorded
+    # composites, the first two inner tuples of each
     pent_bad: list[str] = []
     pent_checked = 0
-    inners_of = _inner_tuples(P.compose_ops)
-    for (psi, phis, chis) in list(P.associators):
-        if pent_checked >= max_pentagons:
-            break
-        # extend downward by one more layer drawn from materialized composites
+    inners_of = _inner_tuples(N.composites)
+    for (psi, phis, chis), a3 in associators.items():
         flat_chis = tuple(itertools.chain.from_iterable(chis))
-        omega_pools = [inners_of.get(chi, []) for chi in flat_chis]
-        for omegas_flat in itertools.product(*[pool[:2] for pool in omega_pools]):
+        pools = [inners_of.get(chi, [])[:2] for chi in flat_chis]
+        for flat_omegas in itertools.product(*pools):
             if pent_checked >= max_pentagons:
                 break
-            # regroup the omega choice by the chi blocks
-            omegas: list[tuple] = []
-            idx = 0
-            for block in chis:
-                omegas.append(tuple(omegas_flat[idx:idx + len(block)]))
-                idx += len(block)
-            try:
-                result = _pentagon_holds(P, psi, phis, chis, tuple(omegas))
-            except ValueError:
+            # omegas[i][j] is the inner tuple feeding chis[i][j]
+            blocks = iter(flat_omegas)
+            omegas = tuple(tuple(itertools.islice(blocks, len(chi))) for chi in chis)
+            # path one: reassociate the outer pair first, then the inner pair
+            a1 = associators.get((composite(psi, phis), flat_chis, flat_omegas))
+            chi_omega = tuple(tuple(map(composite, chi, omega)) for chi, omega in zip(chis, omegas))
+            path_one = N.vertical(a1, associators.get((psi, phis, chi_omega)))
+            # path two: through the middle association
+            low = cell_composites.get((a3, tuple(
+                identity.get(o) for o in itertools.chain.from_iterable(flat_omegas))))
+            a4 = associators.get((psi, tuple(map(composite, phis, chis)), tuple(
+                tuple(itertools.chain.from_iterable(omega)) for omega in omegas)))
+            high = cell_composites.get((identity.get(psi), tuple(
+                associators.get(key) for key in zip(phis, chis, omegas))))
+            path_two = N.vertical(N.vertical(low, a4), high)
+            if path_one is None or path_two is None:
                 continue
             pent_checked += 1
-            if not result:
-                pent_bad.append(f"pentagon at {psi}")
+            if path_one != path_two:
+                pent_bad.append(f"pentagon at {ops[psi]}")
     rep.verdict("pseudo-operad/pentagon", P.name, pent_bad, {"instances-checked": pent_checked})
-
-
-def _pentagon_holds(P, psi, phis, chis, omegas) -> bool:
-    """Compare the two reassociation paths across four layers of operations.
-
-    ``omegas`` is grouped like ``chis``: omegas[i][j] is the tuple of inner
-    operations feeding chis[i][j].  Raises ValueError when a needed table
-    entry is not materialized.
-    """
-    flat_chis = tuple(itertools.chain.from_iterable(chis))
-    flat_omegas_by_chi = tuple(itertools.chain.from_iterable(omegas))
-    flat_omegas = tuple(itertools.chain.from_iterable(flat_omegas_by_chi))
-
-    psi_phi = P.compose_op(psi, phis)
-    # path one: reassociate the outer pair first, then the inner pair
-    a1 = P.associator(psi_phi, flat_chis, flat_omegas_by_chi)
-    chi_omega = []
-    for i, block in enumerate(chis):
-        chi_omega.append(tuple(P.compose_op(c, o) for c, o in zip(block, omegas[i])))
-    a2 = P.associator(psi, phis, tuple(chi_omega))
-    G = P.groupoid_of_cell(a1)
-    path_one = G.compose(a2, a1)
-
-    # path two: through the middle association
-    a3 = P.associator(psi, phis, chis)  # on the first three layers
-    whisker_low = P.compose_cell(a3, tuple(
-        P.groupoid_of(o).id(o) for o in flat_omegas
-    ))
-    phi_chi = tuple(P.compose_op(p, c) for p, c in zip(phis, chis))
-    a4 = P.associator(psi, phi_chi, tuple(omg_regroup(omegas)))
-    inner_cells = tuple(
-        P.associator(p, c, o) for p, c, o in zip(phis, chis, omegas)
-    )
-    whisker_high = P.compose_cell(P.groupoid_of(psi).id(psi), inner_cells)
-    path_two = G.compose(whisker_high, G.compose(a4, whisker_low))
-    return path_one == path_two
-
-
-def omg_regroup(omegas) -> list[tuple]:
-    """Regroup omega blocks to match the composites phi_i . chi_i."""
-    out = []
-    for block_o in omegas:
-        out.append(tuple(itertools.chain.from_iterable(block_o)))
-    return out
 
 
 def check_pseudo_operad(P: PseudoOperadData, max_pentagons: int = 512) -> Report:
     """Audit all materialized pseudo-operad structure, recording coverage.
 
-    The groupoid, boundary, composition, unit and action laws are walked on
-    numbers: each call numbers P's verticals, operations and cells once, in
-    the tuple order of their groupoids, and reads vertical composites from
-    the groupoids' tables.  Numbers are turned back into the objects only to
-    write a witness, so the report is the one the same walk on values
-    writes.  Soundness is decided once: a cell is sound when its ends are
-    operations of its groupoid, it has one leg per input, and its legs and
-    output are verticals that run between the colors its ends demand.  An
-    unsound cell fails the boundaries row (or its groupoid's endpoints row)
-    and the walks compose sound cells only.  A ``compose_cells`` or
-    ``act_cells`` entry that names a cell outside the window fails its own
-    row and is left out of the walks; a ``compose_cells`` entry that fails
-    its own checks is not stacked in the interchange.
+    Every law is walked on numbers: each call numbers P's verticals,
+    operations, cells and tables once and reads vertical composites from
+    the groupoids' tables.  Only recorded entries are read, none through a
+    hook, so an entry a table lacks leaves its instance unchecked.  Numbers
+    are turned back into the objects only to write a witness, so the report
+    is the one the same walk on values writes.  Soundness is decided once: a
+    cell is sound when its ends are operations of its groupoid, it has one
+    leg per input, and its legs and output are verticals that run between
+    the colors its ends demand.  An unsound cell fails the boundaries row
+    (or its groupoid's endpoints row) and the walks compose sound cells
+    only.  A ``compose_cells`` or ``act_cells`` entry that names a cell
+    outside the window fails its own row and is left out of the walks; a
+    ``compose_cells`` entry that fails its own checks is not stacked in the
+    interchange.  The triangle and the pentagon compose cells of one
+    groupoid; a composite outside the window compares by value and is
+    composed with nothing.
     """
     rep = Report()
     rep.extend(P.objects.validate(name=f"{P.name}/objects"))
@@ -749,7 +712,7 @@ def check_pseudo_operad(P: PseudoOperadData, max_pentagons: int = 512) -> Report
     _check_cell_boundaries(P, N, rep)
     _check_composition(P, N, rep)
     _check_units_and_action(P, N, rep)
-    _check_coherence(P, rep, max_pentagons)
+    _check_coherence(P, N, rep, max_pentagons)
     cov = P.coverage()
     rep.add("pseudo-operad/coverage", P.name, PASS if cov["ops"] else DEGENERATE,
             witness=cov)
@@ -790,11 +753,9 @@ def find_companion(P: PseudoOperadData, vertical) -> Companion:
         for plus, minus in itertools.product(pluses, minuses):
             if G.compose(plus, minus) != P.unit_cell(vertical):
                 continue
-            try:
-                zigzag = P.compose_cell(plus, (minus,))
-                left = P.left_unitor(op)
-                right = P.right_unitor(op)
-            except ValueError:
+            zigzag = P.compose_cells.get((plus, (minus,)))
+            left, right = P.left_unitors.get(op), P.right_unitors.get(op)
+            if zigzag is None or left is None or right is None:
                 continue
             chain = G.compose(left, G.compose(zigzag, G.inv(right)))
             if chain == G.id(op):
@@ -805,6 +766,10 @@ def find_companion(P: PseudoOperadData, vertical) -> Companion:
 
 
 # ---- fattening an operad -----------------------------------------------------------
+
+
+# how many squares of one arity iota may enumerate
+_MAX_SQUARES_PER_ARITY = 100_000
 
 
 def _invertible_unaries(O: Operad) -> dict:
@@ -821,7 +786,7 @@ def _invertible_unaries(O: Operad) -> dict:
     return inverses
 
 
-def iota(O: Operad, max_squares_per_arity: int = 100_000) -> PseudoOperadData:
+def iota(O: Operad) -> PseudoOperadData:
     """Fatten an operad: vertical cells are invertible unaries, 2-cells are squares.
 
     Only the window ``O.operations`` is tabulated: a composite of operations,
@@ -856,22 +821,14 @@ def iota(O: Operad, max_squares_per_arity: int = 100_000) -> PseudoOperadData:
         ops_n = O.ops(n)
         squares: list[Square] = []
         for dom, cod in itertools.product(ops_n, repeat=2):
-            leg_pools = []
-            feasible = True
-            for a, b in zip(dom.inputs, cod.inputs):
-                pool = [g for g in verts_from.get(a, []) if g.output == b]
-                if not pool:
-                    feasible = False
-                    break
-                leg_pools.append(pool)
-            if not feasible:
-                continue
+            leg_pools = [[g for g in verts_from.get(a, []) if g.output == b]
+                         for a, b in zip(dom.inputs, cod.inputs)]
             out_pool = [g for g in verts_from.get(dom.output, []) if g.output == cod.output]
             for legs in itertools.product(*leg_pools):
                 for out in out_pool:
                     if O.compose(cod, legs) == O.compose(out, (dom,)):
                         squares.append(Square(dom, cod, tuple(legs), out))
-                        if len(squares) > max_squares_per_arity:
+                        if len(squares) > _MAX_SQUARES_PER_ARITY:
                             raise ValueError("square enumeration overflow in iota")
         squares_by_arity[n] = squares
 
@@ -917,11 +874,9 @@ def iota(O: Operad, max_squares_per_arity: int = 100_000) -> PseudoOperadData:
         g: Square(O.unit(g.inputs[0]), O.unit(g.output), (g,), g) for g in verticals
     }
 
-    act_ops: dict = {}
+    act_ops = {(op, sigma): O.act(op, sigma)
+               for op in O.operations for sigma in all_permutations(len(op.inputs))}
     act_cells: dict = {}
-    for op in O.operations:
-        for sigma in all_permutations(len(op.inputs)):
-            act_ops[(op, sigma)] = O.act(op, sigma)
     for n, squares in squares_by_arity.items():
         for s in squares:
             for sigma in all_permutations(n):
@@ -932,13 +887,7 @@ def iota(O: Operad, max_squares_per_arity: int = 100_000) -> PseudoOperadData:
                     s.out,
                 )
 
-    left_unitors: dict = {}
-    right_unitors: dict = {}
-    for op in O.operations:
-        g = op_groupoids[len(op.inputs)]
-        left_unitors[op] = g.id(op)
-        right_unitors[op] = g.id(op)
-
+    unitors = {op: op_groupoids[len(op.inputs)].id(op) for op in O.operations}
     P = PseudoOperadData(
         objects=objects,
         op_groupoids=op_groupoids,
@@ -952,8 +901,8 @@ def iota(O: Operad, max_squares_per_arity: int = 100_000) -> PseudoOperadData:
         unit_cells=unit_cells,
         act_ops=act_ops,
         act_cells=act_cells,
-        left_unitors=left_unitors,
-        right_unitors=right_unitors,
+        left_unitors=unitors,
+        right_unitors=dict(unitors),
         name=f"iota({O.name})",
         compose_op_fn=lambda psi, phis: O.compose(psi, phis),
         act_op_fn=lambda op, sigma: O.act(op, sigma),
@@ -1033,14 +982,13 @@ def tau_full(P: PseudoOperadData) -> TauResult:
 
     colors = P.objects.objects
     operations = tuple(dict.fromkeys(class_of[op] for op in P.all_ops()))
-    units = {c: class_of[P.unit_op(c)] for c in colors}
+    units = {c: class_of.get(P.unit_op(c)) for c in colors}
+    for c, u in units.items():
+        if u is None:
+            raise ValueError(f"unit entry outside the window at {c}")
 
     if not wrap_tokens:
-        def compose_rule(outer, inners):
-            return P.compose_op(outer, inners)
-
-        def action_rule(op, sigma):
-            return P.act_op(op, sigma)
+        compose_rule, action_rule = P.compose_op, P.act_op
     else:
         def resolve(op):
             token = registry.get(op)
@@ -1098,28 +1046,9 @@ def _operads_equal(A: Operad, B: Operad) -> tuple[bool, str | None]:
     return True, None
 
 
-def check_two_adjunction(O: Operad, P: PseudoOperadData | None = None) -> Report:
-    """Verify the collapse/fatten adjunction identities strictly.
-
-    Checks, in order: collapsing the fattened operad returns it on the
-    nose; the unit of a pseudo-operad is a strict map built from companions
-    of verticals and class tokens of operations; the unit of a fattened
-    operad is the identity; and collapsing the unit yields an identity.
-    """
-    rep = Report()
-    fat = iota(O)
-
-    collapsed = tau_full(fat)
-    same, why = _operads_equal(O, collapsed.operad)
-    rep.add("two-adjunction/counit-identity", O.name,
-            PASS if same and collapsed.token_reuse else FAIL,
-            witness=None if same else why)
-
-    if P is None:
-        P = fat
-
-    unit_bad: list[str] = []
-    TP = collapsed if P is fat else tau_full(P)
+def _unit_faults(P: PseudoOperadData, TP: TauResult) -> list[str]:
+    """Why the unit of P, built through its collapse TP, is no strict map."""
+    bad: list[str] = []
     # audit only the window materialized up front; driving the collapsed
     # operad below may cache further composites through the hooks
     window = tuple(P.compose_ops.items())
@@ -1134,15 +1063,15 @@ def check_two_adjunction(O: Operad, P: PseudoOperadData | None = None) -> Report
             composite = P.objects.compose(g2, g1)
             image = TP.operad.compose(eta_vertical[g2], (eta_vertical[g1],))
             if image != eta_vertical[composite]:
-                unit_bad.append(f"unit not functorial on verticals at {g2} . {g1}")
+                bad.append(f"unit not functorial on verticals at {g2} . {g1}")
         for c in P.objects.objects:
             if eta_vertical.get(P.objects.id(c)) != TP.operad.unit(c):
-                unit_bad.append(f"unit of {c} not sent to unit class")
+                bad.append(f"unit of {c} not sent to unit class")
         for (psi, phis), composite in window:
             lhs = TP.class_of[composite]
             rhs = TP.operad.compose(TP.class_of[psi], tuple(TP.class_of[p] for p in phis))
             if lhs != rhs:
-                unit_bad.append(f"unit breaks composition at {psi}")
+                bad.append(f"unit breaks composition at {psi}")
         for n in P.arities():
             G = P.op_groupoids[n]
             for cell in G.morphisms:
@@ -1151,10 +1080,55 @@ def check_two_adjunction(O: Operad, P: PseudoOperadData | None = None) -> Report
                 dom = TP.class_of[G.src(cell)]
                 cod = TP.class_of[G.tgt(cell)]
                 if TP.operad.compose(cod, legs) != TP.operad.compose(out, (dom,)):
-                    unit_bad.append(f"cell image not a square at {cell}")
+                    bad.append(f"cell image not a square at {cell}")
                     break
     except (NotFibrant, ValueError) as exc:
-        unit_bad.append(str(exc))
+        bad.append(str(exc))
+    return bad
+
+
+def _tau_of_unit_faults(TP: TauResult) -> list[str]:
+    """Why collapsing the unit through TP is not the identity."""
+    bad: list[str] = []
+    try:
+        recollapsed = tau_full(iota(TP.operad))
+        if not recollapsed.token_reuse:
+            bad.append("collapse of refattened operad has non-singleton classes")
+        for op in TP.operad.operations:
+            if recollapsed.class_of.get(op, op) != op:
+                bad.append(f"collapsed unit moves {op}")
+    except ValueError as exc:
+        bad.append(str(exc))
+    return bad
+
+
+def check_two_adjunction(O: Operad, P: PseudoOperadData | None = None) -> Report:
+    """Verify the collapse/fatten adjunction identities strictly.
+
+    Checks, in order: collapsing the fattened operad returns it on the
+    nose; the unit of a pseudo-operad is a strict map built from companions
+    of verticals and class tokens of operations; the unit of a fattened
+    operad is the identity; and collapsing the unit yields an identity.
+    A pseudo-operad that cannot be collapsed fails the two rows that use
+    its collapse, with the reason.
+    """
+    rep = Report()
+    fat = iota(O)
+
+    collapsed = tau_full(fat)
+    same, why = _operads_equal(O, collapsed.operad)
+    rep.add("two-adjunction/counit-identity", O.name,
+            PASS if same and collapsed.token_reuse else FAIL,
+            witness=None if same else why)
+
+    if P is None:
+        P = fat
+    try:
+        TP = collapsed if P is fat else tau_full(P)
+    except ValueError as exc:  # no collapse: both rows that use it fail
+        unit_bad = tau_unit_bad = [str(exc)]
+    else:
+        unit_bad, tau_unit_bad = _unit_faults(P, TP), _tau_of_unit_faults(TP)
     rep.verdict("two-adjunction/unit-strict", P.name, unit_bad)
 
     # unit on a fattened operad is the identity assignment
@@ -1172,16 +1146,5 @@ def check_two_adjunction(O: Operad, P: PseudoOperadData | None = None) -> Report
     rep.verdict("two-adjunction/unit-identity-on-iota", O.name, iota_unit_bad)
 
     # collapsing the unit gives the identity on the collapsed operad
-    tau_unit_bad: list[str] = []
-    try:
-        refat = iota(TP.operad)
-        recollapsed = tau_full(refat)
-        if not recollapsed.token_reuse:
-            tau_unit_bad.append("collapse of refattened operad has non-singleton classes")
-        for op in TP.operad.operations:
-            if recollapsed.class_of.get(op, op) != op:
-                tau_unit_bad.append(f"collapsed unit moves {op}")
-    except ValueError as exc:
-        tau_unit_bad.append(str(exc))
     rep.verdict("two-adjunction/tau-of-unit-identity", P.name, tau_unit_bad)
     return rep

@@ -114,9 +114,11 @@ def later_surfaces(op: EmbeddingTuple,
 
 # ---- the window of wrapper classes ----------------------------------------------
 
+# how many cells a translation window may hold
+_MAX_WINDOW_CELLS = 50_000
 
-def translation_window(aqft: Operad, *, max_ops: int = 512,
-                       max_cells: int = 50_000) -> Operad:
+
+def translation_window(aqft: Operad, *, max_ops: int = 512) -> Operad:
     """Truncated operad of all wrapper bordism classes over a region fragment.
 
     Every operation of the region fragment is wrapped once per choice of
@@ -144,7 +146,7 @@ def translation_window(aqft: Operad, *, max_ops: int = 512,
         PointedObject(M, s) for M in aqft.colors for s in _surfaces(M)
     )
     window, _, _ = _window_data(objects, tuple(sorted(wrappers, key=str)),
-                                max_cells=max_cells, name=f"window({aqft.name})",
+                                max_cells=_MAX_WINDOW_CELLS, name=f"window({aqft.name})",
                                 validated=set(wrappers))
     return tau(window)
 

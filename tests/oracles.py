@@ -23,7 +23,6 @@ from causalops.operad_kernel import (
     identity_permutation,
     sum_permutation,
 )
-from causalops.pseudo_operad import _check_coherence
 from causalops.report import DEGENERATE, PASS, Report
 
 
@@ -530,6 +529,11 @@ def oracle_groupoid_report(G, name: str = "groupoid") -> Report:
     return rep
 
 
+def _identity_cells(P) -> dict:
+    """Each operation's identity cell, from the groupoid that holds it."""
+    return {op: G.id(op) for G in P.op_groupoids.values() for op in G.objects}
+
+
 def _ends(P, cell) -> tuple:
     G = P.groupoid_of_cell(cell)
     return G.src(cell), G.tgt(cell)
@@ -671,12 +675,8 @@ def _oracle_composition(P, sound: set, rep: Report) -> None:
             if lhs != rhs:
                 cell_bad.append(f"interchange at {a1} / {a2}")
 
-    def identity(op):
-        try:
-            return P.groupoid_of(op).id(op)
-        except ValueError:  # no operation, so no identity cell
-            return None
-
+    # a value that is no operation has no identity cell
+    identity = _identity_cells(P).get
     for (psi, phis), result in P.compose_ops.items():
         stacked = P.compose_cells.get((identity(psi), tuple(map(identity, phis))))
         if stacked is not None and stacked != identity(result):
@@ -773,18 +773,153 @@ def _oracle_units_and_action(P, rep: Report) -> None:
     rep.verdict("pseudo-operad/equivariance", P.name, eq_bad, {"instances-checked": eq_checked})
 
 
+def _oracle_coherence(P, rep: Report, max_pentagons: int) -> None:
+    """The coherence-boundaries, triangle and pentagon rows, walked on values.
+
+    Every composite, unit, unitor, associator and cell composite is read from
+    the window's own tables, and a key that a table lacks raises
+    ``ValueError``; so does a composite entry that is no operation and a
+    cell that belongs to no operation groupoid.  Two cells of the window
+    compose through ``FiniteGroupoid.compose`` of the groupoid that holds
+    them, each path of a pentagon in its own; a composite outside the window
+    is compared by value and composed with nothing.  A triangle or pentagon
+    instance that raises is skipped.
+    """
+    identities = _identity_cells(P)
+
+    def vertical(G, g, f):
+        if P.groupoid_of_cell(f) is not G or P.groupoid_of_cell(g) is not G:
+            raise ValueError("cells of two groupoids do not compose")
+        return G.compose(g, f)
+
+    def entry(table, key):
+        found = table.get(key)
+        if found is None:
+            raise ValueError(f"no entry at {key}")
+        return found
+
+    def composite(psi, phis):
+        op = entry(P.compose_ops, (psi, tuple(phis)))
+        if op not in P.op_inputs:
+            raise ValueError(f"composite entry outside the window at {psi}")
+        return op
+
+    bad: list[str] = []
+    for (psi, phis, chis), cell in P.associators.items():
+        flat = tuple(itertools.chain.from_iterable(chis))
+        try:
+            lhs = composite(composite(psi, phis), flat)
+            rhs = composite(psi, tuple(composite(p, c) for p, c in zip(phis, chis)))
+        except ValueError:
+            bad.append(f"associator over missing composites at {psi}")
+            continue
+        try:
+            G = P.groupoid_of_cell(cell)
+        except ValueError:
+            bad.append(f"associator entry outside the window at {psi}")
+            continue
+        if G.src(cell) != lhs or G.tgt(cell) != rhs:
+            bad.append(f"associator endpoints at {psi}")
+        if not P.is_globular(cell):
+            bad.append(f"associator not globular at {psi}")
+    def unit(color):
+        return entry(P.unit_ops, color)
+
+    sides = (
+        ("left", P.left_unitors, lambda op: composite(unit(P.op_output[op]), (op,))),
+        ("right", P.right_unitors,
+         lambda op: composite(op, tuple(unit(c) for c in P.op_inputs[op]))),
+    )
+    for side, unitors, pad in sides:
+        for op, cell in unitors.items():
+            try:
+                padded = pad(op)
+            except ValueError:
+                bad.append(f"{side} unitor over missing composite at {op}")
+                continue
+            try:
+                G = P.groupoid_of_cell(cell)
+            except ValueError:
+                bad.append(f"{side} unitor entry outside the window at {op}")
+                continue
+            if G.src(cell) != padded or G.tgt(cell) != op or not P.is_globular(cell):
+                bad.append(f"{side} unitor at {op}")
+    rep.verdict("pseudo-operad/coherence-boundaries", P.name, bad)
+
+    tri_bad: list[str] = []
+    tri_checked = 0
+    for psi, phis in P.compose_ops:
+        try:
+            units = tuple(entry(P.unit_ops, P.op_output[p]) for p in phis)
+            assoc = entry(P.associators, (psi, units, tuple((p,) for p in phis)))
+            left = entry(P.compose_cells, (entry(identities, psi),
+                                           tuple(entry(P.left_unitors, p) for p in phis)))
+            lhs = vertical(P.groupoid_of_cell(assoc), left, assoc)
+            rhs = entry(P.compose_cells, (entry(P.right_unitors, psi),
+                                          tuple(entry(identities, p) for p in phis)))
+        except ValueError:
+            continue
+        tri_checked += 1
+        if lhs != rhs:
+            tri_bad.append(f"triangle at {psi}")
+    rep.verdict("pseudo-operad/triangle", P.name, tri_bad, {"instances-checked": tri_checked})
+
+    pent_bad: list[str] = []
+    pent_checked = 0
+    inners_of: dict = {}
+    for outer, inners in P.compose_ops:
+        inners_of.setdefault(outer, []).append(inners)
+    for (psi, phis, chis), a3 in P.associators.items():
+        flat_chis = tuple(itertools.chain.from_iterable(chis))
+        pools = [inners_of.get(chi, [])[:2] for chi in flat_chis]
+        for omegas_flat in itertools.product(*pools):
+            if pent_checked >= max_pentagons:
+                break
+            # omegas[i][j] is the inner tuple feeding chis[i][j]
+            omegas, start = [], 0
+            for block in chis:
+                omegas.append(tuple(omegas_flat[start:start + len(block)]))
+                start += len(block)
+            try:
+                # path one: reassociate the outer pair first, then the inner pair
+                a1 = entry(P.associators, (composite(psi, phis), flat_chis, omegas_flat))
+                chi_omega = tuple(tuple(composite(c, o) for c, o in zip(block, omega))
+                                  for block, omega in zip(chis, omegas))
+                a2 = entry(P.associators, (psi, phis, chi_omega))
+                G = P.groupoid_of_cell(a1)
+                path_one = vertical(G, a2, a1)
+                # path two: through the middle association
+                low = entry(P.compose_cells, (a3, tuple(
+                    entry(identities, o) for inner in omegas_flat for o in inner)))
+                phi_chi = tuple(composite(p, c) for p, c in zip(phis, chis))
+                a4 = entry(P.associators, (psi, phi_chi, tuple(
+                    tuple(itertools.chain.from_iterable(omega)) for omega in omegas)))
+                high = entry(P.compose_cells, (entry(identities, psi), tuple(
+                    entry(P.associators, (p, c, o)) for p, c, o in zip(phis, chis, omegas))))
+                H = P.groupoid_of_cell(low)
+                path_two = vertical(H, high, vertical(H, a4, low))
+            except ValueError:
+                continue
+            pent_checked += 1
+            if path_one != path_two:
+                pent_bad.append(f"pentagon at {psi}")
+        if pent_checked >= max_pentagons:
+            break
+    rep.verdict("pseudo-operad/pentagon", P.name, pent_bad, {"instances-checked": pent_checked})
+
+
 def oracle_pseudo_operad_report(P, max_pentagons: int = 512) -> Report:
-    """``check_pseudo_operad`` with its groupoid, boundary, composition, unit
-    and action rows walked on values, the way they were before the audit
-    walked numbers.  The coherence rows and the coverage row are the
-    package's own."""
+    """``check_pseudo_operad`` with its groupoid, boundary, composition, unit,
+    action and coherence rows walked on values, the way they were before the
+    audit walked numbers, reading every entry from the window's tables.  Only
+    the coverage row is the package's own."""
     rep = Report()
     rep.extend(oracle_groupoid_report(P.objects, f"{P.name}/objects"))
     for n in P.arities():
         rep.extend(oracle_groupoid_report(P.op_groupoids[n], f"{P.name}/ops[{n}]"))
     _oracle_composition(P, _oracle_cell_boundaries(P, rep), rep)
     _oracle_units_and_action(P, rep)
-    _check_coherence(P, rep, max_pentagons)
+    _oracle_coherence(P, rep, max_pentagons)
     cov = P.coverage()
     rep.add("pseudo-operad/coverage", P.name, PASS if cov["ops"] else DEGENERATE, witness=cov)
     return rep

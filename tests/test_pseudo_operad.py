@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -37,7 +38,7 @@ from causalops.pseudo_operad import (
 from causalops.qft_models import Monoid, MonoidHom
 import oracles
 from test_bordism import chain_bordism, merge_bordism, point
-from test_operad_kernel import commutative_fold_operad, cyclic_group_operad
+from test_operad_kernel import broken_unit_operad, commutative_fold_operad, cyclic_group_operad
 
 
 class TestIota:
@@ -250,6 +251,16 @@ class TestCompanions:
             assert P.cell_inputs[comp.unit_binding] == (g,)
             assert P.cell_output[comp.counit_binding] == g
 
+    @pytest.mark.parametrize("table", ["left_unitors", "right_unitors", "compose_cells"])
+    def test_a_companion_needs_its_recorded_unitors_and_zigzag(self, table):
+        P = iota(cyclic_group_operad())
+        g = next(v for v in P.objects.morphisms if not P.is_identity_vertical(v))
+        # a candidate whose unitors or zigzag composite the window lacks is
+        # no companion
+        getattr(P, table).clear()
+        with pytest.raises(NotFibrant, match=re.escape(f"no companion found for vertical {g}")):
+            find_companion(P, g)
+
     def test_missing_horizontal_lift_raises_not_fibrant(self):
         objects = FiniteGroupoid(
             ["c", "d"], ["idc", "idd", "g", "ginv"],
@@ -401,6 +412,33 @@ class TestTwoAdjunction:
         O = chain_operad()
         given = check_two_adjunction(O, iota(O))
         assert hashlib.sha256(given.dumps().encode()).hexdigest() == digest
+
+    def test_a_unit_outside_the_window_fails_the_rows_that_collapse(self):
+        P = iota(cyclic_group_operad())
+        P.unit_ops["c"] = "stray-op"
+        with pytest.raises(ValueError, match="^unit entry outside the window at c$"):
+            tau(P)
+        report = check_two_adjunction(tau(iota(cyclic_group_operad())), P)
+        assert [(e.check, e.status, e.witness) for e in report.entries] == [
+            ("two-adjunction/counit-identity", "pass", None),
+            ("two-adjunction/unit-strict", "fail", ["unit entry outside the window at c"]),
+            ("two-adjunction/unit-identity-on-iota", "pass", None),
+            ("two-adjunction/tau-of-unit-identity", "fail", ["unit entry outside the window at c"]),
+        ]
+        assert hashlib.sha256(report.dumps().encode()).hexdigest() == \
+            "fcf5c74ba1ec33e48bdcc3f51f1c8665c3cb2fcb5d4f19cb434e8ed489ff0c68"
+
+    def test_an_absorbing_unit_fails_three_rows(self):
+        report = check_two_adjunction(broken_unit_operad())
+        assert [(e.check, e.status, e.witness) for e in report.entries] == [
+            ("two-adjunction/counit-identity", "fail", "operation sets differ"),
+            ("two-adjunction/unit-strict", "fail", ["no companion found for vertical f:(c)->c"]),
+            ("two-adjunction/unit-identity-on-iota", "fail",
+             ["fattened operad has non-singleton classes"]),
+            ("two-adjunction/tau-of-unit-identity", "pass", None),
+        ]
+        assert hashlib.sha256(report.dumps().encode()).hexdigest() == \
+            "bd63023073191b3ba1e0ba574baf55723012dc53adfd0c96a6775e8e02b51d49"
 
     def test_reports_on_the_merge_fragment_are_unchanged(self):
         # sha256 of Report.dumps() before the window tables held one
@@ -631,6 +669,46 @@ class TestDanglingReferences:
         assert row.witness[0] == f"action entry outside the window at {key[0]}"
         assert self.digest(report) == \
             "4fce11d866067af073e4469075dbe8f083eecebb328dd9e4f6ab19c932eca775"
+
+    def test_a_composite_outside_the_window_compares_by_value(self):
+        P = iota(cyclic_group_operad())
+        old = P.op_groupoids[1]
+        # an identity cell after itself is a value outside the window, with
+        # endpoints, and so is any composite with such a value
+        outside = {old.id(op): ("outside", old.id(op)) for op in old.objects}
+        inside = {v: i for i, v in outside.items()}
+
+        def compose(g, f):
+            if g in inside or f in inside:
+                return outside[inside.get(g, inside.get(f))]
+            return outside[g] if g == f and g in outside else old.compose(g, f)
+
+        def ends(end):
+            return {**{c: end(c) for c in old.morphisms},
+                    **{v: end(i) for i, v in outside.items()}}
+
+        P.op_groupoids[1] = FiniteGroupoid(
+            old.objects, old.morphisms, ends(old.src), ends(old.tgt), compose,
+            {op: old.id(op) for op in old.objects}, old.inv)
+        # one triangle finds the outside value recorded as its right side
+        (psi, (phi,)), total = next(iter(P.compose_ops.items()))
+        moving = next(c for c in old.morphisms if c not in outside)
+        P.right_unitors[psi] = moving
+        P.compose_cells[(moving, (old.id(phi),))] = ("outside", old.id(total))
+        report = check_pseudo_operad(P)
+        assert report.dumps() == oracles.oracle_pseudo_operad_report(P).dumps()
+        rows = {e.check: e for e in report.entries}
+        # the rot0 triangle holds by value; the rot1 ones compare an outside
+        # value with a window cell; every pentagon composes an outside value
+        assert (rows["pseudo-operad/triangle"].status, rows["pseudo-operad/triangle"].witness) \
+            == ("fail", ["triangle at rot1:(c)->c", "triangle at rot1:(c)->c"])
+        assert rows["pseudo-operad/pentagon"].witness == {"instances-checked": 0}
+        assert self.digest(report) == \
+            "6d4ccc230be6be6cc027bcf026d73bd5ff6d30c86c85a9dbd57259915dcbd990"
+        # recorded as another value, the rot0 triangle fails too
+        P.compose_cells[(moving, (old.id(phi),))] = ("outside", "elsewhere")
+        row = next(e for e in check_pseudo_operad(P).entries if e.check == "pseudo-operad/triangle")
+        assert row.witness == ["triangle at rot0:(c)->c"] + ["triangle at rot1:(c)->c"] * 2
 
     @pytest.mark.parametrize("table, check, text, digest", [
         ("unit_cells", "pseudo-operad/units", "unit cell entry outside the window at {}",
