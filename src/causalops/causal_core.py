@@ -18,11 +18,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import GluingCycle, NonConvexCocone
-
 __all__ = [
     "CausalSet",
-    "MonotoneMap",
     "CausalEmbedding",
     "GluingResult",
     "causal_past",
@@ -395,8 +392,22 @@ def are_causally_disjoint(M: CausalSet, a: Iterable[str], b: Iterable[str]) -> b
 
 
 @dataclass(frozen=True)
-class MonotoneMap:
-    """Injective order-preserving map; the loose legs accepted by gluing."""
+class CausalEmbedding:
+    """Order-reflecting injection with causally convex image.
+
+    The image being convex makes the map an isomorphism onto a causally
+    closed sub-region, which is what every construction downstream
+    (germs, collars, gluing cocones) relies on.
+
+    Validation runs on the bitmasks: per domain event, one mask test for
+    preservation and reflection of the order, then one hull test on the
+    image mask.  A rejected map raises ``ValueError`` saying that the map
+    is partial, leaves the codomain or is not injective, or naming the
+    first offending pair of domain events (``itertools.combinations``
+    order for preservation, ``itertools.permutations`` order for
+    reflection, with the image events for the latter), or saying that the
+    image is not convex; the checks run in that order.
+    """
 
     dom: CausalSet
     cod: CausalSet
@@ -412,13 +423,7 @@ class MonotoneMap:
         object.__setattr__(self, "pairs", tuple(sorted(table.items())))
         self._validate(table)
 
-    def _validate(self, table: dict[str, str]) -> tuple[list[int], int, bool]:
-        """Check the map on masks; return its index map, its image mask and
-        whether it reflects the order.
-
-        A failed order check names the first offending pair of domain
-        events in ``itertools.combinations`` order.
-        """
+    def _validate(self, table: dict[str, str]) -> None:
         dom, cod = self.dom, self.cod
         if sorted(table) != list(dom.events):
             raise ValueError("map must be defined on exactly the domain events")
@@ -446,14 +451,22 @@ class MonotoneMap:
                 reflected = False
                 if mapped & ~allowed:
                     preserved = False
+        dom_up, cod_up, events = dom._up, cod._up, dom.events
         if not preserved:
-            dom_up, cod_up, events = dom._up, cod._up, dom.events
             for i, j in itertools.combinations(range(len(f)), 2):
                 if dom_up[i] >> j & 1 and not cod_up[f[i]] >> f[j] & 1:
                     raise ValueError(f"map does not preserve {events[i]!r} < {events[j]!r}")
                 if dom_up[j] >> i & 1 and not cod_up[f[j]] >> f[i] & 1:
                     raise ValueError(f"map does not preserve {events[j]!r} < {events[i]!r}")
-        return f, image, reflected
+        if not reflected:
+            for i, j in itertools.permutations(range(len(f)), 2):
+                if cod_up[f[i]] >> f[j] & 1 and not dom_up[i] >> j & 1:
+                    raise ValueError(
+                        f"map does not reflect order: {table[events[i]]!r} < "
+                        f"{table[events[j]]!r} but {events[i]!r} not < {events[j]!r}"
+                    )
+        if _hull_mask(cod, image) != image:
+            raise ValueError("image is not causally convex")
 
     @cached_property
     def table(self) -> dict[str, str]:
@@ -479,41 +492,6 @@ class MonotoneMap:
     def preimage_of(self, members: Iterable[str]) -> frozenset[str]:
         inv = self.inverse_table
         return frozenset(inv[e] for e in members if e in inv)
-
-
-@dataclass(frozen=True, init=False)
-class CausalEmbedding(MonotoneMap):
-    """Order-reflecting injection with causally convex image.
-
-    The image being convex makes the map an isomorphism onto a causally
-    closed sub-region, which is what every construction downstream
-    (germs, collars, gluing cocones) relies on.
-
-    Validation runs on the bitmasks: per domain event, one mask test for
-    preservation and reflection of the order, then one hull test on the
-    image mask.  A rejected map raises ``ValueError`` naming the first
-    offending pair of domain events (``itertools.combinations`` order for
-    preservation, ``itertools.permutations`` order for reflection, with the
-    image events for the latter) or saying that the map is partial, leaves
-    the codomain, is not injective, or has a non-convex image.
-    """
-
-    # the decorator would regenerate an uncached __hash__ for the subclass
-    __hash__ = MonotoneMap.__hash__
-
-    def _validate(self, table: dict[str, str]) -> tuple[list[int], int, bool]:
-        f, image, reflected = super()._validate(table)
-        if not reflected:
-            dom_up, cod_up, events = self.dom._up, self.cod._up, self.dom.events
-            for i, j in itertools.permutations(range(len(f)), 2):
-                if cod_up[f[i]] >> f[j] & 1 and not dom_up[i] >> j & 1:
-                    raise ValueError(
-                        f"map does not reflect order: {table[events[i]]!r} < "
-                        f"{table[events[j]]!r} but {events[i]!r} not < {events[j]!r}"
-                    )
-        if _hull_mask(self.cod, image) != image:
-            raise ValueError("image is not causally convex")
-        return f, image, reflected
 
     @classmethod
     def _unchecked(cls, dom: CausalSet, cod: CausalSet,
@@ -679,8 +657,8 @@ def glue_pushout(
     left: Sequence[CausalSet],
     mid: Sequence[CausalSet],
     right: CausalSet,
-    into_left: Sequence[MonotoneMap],
-    into_right: Sequence[MonotoneMap],
+    into_left: Sequence[CausalEmbedding],
+    into_right: Sequence[CausalEmbedding],
 ) -> GluingResult:
     """Pushout of the star cospan left[i] <- mid[i] -> right.
 
@@ -697,12 +675,11 @@ def glue_pushout(
     The anchor is the smallest event of the piece's ``into_right`` image,
     and the piece index when that image is empty.
 
-    Raises GluingCycle when the pushed-forward order acquires a cycle and
-    NonConvexCocone when a cocone map fails to be a causal embedding;
-    neither can occur when all legs are CausalEmbeddings, so their cocone
-    maps are not checked: a chain that leaves a piece and comes back passes
+    Only the inputs are checked.  Under these checks the pushed-forward
+    order has no cycle and every cocone map is a causal embedding, so
+    neither is checked: a chain that leaves a piece and comes back passes
     through the convex image of its middle on both sides, and the right
-    images are causally disjoint.  Cocones of ``MonotoneMap`` legs are.
+    images are causally disjoint.
     """
     k = len(mid)
     if not (len(left) == len(into_left) == len(into_right) == k):
@@ -738,21 +715,11 @@ def glue_pushout(
     relations = list(right.covers)
     for i in range(k):
         relations.extend((names[i][a], names[i][b]) for a, b in left[i].covers)
-    try:
-        result = CausalSet(used, relations)
-    except ValueError as exc:
-        raise GluingCycle(str(exc)) from None
-
-    trusted = all(isinstance(m, CausalEmbedding) for m in (*into_left, *into_right))
+    result = CausalSet(used, relations)
 
     def leg(dom: CausalSet, mapping: dict[str, str]) -> CausalEmbedding:
-        if trusted:
-            return CausalEmbedding._unchecked(
-                dom, result, tuple((e, mapping[e]) for e in dom.events))
-        try:
-            return CausalEmbedding(dom, result, mapping)
-        except ValueError as exc:
-            raise NonConvexCocone(f"cocone map is not an embedding: {exc}") from None
+        return CausalEmbedding._unchecked(
+            dom, result, tuple((e, mapping[e]) for e in dom.events))
 
     left_legs = tuple(leg(left[i], names[i]) for i in range(k))
     right_leg = leg(right, {e: e for e in right.events})

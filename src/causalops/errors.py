@@ -1,18 +1,6 @@
 """Exception types shared across the package."""
 
 
-class GluingCycle(ValueError):
-    """The pushout quotient would violate antisymmetry."""
-
-
-class NonConvexCocone(ValueError):
-    """A pushout cocone map fails to be a causal embedding.
-
-    Raised both for non-convex cocone images and for broken order
-    reflection; the message names the actual cause.
-    """
-
-
 class NotFibrant(ValueError):
     """No companion exists for the requested vertical morphism."""
 

@@ -775,15 +775,21 @@ class FiniteGroupoid:
                 bad.append(f"identity of {obj} has wrong endpoints")
         rep.verdict("groupoid/endpoints", name, bad)
 
-        def comp(g: int, f: int) -> int:
+        def comp(g: int, f: int) -> int | None:
             if g < count and f < count:
                 return self.composite(g, f)
-            return self.number(self.compose(self._values[g], self._values[f]))
+            gv, fv = self._values[g], self._values[f]
+            if fv not in self._tgt or gv not in self._src:
+                return None
+            return self.number(self.compose(gv, fv))
 
         # The laws on numbers; a pair with a number outside the morphisms is
-        # composed by value.  A dangling morphism need not compose at its
-        # dangling end, so a law instance that composes one there is left
-        # out: it is already named by the endpoints row.
+        # composed by value.  A value with no endpoints, such as a composite
+        # outside a table that is not closed, is no morphism: a pair holding
+        # it has no composite (None), and a law instance that needs one fails.
+        # A dangling morphism need not compose at its dangling end, so a law
+        # instance that composes one there is left out: it is already named
+        # by the endpoints row.
         law_bad: list[str] = []
         dangling = set(dangling)
         ident = [self.number(self.id(obj)) for obj in self.objects]
@@ -827,7 +833,8 @@ class FiniteGroupoid:
                     for h, hg in zip(after[g], then[g]):
                         if gf in dangling or hg in dangling:
                             continue
-                        if comp(h, gf) != comp(hg, f):
+                        lhs, rhs = comp(h, gf), comp(hg, f)
+                        if lhs is None or lhs != rhs:
                             law_bad.append(f"associativity at ({ms[h]},{ms[g]},{ms[f]})")
         rep.verdict("groupoid/laws", name, law_bad)
         return rep

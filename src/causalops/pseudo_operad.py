@@ -284,10 +284,11 @@ class _Numbered:
     ``op_count`` and ``cell_count``.  ``ins``, ``out``, ``dom`` and ``cod``
     hold each cell's legs, output leg and ends, ``globular`` whether its
     legs and output are identities, and ``after[a][b]`` the vertical
-    composite b.a when it is a window cell.  ``composites``,
-    ``cell_composites``, ``units`` (by color), ``associators`` and the
-    unitors are ``P``'s tables on numbers, in table order, and ``identity``
-    maps each operation to its identity cell.
+    composite b.a when it is a window cell.  ``composites`` (less the
+    entries keyed outside the window), ``cell_composites``, ``units`` (by
+    color), ``associators`` and the unitors are ``P``'s tables on numbers,
+    in table order, and ``identity`` maps each operation to its identity
+    cell.
 
     A cell is ``sound`` when its ends are objects of its groupoid, it has
     one leg per input, and its legs and output are verticals that run
@@ -366,8 +367,12 @@ class _Numbered:
             self.after.extend({base + g: base + gf for g, gf in row.items() if gf < count}
                               for row in G.table())
             self.identity.update((self.op_no[o], cell(G.id(o))) for o in G.objects)
-        self.composites = {(op(psi), tuple(map(op, phis))): op(result)
-                           for (psi, phis), result in P.compose_ops.items()}
+        # an entry keyed outside the window fails compose-signatures and is
+        # read by no walk
+        composites = {(op(psi), tuple(map(op, phis))): op(result)
+                      for (psi, phis), result in P.compose_ops.items()}
+        self.composites = {key: result for key, result in composites.items()
+                           if max((key[0], *key[1])) < self.op_count}
         self.cell_composites = {(cell(alpha), tuple(map(cell, betas))): cell(result)
                                 for (alpha, betas), result in P.compose_cells.items()}
         self.units = {c: op(u) for c, u in P.unit_ops.items()}
@@ -504,22 +509,22 @@ def _check_composition(P: PseudoOperadData, N: _Numbered, rep: Report) -> None:
 
 def _check_units_and_action(P: PseudoOperadData, N: _Numbered, rep: Report) -> None:
     bad: list[str] = []
+    V = P.objects
+    colors = set(V.objects)
     for color, u in P.unit_ops.items():
-        if u not in P.op_inputs:
+        if color not in colors or u not in P.op_inputs:
             bad.append(f"unit entry outside the window at {color}")
         elif P.op_inputs[u] != (color,) or P.op_output[u] != color:
             bad.append(f"unit of {color}")
-    # a unit cell that is no window cell fails here and is composed with
-    # nothing; cells that do not compose have no composite
-    V = P.objects
+    # a unit cell entry that names no window cell or vertical fails here and
+    # is composed with nothing; cells that do not compose have no composite
     vsrc, vtgt = V.ends()
     units: dict[int, int] = {}  # vertical number -> unit cell number
     for g, cell in P.unit_cells.items():
-        c = N.cell(cell)
-        if c >= N.cell_count:
+        c, v = N.cell(cell), V.number(g)
+        if c >= N.cell_count or v >= len(V.morphisms):
             bad.append(f"unit cell entry outside the window at {g}")
             continue
-        v = V.number(g)
         units[v] = c
         if (N.dom[c], N.cod[c]) != (N.units.get(V.src(g)), N.units.get(V.tgt(g))):
             bad.append(f"unit cell endpoints of {g}")
@@ -533,6 +538,10 @@ def _check_units_and_action(P: PseudoOperadData, N: _Numbered, rep: Report) -> N
 
     act_bad: list[str] = []
     for (op, sigma), moved in P.act_ops.items():
+        # an entry keyed outside the window is read by no walk
+        if op not in P.op_inputs:
+            act_bad.append(f"action entry outside the window at {op}")
+            continue
         ins = P.op_inputs[op]
         if moved not in P.op_inputs:
             act_bad.append(f"action entry outside the window at {op}")
@@ -552,6 +561,9 @@ def _check_units_and_action(P: PseudoOperadData, N: _Numbered, rep: Report) -> N
         if max(c, m) >= N.cell_count:
             act_bad.append(f"cell action entry outside the window at {cell}")
             continue
+        if len(sigma) != len(N.ins[c]):
+            act_bad.append(f"cell action signature at {cell}")
+            continue
         if N.ins[m] != apply_permutation(N.ins[c], sigma) or N.out[m] != N.out[c]:
             act_bad.append(f"cell action boundary at {cell}")
         moved_dom = act_ops.get((N.dom[c], sigma))
@@ -564,6 +576,8 @@ def _check_units_and_action(P: PseudoOperadData, N: _Numbered, rep: Report) -> N
     eq_bad: list[str] = []
     eq_checked = 0
     for (psi, phis), composite in P.compose_ops.items():
+        if max((N.op_no[psi], *map(N.op_no.__getitem__, phis))) >= N.op_count:
+            continue  # keyed outside the window
         n = len(phis)
         arities = tuple(P.arity_of(p) for p in phis)
         for sigma in all_permutations(n):
@@ -624,6 +638,9 @@ def _check_coherence(P: PseudoOperadData, N: _Numbered, rep: Report, max_pentago
     )
     for side, unitors, pad in sides:
         for op, c in unitors.items():
+            if op >= N.op_count:
+                bad.append(f"{side} unitor entry outside the window at {ops[op]}")
+                continue
             padded = pad(op)
             if padded is None:
                 bad.append(f"{side} unitor over missing composite at {ops[op]}")
@@ -698,9 +715,11 @@ def check_pseudo_operad(P: PseudoOperadData, max_pentagons: int = 512) -> Report
     the colors its ends demand.  An unsound cell fails the boundaries row
     (or its groupoid's endpoints row) and the walks compose sound cells
     only.  A ``compose_cells`` or ``act_cells`` entry that names a cell
-    outside the window fails its own row and is left out of the walks; a
-    ``compose_cells`` entry that fails its own checks is not stacked in the
-    interchange.  The triangle and the pentagon compose cells of one
+    outside the window fails its own row and is left out of the walks, and
+    so does an entry of any table whose key names nothing in the window (an
+    operation, color, vertical or cell outside it, or a cell permutation of
+    the wrong length); a ``compose_cells`` entry that fails its own checks
+    is not stacked in the interchange.  The triangle and the pentagon compose cells of one
     groupoid; a composite outside the window compares by value and is
     composed with nothing.
     """

@@ -141,17 +141,13 @@ def brute_embeddings(dom: OraclePoset, cod: OraclePoset) -> list[dict[str, str]]
     return out
 
 
-def brute_map_error(
-    dom: OraclePoset, cod: OraclePoset, table: dict[str, str], embedding: bool
-) -> str | None:
-    """The ``ValueError`` text map validation gives ``table``, or None.
+def brute_map_error(dom: OraclePoset, cod: OraclePoset, table: dict[str, str]) -> str | None:
+    """The ``ValueError`` text causal embedding validation gives ``table``, or None.
 
     Plain pairwise checks by name, in a fixed order: totality, codomain,
-    injectivity, then preservation over ``itertools.combinations`` of the
-    domain events.  With ``embedding`` (a causal embedding, not only a
-    monotone map), then reflection over ``itertools.permutations`` and
-    convexity of the image by :func:`brute_convex`.  The first failure
-    found is the one named.
+    injectivity, preservation over ``itertools.combinations`` of the domain
+    events, reflection over ``itertools.permutations`` and convexity of the
+    image by :func:`brute_convex`.  The first failure found is the one named.
     """
     if sorted(table) != list(dom.events):
         return "map must be defined on exactly the domain events"
@@ -165,8 +161,6 @@ def brute_map_error(
             return f"map does not preserve {a!r} < {b!r}"
         if dom.le(b, a) and not cod.le(table[b], table[a]):
             return f"map does not preserve {b!r} < {a!r}"
-    if not embedding:
-        return None
     for a, b in itertools.permutations(dom.events, 2):
         if cod.le(table[a], table[b]) and not dom.le(a, b):
             return (f"map does not reflect order: {table[a]!r} < {table[b]!r} "
@@ -479,14 +473,20 @@ def oracle_groupoid_report(G, name: str = "groupoid") -> Report:
     The same rows, witnesses and errors as the numbered walk, from a walk on
     values: each composable pair is composed once through the groupoid's own
     composition rule, memoized here by value, then every composable triple
-    (f, g, h), f slowest, compares h.(g.f) with (h.g).f.
+    (f, g, h), f slowest, compares h.(g.f) with (h.g).f.  A value with no
+    endpoints has no composite with anything (None), and a law that needs
+    one fails.
     """
     memo: dict = {}
 
     def compose(g, f):
         key = (g, f)
         if key not in memo:
-            if G.tgt(f) != G.src(g):
+            try:
+                ends = G.tgt(f), G.src(g)
+            except KeyError:
+                return None
+            if ends[0] != ends[1]:
                 raise ValueError("morphisms do not compose")
             memo[key] = G._compose(g, f)  # the raw rule, not the numbered table
         return memo[key]
@@ -523,7 +523,8 @@ def oracle_groupoid_report(G, name: str = "groupoid") -> Report:
     for f in G.morphisms:
         for g in after[f]:
             for h in after[g]:
-                if compose(h, compose(g, f)) != compose(compose(h, g), f):
+                lhs, rhs = compose(h, compose(g, f)), compose(compose(h, g), f)
+                if lhs is None or lhs != rhs:
                     law_bad.append(f"associativity at ({h},{g},{f})")
     rep.verdict("groupoid/laws", name, law_bad)
     return rep
@@ -537,6 +538,14 @@ def _identity_cells(P) -> dict:
 def _ends(P, cell) -> tuple:
     G = P.groupoid_of_cell(cell)
     return G.src(cell), G.tgt(cell)
+
+
+def _keyed_in_window(P) -> dict:
+    """The ``compose_ops`` entries whose key names only window operations;
+    the others fail compose-signatures and are read by no other walk."""
+    ops = set(P.all_ops())
+    return {key: result for key, result in P.compose_ops.items()
+            if ops.issuperset((key[0], *key[1]))}
 
 
 def _oracle_cell_boundaries(P, rep: Report) -> set:
@@ -686,26 +695,30 @@ def _oracle_composition(P, sound: set, rep: Report) -> None:
 
 def _oracle_units_and_action(P, rep: Report) -> None:
     bad: list[str] = []
+    V = P.objects
     for color, u in P.unit_ops.items():
-        if u not in P.op_inputs:
+        if color not in V.objects or u not in P.op_inputs:
             bad.append(f"unit entry outside the window at {color}")
         elif P.op_inputs[u] != (color,) or P.op_output[u] != color:
             bad.append(f"unit of {color}")
     window = set(P.all_cells())
+    # entries naming a cell or vertical outside the window fail and are left out
+    unit_cells = {}
     for g, cell in P.unit_cells.items():
-        if cell not in window:
+        if cell not in window or g not in V.morphisms:
             bad.append(f"unit cell entry outside the window at {g}")
             continue
+        unit_cells[g] = cell
         G = P.groupoid_of_cell(cell)
-        if G.src(cell) != P.unit_op(P.objects.src(g)) or G.tgt(cell) != P.unit_op(P.objects.tgt(g)):
+        if G.src(cell) != P.unit_ops.get(V.src(g)) or G.tgt(cell) != P.unit_ops.get(V.tgt(g)):
             bad.append(f"unit cell endpoints of {g}")
         if P.cell_inputs[cell] != (g,) or P.cell_output[cell] != g:
             bad.append(f"unit cell boundary of {g}")
-    for g1, g2 in itertools.product(P.unit_cells, repeat=2):
-        if P.objects.tgt(g1) != P.objects.src(g2):
+    for g1, g2 in itertools.product(unit_cells, repeat=2):
+        if V.tgt(g1) != V.src(g2):
             continue
-        g = P.objects.compose(g2, g1)
-        cells = [P.unit_cells.get(h) for h in (g, g2, g1)]
+        g = V.compose(g2, g1)
+        cells = [unit_cells.get(h) for h in (g, g2, g1)]
         if window.issuperset(cells):
             G = P.groupoid_of_cell(cells[0])
             # unit cells that do not compose in that groupoid have no composite
@@ -717,6 +730,9 @@ def _oracle_units_and_action(P, rep: Report) -> None:
 
     act_bad: list[str] = []
     for (op, sigma), moved in P.act_ops.items():
+        if op not in P.op_inputs:
+            act_bad.append(f"action entry outside the window at {op}")
+            continue
         if moved not in P.op_inputs:
             act_bad.append(f"action entry outside the window at {op}")
         elif len(P.op_inputs[op]) != len(sigma) \
@@ -734,6 +750,9 @@ def _oracle_units_and_action(P, rep: Report) -> None:
         if cell not in window or moved not in window:
             act_bad.append(f"cell action entry outside the window at {cell}")
             continue
+        if len(sigma) != len(P.cell_inputs[cell]):
+            act_bad.append(f"cell action signature at {cell}")
+            continue
         if P.cell_inputs[moved] != apply_permutation(P.cell_inputs[cell], sigma) \
                 or P.cell_output[moved] != P.cell_output[cell]:
             act_bad.append(f"cell action boundary at {cell}")
@@ -747,7 +766,7 @@ def _oracle_units_and_action(P, rep: Report) -> None:
 
     eq_bad: list[str] = []
     eq_checked = 0
-    for (psi, phis), composite in P.compose_ops.items():
+    for (psi, phis), composite in _keyed_in_window(P).items():
         n = len(phis)
         arities = tuple(P.arity_of(p) for p in phis)
         for sigma in all_permutations(n):
@@ -777,7 +796,8 @@ def _oracle_coherence(P, rep: Report, max_pentagons: int) -> None:
     """The coherence-boundaries, triangle and pentagon rows, walked on values.
 
     Every composite, unit, unitor, associator and cell composite is read from
-    the window's own tables, and a key that a table lacks raises
+    the window's own tables (composites keyed in the window only, and a
+    unitor keyed outside it fails its row), and a key that a table lacks raises
     ``ValueError``; so does a composite entry that is no operation and a
     cell that belongs to no operation groupoid.  Two cells of the window
     compose through ``FiniteGroupoid.compose`` of the groupoid that holds
@@ -786,6 +806,8 @@ def _oracle_coherence(P, rep: Report, max_pentagons: int) -> None:
     instance that raises is skipped.
     """
     identities = _identity_cells(P)
+    ops = set(P.all_ops())
+    composites = _keyed_in_window(P)
 
     def vertical(G, g, f):
         if P.groupoid_of_cell(f) is not G or P.groupoid_of_cell(g) is not G:
@@ -799,7 +821,7 @@ def _oracle_coherence(P, rep: Report, max_pentagons: int) -> None:
         return found
 
     def composite(psi, phis):
-        op = entry(P.compose_ops, (psi, tuple(phis)))
+        op = entry(composites, (psi, tuple(phis)))
         if op not in P.op_inputs:
             raise ValueError(f"composite entry outside the window at {psi}")
         return op
@@ -832,6 +854,9 @@ def _oracle_coherence(P, rep: Report, max_pentagons: int) -> None:
     )
     for side, unitors, pad in sides:
         for op, cell in unitors.items():
+            if op not in ops:
+                bad.append(f"{side} unitor entry outside the window at {op}")
+                continue
             try:
                 padded = pad(op)
             except ValueError:
@@ -848,7 +873,7 @@ def _oracle_coherence(P, rep: Report, max_pentagons: int) -> None:
 
     tri_bad: list[str] = []
     tri_checked = 0
-    for psi, phis in P.compose_ops:
+    for psi, phis in composites:
         try:
             units = tuple(entry(P.unit_ops, P.op_output[p]) for p in phis)
             assoc = entry(P.associators, (psi, units, tuple((p,) for p in phis)))
@@ -867,7 +892,7 @@ def _oracle_coherence(P, rep: Report, max_pentagons: int) -> None:
     pent_bad: list[str] = []
     pent_checked = 0
     inners_of: dict = {}
-    for outer, inners in P.compose_ops:
+    for outer, inners in composites:
         inners_of.setdefault(outer, []).append(inners)
     for (psi, phis, chis), a3 in P.associators.items():
         flat_chis = tuple(itertools.chain.from_iterable(chis))

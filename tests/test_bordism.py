@@ -657,10 +657,10 @@ class TestGluingValidPieces:
             mid = oracles.sub_oracle(I, set(w))
             assert oracles.brute_map_error(
                 mid, oracles.sub_oracle(N, set(lo)),
-                {e: inner.map_out(e) for e in w}, True) is None
+                {e: inner.map_out(e) for e in w}) is None
             assert oracles.brute_map_error(
                 mid, oracles.sub_oracle(O, set(upper)),
-                {e: outer.maps_in[i](e) for e in w}, True) is None
+                {e: outer.maps_in[i](e) for e in w}) is None
 
     @given(valid_pieces())
     @settings(max_examples=150, deadline=None)
@@ -679,7 +679,7 @@ class TestGluingValidPieces:
              for emb, mid in zip(outer.maps_in, mids)])
         Q = as_oracle(glued.result)
         for leg in (*glued.left_legs, glued.right_leg):
-            assert oracles.brute_map_error(as_oracle(leg.dom), Q, leg.table, True) is None
+            assert oracles.brute_map_error(as_oracle(leg.dom), Q, leg.table) is None
         maps_in = []
         for inner, lo, leg in zip(inners, regions.lower, glued.left_legs):
             for emb in inner.maps_in:

@@ -124,16 +124,47 @@ def commutative_fold_operad(max_arity: int = 3) -> Operad:
                   name="fold")
 
 
-def cyclic_group_operad() -> Operad:
-    """One color whose unary operations form the two-element group."""
-    color = "c"
-    u = Operation("rot0", (color,), color)
-    f = Operation("rot1", (color,), color)
-    table = {
+def _changed(table: dict, changes) -> dict:
+    """``table`` with ``changes`` applied; a change to ``None`` drops the entry."""
+    out = {**table, **dict(changes)}
+    return {key: value for key, value in out.items() if value is not None}
+
+
+ROT0, ROT1 = Operation("rot0", ("c",), "c"), Operation("rot1", ("c",), "c")
+
+
+def cyclic_group_operad(table=(), action=(), units=None, listed=(ROT0, ROT1)) -> Operad:
+    """One color whose unary operations form the two-element group.
+
+    ``table`` and ``action`` change entries of its tables, ``units`` replaces
+    its units and ``listed`` its operations, to build corrupted copies.
+    """
+    u, f = ROT0, ROT1
+    group = {
         (u, (u,)): u, (u, (f,)): f, (f, (u,)): f, (f, (f,)): u,
     }
-    action = {(u, (0,)): u, (f, (0,)): f}
-    return Operad([color], [u, f], {color: u}, table, action, name="rot2")
+    identities = {(u, (0,)): u, (f, (0,)): f}
+    return Operad(["c"], listed, {"c": u} if units is None else units,
+                  _changed(group, table), _changed(identities, action), name="rot2")
+
+
+UC, UD, UE = (Operation(f"u{x}", (x,), x) for x in "cde")
+B, BT = Operation("b", ("d", "e"), "c"), Operation("bt", ("e", "d"), "c")
+
+
+def twist_operad(table=(), action=()) -> Operad:
+    """A binary operation b: (d, e) -> c and its twist bt: (e, d) -> c.
+
+    Only the unit of c and b are listed, and no listed operation outputs d
+    or e; so b is composed only under that unit and with the units of d and
+    e, and bt is acted on only by the right action.  ``table`` and
+    ``action`` change entries of its tables.
+    """
+    compose = {(UC, (UC,)): UC, (UC, (B,)): B, (UC, (BT,)): BT, (B, (UD, UE)): B}
+    act = {(UC, (0,)): UC, (B, (0, 1)): B, (B, (1, 0)): BT,
+           (BT, (0, 1)): BT, (BT, (1, 0)): B}
+    return Operad("cde", [UC, B], {"c": UC, "d": UD, "e": UE},
+                  _changed(compose, table), _changed(act, action), name="twist")
 
 
 def broken_unit_operad() -> Operad:
@@ -210,6 +241,10 @@ class TestOperadChecker:
         report = check_operad_axioms(cyclic_group_operad())
         assert report.ok, report.failures
 
+    def test_twist_operad_satisfies_all_laws(self):
+        report = check_operad_axioms(twist_operad())
+        assert report.ok, report.failures
+
     def test_broken_unit_law_is_caught_with_witness(self):
         report = check_operad_axioms(broken_unit_operad())
         assert not report.ok
@@ -229,6 +264,66 @@ class TestOperadChecker:
             "8b174ba989e7afc764ac849fb04eee02fba71b4355ff969bbde0add03e2e56b6",
             "fef8928e29ec3ac265da21ba829c251c251eb0fb951c2efd3038163ec49a771d",
         ]
+
+    # one corrupted table operad per failure line of check_operad_axioms;
+    # each fails exactly the one row
+    @pytest.mark.parametrize("operad, check, witness, digest", [
+        pytest.param(lambda: cyclic_group_operad(units={}), "operad/units-present",
+                     ["missing unit for c"],
+                     "cbd9678305fd2c3bba4b5bc7b4f624a5a092b6890f555ef43d0a90d5414e2923",
+                     id="missing-unit"),
+        pytest.param(lambda: cyclic_group_operad(units={"c": Operation("z", (), "c")}),
+                     "operad/units-present", ["unit of c has wrong signature"],
+                     "f312f24b196d4c377025a757daca3812dcb2be4c0aada2ae655c7db3e242b51e",
+                     id="unit-signature"),
+        # x.y = y: associative, with a left unit that is no right unit
+        pytest.param(lambda: cyclic_group_operad(table={(ROT1, (ROT0,)): ROT0,
+                                                        (ROT1, (ROT1,)): ROT1}),
+                     "operad/unit-laws", ["rot1:(c)->c;units != rot1:(c)->c"],
+                     "f3f810e6a09e94a6ee3db6fb32a3187ff64c76c8ebd19d05707a67ac4b4d5f0f",
+                     id="right-unit-law"),
+        # the unit is not listed, so only the unit laws compose with it
+        pytest.param(lambda: cyclic_group_operad(table={(ROT1, (ROT0,)): None,
+                                                        (ROT1, (ROT1,)): ROT1},
+                                                 listed=(ROT1,)),
+                     "operad/unit-laws",
+                     ["composition not tabulated for rot1:(c)->c with 1 inners"],
+                     "ad1a632a3edd46255f2cd3c2132ba6601bd4878511b49f10786818add67c542e",
+                     id="unit-law-raises"),
+        # rot1.rot1 is an unlisted g, composed only under an associativity
+        pytest.param(lambda: cyclic_group_operad(
+                         table={(ROT1, (ROT1,)): Operation("g", ("c",), "c")},
+                         action={(Operation("g", ("c",), "c"), (0,)):
+                                 Operation("g", ("c",), "c")}),
+                     "operad/associativity",
+                     ["composition not tabulated for rot0:(c)->c with 1 inners"],
+                     "caf61e6caa121eb23d7b9094a578f18850e31080acac5940f242750ca0d12631",
+                     id="associativity-raises"),
+        # the identity acts as rot1 on the group: equivariant, but no action
+        pytest.param(lambda: cyclic_group_operad(action={(ROT0, (0,)): ROT1,
+                                                         (ROT1, (0,)): ROT0}),
+                     "operad/right-action",
+                     ["identity action moved rot0:(c)->c", "rot0:(c)->c under (0,) then (0,)",
+                      "identity action moved rot1:(c)->c"],
+                     "dba4091d6b473f7e025e72c9718303e6f30c13520bf9a96fa4232f547fecd269",
+                     id="identity-action-moved"),
+        pytest.param(lambda: twist_operad(action={(BT, (0, 1)): None}), "operad/right-action",
+                     ["action not tabulated for bt:(e,d)->c by (0, 1)"],
+                     "108db0db0466d8b4161855a8d3effbe292ca5763ab536851655dc6f3bd89ea2a",
+                     id="right-action-raises"),
+        pytest.param(lambda: twist_operad(table={(UC, (BT,)): Operation("bt2", ("e", "d"), "c")}),
+                     "operad/equivariance", ["sum equivariance at (uc:(c)->c, ((1, 0),))"],
+                     "9f5d2296063095871fabdc62938177d31e95d29e300908bc3aa560188c203696",
+                     id="sum-equivariance"),
+        pytest.param(lambda: twist_operad(table={(UC, (BT,)): None}), "operad/equivariance",
+                     ["composition not tabulated for uc:(c)->c with 1 inners"],
+                     "b998a3a7517a5e9a28370b05b112b7acc2421b13889e5cf47d9633058bbaa446",
+                     id="equivariance-raises"),
+    ])
+    def test_a_corrupted_table_fails_exactly_its_row(self, operad, check, witness, digest):
+        report = check_operad_axioms(operad())
+        assert [(e.check, e.witness) for e in report.failures] == [(check, witness)]
+        assert hashlib.sha256(report.dumps().encode()).hexdigest() == digest
 
     def test_composition_signature_violations_are_rejected_eagerly(self):
         O = cyclic_group_operad()
@@ -469,6 +564,23 @@ class TestFiniteGroupoid:
     def test_failing_report_matches_the_value_walk(self):
         report = self.build_flip(bad=True).validate()
         assert report.dumps() == oracles.oracle_groupoid_report(self.build_flip(bad=True)).dumps()
+
+    def test_a_composite_with_no_endpoints_fails_the_laws(self):
+        # s.s is no morphism and has no endpoints, so it composes with
+        # nothing: its inverse laws fail, and so does the triple that needs it
+        compose = {("id", "id"): "id", ("id", "s"): "s", ("s", "id"): "s", ("s", "s"): "out"}
+
+        def build():
+            return FiniteGroupoid(["*"], ["id", "s"], {"id": "*", "s": "*"},
+                                  {"id": "*", "s": "*"}, compose, {"*": "id"},
+                                  {"id": "id", "s": "s"})
+
+        report = build().validate()
+        assert report.dumps() == oracles.oracle_groupoid_report(build()).dumps()
+        assert [(e.check, e.witness) for e in report.failures] == [("groupoid/laws", [
+            "left inverse at s", "right inverse at s", "associativity at (s,s,id)"])]
+        assert hashlib.sha256(report.dumps().encode()).hexdigest() == \
+            "519b41748fe4fd5e4103d99f47878cbd756f95fee0f770f6d6476b71a70748b6"
 
     def test_results_are_the_stored_morphisms(self):
         # the tables build a fresh arrow on every call, equal to a stored one

@@ -18,7 +18,7 @@ from causalops.bordism import (
     identity_cell,
     truncate_bordisms,
 )
-from causalops.causal_core import CausalEmbedding, MonotoneMap
+from causalops.causal_core import CausalEmbedding
 from causalops.operad_kernel import (
     FiniteGroupoid,
     enumerate_embeddings,
@@ -38,7 +38,13 @@ from causalops.pseudo_operad import (
 from causalops.qft_models import Monoid, MonoidHom
 import oracles
 from test_bordism import chain_bordism, merge_bordism, point
-from test_operad_kernel import broken_unit_operad, commutative_fold_operad, cyclic_group_operad
+from test_operad_kernel import (
+    ROT0,
+    ROT1,
+    broken_unit_operad,
+    commutative_fold_operad,
+    cyclic_group_operad,
+)
 
 
 class TestIota:
@@ -193,7 +199,6 @@ def _map_parts():
 EQUAL_VALUES = {
     "CausalSet": (lambda: CausalSet("abc", [("a", "b"), ("b", "c")]).induced({"a", "b"}),
                   lambda: CausalSet("ab", [("a", "b")])),
-    "MonotoneMap": _twice(lambda: MonotoneMap(*_map_parts())),
     "CausalEmbedding": _twice(lambda: CausalEmbedding(*_map_parts())),
     "PointedObject": _twice(lambda: point("a")),
     "Germ": _twice(lambda: Germ.identity(point("a"))),
@@ -216,12 +221,6 @@ class TestTokenHashes:
         assert a is not b and a == b
         assert hash(a) == hash(b)
         assert {a: name}[b] == name and {b: name}[a] == name
-
-    def test_a_monotone_map_is_not_the_embedding_with_its_fields(self):
-        plain, embedding = MonotoneMap(*_map_parts()), CausalEmbedding(*_map_parts())
-        assert (plain.dom, plain.cod, plain.pairs) == \
-            (embedding.dom, embedding.cod, embedding.pairs)
-        assert plain != embedding and embedding != plain
 
     def test_equal_squares_hash_equally(self):
         O = cyclic_group_operad()
@@ -470,10 +469,52 @@ AUDITED = {
 }
 
 
-# the tables whose entries the one-entry replacements draw from
+# the tables whose entries the one-entry replacements draw from; the keys
+# of all but the per-cell tables (where a new key only drops a cell's entry)
+# are replaced too
 REPLACEABLE = ("compose_cells", "cell_output", "cell_inputs", "act_cells", "compose_ops",
                "unit_ops", "act_ops", "unit_cells", "associators", "left_unitors",
                "right_unitors")
+REKEYABLE = tuple(t for t in REPLACEABLE if t not in ("cell_output", "cell_inputs"))
+
+
+def _rekeyed(data, P, table_name, key):
+    """``key`` with one part replaced by a value of the window of the same
+    kind, or by a fresh one that no window holds."""
+    def pick(kind, values):
+        return data.draw(st.sampled_from(values) | st.just(f"stray-{kind}"))
+
+    def swap(parts: tuple, i: int, value) -> tuple:
+        return parts[:i] + (value,) + parts[i + 1:]
+
+    if table_name == "unit_ops":
+        return pick("color", P.objects.objects)
+    if table_name == "unit_cells":
+        return pick("vertical", P.objects.morphisms)
+    if table_name in ("left_unitors", "right_unitors"):
+        return pick("op", P.all_ops())
+    kind, values = ("op", P.all_ops()) if table_name in ("compose_ops", "act_ops",
+                                                           "associators") \
+        else ("cell", P.all_cells())
+    if table_name in ("act_ops", "act_cells"):
+        # the acted-on value, or a permutation of any length up to three
+        if data.draw(st.booleans()):
+            return pick(kind, values), key[1]
+        n = data.draw(st.integers(min_value=0, max_value=3))
+        return key[0], tuple(data.draw(st.permutations(range(n))))
+    if table_name in ("compose_ops", "compose_cells"):
+        outer, inners = key
+        i = data.draw(st.integers(min_value=-1, max_value=len(inners) - 1))
+        value = pick(kind, values)
+        return (value, inners) if i < 0 else (outer, swap(inners, i, value))
+    # an associator's outer, middle or inner operation
+    psi, phis, chis = key
+    flat = (psi, *phis, *itertools.chain.from_iterable(chis))
+    flat = swap(flat, data.draw(st.integers(min_value=0, max_value=len(flat) - 1)),
+                pick(kind, values))
+    inner = iter(flat[1 + len(phis):])
+    return flat[0], flat[1:1 + len(phis)], tuple(
+        tuple(itertools.islice(inner, len(chi))) for chi in chis)
 
 
 def _outcome(audit, P):
@@ -496,6 +537,26 @@ class TestNumberedAudit:
     def test_reports_match_the_value_walk(self, name):
         got = check_pseudo_operad(AUDITED[name]()).dumps()
         assert got == oracles.oracle_pseudo_operad_report(AUDITED[name]()).dumps()
+
+    @pytest.mark.parametrize("name", ["chain-depth-1", "iota-cyclic", "quotient"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_one_replaced_key_fails_like_the_value_walk(self, name, data):
+        P = _shared(name)
+        table_name = data.draw(st.sampled_from([t for t in REKEYABLE if getattr(P, t)]))
+        table = getattr(P, table_name)
+        saved = dict(table)
+        key = data.draw(st.sampled_from(list(table)))
+        # the entry moves to the new key, at the end of the table
+        table[_rekeyed(data, P, table_name, key)] = table.pop(key)
+        try:
+            got = _outcome(check_pseudo_operad, P)
+            want = _outcome(oracles.oracle_pseudo_operad_report, P)
+        finally:
+            table.clear()
+            table.update(saved)
+        assert isinstance(got, str), got
+        assert got == want
 
     @pytest.mark.parametrize("name", ["chain-depth-1", "iota-cyclic", "quotient"])
     @given(data=st.data())
@@ -734,3 +795,91 @@ class TestDanglingReferences:
         assert [(e.check, e.witness) for e in report.failures] == \
             [(check, [text.format(key[0] if table == "associators" else key)])]
         assert self.digest(report) == digest
+
+    # each entry moves to a key that names nothing in the window; "{}" is the
+    # first part of its old key
+    @pytest.mark.parametrize("table, rekey, failures, digest", [
+        ("unit_cells", lambda key: "stray-vertical",
+         [("pseudo-operad/units", ["unit cell entry outside the window at stray-vertical"])],
+         "e2903a09d41c94fd371a91afa18387a015df47871e3fd3bba915e09ff4d896b7"),
+        ("act_ops", lambda key: ("stray-op", key[1]),
+         [("pseudo-operad/action", ["action entry outside the window at stray-op"])],
+         "679ad84aece38cdc1fce8fc08e667581b271d831f218f6d5687b7e5374c13b14"),
+        ("act_cells", lambda key: (key[0], (0, 1)),
+         [("pseudo-operad/action", ["cell action signature at {}"])],
+         "b6c6a2ae95053a41b70b086eb0ac967c2a7775af9691090f117ff642de002f25"),
+        # the associators over the entry's old key find no composite
+        ("compose_ops", lambda key: (key[0], ("stray-op",)),
+         [("pseudo-operad/compose-signatures", ["composite entry outside the window at {}"]),
+          ("pseudo-operad/coherence-boundaries",
+           ["associator over missing composites at {}"] * 3)],
+         "3727b640909adb939c15445621ad9aa06be5219376f5e113c4a74fbd05dd11fb"),
+        ("left_unitors", lambda key: "stray-op",
+         [("pseudo-operad/coherence-boundaries",
+           ["left unitor entry outside the window at stray-op"])],
+         "9f25494dec570cbe54eef15bde74be1218ecd38febaee109ffd5b43013959d9a"),
+        ("right_unitors", lambda key: "stray-op",
+         [("pseudo-operad/coherence-boundaries",
+           ["right unitor entry outside the window at stray-op"])],
+         "69818194f69e042ee971dea3f9353cb4ad5d19bee165955ec2774fa7271c5b92"),
+        # the color c is left with no unit, so its unit cells end elsewhere
+        # and its unitors find no padded composite
+        ("unit_ops", lambda key: "stray-color",
+         [("pseudo-operad/units", ["unit entry outside the window at stray-color",
+                                   "unit cell endpoints of rot0:(c)->c",
+                                   "unit cell endpoints of rot1:(c)->c"]),
+          ("pseudo-operad/coherence-boundaries",
+           ["left unitor over missing composite at rot0:(c)->c",
+            "left unitor over missing composite at rot1:(c)->c",
+            "right unitor over missing composite at rot0:(c)->c"])],
+         "a72cd21df2eac152f6d366067d515f335264c33817be6764adea4cb3718b987d"),
+    ])
+    def test_a_key_outside_the_window_fails_its_row(self, table, rekey, failures, digest):
+        P = iota(cyclic_group_operad())
+        entries = getattr(P, table)
+        key = next(iter(entries))
+        entries[rekey(key)] = entries.pop(key)
+        report = check_pseudo_operad(P)
+        assert report.dumps() == oracles.oracle_pseudo_operad_report(P).dumps()
+        # the walks leave the entry out
+        head = key[0] if isinstance(key, tuple) else key
+        assert [(e.check, e.witness) for e in report.failures] == \
+            [(check, [text.format(head) for text in texts]) for check, texts in failures]
+        assert self.digest(report) == digest
+
+    def test_a_groupoid_not_closed_under_composition_fails_its_laws(self):
+        P = iota(cyclic_group_operad())
+        old = P.op_groupoids[1]
+        # each identity cell after itself is a value outside the window with
+        # no endpoints, which composes with nothing
+        identities = {old.id(op) for op in old.objects}
+
+        def compose(g, f):
+            return ("outside", g) if g == f and g in identities else old.compose(g, f)
+
+        P.op_groupoids[1] = FiniteGroupoid(
+            old.objects, old.morphisms, {c: old.src(c) for c in old.morphisms},
+            {c: old.tgt(c) for c in old.morphisms}, compose,
+            {op: old.id(op) for op in old.objects}, old.inv)
+        report = check_pseudo_operad(P)
+        assert report.dumps() == oracles.oracle_pseudo_operad_report(P).dumps()
+        row = next(e for e in report.entries if e.check == "groupoid/laws"
+                   and e.target == f"{P.name}/ops[1]")
+        rot0 = old.id(P.all_ops(1)[0])
+        assert (row.status, row.witness) == ("fail", [
+            f"right identity at {rot0}", f"left identity at {rot0}", f"left inverse at {rot0}"])
+        assert self.digest(report) == \
+            "acb8fb11535c725c61dc6ff9fde21ecd63f3965936e3cd118466424a7bb7e0c5"
+
+    def test_an_action_that_does_not_compose_fails_the_action(self):
+        # the identity acts as rot1: equivariant on the group, but acting
+        # twice is not acting once
+        P = iota(cyclic_group_operad())
+        P.act_ops[(ROT0, (0,))], P.act_ops[(ROT1, (0,))] = ROT1, ROT0
+        report = check_pseudo_operad(P)
+        assert report.dumps() == oracles.oracle_pseudo_operad_report(P).dumps()
+        assert [(e.check, e.witness) for e in report.failures] == [("pseudo-operad/action", [
+            "identity permutation moved rot0:(c)->c", "action composition at rot0:(c)->c",
+            "identity permutation moved rot1:(c)->c"])]
+        assert self.digest(report) == \
+            "7d2d0c63fd8bff30d76d26ce604c0f3d7d8ab5210a65938381e4f4318613875d"
