@@ -18,7 +18,7 @@ candidates in sorted order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -466,10 +466,11 @@ def compose_bordisms_full(outer: Bordism, inners: Sequence[Bordism], *,
     The outer bordism, every inner one and the composite must pass
     :func:`validate_bordism`, or :class:`InvalidComposite` names the first
     that fails.  ``validated`` is the record of values that already passed,
-    owned by the window that :func:`bordism_fragment` or
-    ``translate.translation_window`` builds and living as long as it: a value
-    in it is not validated again, and each value that passes is added.  A
-    call without one validates every piece.
+    owned by the window that :func:`bordism_fragment` builds, or by the
+    composition rule of the operad that ``translate.translation_window``
+    returns, where it starts as the window's wrappers, and living as long as
+    its owner: a value in it is not validated again, and each value that
+    passes is added.  A call without one validates every piece.
 
     Between those checks all holds by construction: the upper region is a
     future set plus convex collar overlaps holding the surfaces, each lower
@@ -940,96 +941,6 @@ def _inverse_by_value(stored: Mapping[tuple, TwoCell]) -> Callable[[TwoCell], Tw
     return inverse
 
 
-def _window_data(objects: FiniteGroupoid, ops: Sequence[Bordism], *,
-                 max_cells: int, name: str, validated: set[Bordism],
-                 ) -> tuple[PseudoOperadData, Callable, dict[tuple, TwoCell]]:
-    """The part of a bordism window that every window shares, and its interning.
-
-    ``objects`` comes from :func:`_germ_groupoid` and ``ops`` is in table
-    order.  Cells are every isomorphism germ between same-arity operations,
-    capped at ``max_cells``; units, the action on operations and the hooks
-    computing composites, actions and globular links on demand are filled
-    in.  Composites, cell actions and coherence cells are left empty.
-
-    ``validated`` is the build's record of validated bordism values; the
-    composite hook hands it to every glue on demand, so it lives as long as
-    the window.
-
-    The returned ``intern`` maps a value to the window's own germ,
-    operation or cell equal to it, or to itself when the window holds none.
-    Every germ, operation and cell stored in the tables filled in here went
-    through it, and a caller filling the remaining tables passes its values
-    through it too, so the window holds one instance per value.  The
-    returned ``(dom, cod, pairs) -> cell`` table serves vertical composition
-    and a caller's permuted cells.
-    """
-    ops_by_arity: dict[int, list[Bordism]] = {}
-    for op in ops:
-        ops_by_arity.setdefault(op.arity, []).append(op)
-
-    total_cells = 0
-    cells_by_arity: dict[int, tuple[TwoCell, ...]] = {}
-    for n, group in sorted(ops_by_arity.items()):
-        cells: list[TwoCell] = []
-        for a in group:
-            for b in group:
-                for cell in cells_between(a, b):
-                    cells.append(cell)
-                    total_cells += 1
-                    if total_cells > max_cells:
-                        raise FragmentCapExceeded(f"cell cap {max_cells} exceeded")
-        cells_by_arity[n] = tuple(cells)
-    all_cells = tuple(c for n in sorted(cells_by_arity) for c in cells_by_arity[n])
-    cell_at = {(c.dom, c.cod, c.pairs): c for c in all_cells}
-    vertical, inverse = _vertical_by_value(cell_at), _inverse_by_value(cell_at)
-
-    op_groupoids = {
-        n: FiniteGroupoid(
-            tuple(ops_by_arity[n]),
-            cells_by_arity[n],
-            {c: c.dom for c in cells_by_arity[n]},
-            {c: c.cod for c in cells_by_arity[n]},
-            vertical,
-            {op: identity_cell(op) for op in ops_by_arity[n]},
-            inverse,
-        )
-        for n in ops_by_arity
-    }
-
-    canon: dict = {g: g for g in objects.morphisms}
-    canon.update((op, op) for op in ops)
-    canon.update((c, c) for c in all_cells)
-
-    def intern(x):
-        return canon.get(x, x)
-
-    act_ops: dict = {}
-    for op in ops:
-        for sigma in itertools.permutations(range(op.arity)):
-            act_ops[(op, sigma)] = intern(permute_bordism(op, sigma))
-
-    window = PseudoOperadData(
-        objects=objects,
-        op_groupoids=op_groupoids,
-        op_inputs={op: op.sources for op in ops},
-        op_output={op: op.target for op in ops},
-        cell_inputs={c: tuple(map(intern, c.source_germs)) for c in all_cells},
-        cell_output={c: intern(c.target_germ) for c in all_cells},
-        compose_ops={},
-        compose_cells={},
-        unit_ops={c: intern(unit_bordism(c)) for c in objects.objects},
-        unit_cells={g: intern(germ_to_cell(g)) for g in objects.morphisms},
-        act_ops=act_ops,
-        act_cells={},
-        name=name,
-        compose_op_fn=lambda psi, phis: compose_bordisms_full(
-            psi, tuple(phis), validated=validated).bordism,
-        act_op_fn=lambda op, sigma: permute_bordism(op, sigma),
-        op_link_fn=lambda a, b: bool(globular_cells_between(a, b, limit=1)),
-    )
-    return window, intern, cell_at
-
-
 def bordism_fragment(
     generators: Iterable[PointedObject | Bordism],
     depth: int = 1,
@@ -1057,7 +968,9 @@ def bordism_fragment(
     which are closed under the action, not built again.  Cell composites
     and associators are read off the composites by the walks that ``iota``
     uses too.  Every table comes in construction order and none is sorted
-    again, so its order does not depend on ``PYTHONHASHSEED``.
+    again, so its order does not depend on ``PYTHONHASHSEED``.  The
+    window's hooks compose, act on and link operations outside it, for the
+    collapse :func:`truncate_bordisms`.
     """
     objs: list[PointedObject] = []
     gens: list[Bordism] = []
@@ -1116,27 +1029,81 @@ def bordism_fragment(
             raise FragmentCapExceeded(f"operation cap {max_ops} exceeded")
 
     ops_sorted = tuple(sorted(ops, key=str))
-    window, intern, cell_at = _window_data(
-        objects, ops_sorted, max_cells=max_cells,
-        name=f"bordism-fragment(depth={depth})", validated=validated)
+    ops_by_arity: dict[int, list[Bordism]] = {}
+    for op in ops_sorted:
+        ops_by_arity.setdefault(op.arity, []).append(op)
+    cells_by_arity: dict[int, list[TwoCell]] = {}
+    total_cells = 0
+    for n, group in sorted(ops_by_arity.items()):
+        cells = cells_by_arity[n] = []
+        for a in group:
+            for b in group:
+                for cell in cells_between(a, b):
+                    cells.append(cell)
+                    total_cells += 1
+                    if total_cells > max_cells:
+                        raise FragmentCapExceeded(f"cell cap {max_cells} exceeded")
+    all_cells = tuple(itertools.chain.from_iterable(cells_by_arity.values()))
+    cell_at = {(c.dom, c.cod, c.pairs): c for c in all_cells}
+    vertical, inverse = _vertical_by_value(cell_at), _inverse_by_value(cell_at)
+    op_groupoids = {
+        n: FiniteGroupoid(
+            tuple(group),
+            cells_by_arity[n],
+            {c: c.dom for c in cells_by_arity[n]},
+            {c: c.cod for c in cells_by_arity[n]},
+            vertical,
+            {op: identity_cell(op) for op in group},
+            inverse,
+        )
+        for n, group in ops_by_arity.items()
+    }
+
+    canon: dict = {g: g for g in objects.morphisms}
+    canon.update((op, op) for op in ops_sorted)
+    canon.update((c, c) for c in all_cells)
+
+    def intern(x):
+        return canon.get(x, x)
+
+    act_ops: dict = {}
+    for op in ops_sorted:
+        for sigma in itertools.permutations(range(op.arity)):
+            act_ops[(op, sigma)] = intern(permute_bordism(op, sigma))
+
     compose_ops = {key: intern(composite) for key, composite in compose_ops.items()}
-    compose_cells: dict = {}
+    window = PseudoOperadData(
+        objects=objects,
+        op_groupoids=op_groupoids,
+        op_inputs={op: op.sources for op in ops_sorted},
+        op_output={op: op.target for op in ops_sorted},
+        cell_inputs={c: tuple(map(intern, c.source_germs)) for c in all_cells},
+        cell_output={c: intern(c.target_germ) for c in all_cells},
+        compose_ops=compose_ops,
+        compose_cells={},
+        unit_ops={c: intern(unit_bordism(c)) for c in objects.objects},
+        unit_cells={g: intern(germ_to_cell(g)) for g in objects.morphisms},
+        act_ops=act_ops,
+        act_cells={},
+        name=f"bordism-fragment(depth={depth})",
+        compose_op_fn=lambda psi, phis: compose_bordisms_full(
+            psi, tuple(phis), validated=validated).bordism,
+        act_op_fn=lambda op, sigma: permute_bordism(op, sigma),
+        op_link_fn=lambda a, b: bool(globular_cells_between(a, b, limit=1)),
+    )
+    compose_cells = window.compose_cells
     for alpha, betas, _, _ in _cell_composites(window, compose_ops):
         compose_cells[(alpha, betas)] = intern(_compose_two_cells(alpha, betas, glue))
         if len(compose_cells) > max_cells:
             raise FragmentCapExceeded(f"cell cap {max_cells} exceeded")
 
     # permute_cell(cell, sigma) keeps the pairs and permutes both ends
-    act_ops = window.act_ops
-    act_cells: dict = {}
-    for n in window.arities():
-        for cell in window.op_groupoids[n].morphisms:
+    for n, cells in cells_by_arity.items():
+        for cell in cells:
             for sigma in itertools.permutations(range(n)):
-                act_cells[(cell, sigma)] = cell_at[
+                window.act_cells[(cell, sigma)] = cell_at[
                     (act_ops[(cell.dom, sigma)], act_ops[(cell.cod, sigma)], cell.pairs)]
 
-    left_unitors: dict = {}
-    right_unitors: dict = {}
     for op in ops_sorted:
         want_left = (unit_bordism(op.target), (op,)) in compose_ops
         units_in = tuple(unit_bordism(s) for s in op.sources)
@@ -1144,25 +1111,16 @@ def bordism_fragment(
         if want_left or want_right:
             left, right = _unitor_cells(op, glue)
             if want_left:
-                left_unitors[op] = intern(left)
+                window.left_unitors[op] = intern(left)
             if want_right:
-                right_unitors[op] = intern(right)
+                window.right_unitors[op] = intern(right)
 
-    associators: dict = {}
+    associators = window.associators
     for psi, phis, chis, _ in _associator_triples(compose_ops):
         associators[(psi, phis, chis)] = intern(_coherence_cells(psi, phis, chis, glue))
         if len(associators) > max_cells:
             raise FragmentCapExceeded(f"cell cap {max_cells} exceeded")
-
-    return replace(
-        window,
-        compose_ops=compose_ops,
-        compose_cells=compose_cells,
-        act_cells=act_cells,
-        associators=associators,
-        left_unitors=left_unitors,
-        right_unitors=right_unitors,
-    )
+    return window
 
 
 def truncate_bordisms(fragment: PseudoOperadData) -> Operad:

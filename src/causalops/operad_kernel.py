@@ -771,7 +771,7 @@ class FiniteGroupoid:
         bad = [f"dangling morphism {ms[g]}" for g in dangling]
         for obj in self.objects:
             i = self.id(obj)
-            if self.src(i) != obj or self.tgt(i) != obj:
+            if self._src.get(i) != obj or self._tgt.get(i) != obj:
                 bad.append(f"identity of {obj} has wrong endpoints")
         rep.verdict("groupoid/endpoints", name, bad)
 

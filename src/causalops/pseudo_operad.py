@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .causal_core import _cached_hash
 from .errors import NotFibrant
@@ -155,8 +155,8 @@ class PseudoOperadData:
             return False
 
     def is_globular(self, cell) -> bool:
-        return all(self.is_identity_vertical(g) for g in self.cell_inputs[cell]) \
-            and self.is_identity_vertical(self.cell_output[cell])
+        return all(self.is_identity_vertical(g) for g in self.cell_inputs.get(cell, ())) \
+            and self.is_identity_vertical(self.cell_output.get(cell))
 
     def coverage(self) -> dict[str, int]:
         return {
@@ -290,10 +290,12 @@ class _Numbered:
     in table order, and ``identity`` maps each operation to its identity
     cell.
 
-    A cell is ``sound`` when its ends are objects of its groupoid, it has
-    one leg per input, and its legs and output are verticals that run
-    between the colors its ends demand: leg i from input i of its domain to
-    input i of its codomain, the output from output to output.  ``faults``
+    A cell is ``sound`` when its ``cell_inputs`` and ``cell_output``
+    entries are recorded, its ends are objects of its groupoid, it has one
+    leg per input, and its legs and output are verticals that run between
+    the colors its ends demand: leg i from input i of its domain to input i
+    of its codomain, the output from output to output.  A missing entry
+    reads as no legs, or as an output that is no vertical.  ``faults``
     are the ``pseudo-operad/boundaries`` texts in walk order; a cell with
     dangling ends is named by its groupoid's endpoints row instead.
     """
@@ -341,8 +343,8 @@ class _Numbered:
             base = len(self.ins)
             self.home += [(G, base)] * len(G.morphisms)
             for i, c in enumerate(G.morphisms):
-                legs = tuple(map(V.number, P.cell_inputs[c]))
-                out = V.number(P.cell_output[c])
+                legs = tuple(map(V.number, P.cell_inputs.get(c, ())))
+                out = V.number(P.cell_output.get(c))
                 dom, cod = op(G.src(c)), op(G.tgt(c))
                 self.ins.append(legs)
                 self.out.append(out)
@@ -350,7 +352,9 @@ class _Numbered:
                 self.cod.append(cod)
                 self.globular.append(all(g < verticals and is_identity[g] for g in legs + (out,)))
                 sound = False
-                if len(legs) != n:
+                if c not in P.cell_inputs or c not in P.cell_output:
+                    faults.append(f"boundary entry missing at {c}")
+                elif len(legs) != n:
                     faults.append(f"leg count at {c}")
                 elif max(legs + (out,)) >= verticals:
                     faults.append(f"unknown vertical at {c}")
@@ -710,16 +714,17 @@ def check_pseudo_operad(P: PseudoOperadData, max_pentagons: int = 512) -> Report
     hook, so an entry a table lacks leaves its instance unchecked.  Numbers
     are turned back into the objects only to write a witness, so the report
     is the one the same walk on values writes.  Soundness is decided once: a
-    cell is sound when its ends are operations of its groupoid, it has one
-    leg per input, and its legs and output are verticals that run between
-    the colors its ends demand.  An unsound cell fails the boundaries row
-    (or its groupoid's endpoints row) and the walks compose sound cells
-    only.  A ``compose_cells`` or ``act_cells`` entry that names a cell
-    outside the window fails its own row and is left out of the walks, and
-    so does an entry of any table whose key names nothing in the window (an
-    operation, color, vertical or cell outside it, or a cell permutation of
-    the wrong length); a ``compose_cells`` entry that fails its own checks
-    is not stacked in the interchange.  The triangle and the pentagon compose cells of one
+    cell is sound when its legs and output are recorded, its ends are
+    operations of its groupoid, it has one leg per input, and its legs and
+    output are verticals that run between the colors its ends demand.  An
+    unsound cell fails the boundaries row (or its groupoid's endpoints row)
+    and the walks compose sound cells only.  A ``compose_cells`` or
+    ``act_cells`` entry that names a cell outside the window fails its own
+    row and is left out of the walks, and so does an entry of any table
+    whose key names nothing in the window (an operation, color, vertical or
+    cell outside it, or a cell permutation of the wrong length); a
+    ``compose_cells`` entry that fails its own checks is not stacked in the
+    interchange.  The triangle and the pentagon compose cells of one
     groupoid; a composite outside the window compares by value and is
     composed with nothing.
     """
@@ -963,34 +968,49 @@ class TauResult:
 def tau_full(P: PseudoOperadData) -> TauResult:
     """Collapse a pseudo-operad along its globular 2-cells.
 
-    When every class is a singleton and no ``op_link_fn`` is configured the
-    original tokens are reused, so collapsing a freshly fattened operad
-    returns the operad itself on the nose.  With an ``op_link_fn`` the
-    collapse instead wraps every class in a token and canonicalizes
-    composites that land outside the materialized window: a new operation is
-    matched against known class representatives via the hook and only mints
-    a fresh singleton class when no link exists.
+    The classes are the components of P's globular cells; :func:`_collapse`
+    turns them into an operad over P's colors, with P's units, composition
+    and action, and P's ``op_link_fn`` for composites outside the window.
     """
     links = []
     for n in P.arities():
         G = P.op_groupoids[n]
         links += [(G.src(c), G.tgt(c)) for c in G.morphisms if P.is_globular(c)]
+    return _collapse(P.all_ops(), P.objects.objects, links,
+                     signature=lambda op: (P.op_inputs[op], P.op_output[op]),
+                     unit=P.unit_op, compose=P.compose_op, act=P.act_op,
+                     link=P.op_link_fn, name=f"tau({P.name})")
+
+
+def _collapse(ops: Sequence, colors: Sequence, links: Iterable[tuple], *,
+              signature: Callable, unit: Callable, compose: Callable, act: Callable,
+              link: Callable | None, name: str) -> TauResult:
+    """The operad of the classes that ``links`` generate on ``ops``, each
+    named by its least member under ``str`` and listed at its first member.
+
+    ``signature`` gives an operation's ``(inputs, output)``.  When every
+    class is a singleton and no ``link`` is given the original tokens are
+    reused, so collapsing a freshly fattened operad returns it on the nose.
+    Otherwise each class is wrapped in a :class:`TauOperation`, and an
+    operation outside ``ops`` joins the first class of its signature, in
+    ``str`` order, whose representative ``link`` joins it to, or mints a
+    fresh singleton class.
+    """
     classes: dict = {}
-    for op, least in _least_representatives(P.all_ops(), links, str).items():
+    for op, least in _least_representatives(ops, links, str).items():
         classes.setdefault(least, set()).add(op)
     token_reuse = all(len(members) == 1 for members in classes.values())
 
-    wrap_tokens = not token_reuse or P.op_link_fn is not None
+    wrap_tokens = not token_reuse or link is not None
     if not wrap_tokens:
-        class_of = {op: op for op in P.all_ops()}
+        class_of = {op: op for op in ops}
     else:
         class_of = {}
         registry: dict = {}
         # class tokens by signature, each bucket in str order
         by_signature: dict = {}
         for rep, members in classes.items():
-            token = TauOperation(rep, frozenset(members),
-                                 P.op_inputs[rep], P.op_output[rep])
+            token = TauOperation(rep, frozenset(members), *signature(rep))
             for m in members:
                 class_of[m] = token
                 registry[m] = token
@@ -999,28 +1019,26 @@ def tau_full(P: PseudoOperadData) -> TauResult:
         for bucket in by_signature.values():
             bucket.sort(key=str)
 
-    colors = P.objects.objects
-    operations = tuple(dict.fromkeys(class_of[op] for op in P.all_ops()))
-    units = {c: class_of.get(P.unit_op(c)) for c in colors}
+    operations = tuple(dict.fromkeys(class_of[op] for op in ops))
+    units = {c: class_of.get(unit(c)) for c in colors}
     for c, u in units.items():
         if u is None:
             raise ValueError(f"unit entry outside the window at {c}")
 
     if not wrap_tokens:
-        compose_rule, action_rule = P.compose_op, P.act_op
+        compose_rule, action_rule = compose, act
     else:
         def resolve(op):
             token = registry.get(op)
             if token is not None:
                 return token
             # Every window operation is registered, so this one is a
-            # composite computed through *_fn hooks outside the materialized
-            # window; such operations expose their own signature through
-            # .inputs/.output.
+            # composite or an action outside the window; such operations
+            # expose their own signature through .inputs/.output.
             sig = tuple(op.inputs), op.output
-            if P.op_link_fn is not None:
+            if link is not None:
                 for token in by_signature.get(sig, ()):
-                    if P.op_link_fn(op, token.rep):
+                    if link(op, token.rep):
                         registry[op] = token
                         return token
             fresh = TauOperation(op, frozenset({op}), sig[0], sig[1])
@@ -1029,14 +1047,12 @@ def tau_full(P: PseudoOperadData) -> TauResult:
             return fresh
 
         def compose_rule(outer, inners):
-            composite = P.compose_op(outer.rep, tuple(i.rep for i in inners))
-            return resolve(composite)
+            return resolve(compose(outer.rep, tuple(i.rep for i in inners)))
 
         def action_rule(op, sigma):
-            return resolve(P.act_op(op.rep, sigma))
+            return resolve(act(op.rep, sigma))
 
-    operad = Operad(colors, operations, units, compose_rule, action_rule,
-                    name=f"tau({P.name})")
+    operad = Operad(colors, operations, units, compose_rule, action_rule, name=name)
     return TauResult(operad, class_of, token_reuse)
 
 

@@ -16,7 +16,10 @@ Round-tripping region models returns them on the nose because the colimits
 collapse; round-tripping surface models returns an isomorphic model whose
 comparison components are the colimit legs.  Everything happens over a
 :class:`TranslationContext`, which packages the region fragment, its window
-of wrapper bordism classes, and the zig-zag data linking the two.
+of wrapper bordism classes, and the zig-zag data linking the two.  A
+surface model is a multifunctor on the truncated bordism operad, so the
+window is collapsed straight from the wrappers along their globular cells
+and keeps no 2-cell.
 """
 
 from __future__ import annotations
@@ -28,10 +31,14 @@ from functools import cache, cached_property
 
 from .bordism import (
     Bordism,
+    Germ,
     PointedObject,
-    _germ_groupoid,
-    _window_data,
+    cells_between,
+    compose_bordisms_full,
+    globular_cells_between,
+    permute_bordism,
     resolve_bordism_class,
+    unit_bordism,
     validate_bordism,
     wrapper_bordism,
 )
@@ -43,7 +50,7 @@ from .errors import (
     TimeSliceRequired,
 )
 from .operad_kernel import EmbeddingTuple, Operad, prefactorization_operad
-from .pseudo_operad import TauOperation, tau
+from .pseudo_operad import TauOperation, _collapse
 from .qft_models import (
     Monoid,
     MonoidColimit,
@@ -114,10 +121,6 @@ def later_surfaces(op: EmbeddingTuple,
 
 # ---- the window of wrapper classes ----------------------------------------------
 
-# how many cells a translation window may hold
-_MAX_WINDOW_CELLS = 50_000
-
-
 def translation_window(aqft: Operad, *, max_ops: int = 512) -> Operad:
     """Truncated operad of all wrapper bordism classes over a region fragment.
 
@@ -125,13 +128,16 @@ def translation_window(aqft: Operad, *, max_ops: int = 512) -> Operad:
     input surfaces and valid output decoration; operation-and-surface
     combinations without any valid decoration contribute nothing and are
     only rejected later, when a translation actually needs them.  The
-    wrappers are grouped into a pseudo-operad whose composition and
-    permutation actions are computed on demand, then truncated along the
-    globular cells; composites stay resolvable inside the window because
-    gluing full collars only trims the carrier outside the surface hull.
-    The wrappers have just passed validation, so they seed the window's
-    record of validated values, which lives as long as the window: a
-    composite asked of it validates only the values the record lacks.
+    wrappers, sorted by arity and then by text, are collapsed over the
+    pointed colors, sorted by text, along their globular cells: those with
+    identity boundary germs, which only wrappers of one signature have.  No
+    2-cell is kept.  Composition and permutation are computed on demand,
+    and a composite outside the window joins the class it has a globular
+    cell to; composites stay resolvable inside the window because gluing
+    full collars only trims the carrier outside the surface hull.  The
+    wrappers have just passed validation, so they seed the window's record
+    of validated values, which lives as long as the window: a composite
+    asked of it validates only the values the record lacks.
     """
     wrappers: set[Bordism] = set()
     for op in aqft.operations:
@@ -142,13 +148,24 @@ def translation_window(aqft: Operad, *, max_ops: int = 512) -> Operad:
                 if len(wrappers) > max_ops:
                     raise FragmentCapExceeded(f"operation cap {max_ops} exceeded")
 
-    objects = _germ_groupoid(
-        PointedObject(M, s) for M in aqft.colors for s in _surfaces(M)
-    )
-    window, _, _ = _window_data(objects, tuple(sorted(wrappers, key=str)),
-                                max_cells=_MAX_WINDOW_CELLS, name=f"window({aqft.name})",
-                                validated=set(wrappers))
-    return tau(window)
+    ops = tuple(sorted(wrappers, key=lambda b: (b.arity, str(b))))
+    links = [(a, b) for a, b in itertools.combinations(ops, 2)
+             if a.sources == b.sources and a.target == b.target
+             and any(all(g == Germ.identity(g.src)
+                         for g in (*cell.source_germs, cell.target_germ))
+                     for cell in cells_between(a, b))]
+    colors = sorted((PointedObject(M, s) for M in aqft.colors for s in _surfaces(M)),
+                    key=str)
+    return _collapse(
+        ops, colors, links,
+        signature=lambda b: (b.sources, b.target),
+        unit=unit_bordism,
+        compose=lambda psi, phis: compose_bordisms_full(
+            psi, phis, validated=wrappers).bordism,
+        act=permute_bordism,
+        link=lambda a, b: bool(globular_cells_between(a, b, limit=1)),
+        name=f"tau(window({aqft.name}))",
+    ).operad
 
 
 # ---- zig-zag descriptions of bordism classes -------------------------------------

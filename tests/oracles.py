@@ -13,7 +13,13 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from causalops.bordism import Bordism, PointedObject
+from causalops.bordism import (
+    Bordism,
+    PointedObject,
+    cells_between,
+    validate_bordism,
+    wrapper_bordism,
+)
 from causalops.causal_core import CausalEmbedding
 from causalops.operad_kernel import (
     all_permutations,
@@ -456,6 +462,47 @@ def brute_least_representatives(items, pairs, key) -> dict:
     return {x: out[x] for x in items}
 
 
+def brute_translation_classes(aqft) -> tuple[list, list]:
+    """The pointed colors and wrapper classes of a region fragment's
+    translation window, from a search of all its cells.
+
+    A pointed color is a color with one of its Cauchy antichains, found by
+    brute force.  The wrappers are every valid ``wrapper_bordism`` of an
+    operation, its input surfaces and a later surface of its target.  Every
+    cell between every same-arity pair of wrappers (a wrapper with itself
+    included) is searched, a cell whose boundary germs all fix every point
+    of their equal ends links its two wrappers, and each component is named
+    by its least member under ``str``.  Returns the colors sorted by
+    ``str`` and the ``(rep, members)`` of each class, wrappers ordered by
+    arity and then by ``str``, each class at its first member.
+    """
+    def surfaces(M):
+        P = OraclePoset.build(M.events, [(a, b) for a in M.events for b in M.events if M.lt(a, b)])
+        return [a for a in all_antichains(P) if brute_is_cauchy(P, set(a))]
+
+    colors = sorted((PointedObject(M, s) for M in aqft.colors for s in surfaces(M)), key=str)
+    wrappers = set()
+    for op in aqft.operations:
+        for ins in itertools.product(*(surfaces(m.dom) for m in op.maps)):
+            for later in surfaces(op.target):
+                b = wrapper_bordism(op, ins, later)
+                if validate_bordism(b).ok:
+                    wrappers.add(b)
+    by_text = sorted(wrappers, key=str)
+    ops = [b for n in sorted({b.arity for b in by_text}) for b in by_text if b.arity == n]
+
+    def fixes(germ) -> bool:
+        return germ.src == germ.tgt and all(x == y for x, y in germ.pairs)
+
+    links = [(a, b) for a, b in itertools.product(ops, repeat=2) if a.arity == b.arity
+             for cell in cells_between(a, b)
+             if all(map(fixes, cell.source_germs)) and fixes(cell.target_germ)]
+    classes: dict = {}
+    for op, least in brute_least_representatives(ops, links, str).items():
+        classes.setdefault(least, set()).add(op)
+    return colors, [(rep, frozenset(members)) for rep, members in classes.items()]
+
+
 def brute_unbounded_pair(objects, has):
     """The first pair (a, b), a listed before b, with no object above both
     under the relation ``has``, or None."""
@@ -498,7 +545,11 @@ def oracle_groupoid_report(G, name: str = "groupoid") -> Report:
             bad.append(f"dangling morphism {g}")
     for obj in G.objects:
         i = G.id(obj)
-        if G.src(i) != obj or G.tgt(i) != obj:
+        try:
+            ends = G.src(i), G.tgt(i)
+        except KeyError:  # no recorded endpoints
+            ends = None
+        if ends != (obj, obj):
             bad.append(f"identity of {obj} has wrong endpoints")
     rep.verdict("groupoid/endpoints", name, bad)
 
@@ -548,11 +599,17 @@ def _keyed_in_window(P) -> dict:
             if ops.issuperset((key[0], *key[1]))}
 
 
+def _legs(P, cell) -> tuple:
+    """The legs and output of ``cell``; a cell with no ``cell_inputs`` entry
+    has no legs, and one with no ``cell_output`` entry has output None."""
+    return P.cell_inputs.get(cell, ()), P.cell_output.get(cell)
+
+
 def _oracle_cell_boundaries(P, rep: Report) -> set:
     """The boundaries and boundary-functoriality rows; returns the sound cells.
 
-    A cell is sound when its ends are operations of its groupoid, it has one
-    leg per input, and its legs and output are verticals that run between
+    A cell is sound when its legs and output are recorded, its ends are
+    operations of its groupoid, it has one leg per input, and its legs and output are verticals that run between
     the colors its ends demand; only sound cells are composed.
     """
     bad: list[str] = []
@@ -571,9 +628,11 @@ def _oracle_cell_boundaries(P, rep: Report) -> set:
             if any(c not in colors for c in ins) or P.op_output[op] not in colors:
                 bad.append(f"unknown color at {op}")
         for cell in G.morphisms:
-            legs = P.cell_inputs[cell]
-            out = P.cell_output[cell]
+            legs, out = _legs(P, cell)
             dom, cod = G.src(cell), G.tgt(cell)
+            if cell not in P.cell_inputs or cell not in P.cell_output:
+                bad.append(f"boundary entry missing at {cell}")
+                continue
             if len(legs) != n:
                 bad.append(f"leg count at {cell}")
                 continue
@@ -598,8 +657,7 @@ def _oracle_cell_boundaries(P, rep: Report) -> set:
         G = P.op_groupoids[n]
         for op in G.objects:
             i = G.id(op)
-            if any(not P.is_identity_vertical(g) for g in P.cell_inputs[i]) \
-                    or not P.is_identity_vertical(P.cell_output[i]):
+            if not P.is_globular(i):
                 fun_bad.append(f"identity cell of {op} has moving boundary")
         by_src: dict = {}
         for b in G.morphisms:
@@ -648,7 +706,7 @@ def _oracle_composition(P, sound: set, rep: Report) -> None:
             cell_bad.append(f"cell composite entry outside the window at {alpha}")
             continue
         in_window[(alpha, betas)] = result
-        if tuple(P.cell_output[b] for b in betas) != P.cell_inputs[alpha]:
+        if tuple(_legs(P, b)[1] for b in betas) != _legs(P, alpha)[0]:
             cell_bad.append(f"inner outputs do not feed the legs of {alpha}")
             continue
         faults = []
@@ -657,8 +715,8 @@ def _oracle_composition(P, sound: set, rep: Report) -> None:
         cod_op = P.compose_ops.get((cod_a, tuple(c for _, c in inner)))
         if dom_op is not None and cod_op is not None and _ends(P, result) != (dom_op, cod_op):
             faults.append(f"cell composite endpoints at {alpha}")
-        want_legs = tuple(itertools.chain.from_iterable(P.cell_inputs[b] for b in betas))
-        if P.cell_inputs[result] != want_legs or P.cell_output[result] != P.cell_output[alpha]:
+        want_legs = tuple(itertools.chain.from_iterable(_legs(P, b)[0] for b in betas))
+        if _legs(P, result) != (want_legs, _legs(P, alpha)[1]):
             faults.append(f"cell composite boundary at {alpha}")
         cell_bad += faults
         if not faults and sound.issuperset((alpha, result, *betas)):
@@ -712,7 +770,7 @@ def _oracle_units_and_action(P, rep: Report) -> None:
         G = P.groupoid_of_cell(cell)
         if G.src(cell) != P.unit_ops.get(V.src(g)) or G.tgt(cell) != P.unit_ops.get(V.tgt(g)):
             bad.append(f"unit cell endpoints of {g}")
-        if P.cell_inputs[cell] != (g,) or P.cell_output[cell] != g:
+        if _legs(P, cell) != ((g,), g):
             bad.append(f"unit cell boundary of {g}")
     for g1, g2 in itertools.product(unit_cells, repeat=2):
         if V.tgt(g1) != V.src(g2):
@@ -750,11 +808,11 @@ def _oracle_units_and_action(P, rep: Report) -> None:
         if cell not in window or moved not in window:
             act_bad.append(f"cell action entry outside the window at {cell}")
             continue
-        if len(sigma) != len(P.cell_inputs[cell]):
+        legs, out = _legs(P, cell)
+        if len(sigma) != len(legs):
             act_bad.append(f"cell action signature at {cell}")
             continue
-        if P.cell_inputs[moved] != apply_permutation(P.cell_inputs[cell], sigma) \
-                or P.cell_output[moved] != P.cell_output[cell]:
+        if _legs(P, moved) != (apply_permutation(legs, sigma), out):
             act_bad.append(f"cell action boundary at {cell}")
         dom, cod = _ends(P, cell)
         moved_dom = P.act_ops.get((dom, sigma))

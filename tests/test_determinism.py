@@ -1,6 +1,7 @@
 """Report bytes and window table order do not depend on PYTHONHASHSEED."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -80,6 +81,26 @@ for name in ("compose_ops", "compose_cells", "associators", "left_unitors",
     sys.stdout.write("".join(f"{name}\\t{_key_text(key)}\\n" for key in getattr(window, name)))
 """
 
+# Builds the translation window of the crown (a, b below c, d) with every
+# event name followed by a suffix, and prints its colors, then each class
+# with its representative and its members in text order.  The suffix keeps
+# the order of every pair of texts, so stripping it from the output must
+# give the unsuffixed window, while the names hash differently.
+CROWN_WINDOW = """
+import sys
+from causalops.translate import translation_window
+from test_translate import small_fragment
+
+events = [e + {suffix!r} for e in "abcd"]
+a, b, c, d = events
+window = translation_window(small_fragment(events, [(a, c), (a, d), (b, c), (b, d)], events))
+lines = [f"color\\t{{color}}" for color in window.colors]
+for cls in window.operations:
+    lines.append(f"class\\t{{cls}}\\t{{cls.rep}}")
+    lines += [f"member\\t{{m}}" for m in sorted(map(str, cls.members))]
+sys.stdout.write("".join(line + "\\n" for line in lines))
+"""
+
 
 def _stdout(script: str, hash_seed: str) -> bytes:
     env = dict(os.environ, PYTHONHASHSEED=hash_seed,
@@ -100,3 +121,13 @@ def test_window_table_order_is_identical_under_four_hash_seeds():
     assert first.count(b"\n") == 10_140
     for seed in ("1", "2", "3"):
         assert _stdout(WINDOW_KEYS, seed) == first, seed
+
+
+def test_crown_window_is_identical_under_hash_seeds_and_a_renaming():
+    first = _stdout(CROWN_WINDOW.format(suffix=""), "0")
+    assert first.count(b"class\t") == 47
+    for seed in ("1", "2", "3"):
+        assert _stdout(CROWN_WINDOW.format(suffix=""), seed) == first, seed
+    renamed = _stdout(CROWN_WINDOW.format(suffix="0"), "0")
+    assert renamed != first
+    assert re.sub(rb"([abcd])0", rb"\1", renamed) == first

@@ -582,6 +582,21 @@ class TestFiniteGroupoid:
         assert hashlib.sha256(report.dumps().encode()).hexdigest() == \
             "519b41748fe4fd5e4103d99f47878cbd756f95fee0f770f6d6476b71a70748b6"
 
+    def test_an_identity_with_no_endpoints_fails_the_endpoints(self):
+        # the identity "e" of * is no morphism and has no recorded endpoints
+        def build():
+            return FiniteGroupoid(["*"], ["s"], {"s": "*"}, {"s": "*"}, lambda g, f: "s",
+                                  {"*": "e"}, lambda g: "s")
+
+        report = build().validate()
+        assert report.dumps() == oracles.oracle_groupoid_report(build()).dumps()
+        assert [(e.check, e.witness) for e in report.failures] == [
+            ("groupoid/endpoints", ["identity of * has wrong endpoints"]),
+            ("groupoid/laws", ["right identity at s", "left identity at s", "left inverse at s"]),
+        ]
+        assert hashlib.sha256(report.dumps().encode()).hexdigest() == \
+            "a0860a2adfb77a33676e007837d82829b5e39ccb7a0d4f37d19cee3ec2888690"
+
     def test_results_are_the_stored_morphisms(self):
         # the tables build a fresh arrow on every call, equal to a stored one
         stored = {name: Arrow(name) for name in ("id", "s")}

@@ -475,7 +475,6 @@ AUDITED = {
 REPLACEABLE = ("compose_cells", "cell_output", "cell_inputs", "act_cells", "compose_ops",
                "unit_ops", "act_ops", "unit_cells", "associators", "left_unitors",
                "right_unitors")
-REKEYABLE = tuple(t for t in REPLACEABLE if t not in ("cell_output", "cell_inputs"))
 
 
 def _rekeyed(data, P, table_name, key):
@@ -493,6 +492,8 @@ def _rekeyed(data, P, table_name, key):
         return pick("vertical", P.objects.morphisms)
     if table_name in ("left_unitors", "right_unitors"):
         return pick("op", P.all_ops())
+    if table_name in ("cell_inputs", "cell_output"):
+        return pick("cell", P.all_cells())
     kind, values = ("op", P.all_ops()) if table_name in ("compose_ops", "act_ops",
                                                            "associators") \
         else ("cell", P.all_cells())
@@ -543,7 +544,7 @@ class TestNumberedAudit:
     @settings(max_examples=150, deadline=None)
     def test_one_replaced_key_fails_like_the_value_walk(self, name, data):
         P = _shared(name)
-        table_name = data.draw(st.sampled_from([t for t in REKEYABLE if getattr(P, t)]))
+        table_name = data.draw(st.sampled_from([t for t in REPLACEABLE if getattr(P, t)]))
         table = getattr(P, table_name)
         saved = dict(table)
         key = data.draw(st.sampled_from(list(table)))
@@ -845,6 +846,21 @@ class TestDanglingReferences:
         head = key[0] if isinstance(key, tuple) else key
         assert [(e.check, e.witness) for e in report.failures] == \
             [(check, [text.format(head) for text in texts]) for check, texts in failures]
+        assert self.digest(report) == digest
+
+    @pytest.mark.parametrize("table, digest", [
+        ("cell_inputs", "d7e0c374ce96c667914ee7deaf687c1a62c12c7d32fe035ec3b6b2747a8e790a"),
+        ("cell_output", "5479e3a23669ed1562286fcea11d4ade0a9ee093ec8522e2d0fe06b6f98d0498"),
+    ])
+    def test_a_cell_with_no_boundary_entry_is_unsound(self, table, digest):
+        P = iota(cyclic_group_operad())
+        entries = getattr(P, table)
+        cell = next(iter(entries))
+        entries["stray-cell"] = entries.pop(cell)
+        report = check_pseudo_operad(P)
+        assert report.dumps() == oracles.oracle_pseudo_operad_report(P).dumps()
+        row = next(e for e in report.entries if e.check == "pseudo-operad/boundaries")
+        assert row.witness == [f"boundary entry missing at {cell}"]
         assert self.digest(report) == digest
 
     def test_a_groupoid_not_closed_under_composition_fails_its_laws(self):

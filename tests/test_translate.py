@@ -355,7 +355,35 @@ class TestHomTable:
                     assert evaluate_zigzag(model, ctx, zz) == public_zigzag(model, zz)
 
 
+def small_fragment(events, relations, singles):
+    """The region fragment of one poset and some of its singleton regions."""
+    M = CausalSet(tuple(events), tuple(tuple(r) for r in relations))
+    return prefactorization_operad((M,) + tuple(M.induced({e}) for e in singles))
+
+
+# six small region fragments; the chain and the diamond are the shipped ones
+FRAGMENTS = {
+    "chain": lambda: chain_translation_context().aqft_fragment,
+    "diamond": lambda: diamond_translation_context().aqft_fragment,
+    "crown": lambda: small_fragment("abcd", ["ac", "ad", "bc", "bd"], "abcd"),
+    "N": lambda: small_fragment("abcd", ["ac", "bc", "bd"], "abcd"),
+    "3-chain": lambda: small_fragment("abc", ["ab", "bc"], "abc"),
+    "vee": lambda: small_fragment("abc", ["ab", "ac"], "abc"),
+}
+
+
 class TestTranslationWindow:
+    @pytest.mark.parametrize("name", list(FRAGMENTS))
+    def test_classes_match_the_cell_window_oracle(self, name):
+        aqft = FRAGMENTS[name]()
+        ctx = build_translation_context(aqft, name=name)
+        colors, classes = oracles.brute_translation_classes(aqft)
+        window = ctx.bordism_fragment
+        assert window.colors == tuple(colors)
+        assert [(cls.rep, cls.members) for cls in window.operations] == classes
+        assert all((cls.inputs, cls.output) == (cls.rep.sources, cls.rep.target)
+                   for cls in window.operations)
+
     def test_chain_window_shape(self):
         ctx = chain_translation_context()
         window = ctx.bordism_fragment
