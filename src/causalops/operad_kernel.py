@@ -511,33 +511,37 @@ def check_multifunctor(F: Multifunctor) -> Report:
     under composition (carriers grow under gluing, arities under
     substitution), so composites falling outside the assignment table are
     counted and skipped rather than failed; everything inside the window
-    is checked exhaustively.
+    is checked exhaustively.  A window operation with no image is named in
+    ``multifunctor/assignment-coverage``, and every law instance that needs
+    one is counted there instead of checked.
     """
     rep = Report()
     src, tgt_op = F.source, F.target
     tgt = f"{src.name}->{tgt_op.name}"
+    table = F.on_ops
+    unassigned = [psi for psi in src.operations if psi not in table]
+    missing = set(unassigned)
 
     sig_bad = []
     for psi in src.operations:
-        image = F.op(psi)
-        if (image.inputs != tuple(F.color(c) for c in psi.inputs)
-                or image.output != F.color(psi.output)):
+        image = table.get(psi)
+        if image is not None and (image.inputs != tuple(F.color(c) for c in psi.inputs)
+                                  or image.output != F.color(psi.output)):
             sig_bad.append(str(psi))
     rep.verdict("multifunctor/signatures", tgt, sig_bad)
 
-    unit_bad = [
-        str(c)
-        for c in src.colors
-        if F.op(src.unit(c)) != tgt_op.unit(F.color(c))
-    ]
+    units = [c for c in src.colors if src.unit(c) not in missing]
+    unit_bad = [str(c) for c in units if F.op(src.unit(c)) != tgt_op.unit(F.color(c))]
     rep.verdict("multifunctor/units", tgt, unit_bad)
 
-    table = F.on_ops
     comp_bad = []
-    checked = outside = 0
+    checked = outside = comp_unassigned = 0
     for psi in src.operations:
         for phis in src.composable_inner_tuples(psi):
             composite = src.compose(psi, phis)
+            if missing and missing.intersection((psi, composite, *phis)):
+                comp_unassigned += 1
+                continue
             if composite not in table:
                 outside += 1
                 continue
@@ -551,10 +555,13 @@ def check_multifunctor(F: Multifunctor) -> Report:
                 witness={"checked": checked, "outside-window": outside})
 
     act_bad = []
-    act_outside = 0
+    act_outside = act_unassigned = 0
     for psi in src.operations:
         for sigma in all_permutations(len(psi.inputs)):
             moved = src.act(psi, sigma)
+            if psi in missing or moved in missing:
+                act_unassigned += 1
+                continue
             if moved not in table:
                 act_outside += 1
                 continue
@@ -564,6 +571,11 @@ def check_multifunctor(F: Multifunctor) -> Report:
     if act_outside:
         rep.add("multifunctor/equivariance-coverage", tgt, SKIP,
                 witness={"outside-window": act_outside})
+    if unassigned:
+        rep.add("multifunctor/assignment-coverage", tgt, SKIP, witness={
+            "unassigned": [str(psi) for psi in unassigned[:3]], "operations": len(unassigned),
+            "units": len(src.colors) - len(units), "compositions": comp_unassigned,
+            "actions": act_unassigned})
     return rep
 
 
@@ -777,16 +789,16 @@ class FiniteGroupoid:
 
         def comp(g: int, f: int) -> int | None:
             if g < count and f < count:
-                return self.composite(g, f)
+                return self.composite(g, f) if tgt[f] == src[g] else None
             gv, fv = self._values[g], self._values[f]
-            if fv not in self._tgt or gv not in self._src:
+            if fv not in self._tgt or gv not in self._src or self._tgt[fv] != self._src[gv]:
                 return None
             return self.number(self.compose(gv, fv))
 
         # The laws on numbers; a pair with a number outside the morphisms is
-        # composed by value.  A value with no endpoints, such as a composite
-        # outside a table that is not closed, is no morphism: a pair holding
-        # it has no composite (None), and a law instance that needs one fails.
+        # composed by value.  A pair whose ends do not meet, or that holds a
+        # value with no endpoints (no morphism), has no composite (None), and
+        # a law instance that needs one fails.
         # A dangling morphism need not compose at its dangling end, so a law
         # instance that composes one there is left out: it is already named
         # by the endpoints row.

@@ -1137,6 +1137,24 @@ def _tau_of_unit_faults(TP: TauResult) -> list[str]:
     return bad
 
 
+def _tau_or_why(P: PseudoOperadData) -> TauResult | str:
+    """``tau_full(P)``, or the reason it cannot be built."""
+    try:
+        return tau_full(P)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _iota_unit_faults(fat: PseudoOperadData, collapsed: TauResult) -> list[str]:
+    """Why the unit on a fattened operad is not the identity assignment."""
+    if not collapsed.token_reuse:
+        return ["fattened operad has non-singleton classes"]
+    bad = [f"companion of {g} is not itself"
+           for g in fat.objects.morphisms if find_companion(fat, g).op != g]
+    return bad + [f"class token of {op} moved"
+                  for op in fat.all_ops() if collapsed.class_of[op] != op]
+
+
 def check_two_adjunction(O: Operad, P: PseudoOperadData | None = None) -> Report:
     """Verify the collapse/fatten adjunction identities strictly.
 
@@ -1145,41 +1163,29 @@ def check_two_adjunction(O: Operad, P: PseudoOperadData | None = None) -> Report
     of verticals and class tokens of operations; the unit of a fattened
     operad is the identity; and collapsing the unit yields an identity.
     A pseudo-operad that cannot be collapsed fails the two rows that use
-    its collapse, with the reason.
+    its collapse, with the reason; so does an operad whose fattening
+    cannot be collapsed, in every row.
     """
     rep = Report()
     fat = iota(O)
+    P = fat if P is None else P
+    collapsed = _tau_or_why(fat)
+    TP = collapsed if P is fat else _tau_or_why(P)
+    if isinstance(collapsed, str):
+        rep.add("two-adjunction/counit-identity", O.name, FAIL, witness=collapsed)
+    else:
+        same, why = _operads_equal(O, collapsed.operad)
+        rep.add("two-adjunction/counit-identity", O.name,
+                PASS if same and collapsed.token_reuse else FAIL,
+                witness=None if same else why)
 
-    collapsed = tau_full(fat)
-    same, why = _operads_equal(O, collapsed.operad)
-    rep.add("two-adjunction/counit-identity", O.name,
-            PASS if same and collapsed.token_reuse else FAIL,
-            witness=None if same else why)
-
-    if P is None:
-        P = fat
-    try:
-        TP = collapsed if P is fat else tau_full(P)
-    except ValueError as exc:  # no collapse: both rows that use it fail
-        unit_bad = tau_unit_bad = [str(exc)]
+    if isinstance(TP, str):  # no collapse: both rows that use it fail
+        unit_bad = tau_unit_bad = [TP]
     else:
         unit_bad, tau_unit_bad = _unit_faults(P, TP), _tau_of_unit_faults(TP)
     rep.verdict("two-adjunction/unit-strict", P.name, unit_bad)
-
-    # unit on a fattened operad is the identity assignment
-    iota_unit_bad: list[str] = []
-    if not collapsed.token_reuse:
-        iota_unit_bad.append("fattened operad has non-singleton classes")
-    else:
-        for g in fat.objects.morphisms:
-            comp = find_companion(fat, g)
-            if comp.op != g:
-                iota_unit_bad.append(f"companion of {g} is not itself")
-        for op in fat.all_ops():
-            if collapsed.class_of[op] != op:
-                iota_unit_bad.append(f"class token of {op} moved")
-    rep.verdict("two-adjunction/unit-identity-on-iota", O.name, iota_unit_bad)
-
-    # collapsing the unit gives the identity on the collapsed operad
+    rep.verdict("two-adjunction/unit-identity-on-iota", O.name,
+                [collapsed] if isinstance(collapsed, str)
+                else _iota_unit_faults(fat, collapsed))
     rep.verdict("two-adjunction/tau-of-unit-identity", P.name, tau_unit_bad)
     return rep

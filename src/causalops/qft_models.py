@@ -211,50 +211,47 @@ class MonoidHom:
 
     doms: tuple[Monoid, ...]
     cod: Monoid
-    pairs: tuple
 
     def __init__(self, doms: Iterable[Monoid], cod: Monoid,
                  table: Mapping[tuple, Hashable]):
-        self.doms = tuple(doms)
-        self.cod = cod
-        table = dict(table)
-        self._shape_check(table)
-        units = tuple(m.unit for m in self.doms)
-        if table[units] != cod.unit:
+        self._load(doms, cod, table)
+        table = self._table
+        if table[tuple(m.unit for m in self.doms)] != cod.unit:
             raise ValueError("hom must preserve the unit")
-        keys = list(table)
-        for a in keys:
-            for b in keys:
+        for a in table:
+            for b in table:
                 ab = tuple(m.mul(x, y) for m, x, y in zip(self.doms, a, b))
                 if table[ab] != cod.mul(table[a], table[b]):
                     raise ValueError(f"hom breaks multiplication at {a!r}*{b!r}")
-        self.pairs = _canonical_pairs(table)
-        self._table = table
 
-    def _shape_check(self, table: dict) -> None:
-        expected = set(itertools.product(*(m.elements for m in self.doms)))
-        if set(table) != expected:
+    def _load(self, doms: Iterable[Monoid], cod: Monoid, table: Mapping) -> None:
+        """Set the fields from a table of the right shape; no hom law is checked."""
+        self.doms = tuple(doms)
+        self.cod = cod
+        table = dict(table)
+        if table.keys() != set(itertools.product(*(m.elements for m in self.doms))):
             raise ValueError("hom table must cover exactly the product carrier")
-        pool = set(self.cod.elements)
-        for value in table.values():
-            if value not in pool:
-                raise ValueError(f"hom value {value!r} lies outside the codomain")
+        pool = frozenset(cod.elements)
+        if not pool.issuperset(table.values()):
+            value = next(v for v in table.values() if v not in pool)
+            raise ValueError(f"hom value {value!r} lies outside the codomain")
+        self._table = table
 
     @classmethod
     def unchecked(cls, doms: Iterable[Monoid], cod: Monoid,
                   table: Mapping[tuple, Hashable]) -> "MonoidHom":
-        """Load a raw assignment without the hom laws; shape is still checked.
+        """Load a table without the hom laws; shape is still checked.
 
-        Exists so that checkers can be exercised on data that provably
-        cannot extend to a lawful model.
+        Homs derived from homs are built this way: :meth:`then`,
+        :meth:`inverse`, :meth:`identity`, :func:`compose_monoid_homs` and
+        :func:`permute_monoid_hom` are structure maps of the monoid operad,
+        so their results are homs whenever their arguments are.  Checkers
+        are also exercised through it on raw assignments that provably
+        cannot extend to a lawful model; what is derived from those is no
+        hom either.
         """
         self = object.__new__(cls)
-        self.doms = tuple(doms)
-        self.cod = cod
-        table = dict(table)
-        self._shape_check(table)
-        self.pairs = _canonical_pairs(table)
-        self._table = table
+        self._load(doms, cod, table)
         return self
 
     @classmethod
@@ -264,7 +261,7 @@ class MonoidHom:
 
     @classmethod
     def identity(cls, M: Monoid) -> "MonoidHom":
-        return cls.unary(M, M, {e: e for e in M.elements})
+        return cls.unchecked((M,), M, {(e,): e for e in M.elements})
 
     # operations participate in operads through the .inputs/.output protocol
     @property
@@ -282,9 +279,17 @@ class MonoidHom:
     def __call__(self, *args: Hashable) -> Hashable:
         return self._table[args]
 
+    @cached_property
+    def pairs(self) -> tuple:
+        """The table's items, argument tuples in canonical label order."""
+        return _canonical_pairs(self._table)
+
     def then(self, other: "MonoidHom") -> "MonoidHom":
         """Postcompose with a unary hom."""
-        return MonoidHom(*_then_parts(self, other))
+        if other.arity != 1 or other.doms[0] != self.cod:
+            raise ValueError("postcomposition needs a unary hom out of the codomain")
+        return MonoidHom.unchecked(self.doms, other.cod,
+                                   {args: other(v) for args, v in self._table.items()})
 
     @cached_property
     def is_isomorphism(self) -> bool:
@@ -294,15 +299,20 @@ class MonoidHom:
                 and len(values) == len(self.cod.elements))
 
     def inverse(self) -> "MonoidHom":
-        return MonoidHom(*_inverse_parts(self))
+        """The inverse of a bijective unary hom."""
+        if not self.is_isomorphism:
+            raise ValueError("only bijective unary homs invert")
+        return MonoidHom.unchecked((self.cod,), self.doms[0],
+                                   {(v,): args[0] for args, v in self._table.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MonoidHom):
             return NotImplemented
         return (self.doms == other.doms and self.cod == other.cod
-                and self.pairs == other.pairs)
+                and self._table == other._table)
 
-    __hash__ = _cached_hash(lambda self: (MonoidHom, self.doms, self.cod, self.pairs))
+    __hash__ = _cached_hash(
+        lambda self: (MonoidHom, self.doms, self.cod, frozenset(self._table.items())))
 
     @cached_property
     def _text(self) -> str:
@@ -316,26 +326,14 @@ class MonoidHom:
         return self._text
 
 
-# Each ``_*_parts`` function works out the ``(doms, cod, table)`` of a derived
-# hom from its factors' tables and builds nothing, so the public operations
-# and the translation context's table of homs share one computation.
+def _is_identity(h: MonoidHom, M: Monoid) -> bool:
+    """Whether ``h`` equals ``MonoidHom.identity(M)``, read off its table."""
+    return (h.doms == (M,) and h.cod == M
+            and all(args[0] == v for args, v in h._table.items()))
 
 
-def _then_parts(f: MonoidHom, g: MonoidHom) -> tuple:
-    """``f`` followed by the unary ``g``."""
-    if g.arity != 1 or g.doms[0] != f.cod:
-        raise ValueError("postcomposition needs a unary hom out of the codomain")
-    return f.doms, g.cod, {args: g(v) for args, v in f.pairs}
-
-
-def _inverse_parts(h: MonoidHom) -> tuple:
-    if not h.is_isomorphism:
-        raise ValueError("only bijective unary homs invert")
-    return (h.cod,), h.doms[0], {(v,): args[0] for args, v in h.pairs}
-
-
-def _compose_parts(outer: MonoidHom, inners: Sequence[MonoidHom]) -> tuple:
-    """Each inner multi-hom fed into one slot of the outer one."""
+def compose_monoid_homs(outer: MonoidHom, inners: Sequence[MonoidHom]) -> MonoidHom:
+    """Feed each inner multi-hom into one slot of the outer one."""
     inners = tuple(inners)
     if len(inners) != outer.arity:
         raise ValueError("arity mismatch in hom composition")
@@ -343,25 +341,12 @@ def _compose_parts(outer: MonoidHom, inners: Sequence[MonoidHom]) -> tuple:
         if inner.cod != slot:
             raise ValueError("inner codomain differs from the outer factor")
     doms = tuple(itertools.chain.from_iterable(h.doms for h in inners))
-    table = {}
-    chunks = [
-        list(itertools.product(*(m.elements for m in h.doms))) for h in inners
-    ]
-    for combo in itertools.product(*chunks):
-        args = tuple(itertools.chain.from_iterable(combo))
-        table[args] = outer(*(h(*part) for h, part in zip(inners, combo)))
-    return doms, outer.cod, table
-
-
-def _is_identity(h: MonoidHom, M: Monoid) -> bool:
-    """Whether ``h`` equals ``MonoidHom.identity(M)``, read off its table."""
-    return (h.doms == (M,) and h.cod == M
-            and all(args[0] == v for args, v in h.pairs))
-
-
-def compose_monoid_homs(outer: MonoidHom, inners: Sequence[MonoidHom]) -> MonoidHom:
-    """Feed each inner multi-hom into one slot of the outer one."""
-    return MonoidHom(*_compose_parts(outer, inners))
+    table = {
+        tuple(itertools.chain.from_iterable(args for args, _ in combo)):
+            outer(*(value for _, value in combo))
+        for combo in itertools.product(*(h._table.items() for h in inners))
+    }
+    return MonoidHom.unchecked(doms, outer.cod, table)
 
 
 def permute_monoid_hom(hom: MonoidHom, sigma: Sequence[int]) -> MonoidHom:
@@ -371,10 +356,9 @@ def permute_monoid_hom(hom: MonoidHom, sigma: Sequence[int]) -> MonoidHom:
         raise ValueError("permutation arity mismatch")
     doms = apply_permutation(hom.doms, sigma)
     inv = invert_permutation(sigma)
-    table = {}
-    for args in itertools.product(*(m.elements for m in doms)):
-        table[args] = hom(*apply_permutation(args, inv))
-    return MonoidHom(doms, hom.cod, table)
+    table = {args: hom(*apply_permutation(args, inv))
+             for args in itertools.product(*(m.elements for m in doms))}
+    return MonoidHom.unchecked(doms, hom.cod, table)
 
 
 def monoid_operad(monoids: Iterable[Monoid],
@@ -904,28 +888,35 @@ def _is_cauchy_unary(op) -> bool:
 
 
 def check_time_slice(model: QftModel) -> Report:
-    """Every Cauchy embedding or bordism class must go to a monoid isomorphism."""
+    """Every Cauchy embedding or bordism class must go to a monoid isomorphism.
+
+    A unit or Cauchy operation with no image is named in
+    ``timeslice/coverage`` and left unchecked.
+    """
     rep = Report()
-    base, assignment = model.base, model.assignment
+    base, table = model.base, model.assignment.on_ops
     tgt = base.name
-    unit_bad = []
-    for c in base.colors:
-        if not _is_identity(assignment.op(base.unit(c)), assignment.color(c)):
-            unit_bad.append(canonical_label(c))
+    units = {base.unit(c): c for c in base.colors}
+    unit_bad = [canonical_label(c) for u, c in units.items()
+                if u in table and not _is_identity(table[u], model.value(c))]
     rep.verdict("timeslice/units", tgt, sorted(unit_bad))
 
     cauchy_ops = sorted(
         (op for op in base.ops(1) if _is_cauchy_unary(op)),
         key=canonical_label,
     )
-    bad = []
-    for op in cauchy_ops:
-        image = assignment.op(op)
-        if not image.is_isomorphism:
-            bad.append(f"{canonical_label(op)} maps to a non-invertible hom")
+    bad = [f"{canonical_label(op)} maps to a non-invertible hom"
+           for op in cauchy_ops if op in table and not table[op].is_isomorphism]
     status = FAIL if bad else PASS
     witness = bad[:3] if bad else (None if cauchy_ops else "no Cauchy operations")
     rep.add("timeslice/cauchy-isos", tgt, status, witness=witness)
+    unassigned = [op for op in (*units, *cauchy_ops) if op not in table]
+    if unassigned:
+        rep.add("timeslice/coverage", tgt, SKIP, witness={
+            "unassigned": [canonical_label(op) for op in unassigned[:3]],
+            "units": sum(u not in table for u in units),
+            "cauchy-operations": sum(op not in table for op in cauchy_ops),
+        })
     return rep
 
 

@@ -10,7 +10,8 @@ FAIL whose witness is the first three of them.  Rows with another rule are
 written with ``Report.add``:
 
 - ``operad/associativity``, a SKIP when its budget stops it;
-- the SKIP rows ``multifunctor/*-coverage`` and ``causality/coverage``;
+- the SKIP rows ``multifunctor/*-coverage``, ``timeslice/coverage`` and
+  ``causality/coverage``;
 - ``pseudo-operad/coverage``, DEGENERATE over zero operations;
 - ``two-adjunction/counit-identity``, one verdict from two conditions;
 - ``timeslice/cauchy-isos``, which says when there is no Cauchy operation;

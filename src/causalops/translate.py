@@ -56,16 +56,14 @@ from .qft_models import (
     MonoidColimit,
     MonoidHom,
     QftModel,
-    _compose_parts,
     _filtered_colimit,
-    _inverse_parts,
     _mediator_parts,
     _surfaces,
-    _then_parts,
     aqft_model,
     canonical_label,
     check_additivity_fqft,
     check_time_slice,
+    compose_monoid_homs,
     fqft_model,
     sigma_category,
 )
@@ -231,25 +229,22 @@ def derive_zigzag(b: Bordism, aqft: Operad) -> ZigZag | None:
     return zz if all(leg in window for leg in zz.legs) else None
 
 
-def evaluate_zigzag(A: QftModel, ctx: TranslationContext, zz: ZigZag) -> MonoidHom:
+def evaluate_zigzag(A: QftModel, zz: ZigZag) -> MonoidHom:
     """The image of a zig-zag in a model whose base carries its legs.
 
     A region model reads a bridge entry and a surface model a collar row;
     a left pointing leg whose image does not invert raises
-    :class:`TimeSliceRequired`.  Every hom derived on the way is taken from
-    ``ctx``'s table of homs.
+    :class:`TimeSliceRequired`.
     """
 
     def inverted(leg) -> MonoidHom:
         h = A.hom(leg)
         if not h.is_isomorphism:
-            raise TimeSliceRequired(
-                f"the image of the Cauchy leg {leg} does not invert"
-            )
-        return ctx.inverse(h)
+            raise TimeSliceRequired(f"the image of the Cauchy leg {leg} does not invert")
+        return h.inverse()
 
-    core = ctx.compose(A.hom(zz.middle), tuple(inverted(leg) for leg in zz.left))
-    return ctx.then(ctx.then(core, inverted(zz.right_in)), A.hom(zz.right_out))
+    core = compose_monoid_homs(A.hom(zz.middle), tuple(inverted(leg) for leg in zz.left))
+    return core.then(inverted(zz.right_in)).then(A.hom(zz.right_out))
 
 
 # ---- translation contexts --------------------------------------------------------
@@ -272,7 +267,7 @@ class TranslationContext:
     (see :meth:`decorations`) and is read off the window when the context
     is built; and ``_homs`` sends ``(doms, cod, items)``, the items of a
     table as a frozenset, to the monoid hom with that value (see
-    :meth:`hom`), filling as translations derive homs.
+    :meth:`hom`), filling as translations build homs from new tables.
     All three live and die with the context, so a freshly built context
     recomputes everything and no work carries over from one.
     """
@@ -310,29 +305,18 @@ class TranslationContext:
     def hom(self, doms: tuple[Monoid, ...], cod: Monoid, table: dict) -> MonoidHom:
         """The hom ``MonoidHom(doms, cod, table)``, validated once per value.
 
-        A stored hom with the same ``(doms, cod)`` and the same table, in
-        any key order, passed the very checks the constructor would run,
-        which depend on nothing else.  A table that fails them raises the
-        constructor's error and is not stored.  Monoids compare by value, so
-        a stored hom may carry equal monoids under other names.
+        Only homs built from new tables come here (colimit legs, cocones,
+        mediators, induced operations); homs derived from homs are built
+        without the laws.  A stored hom with the same ``(doms, cod)`` and
+        table, in any key order, passed the checks the constructor would run,
+        which depend on nothing else; a table that fails them raises the
+        constructor's error and is not stored.  Monoids compare by value.
         """
         key = (doms, cod, frozenset(table.items()))
         h = self._homs.get(key)
         if h is None:
             h = self._homs[key] = MonoidHom(doms, cod, table)
         return h
-
-    def then(self, f: MonoidHom, g: MonoidHom) -> MonoidHom:
-        """``f.then(g)`` through :meth:`hom`."""
-        return self.hom(*_then_parts(f, g))
-
-    def inverse(self, h: MonoidHom) -> MonoidHom:
-        """``h.inverse()`` through :meth:`hom`."""
-        return self.hom(*_inverse_parts(h))
-
-    def compose(self, outer: MonoidHom, inners) -> MonoidHom:
-        """``compose_monoid_homs(outer, inners)`` through :meth:`hom`."""
-        return self.hom(*_compose_parts(outer, inners))
 
 
 def build_translation_context(aqft: Operad, *,
@@ -473,10 +457,10 @@ def aqft_to_fqft(A: QftModel, ctx: TranslationContext, *,
     ops = {}
     for cls in ctx.bordism_fragment.operations:
         zigzags = ctx.bridge[cls]
-        image = evaluate_zigzag(A, ctx, zigzags[0])
+        image = evaluate_zigzag(A, zigzags[0])
         if debug:
             for zz in zigzags[1:]:
-                if evaluate_zigzag(A, ctx, zz) != image:
+                if evaluate_zigzag(A, zz) != image:
                     raise AssertionError(
                         f"class {cls} depends on the chosen representative"
                     )
@@ -627,7 +611,7 @@ def _mediate_transformation(components, colims_f: Mapping, colims_g: Mapping,
     for M in ctx.aqft_fragment.colors:
         cf, cg = colims_f[M], colims_g[M]
         cocone = {
-            s: ctx.then(components[PointedObject(M, s)], cg.legs[s])
+            s: components[PointedObject(M, s)].then(cg.legs[s])
             for s in ctx.surface_families[M]
         }
         out[M] = ctx.hom(*_mediator_parts(cf, cocone, cg.monoid))
@@ -721,8 +705,8 @@ def roundtrip_fqft(F: QftModel, ctx: TranslationContext, *,
 
     naturality_bad = []
     for cls in ctx.bordism_fragment.operations:
-        lhs = ctx.then(F.hom(cls), iota[cls.output])
-        rhs = ctx.compose(forward.hom(cls), tuple(iota[c] for c in cls.inputs))
+        lhs = F.hom(cls).then(iota[cls.output])
+        rhs = compose_monoid_homs(forward.hom(cls), tuple(iota[c] for c in cls.inputs))
         if lhs != rhs:
             naturality_bad.append(str(cls))
     rep.verdict("roundtrip/naturality", t, naturality_bad)
@@ -736,7 +720,7 @@ def roundtrip_fqft(F: QftModel, ctx: TranslationContext, *,
             outside += 1
             continue
         try:
-            composite = evaluate_zigzag(F, ctx, row)
+            composite = evaluate_zigzag(F, row)
         except TimeSliceRequired:
             row_bad.append(f"{cls}: a collar leg does not invert")
             continue
@@ -754,8 +738,8 @@ def roundtrip_fqft(F: QftModel, ctx: TranslationContext, *,
         )
         square_bad = [
             str(c) for c in ctx.bordism_fragment.colors
-            if ctx.then(components[c], colims_g[c.carrier].legs[c.surface])
-            != ctx.then(iota[c], round_components[c])
+            if components[c].then(colims_g[c.carrier].legs[c.surface])
+            != iota[c].then(round_components[c])
         ]
         rep.verdict("roundtrip/morphisms", t, square_bad)
     return rep

@@ -288,11 +288,12 @@ def brute_groupoid_law_witnesses(morphisms, src, tgt, compose, identities, inver
     inverse laws come first, per morphism in the given order; then every
     triple (f, g, h) of ``morphisms`` with tgt f = src g and tgt g = src h,
     f slowest, is checked by comparing h.(g.f) with (h.g).f as values.
-    Composing a pair whose endpoints do not meet raises ValueError.
+    A pair whose endpoints do not meet has no composite (None), and a law
+    instance that needs one fails.
     """
     def comp(g, f):
-        if tgt[f] != src[g]:
-            raise ValueError("morphisms do not compose")
+        if f not in tgt or g not in src or tgt[f] != src[g]:
+            return None
         return compose(g, f) if callable(compose) else compose[(g, f)]
 
     def inv(g):
@@ -311,7 +312,8 @@ def brute_groupoid_law_witnesses(morphisms, src, tgt, compose, identities, inver
     for f, g, h in itertools.product(morphisms, repeat=3):
         if tgt[f] != src[g] or tgt[g] != src[h]:
             continue
-        if comp(h, comp(g, f)) != comp(comp(h, g), f):
+        lhs = comp(h, comp(g, f))
+        if lhs is None or lhs != comp(comp(h, g), f):
             bad.append(f"associativity at ({h},{g},{f})")
     return bad
 
@@ -517,12 +519,12 @@ def brute_unbounded_pair(objects, has):
 def oracle_groupoid_report(G, name: str = "groupoid") -> Report:
     """``FiniteGroupoid.validate`` by value-level loops.
 
-    The same rows, witnesses and errors as the numbered walk, from a walk on
+    The same rows and witnesses as the numbered walk, from a walk on
     values: each composable pair is composed once through the groupoid's own
     composition rule, memoized here by value, then every composable triple
     (f, g, h), f slowest, compares h.(g.f) with (h.g).f.  A value with no
-    endpoints has no composite with anything (None), and a law that needs
-    one fails.
+    endpoints has no composite with anything, nor has a pair whose ends do
+    not meet (None), and a law that needs one fails.
     """
     memo: dict = {}
 
@@ -534,7 +536,7 @@ def oracle_groupoid_report(G, name: str = "groupoid") -> Report:
             except KeyError:
                 return None
             if ends[0] != ends[1]:
-                raise ValueError("morphisms do not compose")
+                return None
             memo[key] = G._compose(g, f)  # the raw rule, not the numbered table
         return memo[key]
 

@@ -427,6 +427,20 @@ class TestTwoAdjunction:
         assert hashlib.sha256(report.dumps().encode()).hexdigest() == \
             "fcf5c74ba1ec33e48bdcc3f51f1c8665c3cb2fcb5d4f19cb434e8ed489ff0c68"
 
+    def test_a_fattening_that_does_not_collapse_fails_every_row(self):
+        # rot0, the unit of c, is not listed, so iota's unit entry lies
+        # outside its window and every row needs the collapse that fails
+        report = check_two_adjunction(cyclic_group_operad(listed=(ROT1,)))
+        why = "unit entry outside the window at c"
+        assert [(e.check, e.status, e.witness) for e in report.entries] == [
+            ("two-adjunction/counit-identity", "fail", why),
+            ("two-adjunction/unit-strict", "fail", [why]),
+            ("two-adjunction/unit-identity-on-iota", "fail", [why]),
+            ("two-adjunction/tau-of-unit-identity", "fail", [why]),
+        ]
+        assert hashlib.sha256(report.dumps().encode()).hexdigest() == \
+            "424e429543204b22047003cfe57ed31391b72a42fa76b171015f00ef2a22bb9e"
+
     def test_an_absorbing_unit_fails_three_rows(self):
         report = check_two_adjunction(broken_unit_operad())
         assert [(e.check, e.status, e.witness) for e in report.entries] == [

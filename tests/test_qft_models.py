@@ -178,6 +178,8 @@ class TestMonoidHom:
         assert raw("p", "q") == "p"
         with pytest.raises(ValueError, match="cover"):
             MonoidHom.unchecked((Z2,), Z2, {(0,): 0})
+        with pytest.raises(ValueError, match="^hom value 7 lies outside the codomain$"):
+            MonoidHom.unchecked((Z3,), Z2, {(0,): 0, (1,): 7, (2,): 5})
 
     def test_inverse_round_trips(self):
         double = MonoidHom.unary(Z3, Z3, {0: 0, 1: 2, 2: 1})
@@ -185,6 +187,13 @@ class TestMonoidHom:
         assert all(inv(double(x)) == x for x in Z3)
         with pytest.raises(ValueError):
             MonoidHom.unary(Z2, TRIV, {0: "e", 1: "e"}).inverse()
+
+    def test_inverse_undoes_a_hom_that_is_not_its_own_inverse(self):
+        # every automorphism of Z1-Z4 is an involution; doubling on Z5 is not
+        Z5 = Monoid.cyclic(5)
+        double = MonoidHom.unary(Z5, Z5, {x: 2 * x % 5 for x in Z5})
+        assert double.inverse() == MonoidHom.unary(Z5, Z5, {x: 3 * x % 5 for x in Z5})
+        assert double.then(double.inverse()) == MonoidHom.identity(Z5)
 
     def test_composition_feeds_slots(self):
         add = MonoidHom((Z2, Z2), Z2,
@@ -752,6 +761,68 @@ class TestEinsteinCausality:
     def test_failing_report_is_pinned(self):
         rep = check_einstein_causality(self.noncommutative_model())
         assert hashlib.sha256(rep.dumps().encode()).hexdigest() == "546d1bd59d6a39f6d98b09b51ecd85056c6bad939b5c5d72708cc04329b00720"
+
+    def complete_noncommutative_model(self) -> QftModel:
+        """The raw binary images, with identities on unaries and unit picks."""
+        L = left_zero_monoid()
+        fill = {0: MonoidHom((), L, {(): L.unit}), 1: MonoidHom.identity(L)}
+        raw = self.noncommutative_model().assignment.on_ops
+        ops = {psi: raw.get(psi, fill.get(len(psi.inputs)))
+               for psi in self.base.operations}
+        return aqft_model(self.base, {c: L for c in self.base.colors}, ops)
+
+    def test_a_complete_raw_model_fails_equivariance(self):
+        # permuting a raw binary image builds its transposed table without
+        # the hom laws, so the checker reports instead of raising
+        rep = validate_model(self.complete_noncommutative_model())
+        assert [(e.check, e.status) for e in rep.entries] == [
+            ("multifunctor/signatures", PASS), ("multifunctor/units", PASS),
+            ("multifunctor/composition", PASS), ("multifunctor/equivariance", FAIL),
+        ]
+        assert hashlib.sha256(rep.dumps().encode()).hexdigest() == \
+            "e814f5b16206543ddf1a3a889eb0f9d856242f958f549c4320be02978d3e8eb8"
+
+    def test_unassigned_operations_are_named_as_uncovered(self):
+        A = self.noncommutative_model()
+        rep = validate_model(A)
+        coverage = rep.entries[-1]
+        assert (coverage.check, coverage.status) == ("multifunctor/assignment-coverage", SKIP)
+        assert coverage.witness["operations"] == len(self.base.operations) - len(self.base.ops(2))
+        assert coverage.witness["units"] == len(self.base.colors)
+        assert hashlib.sha256(rep.dumps().encode()).hexdigest() == \
+            "73d3e5080fa78573177bb4056e3d4235391fdf85853fbb007a2001ef84fa14b9"
+        rep = check_time_slice(A)
+        assert [(e.check, e.status) for e in rep.entries] == [
+            ("timeslice/units", PASS), ("timeslice/cauchy-isos", PASS),
+            ("timeslice/coverage", SKIP),
+        ]
+        assert rep.entries[-1].witness["units"] == len(self.base.colors)
+        assert hashlib.sha256(rep.dumps().encode()).hexdigest() == \
+            "9dc930d9eb55ca21e78c7e0cc95ae1af5cb617bf0adb53910971707348ddd673"
+
+    def test_every_instance_that_needs_an_unassigned_operation_is_counted(self):
+        base = self.base
+        units = {base.unit(c) for c in base.colors}
+        gone = {min((op for op in base.ops(1) if op not in units), key=str),
+                min(base.ops(2), key=str)}
+        ops = {psi: h for psi, h in constant_aqft(base, Z2).assignment.on_ops.items()
+               if psi not in gone}
+        rep = validate_model(aqft_model(base, {c: Z2 for c in base.colors}, ops))
+        compositions = sum(
+            bool(gone.intersection((psi, base.compose(psi, phis), *phis)))
+            for psi in base.operations for phis in base.composable_inner_tuples(psi)
+        )
+        actions = sum(
+            bool(gone.intersection((psi, base.act(psi, sigma))))
+            for psi in base.operations
+            for sigma in itertools.permutations(range(len(psi.inputs)))
+        )
+        assert compositions and actions > 2
+        assert rep.ok
+        assert rep.entries[-1].witness == {
+            "unassigned": [str(op) for op in base.operations if op in gone],
+            "operations": 2, "units": 0, "compositions": compositions, "actions": actions,
+        }
 
     def test_unassigned_binary_operations_are_reported_as_skipped(self):
         L = left_zero_monoid()

@@ -42,6 +42,7 @@ from causalops.qft_models import (
     constant_aqft,
     constant_fqft,
     fqft_model,
+    permute_monoid_hom,
     sigma_category,
     validate_model,
 )
@@ -265,6 +266,24 @@ class TestDecorationTable:
 CYCLIC = tuple(Monoid.cyclic(n) for n in (1, 2, 3, 4))
 
 
+def lawful_values(draw, doms, cod, keys) -> list:
+    """The values at ``keys`` of ``x`` going to the sum of ``x_i g_i`` in ``cod``,
+    with every drawn ``g_i`` killed by its factor's order: a lawful hom."""
+    gens = [draw(st.sampled_from([g for g in cod.elements if len(m) * g % len(cod) == 0]))
+            for m in doms]
+    return [sum(x * g for x, g in zip(args, gens)) % len(cod) for args in keys]
+
+
+@st.composite
+def lawful_homs(draw, cod, doms=None):
+    """A lawful hom into ``cod`` from ``doms``, by default a product of at
+    most two drawn Z1-Z4 factors."""
+    if doms is None:
+        doms = tuple(draw(st.lists(st.sampled_from(CYCLIC), max_size=2)))
+    keys = list(itertools.product(*(m.elements for m in doms)))
+    return MonoidHom(doms, cod, dict(zip(keys, lawful_values(draw, doms, cod, keys))))
+
+
 @st.composite
 def hom_tables(draw):
     """A table from a product of Z1-Z4 factors into one of them, keys shuffled.
@@ -277,9 +296,7 @@ def hom_tables(draw):
     cod = draw(st.sampled_from(CYCLIC))
     keys = draw(st.permutations(list(itertools.product(*(m.elements for m in doms)))))
     if draw(st.integers(0, 3)) == 0:
-        gens = [draw(st.sampled_from([g for g in cod.elements if len(m) * g % len(cod) == 0]))
-                for m in doms]
-        values = [sum(x * g for x, g in zip(args, gens)) % len(cod) for args in keys]
+        values = lawful_values(draw, doms, cod, keys)
     else:
         values = draw(st.lists(st.sampled_from(cod.elements),
                                min_size=len(keys), max_size=len(keys)))
@@ -352,7 +369,37 @@ class TestHomTable:
         for model in (skew_model(), constant_aqft(ctx.aqft_fragment, Z3)):
             for cls in ctx.bordism_fragment.operations:
                 for zz in ctx.bridge[cls]:
-                    assert evaluate_zigzag(model, ctx, zz) == public_zigzag(model, zz)
+                    assert evaluate_zigzag(model, zz) == public_zigzag(model, zz)
+
+
+def assert_is_the_validated_hom(r: MonoidHom) -> None:
+    assert oracles.brute_hom_law_error(r.doms, r.cod, dict(r.pairs)) is None
+    fresh = MonoidHom(r.doms, r.cod, dict(r.pairs))
+    assert r == fresh and r.pairs == fresh.pairs and hash(r) == hash(fresh)
+
+
+class TestDerivedHoms:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_homs_derived_from_homs_are_homs(self, data):
+        # derived homs skip the hom laws; on lawful arguments they must hold
+        doms, cod, table = data.draw(
+            hom_tables().filter(lambda drawn: oracles.brute_hom_law_error(*drawn) is None)
+        )
+        f = MonoidHom(doms, cod, table)
+        g = data.draw(lawful_homs(data.draw(st.sampled_from(CYCLIC)), (cod,)))
+        inners = tuple(data.draw(lawful_homs(m)) for m in doms)
+        results = [MonoidHom.identity(m) for m in doms + (cod,)]
+        results += [f.then(g), compose_monoid_homs(f, inners)]
+        results += [permute_monoid_hom(f, sigma)
+                    for sigma in itertools.permutations(range(f.arity))]
+        results += [h.inverse() for h in (f, g) if h.is_isomorphism]
+        for r in results:
+            assert_is_the_validated_hom(r)
+        for h in (f, g):
+            if h.is_isomorphism:
+                assert h.then(h.inverse()) == MonoidHom.identity(h.doms[0])
+                assert h.inverse().then(h) == MonoidHom.identity(h.cod)
 
 
 def small_fragment(events, relations, singles):
@@ -563,10 +610,10 @@ class TestZigZags:
         op = next(op for op in unary_ops_into(ctx.aqft_fragment, D, fs("b"))
                   if op.maps[0].dom.events == ("b",))
         cls = ctx.resolve(wrapper_bordism(op, (fs("b"),), fs("d")))
-        assert evaluate_zigzag(model, ctx, ctx.bridge[cls][0]) == times(2)
+        assert evaluate_zigzag(model, ctx.bridge[cls][0]) == times(2)
         shift = ctx.resolve(wrapper_bordism(ctx.aqft_fragment.unit(D),
                                             (fs("a"),), fs("d")))
-        assert evaluate_zigzag(model, ctx, ctx.bridge[shift][0]) == times(1)
+        assert evaluate_zigzag(model, ctx.bridge[shift][0]) == times(1)
 
     def test_collar_rows_match_the_hand_built_wrappers(self):
         diamond = diamond_translation_context()
@@ -613,7 +660,7 @@ class TestZigZags:
              for op in ctx.aqft_fragment.operations},
         )
         with pytest.raises(TimeSliceRequired, match="does not invert"):
-            evaluate_zigzag(crippled, ctx, zz)
+            evaluate_zigzag(crippled, zz)
 
 
 class TestContexts:
@@ -693,7 +740,7 @@ class TestAqftToFqft:
         ctx = diamond_translation_context()
         model = skew_model()
         for cls in ctx.bordism_fragment.operations:
-            images = {evaluate_zigzag(model, ctx, zz) for zz in ctx.bridge[cls]}
+            images = {evaluate_zigzag(model, zz) for zz in ctx.bridge[cls]}
             assert len(images) == 1, str(cls)
 
     def test_skew_images(self):
