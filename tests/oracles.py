@@ -333,6 +333,41 @@ def brute_composites(O) -> dict:
     return composites
 
 
+def brute_operads_equal(A, B) -> tuple[bool, str | None]:
+    """Whether ``B`` behaves as ``A`` on A's window, and the first difference.
+
+    Compares the color tuples, the operation sets and the units of A's
+    colors; then, for each of A's operations in order, the composites over
+    every inner tuple of A's operations with matching colors, in
+    ``itertools.product`` order, and the actions of every permutation.  A
+    composition or action that raises counts as its error text, so two
+    operads that refuse the same tuple the same way agree there.
+    """
+
+    def outcome(f, *args):
+        try:
+            return f(*args)
+        except ValueError as exc:
+            return ValueError, str(exc)
+
+    if A.colors != B.colors:
+        return False, "color tuples differ"
+    if set(A.operations) != set(B.operations):
+        return False, "operation sets differ"
+    for c in A.colors:
+        if A.unit(c) != B.unit(c):
+            return False, f"units differ at {c}"
+    for psi in A.operations:
+        pools = [[op for op in A.operations if op.output == c] for c in psi.inputs]
+        for phis in itertools.product(*pools):
+            if outcome(A.compose, psi, phis) != outcome(B.compose, psi, phis):
+                return False, f"composition differs at {psi}"
+        for sigma in all_permutations(len(psi.inputs)):
+            if outcome(A.act, psi, sigma) != outcome(B.act, psi, sigma):
+                return False, f"action differs at {psi}"
+    return True, None
+
+
 def brute_window_cells(P) -> tuple[dict, dict]:
     """The cell composites and associators that a window's composites call
     for, by plain product walks over the window's own tables.
@@ -378,6 +413,32 @@ def brute_window_cells(P) -> tuple[dict, dict]:
             if total is not None and (psi, inner) in compose_ops:
                 associators[(psi, phis, chis)] = total
     return cells, associators
+
+
+def brute_zigzag_table(left, middle, right_in, right_out) -> dict:
+    """The table of a zig-zag's image, element by element from raw tables.
+
+    Each argument maps argument tuples to values: one unary table per left
+    leg, then the tables of the middle, right inward and right outward legs.
+    The left and right inward tables are inverted by search.  An argument
+    tuple holds one value of each left table; it goes back through the left
+    inverses into ``middle``, back through ``right_in`` and out through
+    ``right_out``.
+    """
+
+    def inverse(table: dict) -> dict:
+        inv = {}
+        for (x,), y in table.items():
+            assert y not in inv, f"value {y!r} has two preimages"
+            inv[y] = x
+        return inv
+
+    lefts = [inverse(table) for table in left]
+    back = inverse(right_in)
+    return {
+        args: right_out[(back[middle[tuple(inv[a] for inv, a in zip(lefts, args))]],)]
+        for args in itertools.product(*lefts)
+    }
 
 
 def brute_hom_law_error(doms, cod, table) -> str | None:

@@ -21,6 +21,8 @@ from causalops.bordism import (
 from causalops.causal_core import CausalEmbedding
 from causalops.operad_kernel import (
     FiniteGroupoid,
+    Operad,
+    check_operad_axioms,
     enumerate_embeddings,
     prefactorization_operad,
 )
@@ -29,15 +31,15 @@ from causalops.pseudo_operad import (
     Square,
     TauOperation,
     check_pseudo_operad,
-    check_two_adjunction,
     find_companion,
     iota,
     tau,
     tau_full,
 )
 from causalops.qft_models import Monoid, MonoidHom
+from causalops.report import PASS
 import oracles
-from test_bordism import chain_bordism, merge_bordism, point
+from test_bordism import adjunction_report, chain_bordism, merge_bordism, point
 from test_operad_kernel import (
     ROT0,
     ROT1,
@@ -389,13 +391,13 @@ class TestTwoAdjunction:
     ])
     def test_adjunction_identities_hold(self, factory):
         O = factory()
-        report = check_two_adjunction(O, iota(O))
+        report = adjunction_report(O, iota(O))
         assert report.ok, report.failures
 
     def test_quotient_unit_is_strict(self):
         P = quotient_example()
         O = tau(P)
-        report = check_two_adjunction(O, P)
+        report = adjunction_report(O, P)
         assert report.ok, report.failures
 
     def test_reports_on_the_chain_are_unchanged(self):
@@ -406,10 +408,10 @@ class TestTwoAdjunction:
 
         digest = "36f0e6197af66fc35c745f553b9a04565685df596bbe821f073fd274f879ae9d"
         O = chain_operad()
-        alone = check_two_adjunction(O)
+        alone = adjunction_report(O)
         assert hashlib.sha256(alone.dumps().encode()).hexdigest() == digest
         O = chain_operad()
-        given = check_two_adjunction(O, iota(O))
+        given = adjunction_report(O, iota(O))
         assert hashlib.sha256(given.dumps().encode()).hexdigest() == digest
 
     def test_a_unit_outside_the_window_fails_the_rows_that_collapse(self):
@@ -417,7 +419,7 @@ class TestTwoAdjunction:
         P.unit_ops["c"] = "stray-op"
         with pytest.raises(ValueError, match="^unit entry outside the window at c$"):
             tau(P)
-        report = check_two_adjunction(tau(iota(cyclic_group_operad())), P)
+        report = adjunction_report(tau(iota(cyclic_group_operad())), P)
         assert [(e.check, e.status, e.witness) for e in report.entries] == [
             ("two-adjunction/counit-identity", "pass", None),
             ("two-adjunction/unit-strict", "fail", ["unit entry outside the window at c"]),
@@ -430,7 +432,7 @@ class TestTwoAdjunction:
     def test_a_fattening_that_does_not_collapse_fails_every_row(self):
         # rot0, the unit of c, is not listed, so iota's unit entry lies
         # outside its window and every row needs the collapse that fails
-        report = check_two_adjunction(cyclic_group_operad(listed=(ROT1,)))
+        report = adjunction_report(cyclic_group_operad(listed=(ROT1,)))
         why = "unit entry outside the window at c"
         assert [(e.check, e.status, e.witness) for e in report.entries] == [
             ("two-adjunction/counit-identity", "fail", why),
@@ -442,7 +444,7 @@ class TestTwoAdjunction:
             "424e429543204b22047003cfe57ed31391b72a42fa76b171015f00ef2a22bb9e"
 
     def test_an_absorbing_unit_fails_three_rows(self):
-        report = check_two_adjunction(broken_unit_operad())
+        report = adjunction_report(broken_unit_operad())
         assert [(e.check, e.status, e.witness) for e in report.entries] == [
             ("two-adjunction/counit-identity", "fail", "operation sets differ"),
             ("two-adjunction/unit-strict", "fail", ["no companion found for vertical f:(c)->c"]),
@@ -453,6 +455,40 @@ class TestTwoAdjunction:
         assert hashlib.sha256(report.dumps().encode()).hexdigest() == \
             "bd63023073191b3ba1e0ba574baf55723012dc53adfd0c96a6775e8e02b51d49"
 
+    @staticmethod
+    def signature_breaking_fold() -> Operad:
+        """The fold operad up to arity 2 whose m2 of two m2s is m2 itself, a
+        result of arity 2 where the flattened signature has arity 3."""
+        O = commutative_fold_operad(2)
+        m2 = O.ops(2)[0]
+
+        def rule(outer, inners):
+            return m2 if (outer, inners) == (m2, (m2, m2)) else O.compose(outer, inners)
+
+        return Operad(O.colors, O.operations, {c: O.unit(c) for c in O.colors}, rule, O.act,
+                      name="fold-broken")
+
+    def test_a_composite_of_the_wrong_signature_fails_the_operad_laws(self):
+        # no window operation has the signature (c,c,c)->c, so the adjunction
+        # never composes that tuple and audits its window cleanly; the
+        # broken composite is the operad audit's to find
+        why = ["composition rule broke the signature at m2:(c,c)->c"]
+        axioms = check_operad_axioms(self.signature_breaking_fold())
+        assert [(e.check, e.witness) for e in axioms.failures] == [
+            ("operad/associativity", why), ("operad/equivariance", why),
+        ]
+        assert hashlib.sha256(axioms.dumps().encode()).hexdigest() == \
+            "5ca9bad0cc9488f848030aabedcc59667a5c947a4cd2051f86925677c2864576"
+        adjunction = adjunction_report(self.signature_breaking_fold())
+        assert [(e.status, e.witness) for e in adjunction.entries] == [(PASS, None)] * 4
+        assert hashlib.sha256(adjunction.dumps().encode()).hexdigest() == \
+            "3767afeb4f9a72a037b878b82399b5f2f85f737fe90987f59c5f9fd7e1ae0d3e"
+
+    @given(small_prefactorization_operad())
+    @settings(max_examples=100, deadline=None)
+    def test_random_counit_rows_match_the_value_walk(self, O):
+        adjunction_report(O)
+
     def test_reports_on_the_merge_fragment_are_unchanged(self):
         # sha256 of Report.dumps() before the window tables held one
         # instance per value
@@ -460,7 +496,7 @@ class TestTwoAdjunction:
         audit = check_pseudo_operad(frag)
         assert hashlib.sha256(audit.dumps().encode()).hexdigest() == \
             "8f304491843bd755a93c09175b9d04bcf153877d204d2830d54d122a9ee8e7ed"
-        adjunction = check_two_adjunction(truncate_bordisms(frag), frag)
+        adjunction = adjunction_report(truncate_bordisms(frag), frag)
         assert hashlib.sha256(adjunction.dumps().encode()).hexdigest() == \
             "bff634585acae4b558991ea9db3d477c38fe79b5bb744eb6656eb933b7938d99"
 

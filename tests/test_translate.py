@@ -131,6 +131,23 @@ def skew_model():
     return aqft_model(base, colors, ops, name="skew")
 
 
+def transported_model():
+    """Constant Z5 on the diamond transported along doubling on the region
+    ``{b}``, so that the binary operations with a ``{b}`` slot weigh their
+    two arguments differently."""
+    ctx = diamond_translation_context()
+    base = ctx.aqft_fragment
+    Z5 = Monoid.cyclic(5)
+    alpha = {M: MonoidHom.unary(Z5, Z5, {x: x * (2 if M.events == ("b",) else 1) % 5
+                                         for x in Z5.elements})
+             for M in base.colors}
+    constant = constant_aqft(base, Z5)
+    ops = {op: compose_monoid_homs(constant.hom(op).then(alpha[op.output]),
+                                   tuple(alpha[M].inverse() for M in op.inputs))
+           for op in base.operations}
+    return aqft_model(base, {M: Z5 for M in base.colors}, ops, name="transported")
+
+
 def conjugated_model():
     """Surface model whose colimit legs are forced away from identities."""
     ctx = diamond_translation_context()
@@ -303,13 +320,6 @@ def hom_tables(draw):
     return doms, cod, dict(zip(keys, values))
 
 
-def public_zigzag(A, zz) -> MonoidHom:
-    """``evaluate_zigzag`` through the public hom operations, with no context."""
-    core = compose_monoid_homs(A.hom(zz.middle),
-                               tuple(A.hom(leg).inverse() for leg in zz.left))
-    return core.then(A.hom(zz.right_in).inverse()).then(A.hom(zz.right_out))
-
-
 class TestHomTable:
     @given(hom_tables())
     @settings(max_examples=200, deadline=None)
@@ -365,11 +375,21 @@ class TestHomTable:
         assert built and set(built) == set(other._homs.values())
 
     def test_context_zigzags_equal_the_public_compositions(self):
+        # every left and right inward leg of the diamond bridge is a unit, so
+        # the transported model's uneven binary operations are what tell the
+        # slots of a middle leg apart
         ctx = diamond_translation_context()
-        for model in (skew_model(), constant_aqft(ctx.aqft_fragment, Z3)):
+        for model in (skew_model(), constant_aqft(ctx.aqft_fragment, Z3),
+                      transported_model()):
             for cls in ctx.bordism_fragment.operations:
                 for zz in ctx.bridge[cls]:
-                    assert evaluate_zigzag(model, zz) == public_zigzag(model, zz)
+                    image = evaluate_zigzag(model, zz)
+                    homs = zz.map(model.hom)
+                    tables = homs.map(lambda h: dict(h.pairs))
+                    assert image.doms == tuple(h.cod for h in homs.left)
+                    assert image.cod == homs.right_out.cod
+                    assert dict(image.pairs) == oracles.brute_zigzag_table(
+                        tables.left, tables.middle, tables.right_in, tables.right_out)
 
 
 def assert_is_the_validated_hom(r: MonoidHom) -> None:
