@@ -278,6 +278,62 @@ class Operad:
 # ---- axiom checking ------------------------------------------------------------
 
 
+class _NumberedOperad:
+    """``operad``'s composition and action as integer tables, for one audit.
+
+    Window operations are numbered in ``operad.operations`` order, and any
+    other value a composite or an action returns gets the next free number,
+    so two numbers are equal exactly when their values are.  Each table
+    entry is filled on first use through ``operad.compose``/``operad.act``,
+    so each distinct key reaches ``operad`` once, at its first use in the
+    walk; a key whose rule raises is not stored.  ``inners(i)`` are the
+    inner tuples of window operation ``i``, drawn from pools built once per
+    color.
+    """
+
+    def __init__(self, operad: Operad):
+        self.operad = operad
+        self.values = list(operad.operations)
+        self.no = {op: i for i, op in enumerate(self.values)}
+        self.pools: dict = {}
+        for i, op in enumerate(self.values):
+            self.pools.setdefault(op.output, []).append(i)
+        self.composites: dict = {}
+        self.actions: dict = {}
+        self.inner_tuples: dict = {}
+
+    def number(self, value) -> int:
+        n = self.no.get(value)
+        if n is None:
+            n = self.no[value] = len(self.values)
+            self.values.append(value)
+        return n
+
+    def compose(self, outer: int, inners: tuple[int, ...]) -> int:
+        key = (outer, inners)
+        n = self.composites.get(key)
+        if n is None:
+            v = self.values
+            n = self.composites[key] = self.number(
+                self.operad.compose(v[outer], tuple(map(v.__getitem__, inners))))
+        return n
+
+    def act(self, op: int, sigma: tuple[int, ...]) -> int:
+        key = (op, sigma)
+        n = self.actions.get(key)
+        if n is None:
+            n = self.actions[key] = self.number(self.operad.act(self.values[op], sigma))
+        return n
+
+    def inners(self, op: int) -> tuple[tuple[int, ...], ...]:
+        found = self.inner_tuples.get(op)
+        if found is None:
+            pools = self.pools
+            found = self.inner_tuples[op] = tuple(itertools.product(
+                *[pools.get(c, ()) for c in self.values[op].inputs]))
+        return found
+
+
 def check_operad_axioms(
     operad: Operad,
     max_assoc_checks: int | None = 200_000,
@@ -288,6 +344,10 @@ def check_operad_axioms(
     equivariance compatibilities; every failure is reported with a
     counterexample witness.  Associativity stops after ``max_assoc_checks``
     instances; a check cut short that way reports SKIP, not PASS.
+
+    The laws run on numbers (:class:`_NumberedOperad`), and witnesses are
+    rendered from the values; ``oracles.brute_operad_axioms`` in the tests
+    walks the same laws on values and is the reference for the report bytes.
     """
     rep = Report()
     target = operad.name
@@ -308,15 +368,23 @@ def check_operad_axioms(
             unit_bad.append(f"unit of {c} has wrong signature")
     rep.verdict("operad/units-present", target, unit_bad)
 
+    N = _NumberedOperad(operad)
+    values, compose, act, inners = N.values, N.compose, N.act, N.inners
+    window = range(len(values))
+    arity = [len(op.inputs) for op in values]
+    perms = [tuple(all_permutations(n)) for n in range(max(arity, default=0) + 1)]
+
+    def unit(color) -> int:
+        return N.number(operad.unit(color))
+
     unit_law_bad = []
     if not unit_bad:
         try:
-            for op in operad.operations:
-                left = operad.compose(operad.unit(op.output), (op,))
-                if left != op:
+            for i in window:
+                op = values[i]
+                if compose(unit(op.output), (i,)) != i:
                     unit_law_bad.append(f"unit;{op} != {op}")
-                right = operad.compose(op, tuple(operad.unit(c) for c in op.inputs))
-                if right != op:
+                if compose(i, tuple(unit(c) for c in op.inputs)) != i:
                     unit_law_bad.append(f"{op};units != {op}")
         except ValueError as exc:
             unit_law_bad.append(str(exc))
@@ -326,23 +394,18 @@ def check_operad_axioms(
     checked = 0
     budget_hit = False
     try:
-        for psi in operad.operations:
-            for phis in operad.composable_inner_tuples(psi):
-                middle = operad.compose(psi, phis)
-                for chis in itertools.product(
-                    *[tuple(operad.composable_inner_tuples(phi)) for phi in phis]
-                ):
+        for psi in window:
+            for phis in inners(psi):
+                middle = compose(psi, phis)
+                for chis in itertools.product(*map(inners, phis)):
                     if max_assoc_checks is not None and checked >= max_assoc_checks:
                         budget_hit = True
                         break
                     checked += 1
-                    flat = tuple(itertools.chain.from_iterable(chis))
-                    lhs = operad.compose(middle, flat)
-                    rhs = operad.compose(
-                        psi, tuple(operad.compose(phi, chi) for phi, chi in zip(phis, chis))
-                    )
-                    if lhs != rhs:
-                        assoc_bad.append(f"({psi}; {[str(p) for p in phis]})")
+                    lhs = compose(middle, tuple(itertools.chain.from_iterable(chis)))
+                    if lhs != compose(psi, tuple(map(compose, phis, chis))):
+                        assoc_bad.append(
+                            f"({values[psi]}; {[str(values[p]) for p in phis]})")
                 if budget_hit:
                     break
             if budget_hit:
@@ -359,41 +422,32 @@ def check_operad_axioms(
     action_bad = []
     equiv_bad = []
     try:
-        for op in operad.operations:
-            n = len(op.inputs)
-            if operad.act(op, identity_permutation(n)) != op:
-                action_bad.append(f"identity action moved {op}")
-            for sigma in all_permutations(n):
-                moved = operad.act(op, sigma)
-                for tau in all_permutations(n):
-                    lhs = operad.act(moved, tau)
-                    rhs = operad.act(op, compose_permutations(sigma, tau))
-                    if lhs != rhs:
-                        action_bad.append(f"{op} under {sigma} then {tau}")
+        for i in window:
+            n = arity[i]
+            if act(i, identity_permutation(n)) != i:
+                action_bad.append(f"identity action moved {values[i]}")
+            for sigma in perms[n]:
+                moved = act(i, sigma)
+                for tau in perms[n]:
+                    if act(moved, tau) != act(i, compose_permutations(sigma, tau)):
+                        action_bad.append(f"{values[i]} under {sigma} then {tau}")
     except ValueError as exc:
         action_bad.append(str(exc))
     rep.verdict("operad/right-action", target, action_bad)
 
     try:
-        for psi in operad.operations:
-            n = len(psi.inputs)
-            for phis in operad.composable_inner_tuples(psi):
-                arities = tuple(len(phi.inputs) for phi in phis)
-                composite = operad.compose(psi, phis)
-                for sigma in all_permutations(n):
-                    lhs = operad.compose(
-                        operad.act(psi, sigma), apply_permutation(phis, sigma)
-                    )
-                    rhs = operad.act(composite, block_permutation(sigma, arities))
-                    if lhs != rhs:
-                        equiv_bad.append(f"block equivariance at ({psi}, {sigma})")
-                for taus in itertools.product(*[tuple(all_permutations(k)) for k in arities]):
-                    lhs = operad.compose(
-                        psi, tuple(operad.act(phi, t) for phi, t in zip(phis, taus))
-                    )
-                    rhs = operad.act(composite, sum_permutation(taus))
-                    if lhs != rhs:
-                        equiv_bad.append(f"sum equivariance at ({psi}, {taus})")
+        for psi in window:
+            for phis in inners(psi):
+                arities = tuple(arity[phi] for phi in phis)
+                composite = compose(psi, phis)
+                for sigma in perms[arity[psi]]:
+                    lhs = compose(act(psi, sigma), apply_permutation(phis, sigma))
+                    if lhs != act(composite, block_permutation(sigma, arities)):
+                        equiv_bad.append(f"block equivariance at ({values[psi]}, {sigma})")
+                for taus in itertools.product(*[perms[k] for k in arities]):
+                    lhs = compose(psi, tuple(map(act, phis, taus)))
+                    if lhs != act(composite, sum_permutation(taus)):
+                        equiv_bad.append(f"sum equivariance at ({values[psi]}, {taus})")
     except ValueError as exc:
         equiv_bad.append(str(exc))
     rep.verdict("operad/equivariance", target, equiv_bad)

@@ -29,7 +29,7 @@ from causalops.operad_kernel import (
     identity_permutation,
     sum_permutation,
 )
-from causalops.report import DEGENERATE, PASS, Report
+from causalops.report import DEGENERATE, FAIL, PASS, SKIP, Report
 
 
 @dataclass
@@ -331,6 +331,125 @@ def brute_composites(O) -> dict:
             if composite in window:
                 composites[(psi, phis)] = composite
     return composites
+
+
+def brute_operad_axioms(
+    operad,
+    max_assoc_checks: int | None = 200_000,
+) -> Report:
+    """The operad laws walked on values, the reference for
+    ``check_operad_axioms``: every composite and action is asked of
+    ``operad`` at each use, and inner tuples come from
+    ``composable_inner_tuples``."""
+    rep = Report()
+    target = operad.name
+    colors = set(operad.colors)
+
+    bad = [op for op in operad.operations if op.output not in colors
+           or any(c not in colors for c in op.inputs)]
+    rep.verdict("operad/signatures", target, [str(op) for op in bad])
+
+    unit_bad = []
+    for c in operad.colors:
+        try:
+            u = operad.unit(c)
+        except ValueError:
+            unit_bad.append(f"missing unit for {c}")
+            continue
+        if u.inputs != (c,) or u.output != c:
+            unit_bad.append(f"unit of {c} has wrong signature")
+    rep.verdict("operad/units-present", target, unit_bad)
+
+    unit_law_bad = []
+    if not unit_bad:
+        try:
+            for op in operad.operations:
+                left = operad.compose(operad.unit(op.output), (op,))
+                if left != op:
+                    unit_law_bad.append(f"unit;{op} != {op}")
+                right = operad.compose(op, tuple(operad.unit(c) for c in op.inputs))
+                if right != op:
+                    unit_law_bad.append(f"{op};units != {op}")
+        except ValueError as exc:
+            unit_law_bad.append(str(exc))
+    rep.verdict("operad/unit-laws", target, unit_law_bad)
+
+    assoc_bad = []
+    checked = 0
+    budget_hit = False
+    try:
+        for psi in operad.operations:
+            for phis in operad.composable_inner_tuples(psi):
+                middle = operad.compose(psi, phis)
+                for chis in itertools.product(
+                    *[tuple(operad.composable_inner_tuples(phi)) for phi in phis]
+                ):
+                    if max_assoc_checks is not None and checked >= max_assoc_checks:
+                        budget_hit = True
+                        break
+                    checked += 1
+                    flat = tuple(itertools.chain.from_iterable(chis))
+                    lhs = operad.compose(middle, flat)
+                    rhs = operad.compose(
+                        psi, tuple(operad.compose(phi, chi) for phi, chi in zip(phis, chis))
+                    )
+                    if lhs != rhs:
+                        assoc_bad.append(f"({psi}; {[str(p) for p in phis]})")
+                if budget_hit:
+                    break
+            if budget_hit:
+                break
+    except ValueError as exc:
+        assoc_bad.append(str(exc))
+    counted = {"checked": checked}
+    if budget_hit:
+        counted["max_assoc_checks"] = max_assoc_checks
+    rep.add("operad/associativity", target,
+            FAIL if assoc_bad else SKIP if budget_hit else PASS,
+            witness=assoc_bad[:3] or counted)
+
+    action_bad = []
+    equiv_bad = []
+    try:
+        for op in operad.operations:
+            n = len(op.inputs)
+            if operad.act(op, identity_permutation(n)) != op:
+                action_bad.append(f"identity action moved {op}")
+            for sigma in all_permutations(n):
+                moved = operad.act(op, sigma)
+                for tau in all_permutations(n):
+                    lhs = operad.act(moved, tau)
+                    rhs = operad.act(op, compose_permutations(sigma, tau))
+                    if lhs != rhs:
+                        action_bad.append(f"{op} under {sigma} then {tau}")
+    except ValueError as exc:
+        action_bad.append(str(exc))
+    rep.verdict("operad/right-action", target, action_bad)
+
+    try:
+        for psi in operad.operations:
+            n = len(psi.inputs)
+            for phis in operad.composable_inner_tuples(psi):
+                arities = tuple(len(phi.inputs) for phi in phis)
+                composite = operad.compose(psi, phis)
+                for sigma in all_permutations(n):
+                    lhs = operad.compose(
+                        operad.act(psi, sigma), apply_permutation(phis, sigma)
+                    )
+                    rhs = operad.act(composite, block_permutation(sigma, arities))
+                    if lhs != rhs:
+                        equiv_bad.append(f"block equivariance at ({psi}, {sigma})")
+                for taus in itertools.product(*[tuple(all_permutations(k)) for k in arities]):
+                    lhs = operad.compose(
+                        psi, tuple(operad.act(phi, t) for phi, t in zip(phis, taus))
+                    )
+                    rhs = operad.act(composite, sum_permutation(taus))
+                    if lhs != rhs:
+                        equiv_bad.append(f"sum equivariance at ({psi}, {taus})")
+    except ValueError as exc:
+        equiv_bad.append(str(exc))
+    rep.verdict("operad/equivariance", target, equiv_bad)
+    return rep
 
 
 def brute_operads_equal(A, B) -> tuple[bool, str | None]:

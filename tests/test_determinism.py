@@ -18,7 +18,10 @@ SRC = TESTS.parent / "src"
 # the merge audit numbers the window's verticals, operations and cells, and
 # walks its binary cells on those numbers; the chain window with one leg
 # replaced by a vertical with the wrong endpoints fails rows, and its
-# witnesses are the same under both seeds.
+# witnesses are the same under both seeds.  The operad audits of the diamond
+# region fragment and of a twist operad whose composite of bt falls outside
+# the window walk numbered tables, and number composites outside the window
+# as they meet them; the twist audit fails its equivariance row.
 AUDIT = """
 import sys
 from causalops.bordism import bordism_fragment, truncate_bordisms
@@ -33,6 +36,7 @@ from causalops.translate import (
     validate_translation_context,
 )
 from test_bordism import chain_bordism, merge_bordism
+from test_operad_kernel import BT, UC, Operation, twist_operad
 from test_translate import conjugated_model
 
 ctx = chain_translation_context()
@@ -58,6 +62,8 @@ reports = [
     check_pseudo_operad(merge),
     check_two_adjunction(truncate_bordisms(merge), merge),
     check_pseudo_operad(broken),
+    check_operad_axioms(diamond.aqft_fragment),
+    check_operad_axioms(twist_operad(table={(UC, (BT,)): Operation("bt2", ("e", "d"), "c")})),
 ]
 sys.stdout.write("".join(r.dumps() for r in reports))
 """

@@ -32,7 +32,7 @@ from causalops.operad_kernel import (
     sum_permutation,
     vertical_compose,
 )
-from causalops.report import FAIL, PASS
+from causalops.report import FAIL, PASS, SKIP
 
 import oracles
 
@@ -152,18 +152,19 @@ UC, UD, UE = (Operation(f"u{x}", (x,), x) for x in "cde")
 B, BT = Operation("b", ("d", "e"), "c"), Operation("bt", ("e", "d"), "c")
 
 
-def twist_operad(table=(), action=()) -> Operad:
+def twist_operad(table=(), action=(), listed=(UC, B)) -> Operad:
     """A binary operation b: (d, e) -> c and its twist bt: (e, d) -> c.
 
     Only the unit of c and b are listed, and no listed operation outputs d
     or e; so b is composed only under that unit and with the units of d and
     e, and bt is acted on only by the right action.  ``table`` and
-    ``action`` change entries of its tables.
+    ``action`` change entries of its tables, and ``listed`` replaces its
+    operations.
     """
     compose = {(UC, (UC,)): UC, (UC, (B,)): B, (UC, (BT,)): BT, (B, (UD, UE)): B}
     act = {(UC, (0,)): UC, (B, (0, 1)): B, (B, (1, 0)): BT,
            (BT, (0, 1)): BT, (BT, (1, 0)): B}
-    return Operad("cde", [UC, B], {"c": UC, "d": UD, "e": UE},
+    return Operad("cde", listed, {"c": UC, "d": UD, "e": UE},
                   _changed(compose, table), _changed(act, action), name="twist")
 
 
@@ -255,6 +256,12 @@ class TestOperadChecker:
         assert not report.ok
         assert any(e.check == "operad/equivariance" for e in report.failures)
 
+    @pytest.mark.parametrize("build", [commutative_fold_operad, cyclic_group_operad,
+                                       twist_operad, broken_unit_operad, skew_operad])
+    def test_reports_match_the_value_walk(self, build):
+        assert check_operad_axioms(build()).dumps() == \
+            oracles.brute_operad_axioms(build()).dumps()
+
     def test_failing_reports_are_pinned(self):
         digests = [
             hashlib.sha256(check_operad_axioms(O).dumps().encode()).hexdigest()
@@ -324,6 +331,7 @@ class TestOperadChecker:
         report = check_operad_axioms(operad())
         assert [(e.check, e.witness) for e in report.failures] == [(check, witness)]
         assert hashlib.sha256(report.dumps().encode()).hexdigest() == digest
+        assert report.dumps() == oracles.brute_operad_axioms(operad()).dumps()
 
     def test_composition_signature_violations_are_rejected_eagerly(self):
         O = cyclic_group_operad()
@@ -421,6 +429,7 @@ class TestPrefactorization:
         O = prefactorization_operad(colors, max_arity=2, max_ops=4000)
         report = check_operad_axioms(O, max_assoc_checks=20_000)
         assert report.ok, report.failures
+        assert report.dumps() == oracles.brute_operad_axioms(O, max_assoc_checks=20_000).dumps()
 
 
 class TestMultifunctors:
@@ -458,6 +467,38 @@ class TestMultifunctors:
         zeta = MultinaturalTransformation(ident, ident, {color: a})
         report = check_multinatural(zeta)
         assert not report.ok
+
+    # one multifunctor per row of check_multifunctor that no lawful functor
+    # reaches; each reports exactly that row as not passing
+    @pytest.mark.parametrize("functor, check, status, witness, digest", [
+        # b and its twist swapped: a functor on the listed twins, but each
+        # image has the other's signature
+        pytest.param(lambda: Multifunctor(
+                         twist_operad(listed=(UC, B, BT)), twist_operad(listed=(UC, B, BT)),
+                         {c: c for c in "cde"}, {UC: UC, UD: UD, UE: UE, B: BT, BT: B}),
+                     "multifunctor/signatures", FAIL, ["b:(d,e)->c", "bt:(e,d)->c"],
+                     "37c3b754a3ebad1e6a57275d6e3b61ed8e3f79362de6d963b27622507c945ed9",
+                     id="signatures"),
+        # into the group with rot1.rot1 = rot1
+        pytest.param(lambda: Multifunctor(
+                         cyclic_group_operad(), cyclic_group_operad(table={(ROT1, (ROT1,)): ROT1}),
+                         {"c": "c"}, {ROT0: ROT0, ROT1: ROT1}),
+                     "multifunctor/composition", FAIL, ["rot1:(c)->c"],
+                     "805a7e3e4b2afd9b3756093bd3651430caacc0571a4a6703a0c665747b123221",
+                     id="composition"),
+        # the twist of b is not listed, so b's twisted action leaves the window
+        pytest.param(lambda: Multifunctor(twist_operad(), twist_operad(), {c: c for c in "cde"},
+                                          {op: op for op in (UC, UD, UE, B)}),
+                     "multifunctor/equivariance-coverage", SKIP, {"outside-window": 1},
+                     "bf53e24dc801774ce2adc4bba9354f05e8f1ce8cda4359cf051097475770dcf7",
+                     id="equivariance-coverage"),
+    ])
+    def test_a_corrupted_functor_reaches_exactly_its_row(self, functor, check, status,
+                                                          witness, digest):
+        report = check_multifunctor(functor())
+        assert [(e.check, e.status, e.witness) for e in report.entries
+                if e.status != PASS] == [(check, status, witness)]
+        assert hashlib.sha256(report.dumps().encode()).hexdigest() == digest
 
     def test_composition_and_whiskering_plumbing(self):
         O = cyclic_group_operad()

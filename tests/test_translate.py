@@ -345,7 +345,7 @@ class TestHomTable:
         assert str(lookup_error.value) == expected
         assert list(ctx._homs.items()) == before
 
-    def test_each_derived_hom_is_validated_once_per_context(self, monkeypatch):
+    def test_each_hom_built_from_a_new_table_is_validated_once_per_context(self, monkeypatch):
         built = []
         real = translate_module.MonoidHom
 
@@ -543,6 +543,12 @@ class TestTranslationWindow:
             report = check_operad_axioms(ctx.bordism_fragment)
             assert report.ok, report.failures
 
+    def test_fragment_audits_match_the_value_walk(self):
+        for ctx in (chain_translation_context(), diamond_translation_context()):
+            for fragment in (ctx.aqft_fragment, ctx.bordism_fragment):
+                assert check_operad_axioms(fragment).dumps() == \
+                    oracles.brute_operad_axioms(fragment).dumps()
+
     def test_an_associativity_budget_stop_is_a_skip(self):
         window = chain_translation_context().bordism_fragment
 
@@ -558,6 +564,9 @@ class TestTranslationWindow:
         cut = associativity(check_operad_axioms(window, max_assoc_checks=1))
         assert cut.status == SKIP
         assert cut.witness == {"checked": 1, "max_assoc_checks": 1}
+        for budget in (1, checked):
+            assert check_operad_axioms(window, max_assoc_checks=budget).dumps() == \
+                oracles.brute_operad_axioms(window, max_assoc_checks=budget).dumps()
 
     def test_resolution_handles_trimmed_composites(self):
         ctx = diamond_translation_context()
@@ -664,6 +673,29 @@ class TestZigZags:
                 assert legs.map(lambda leg: wrapper_bordism(*leg)) == built
         # every member of both windows has a row; the partial bordism has none
         assert rows == len(cases) - 1 == 80
+
+    @pytest.mark.parametrize("inverted", ["left", "right_in"])
+    def test_a_cauchy_leg_is_read_through_its_inverse(self, inverted):
+        # {u} -> u<v is Cauchy; doubling on Z5 inverts to tripling, not to
+        # itself, so a zig-zag that reads the leg forward is caught
+        ctx = chain_translation_context()
+        base = ctx.aqft_fragment
+        M = next(c for c in base.colors if len(c) == 2)
+        leg = next(op for op in base.operations
+                   if len(op.maps) == 1 and op.target is M and op.maps[0].table == {"u": "u"})
+        point, unit = leg.inputs[0], base.unit
+        if inverted == "left":
+            zz = ZigZag((leg,), leg, unit(M), unit(M))
+        else:
+            zz = ZigZag((unit(M),), unit(M), leg, unit(point))
+        Z5 = Monoid.cyclic(5)
+        model = aqft_model(base, {c: Z5 for c in base.colors}, {
+            leg: MonoidHom.unary(Z5, Z5, {x: 2 * x % 5 for x in Z5.elements}),
+            unit(M): MonoidHom.identity(Z5), unit(point): MonoidHom.identity(Z5)})
+        tables = zz.map(lambda op: dict(model.hom(op).pairs))
+        image = evaluate_zigzag(model, zz)
+        assert dict(image.pairs) == oracles.brute_zigzag_table(
+            tables.left, tables.middle, tables.right_in, tables.right_out)
 
     def test_noninvertible_cauchy_leg_raises(self):
         ctx = diamond_translation_context()
