@@ -38,7 +38,8 @@ from .causal_core import (
     is_cauchy_embedding,
 )
 from .errors import FragmentCapExceeded, InvalidComposite, InvalidSurface
-from .operad_kernel import EmbeddingTuple, FiniteGroupoid, Operad, apply_permutation
+from .operad_kernel import (EmbeddingTuple, FiniteGroupoid, Numbering, Operad,
+                            apply_permutation)
 from .pseudo_operad import (PseudoOperadData, TauOperation, _associator_triples,
                             _cell_composites, tau)
 from .report import FAIL, PASS, Report
@@ -1059,12 +1060,7 @@ def bordism_fragment(
         for n, group in ops_by_arity.items()
     }
 
-    canon: dict = {g: g for g in objects.morphisms}
-    canon.update((op, op) for op in ops_sorted)
-    canon.update((c, c) for c in all_cells)
-
-    def intern(x):
-        return canon.get(x, x)
+    intern = Numbering((*objects.morphisms, *ops_sorted, *all_cells)).canonical
 
     act_ops: dict = {}
     for op in ops_sorted:

@@ -132,6 +132,29 @@ def _least_representatives(items: Iterable[Hashable],
     return {x: find(x) for x in items}
 
 
+class Numbering(list):
+    """Values numbered by their place in the list, ``no[value]`` being the
+    number of ``value``.  A value met for the first time is appended, so two
+    numbers are equal exactly when their values are.  Equal values given up
+    front are all kept, and ``no`` holds the last of them."""
+
+    def __init__(self, values: Iterable):
+        super().__init__(values)
+        self.no = {value: n for n, value in enumerate(self)}
+
+    def number(self, value) -> int:
+        """The number of ``value``; a value met for the first time gets the next one."""
+        n = self.no.setdefault(value, len(self))
+        if n == len(self):
+            self.append(value)
+        return n
+
+    def canonical(self, value):
+        """The listed value equal to ``value``, or else ``value`` itself."""
+        n = self.no.get(value)
+        return value if n is None else self[n]
+
+
 # ---- operation tokens ---------------------------------------------------------
 
 
@@ -293,8 +316,7 @@ class _NumberedOperad:
 
     def __init__(self, operad: Operad):
         self.operad = operad
-        self.values = list(operad.operations)
-        self.no = {op: i for i, op in enumerate(self.values)}
+        self.values = Numbering(operad.operations)
         self.pools: dict = {}
         for i, op in enumerate(self.values):
             self.pools.setdefault(op.output, []).append(i)
@@ -302,19 +324,12 @@ class _NumberedOperad:
         self.actions: dict = {}
         self.inner_tuples: dict = {}
 
-    def number(self, value) -> int:
-        n = self.no.get(value)
-        if n is None:
-            n = self.no[value] = len(self.values)
-            self.values.append(value)
-        return n
-
     def compose(self, outer: int, inners: tuple[int, ...]) -> int:
         key = (outer, inners)
         n = self.composites.get(key)
         if n is None:
             v = self.values
-            n = self.composites[key] = self.number(
+            n = self.composites[key] = v.number(
                 self.operad.compose(v[outer], tuple(map(v.__getitem__, inners))))
         return n
 
@@ -322,7 +337,7 @@ class _NumberedOperad:
         key = (op, sigma)
         n = self.actions.get(key)
         if n is None:
-            n = self.actions[key] = self.number(self.operad.act(self.values[op], sigma))
+            n = self.actions[key] = self.values.number(self.operad.act(self.values[op], sigma))
         return n
 
     def inners(self, op: int) -> tuple[tuple[int, ...], ...]:
@@ -375,7 +390,7 @@ def check_operad_axioms(
     perms = [tuple(all_permutations(n)) for n in range(max(arity, default=0) + 1)]
 
     def unit(color) -> int:
-        return N.number(operad.unit(color))
+        return values.number(operad.unit(color))
 
     unit_law_bad = []
     if not unit_bad:
@@ -462,11 +477,13 @@ def enumerate_embeddings(dom: CausalSet, cod: CausalSet) -> Iterator[CausalEmbed
 
     They come in lexicographic order of the images of the sorted domain
     events, which fixes the operation order of the prefactorization operad.
+    The search yields order embeddings only, and the hull test keeps the
+    convex images, so each map is built unchecked.
     """
     for assign in _pinned_maps(dom, cod, iso=False):
         image = _member_mask(cod, assign.values())
         if _hull_mask(cod, image) == image:
-            yield CausalEmbedding(dom, cod, assign)
+            yield CausalEmbedding._unchecked(dom, cod, tuple(assign.items()))
 
 
 def prefactorization_operad(
@@ -567,7 +584,8 @@ def check_multifunctor(F: Multifunctor) -> Report:
     counted and skipped rather than failed; everything inside the window
     is checked exhaustively.  A window operation with no image is named in
     ``multifunctor/assignment-coverage``, and every law instance that needs
-    one is counted there instead of checked.
+    one is counted there instead of checked.  A composite or action that
+    raises ``ValueError`` ends its row's walk and fails it with the text.
     """
     rep = Report()
     src, tgt_op = F.source, F.target
@@ -590,19 +608,22 @@ def check_multifunctor(F: Multifunctor) -> Report:
 
     comp_bad = []
     checked = outside = comp_unassigned = 0
-    for psi in src.operations:
-        for phis in src.composable_inner_tuples(psi):
-            composite = src.compose(psi, phis)
-            if missing and missing.intersection((psi, composite, *phis)):
-                comp_unassigned += 1
-                continue
-            if composite not in table:
-                outside += 1
-                continue
-            checked += 1
-            rhs = tgt_op.compose(F.op(psi), tuple(F.op(p) for p in phis))
-            if F.op(composite) != rhs:
-                comp_bad.append(str(psi))
+    try:
+        for psi in src.operations:
+            for phis in src.composable_inner_tuples(psi):
+                composite = src.compose(psi, phis)
+                if missing and missing.intersection((psi, composite, *phis)):
+                    comp_unassigned += 1
+                    continue
+                if composite not in table:
+                    outside += 1
+                    continue
+                checked += 1
+                rhs = tgt_op.compose(F.op(psi), tuple(F.op(p) for p in phis))
+                if F.op(composite) != rhs:
+                    comp_bad.append(str(psi))
+    except ValueError as exc:
+        comp_bad.append(str(exc))
     rep.verdict("multifunctor/composition", tgt, comp_bad)
     if outside:
         rep.add("multifunctor/composition-coverage", tgt, SKIP,
@@ -610,17 +631,20 @@ def check_multifunctor(F: Multifunctor) -> Report:
 
     act_bad = []
     act_outside = act_unassigned = 0
-    for psi in src.operations:
-        for sigma in all_permutations(len(psi.inputs)):
-            moved = src.act(psi, sigma)
-            if psi in missing or moved in missing:
-                act_unassigned += 1
-                continue
-            if moved not in table:
-                act_outside += 1
-                continue
-            if F.op(moved) != tgt_op.act(F.op(psi), sigma):
-                act_bad.append(f"{psi} under {sigma}")
+    try:
+        for psi in src.operations:
+            for sigma in all_permutations(len(psi.inputs)):
+                moved = src.act(psi, sigma)
+                if psi in missing or moved in missing:
+                    act_unassigned += 1
+                    continue
+                if moved not in table:
+                    act_outside += 1
+                    continue
+                if F.op(moved) != tgt_op.act(F.op(psi), sigma):
+                    act_bad.append(f"{psi} under {sigma}")
+    except ValueError as exc:
+        act_bad.append(str(exc))
     rep.verdict("multifunctor/equivariance", tgt, act_bad)
     if act_outside:
         rep.add("multifunctor/equivariance-coverage", tgt, SKIP,
@@ -709,12 +733,11 @@ class FiniteGroupoid:
     tables keyed by morphisms are hit by identity instead of by walking
     equal values.
 
-    Morphisms are numbered in tuple order, and so are objects.  A value
-    that is no morphism (a composite outside the list, an inverse, an
-    identity) gets the next free number when it is first met, so two
-    numbers are equal exactly when their values are.  Endpoints are
-    numbered on the first ``compose``, ``validate`` or ``table``, not
-    before.  Vertical composition is one table on numbers,
+    ``numbers``, a :class:`Numbering`, numbers the morphisms in tuple order,
+    and a value that is no morphism (a composite outside the list, an
+    inverse, an identity) when it is first met.  ``ends()`` numbers the
+    objects in tuple order, on the first ``compose``, ``validate`` or
+    ``table``, not before.  Vertical composition is one table on numbers,
     ``table()[f][g]`` being the number of g.f; each entry is filled once,
     on first use, and ``validate`` fills every composable pair.
     """
@@ -731,13 +754,12 @@ class FiniteGroupoid:
     ):
         self.objects = tuple(dict.fromkeys(objects))
         self.morphisms = tuple(dict.fromkeys(morphisms))
-        self._numbers = {m: i for i, m in enumerate(self.morphisms)}
-        self._values = list(self.morphisms)
+        self.numbers = Numbering(self.morphisms)
         self._src = dict(src)
         self._tgt = dict(tgt)
         self._compose = (lambda g, f: compose[(g, f)]) if isinstance(compose, Mapping) \
             else compose
-        self._id = {obj: self._canonical(i) for obj, i in identities.items()}
+        self._id = {obj: self.numbers.canonical(i) for obj, i in identities.items()}
         self._inv = inverses.__getitem__ if isinstance(inverses, Mapping) else inverses
         self._ends: tuple[list[int], list[int]] | None = None
         self._rows: list[dict[int, int]] = []
@@ -745,10 +767,6 @@ class FiniteGroupoid:
 
     def __repr__(self) -> str:
         return f"FiniteGroupoid(objects={len(self.objects)}, morphisms={len(self.morphisms)})"
-
-    def _canonical(self, value):
-        n = self._numbers.get(value)
-        return value if n is None else self._values[n]
 
     def src(self, g):
         return self._src[g]
@@ -759,17 +777,6 @@ class FiniteGroupoid:
     def id(self, obj):
         return self._id[obj]
 
-    def number(self, value) -> int:
-        """The number of ``value``; a value met for the first time gets the next one."""
-        n = self._numbers.setdefault(value, len(self._values))
-        if n == len(self._values):
-            self._values.append(value)
-        return n
-
-    def value(self, n: int):
-        """The value numbered ``n``."""
-        return self._values[n]
-
     def ends(self) -> tuple[list[int], list[int]]:
         """The object numbers of each morphism's source and target.
 
@@ -777,9 +784,9 @@ class FiniteGroupoid:
         gets the next free number, so it is at least ``len(self.objects)``.
         """
         if self._ends is None:
-            numbers = {obj: i for i, obj in enumerate(self.objects)}
-            src = [numbers.setdefault(self._src[m], len(numbers)) for m in self.morphisms]
-            tgt = [numbers.setdefault(self._tgt[m], len(numbers)) for m in self.morphisms]
+            number = Numbering(self.objects).number
+            src = [number(self._src[m]) for m in self.morphisms]
+            tgt = [number(self._tgt[m]) for m in self.morphisms]
             self._ends = (src, tgt)
             self._rows = [{} for _ in self.morphisms]
         return self._ends
@@ -800,7 +807,7 @@ class FiniteGroupoid:
         if gf is None:
             if tgt[f] != src[g]:
                 raise ValueError("morphisms do not compose")
-            gf = row[g] = self.number(self._compose(self.morphisms[g], self.morphisms[f]))
+            gf = row[g] = self.numbers.number(self._compose(self.morphisms[g], self.morphisms[f]))
         return gf
 
     def table(self) -> list[dict[int, int]]:
@@ -814,23 +821,23 @@ class FiniteGroupoid:
 
     def compose(self, g, f):
         """g after f."""
-        count = len(self.morphisms)
-        gi, fi = self._numbers.get(g, count), self._numbers.get(f, count)
+        count, numbers = len(self.morphisms), self.numbers
+        gi, fi = numbers.no.get(g, count), numbers.no.get(f, count)
         if gi < count and fi < count:
-            return self._values[self.composite(gi, fi)]
+            return numbers[self.composite(gi, fi)]
         # outside the table: composed by value; a value with no endpoints
         # composes with nothing
         if f not in self._tgt or g not in self._src or self.tgt(f) != self.src(g):
             raise ValueError("morphisms do not compose")
-        return self._canonical(self._compose(g, f))
+        return numbers.canonical(self._compose(g, f))
 
     def inv(self, g):
-        return self._canonical(self._inv(g))
+        return self.numbers.canonical(self._inv(g))
 
     def validate(self, name: str = "groupoid") -> Report:
         rep = Report()
-        ms = self.morphisms
-        count = len(ms)
+        ms, numbers = self.morphisms, self.numbers
+        number, count = numbers.number, len(ms)
         src, tgt = self.ends()
         dangling = [g for g in range(count)
                     if src[g] >= len(self.objects) or tgt[g] >= len(self.objects)]
@@ -844,10 +851,10 @@ class FiniteGroupoid:
         def comp(g: int, f: int) -> int | None:
             if g < count and f < count:
                 return self.composite(g, f) if tgt[f] == src[g] else None
-            gv, fv = self._values[g], self._values[f]
+            gv, fv = numbers[g], numbers[f]
             if fv not in self._tgt or gv not in self._src or self._tgt[fv] != self._src[gv]:
                 return None
-            return self.number(self.compose(gv, fv))
+            return number(self.compose(gv, fv))
 
         # The laws on numbers; a pair with a number outside the morphisms is
         # composed by value.  A pair whose ends do not meet, or that holds a
@@ -858,7 +865,7 @@ class FiniteGroupoid:
         # by the endpoints row.
         law_bad: list[str] = []
         dangling = set(dangling)
-        ident = [self.number(self.id(obj)) for obj in self.objects]
+        ident = [number(self.id(obj)) for obj in self.objects]
         for g in range(count):
             if g in dangling:
                 continue
@@ -869,7 +876,7 @@ class FiniteGroupoid:
                 law_bad.append(f"right identity at {ms[g]}")
             if comp(t, g) != g:
                 law_bad.append(f"left identity at {ms[g]}")
-            gi = self.number(self.inv(ms[g]))
+            gi = number(self.inv(ms[g]))
             if gi in dangling:
                 continue
             if comp(gi, g) != s:

@@ -26,6 +26,7 @@ from .causal_core import _cached_hash
 from .errors import NotFibrant
 from .operad_kernel import (
     FiniteGroupoid,
+    Numbering,
     Operad,
     _least_representatives,
     all_permutations,
@@ -276,15 +277,16 @@ def _associator_triples(compose_ops: Mapping) -> Iterator[tuple]:
 class _Numbered:
     """A pseudo-operad's verticals, operations, cells and tables as numbers.
 
-    Verticals are numbered by ``P.objects``; operations (``ops``) and cells
-    (``cells``) in arity order, then in the tuple order of their groupoid,
-    and then any other value, such as a cell's dangling end or a stray table
-    entry, as it is met.  So two numbers are equal exactly when their values
-    are, and the window's operations and cells are the numbers below
-    ``op_count`` and ``cell_count``.  ``ins``, ``out``, ``dom`` and ``cod``
-    hold each cell's legs, output leg and ends, ``globular`` whether its
-    legs and output are identities, and ``after[a][b]`` the vertical
-    composite b.a when it is a window cell.  ``composites`` (less the
+    Verticals are numbered by ``P.objects.numbers``; operations (``ops``)
+    and cells (``cells``) by a :class:`Numbering` each, in arity order, then
+    in the tuple order of their groupoid, and then any other value, such as
+    a cell's dangling end or a stray table entry, as it is met.  So two
+    numbers are equal exactly when their values are, and the window's
+    operations and cells are the numbers below ``op_count`` and
+    ``cell_count``.  ``ins``, ``out``, ``dom`` and ``cod`` hold each cell's
+    legs, output leg and ends, ``globular`` whether its legs and output are
+    identities, and ``after[a][b]`` the vertical composite b.a when it is
+    a window cell.  ``composites`` (less the
     entries keyed outside the window), ``cell_composites``, ``units`` (by
     color), ``associators`` and the unitors are ``P``'s tables on numbers,
     in table order, and ``identity`` maps each operation to its identity
@@ -306,14 +308,12 @@ class _Numbered:
         vsrc, vtgt = V.ends()
         verticals = len(V.morphisms)
         # a vertical is an identity when it is the identity of its source
-        identities = [V.number(V.id(obj)) for obj in V.objects]
+        identities = [V.numbers.number(V.id(obj)) for obj in V.objects]
         is_identity = [s < len(identities) and identities[s] == g for g, s in enumerate(vsrc)]
         self.vert_after = V.table()
-        self.ops = list(P.all_ops())
-        self.op_no = {op: i for i, op in enumerate(self.ops)}
+        self.ops = Numbering(P.all_ops())
         self.op_count = len(self.ops)
-        self.cells = list(P.all_cells())
-        self.cell_no = {c: i for i, c in enumerate(self.cells)}
+        self.cells = Numbering(P.all_cells())
         self.cell_count = len(self.cells)
         self.ins: list[tuple[int, ...]] = []
         self.out: list[int] = []
@@ -325,7 +325,7 @@ class _Numbered:
         self.after: list[dict[int, int]] = []
         self.home: list[tuple[FiniteGroupoid, int]] = []  # groupoid, its first cell
         self.identity: dict[int, int] = {}
-        faults, op, cell = self.faults, self.op, self.cell
+        faults, op, cell = self.faults, self.ops.number, self.cells.number
         signature: list[tuple[tuple[int, ...], int]] = []  # by operation number
         for n in P.arities():
             G = P.op_groupoids[n]
@@ -343,8 +343,8 @@ class _Numbered:
             base = len(self.ins)
             self.home += [(G, base)] * len(G.morphisms)
             for i, c in enumerate(G.morphisms):
-                legs = tuple(map(V.number, P.cell_inputs.get(c, ())))
-                out = V.number(P.cell_output.get(c))
+                legs = tuple(map(V.numbers.number, P.cell_inputs.get(c, ())))
+                out = V.numbers.number(P.cell_output.get(c))
                 dom, cod = op(G.src(c)), op(G.tgt(c))
                 self.ins.append(legs)
                 self.out.append(out)
@@ -370,7 +370,7 @@ class _Numbered:
             count = len(G.morphisms)
             self.after.extend({base + g: base + gf for g, gf in row.items() if gf < count}
                               for row in G.table())
-            self.identity.update((self.op_no[o], cell(G.id(o))) for o in G.objects)
+            self.identity.update((op(o), cell(G.id(o))) for o in G.objects)
         # an entry keyed outside the window fails compose-signatures and is
         # read by no walk
         composites = {(op(psi), tuple(map(op, phis))): op(result)
@@ -386,20 +386,6 @@ class _Numbered:
         self.left_unitors = {op(o): cell(c) for o, c in P.left_unitors.items()}
         self.right_unitors = {op(o): cell(c) for o, c in P.right_unitors.items()}
 
-    def op(self, value) -> int:
-        """The number of an operation, or of a value first met here."""
-        n = self.op_no.setdefault(value, len(self.ops))
-        if n == len(self.ops):
-            self.ops.append(value)
-        return n
-
-    def cell(self, value) -> int:
-        """The number of a cell, or of a value first met here."""
-        n = self.cell_no.setdefault(value, len(self.cells))
-        if n == len(self.cells):
-            self.cells.append(value)
-        return n
-
     def vertical(self, f: int | None, g: int | None) -> int | None:
         """The number of the vertical composite g.f, or None when f or g is no
         window cell or the two do not compose in one groupoid.  A composite
@@ -412,7 +398,7 @@ class _Numbered:
         if G is not H or tgt[f - base] != src[g - base]:
             return None
         gf = G.composite(g - base, f - base)
-        return base + gf if gf < len(G.morphisms) else self.cell(G.value(gf))
+        return base + gf if gf < len(G.morphisms) else self.cells.number(G.numbers[gf])
 
 
 def _check_cell_boundaries(P: PseudoOperadData, N: _Numbered, rep: Report) -> None:
@@ -425,7 +411,7 @@ def _check_cell_boundaries(P: PseudoOperadData, N: _Numbered, rep: Report) -> No
     for n in P.arities():
         G = P.op_groupoids[n]
         for op in G.objects:
-            if not N.globular[N.identity[N.op_no[op]]]:
+            if not N.globular[N.identity[N.ops.no[op]]]:
                 fun_bad.append(f"identity cell of {op} has moving boundary")
         cells = [c for c in range(base, base + len(G.morphisms)) if sound[c]]
         by_dom: dict[int, list[int]] = {}
@@ -525,7 +511,7 @@ def _check_units_and_action(P: PseudoOperadData, N: _Numbered, rep: Report) -> N
     vsrc, vtgt = V.ends()
     units: dict[int, int] = {}  # vertical number -> unit cell number
     for g, cell in P.unit_cells.items():
-        c, v = N.cell(cell), V.number(g)
+        c, v = N.cells.number(cell), V.numbers.number(g)
         if c >= N.cell_count or v >= len(V.morphisms):
             bad.append(f"unit cell entry outside the window at {g}")
             continue
@@ -559,9 +545,11 @@ def _check_units_and_action(P: PseudoOperadData, N: _Numbered, rep: Report) -> N
             total = P.act_ops.get((op, compose_permutations(sigma, tau_)))
             if first is not None and total is not None and first != total:
                 act_bad.append(f"action composition at {op}")
-    act_ops = {(N.op(op), sigma): N.op(moved) for (op, sigma), moved in P.act_ops.items()}
+    op_number, cell_number = N.ops.number, N.cells.number
+    act_ops = {(op_number(op), sigma): op_number(moved)
+               for (op, sigma), moved in P.act_ops.items()}
     for (cell, sigma), moved in P.act_cells.items():
-        c, m = N.cell(cell), N.cell(moved)
+        c, m = cell_number(cell), cell_number(moved)
         if max(c, m) >= N.cell_count:
             act_bad.append(f"cell action entry outside the window at {cell}")
             continue
@@ -580,7 +568,7 @@ def _check_units_and_action(P: PseudoOperadData, N: _Numbered, rep: Report) -> N
     eq_bad: list[str] = []
     eq_checked = 0
     for (psi, phis), composite in P.compose_ops.items():
-        if max((N.op_no[psi], *map(N.op_no.__getitem__, phis))) >= N.op_count:
+        if max((N.ops.no[psi], *map(N.ops.no.__getitem__, phis))) >= N.op_count:
             continue  # keyed outside the window
         n = len(phis)
         arities = tuple(P.arity_of(p) for p in phis)
@@ -708,9 +696,12 @@ def _check_coherence(P: PseudoOperadData, N: _Numbered, rep: Report, max_pentago
 def check_pseudo_operad(P: PseudoOperadData, max_pentagons: int = 512) -> Report:
     """Audit all materialized pseudo-operad structure, recording coverage.
 
-    Every law is walked on numbers: each call numbers P's verticals,
-    operations, cells and tables once and reads vertical composites from
-    the groupoids' tables.  Only recorded entries are read, none through a
+    The groupoid, boundary, interchange and coherence rows, and the cell
+    halves of the units and action rows, are walked on numbers: each call
+    numbers P's verticals, operations, cells and tables once and reads
+    vertical composites from the groupoids' tables.  The compose-signatures
+    and equivariance rows, and the operation halves of the units and action
+    rows, read ``compose_ops``, ``unit_ops`` and ``act_ops`` by value.  Only recorded entries are read, none through a
     hook, so an entry a table lacks leaves its instance unchecked.  Numbers
     are turned back into the objects only to write a witness, so the report
     is the one the same walk on values writes.  Soundness is decided once: a

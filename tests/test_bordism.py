@@ -42,7 +42,6 @@ from causalops.causal_core import (
     causal_past,
     chronological_past,
     convex_hull,
-    convex_subsets,
     glue_pushout,
     is_cauchy_antichain,
 )

@@ -10,12 +10,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from causalops import CausalSet, FragmentCapExceeded
+from causalops import CausalEmbedding, CausalSet, FragmentCapExceeded
 from causalops.operad_kernel import (
     EmbeddingTuple,
     FiniteGroupoid,
     Multifunctor,
     MultinaturalTransformation,
+    Numbering,
     Operad,
     _least_representatives,
     apply_permutation,
@@ -233,6 +234,26 @@ class TestLeastRepresentatives:
         assert got == dict.fromkeys("dcba", "a")
 
 
+class TestNumbering:
+    def test_a_value_keeps_its_number_and_a_new_one_gets_the_next(self):
+        N = Numbering(["a", "b"])
+        assert [N.number(v) for v in "bcac"] == [1, 2, 0, 2]
+        assert N == ["a", "b", "c"] and N.no == {"a": 0, "b": 1, "c": 2}
+
+    def test_equal_values_given_up_front_are_all_kept(self):
+        # a malformed window may list an operation twice; both places stay
+        # numbered, and the value's number is its last place
+        N = Numbering(["a", "b", "a"])
+        assert N == ["a", "b", "a"] and N.no == {"a": 2, "b": 1}
+        assert N.number("d") == 3
+
+    def test_canonical_is_the_listed_instance(self):
+        listed, copy = ROT1, Operation("rot1", ("c",), "c")
+        N = Numbering([ROT0, listed])
+        assert N.canonical(copy) is listed
+        assert N.canonical(B) is B and B not in N
+
+
 class TestOperadChecker:
     def test_fold_operad_satisfies_all_laws(self):
         report = check_operad_axioms(commutative_fold_operad())
@@ -404,7 +425,10 @@ class TestPrefactorization:
         dom, cod = CausalSet(*dom_data), CausalSet(*cod_data)
         # the order matters too: it fixes the operation order of
         # prefactorization_operad, and so every report byte
-        got = [emb.pairs for emb in enumerate_embeddings(dom, cod)]
+        found = list(enumerate_embeddings(dom, cod))
+        # each map is built unchecked, and equals the validated one
+        assert found == [CausalEmbedding(e.dom, e.cod, e.pairs) for e in found]
+        got = [emb.pairs for emb in found]
         want = [
             tuple(sorted(t.items()))
             for t in oracles.brute_embeddings(
@@ -498,6 +522,41 @@ class TestMultifunctors:
         report = check_multifunctor(functor())
         assert [(e.check, e.status, e.witness) for e in report.entries
                 if e.status != PASS] == [(check, status, witness)]
+        assert hashlib.sha256(report.dumps().encode()).hexdigest() == digest
+
+    @staticmethod
+    def into_a_wrong_signature() -> Multifunctor:
+        """rot1 sent to x: (d) -> c, which the target composes under rot0
+        but never after itself, so composing the images raises."""
+        x = Operation("x", ("d",), "c")
+        T = Operad("cd", [ROT0, x], {"c": ROT0, "d": UD},
+                   {(ROT0, (ROT0,)): ROT0, (ROT0, (x,)): x}, {(ROT0, (0,)): ROT0, (x, (0,)): x})
+        return Multifunctor(cyclic_group_operad(), T, {"c": "c"}, {ROT0: ROT0, ROT1: x})
+
+    # a target composite or action that raises fails its row with the error
+    # text, and the rows after it are still written
+    @pytest.mark.parametrize("functor, rows, digest", [
+        pytest.param(into_a_wrong_signature,
+                     [("multifunctor/signatures", ["rot1:(c)->c"]),
+                      ("multifunctor/composition", ["input color mismatch in composition"])],
+                     "9ae5060055d804100f111cba49f7ca1ed6b425232278c736c0e9027cc9be5a5c",
+                     id="composition"),
+        # the target does not tabulate the twist of b
+        pytest.param(lambda: Multifunctor(
+                         twist_operad(listed=(UC, B, BT)),
+                         twist_operad(action={(B, (1, 0)): None}, listed=(UC, B, BT)),
+                         {c: c for c in "cde"}, {op: op for op in (UC, UD, UE, B, BT)}),
+                     [("multifunctor/equivariance",
+                       ["action not tabulated for b:(d,e)->c by (1, 0)"])],
+                     "50dcc313de5e080663f6ee08b187ec8c951f3a63ed556f099a52fbec41d4d94d",
+                     id="action"),
+    ])
+    def test_a_target_that_raises_fails_the_row(self, functor, rows, digest):
+        report = check_multifunctor(functor())
+        assert [e.check for e in report.entries] == [
+            "multifunctor/signatures", "multifunctor/units", "multifunctor/composition",
+            "multifunctor/equivariance"]
+        assert [(e.check, e.witness) for e in report.failures] == rows
         assert hashlib.sha256(report.dumps().encode()).hexdigest() == digest
 
     def test_composition_and_whiskering_plumbing(self):

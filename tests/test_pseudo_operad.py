@@ -41,6 +41,7 @@ from causalops.report import PASS
 import oracles
 from test_bordism import adjunction_report, chain_bordism, merge_bordism, point
 from test_operad_kernel import (
+    Operation,
     ROT0,
     ROT1,
     broken_unit_operad,
@@ -483,6 +484,84 @@ class TestTwoAdjunction:
         assert [(e.status, e.witness) for e in adjunction.entries] == [(PASS, None)] * 4
         assert hashlib.sha256(adjunction.dumps().encode()).hexdigest() == \
             "3767afeb4f9a72a037b878b82399b5f2f85f737fe90987f59c5f9fd7e1ae0d3e"
+
+    @staticmethod
+    def quotient_with(key, value) -> tuple[Operad, PseudoOperadData]:
+        P = quotient_example()
+        P.compose_ops[key] = value
+        return tau(quotient_example()), P
+
+    @staticmethod
+    def group_with_cell_output(cell, value) -> tuple[Operad, PseudoOperadData]:
+        P = iota(cyclic_group_operad())
+        P.cell_output[cell] = value
+        return cyclic_group_operad(), P
+
+    @staticmethod
+    def no_listed_identity() -> tuple[Operad, PseudoOperadData]:
+        """One color and its unit rot0, with no vertical listed, not even the
+        identity of the color, and so no cell."""
+        P = PseudoOperadData(
+            objects=FiniteGroupoid(["c"], [], {}, {}, {}, {"c": ROT0}, {}),
+            op_groupoids={1: FiniteGroupoid([ROT0], [], {}, {}, {}, {ROT0: "i"}, {})},
+            op_inputs={ROT0: ("c",)}, op_output={ROT0: "c"}, cell_inputs={}, cell_output={},
+            compose_ops={(ROT0, (ROT0,)): ROT0}, compose_cells={}, unit_ops={"c": ROT0},
+            unit_cells={}, act_ops={(ROT0, (0,)): ROT0}, act_cells={}, name="no-identity")
+        return cyclic_group_operad(listed=(ROT0,)), P
+
+    @staticmethod
+    def left_zeros_with_a_unit_that_moves_a() -> tuple[Operad, PseudoOperadData]:
+        """The monoid of two left zeros a, b and a unit u, fattened; then a
+        after u and u after a both read b.  Each identity square still maps
+        to a square, but the collapse breaks the unit law at a, so its
+        fattening has the globular square a => b."""
+        U, A, B = (Operation(n, ("c",), "c") for n in "uab")
+
+        def left_zeros() -> Operad:
+            table = {(x, (y,)): y if x == U else x for x in (U, A, B) for y in (U, A, B)}
+            return Operad(["c"], [U, A, B], {"c": U}, table,
+                          {(x, (0,)): x for x in (U, A, B)}, name="left-zeros")
+
+        P = iota(left_zeros())
+        P.compose_ops[(A, (U,))] = P.compose_ops[(U, (A,))] = B
+        return left_zeros(), P
+
+    # the smallest corrupted window found for each failure text of the
+    # two unit rows that no other test reaches; each fails exactly its row
+    @pytest.mark.parametrize("build, row, witness, digest", [
+        pytest.param(lambda: TestTwoAdjunction.quotient_with(("u", ("u",)), "f1"),
+                     "two-adjunction/unit-strict",
+                     ["unit not functorial on verticals at idc . idc"],
+                     "5cb6aba3ccfb2597633bec934b6dac2c000c4b39e153841b4948725804f5dfe7",
+                     id="functoriality"),
+        pytest.param(no_listed_identity, "two-adjunction/unit-strict",
+                     ["unit of c not sent to unit class"],
+                     "5a0e39b86922133cc64b97a86b2cf3ab9f9ae546403ee9d40586a3f0cf0a3f35",
+                     id="unit-class"),
+        # u after f2, where f1 names the class of f2
+        pytest.param(lambda: TestTwoAdjunction.quotient_with(("u", ("f2",)), "u"),
+                     "two-adjunction/unit-strict", ["unit breaks composition at u"],
+                     "a060ebab32ed4e9e1a0d5d5ed72b4977463afa3eec03bd54a46bb2b087fab067",
+                     id="composition"),
+        pytest.param(lambda: TestTwoAdjunction.group_with_cell_output(
+                         Square(ROT0, ROT0, (ROT1,), ROT1), ROT0),
+                     "two-adjunction/unit-strict",
+                     ["cell image not a square at "
+                      "Sq[rot0:(c)->c=>rot0:(c)->c|(rot1:(c)->c);rot1:(c)->c]"],
+                     "b1e5fec4f38d2a3b45c857e7c7a4eb2ccb2e5044635035659167f6467667457d",
+                     id="square"),
+        pytest.param(left_zeros_with_a_unit_that_moves_a, "two-adjunction/tau-of-unit-identity",
+                     ["collapse of refattened operad has non-singleton classes",
+                      "collapsed unit moves u:(c)->c", "collapsed unit moves a:(c)->c"],
+                     "c75d91a328a6ca440ed90cd0dc5160b0870885df0a4d61af21817a8b44a1303b",
+                     id="tau-of-unit"),
+    ])
+    def test_a_corrupted_window_fails_exactly_its_unit_row(self, build, row, witness, digest):
+        O, P = build()
+        report = adjunction_report(O, P)
+        assert [(e.check, e.witness) for e in report.entries if e.status != PASS] == \
+            [(row, witness)]
+        assert hashlib.sha256(report.dumps().encode()).hexdigest() == digest
 
     @given(small_prefactorization_operad())
     @settings(max_examples=100, deadline=None)
