@@ -12,7 +12,10 @@ squares as 2-cells; ``tau`` collapses a pseudo-operad back to an operad by
 identifying operations connected by globular 2-cells.  Both keep token
 identity whenever the mathematics allows, so the round trips demanded by
 the strict 2-adjunction hold as equalities of data, not just up to
-isomorphism.
+isomorphism.  ``check_two_adjunction`` fattens through ``_fatten``, which
+builds every table of ``iota`` but the cell actions, the associators and
+the cell composites whose outer cell has arity 2 or more; its rows read
+none of those.
 """
 
 from __future__ import annotations
@@ -206,10 +209,12 @@ def _inner_tuples(compose_ops: Mapping) -> dict:
     return inners_of
 
 
-def _cell_composites(P: PseudoOperadData, compose_ops: Mapping) -> Iterator[tuple]:
+def _cell_composites(P: PseudoOperadData, compose_ops: Mapping,
+                     arities: Iterable[int] | None = None) -> Iterator[tuple]:
     """The cell composites that ``compose_ops`` calls for, in window cell order.
 
-    Yields ``(alpha, betas, dom, cod)`` for each cell alpha of ``P`` and each
+    Yields ``(alpha, betas, dom, cod)`` for each cell alpha of ``P`` whose
+    arity is among ``arities`` (all of ``P``'s by default), and each
     pick ``betas`` of one cell per input, whose output vertical is alpha's
     leg there, such that ``dom``, the composite of alpha's domain with the
     betas' domains, and ``cod``, that of the codomains, are entries of
@@ -227,14 +232,14 @@ def _cell_composites(P: PseudoOperadData, compose_ops: Mapping) -> Iterator[tupl
         for key in path[:-1]:
             node = node.setdefault(key, {})
         node[path[-1]] = composite
-    # each cell with its ends, in window order, and by output vertical
-    cells: list[tuple] = []
+    # each cell with its ends, by arity in window order, and by output vertical
+    cells: dict = {}
     feeding: dict = {}
     for n in P.arities():
         G = P.op_groupoids[n]
-        for c in G.morphisms:
-            cells.append((c, G.src(c), G.tgt(c)))
-            feeding.setdefault(P.cell_output[c], []).append(cells[-1])
+        cells[n] = [(c, G.src(c), G.tgt(c)) for c in G.morphisms]
+        for cell in cells[n]:
+            feeding.setdefault(P.cell_output[cell[0]], []).append(cell)
 
     def join(pools: list, dom, cod, betas: tuple) -> Iterator[tuple]:
         if len(betas) == len(pools):
@@ -246,7 +251,9 @@ def _cell_composites(P: PseudoOperadData, compose_ops: Mapping) -> Iterator[tupl
             if c is not None:
                 yield from join(pools, d, c, betas + (beta,))
 
-    for alpha, alpha_dom, alpha_cod in cells:
+    outer = (alpha for n in (P.arities() if arities is None else arities)
+             for alpha in cells.get(n, ()))
+    for alpha, alpha_dom, alpha_cod in outer:
         dom, cod = trie.get(alpha_dom), trie.get(alpha_cod)
         if dom is not None and cod is not None:
             pools = [feeding.get(g, ()) for g in P.cell_inputs[alpha]]
@@ -801,18 +808,23 @@ def _invertible_unaries(O: Operad) -> dict:
     return inverses
 
 
-def iota(O: Operad) -> PseudoOperadData:
-    """Fatten an operad: vertical cells are invertible unaries, 2-cells are squares.
+def _record_square_composites(P: PseudoOperadData, arities: Iterable[int]) -> None:
+    """Record in ``P.compose_cells`` the square composites of the cells of
+    ``arities`` with their inner cells, in :func:`_cell_composites`' order."""
+    for alpha, betas, dom, cod in _cell_composites(P, P.compose_ops, arities):
+        legs = tuple(itertools.chain.from_iterable(b.legs for b in betas))
+        P.compose_cells[(alpha, betas)] = Square(dom, cod, legs, alpha.out)
 
-    Only the window ``O.operations`` is tabulated: a composite of operations,
-    of cells or of nested operations is recorded when its operations lie in
-    the window.  A tuple is composed only when some window operation has its
-    flattened signature, the inner inputs joined with the outer output:
-    ``O.compose`` refuses any result of another signature, so a tuple skipped
-    this way has no composite in the window.  Cell composites and
-    associators are read off the window's composites by
-    :func:`_cell_composites` and :func:`_associator_triples`; an associator
-    is the identity cell of its total composite.
+
+def _fatten(O: Operad) -> PseudoOperadData:
+    """``iota(O)`` without the tables that the 2-adjunction never reads.
+
+    The verticals, squares and operation groupoids, the cell ends,
+    ``compose_ops``, the units and unit cells, ``act_ops`` and the unitors
+    are ``iota(O)``'s.  The cell composites are those whose outer cell has
+    arity at most 1: they begin :func:`_cell_composites`' walk, and they
+    hold every zig-zag that :func:`find_companion` reads.  ``act_cells``
+    and ``associators`` stay empty.
     """
     inverses = _invertible_unaries(O)
     verticals = tuple(inverses)
@@ -835,7 +847,6 @@ def iota(O: Operad) -> PseudoOperadData:
     for g in verticals:
         verts_from.setdefault(g.inputs[0], []).append(g)
 
-    squares_by_arity: dict[int, list[Square]] = {}
     for n in O.arities:
         ops_n = O.ops(n)
         squares: list[Square] = []
@@ -849,10 +860,6 @@ def iota(O: Operad) -> PseudoOperadData:
                         squares.append(Square(dom, cod, tuple(legs), out))
                         if len(squares) > _MAX_SQUARES_PER_ARITY:
                             raise ValueError("square enumeration overflow in iota")
-        squares_by_arity[n] = squares
-
-    for n, squares in squares_by_arity.items():
-        ops_n = O.ops(n)
         ident = {
             op: Square(op, op, tuple(O.unit(c) for c in op.inputs), O.unit(op.output))
             for op in ops_n
@@ -899,16 +906,6 @@ def iota(O: Operad) -> PseudoOperadData:
 
     act_ops = {(op, sigma): O.act(op, sigma)
                for op in O.operations for sigma in all_permutations(len(op.inputs))}
-    act_cells: dict = {}
-    for n, squares in squares_by_arity.items():
-        for s in squares:
-            for sigma in all_permutations(n):
-                act_cells[(s, sigma)] = Square(
-                    O.act(s.dom, sigma),
-                    O.act(s.cod, sigma),
-                    apply_permutation(s.legs, sigma),
-                    s.out,
-                )
 
     unitors = {op: op_groupoids[len(op.inputs)].id(op) for op in O.operations}
     P = PseudoOperadData(
@@ -923,18 +920,46 @@ def iota(O: Operad) -> PseudoOperadData:
         unit_ops=unit_ops,
         unit_cells=unit_cells,
         act_ops=act_ops,
-        act_cells=act_cells,
+        act_cells={},
         left_unitors=unitors,
         right_unitors=dict(unitors),
         name=f"iota({O.name})",
         compose_op_fn=lambda psi, phis: O.compose(psi, phis),
         act_op_fn=lambda op, sigma: O.act(op, sigma),
     )
-    for alpha, betas, dom, cod in _cell_composites(P, compose_ops):
-        legs = tuple(itertools.chain.from_iterable(b.legs for b in betas))
-        P.compose_cells[(alpha, betas)] = Square(dom, cod, legs, alpha.out)
-    for psi, phis, chis, total in _associator_triples(compose_ops):
-        P.associators[(psi, phis, chis)] = op_groupoids[len(total.inputs)].id(total)
+    _record_square_composites(P, (0, 1))
+    return P
+
+
+def iota(O: Operad) -> PseudoOperadData:
+    """Fatten an operad: vertical cells are invertible unaries, 2-cells are squares.
+
+    Only the window ``O.operations`` is tabulated: a composite of operations,
+    of cells or of nested operations is recorded when its operations lie in
+    the window.  A tuple is composed only when some window operation has its
+    flattened signature, the inner inputs joined with the outer output:
+    ``O.compose`` refuses any result of another signature, so a tuple skipped
+    this way has no composite in the window.  Cell composites and
+    associators are read off the window's composites by
+    :func:`_cell_composites` and :func:`_associator_triples`; an associator
+    is the identity cell of its total composite.  :func:`_fatten` builds all
+    but the cell actions, the associators and the cell composites whose outer
+    cell has arity 2 or more, which are added here, so that the cell
+    composites keep the walk's order.
+    """
+    P = _fatten(O)
+    for n in P.arities():
+        for s in P.op_groupoids[n].morphisms:
+            for sigma in all_permutations(n):
+                P.act_cells[(s, sigma)] = Square(
+                    O.act(s.dom, sigma),
+                    O.act(s.cod, sigma),
+                    apply_permutation(s.legs, sigma),
+                    s.out,
+                )
+    _record_square_composites(P, [n for n in P.arities() if n > 1])
+    for psi, phis, chis, total in _associator_triples(P.compose_ops):
+        P.associators[(psi, phis, chis)] = P.op_groupoids[len(total.inputs)].id(total)
     return P
 
 
@@ -1091,8 +1116,12 @@ def _unit_faults(P: PseudoOperadData, TP: TauResult) -> list[str]:
         for n in P.arities():
             G = P.op_groupoids[n]
             for cell in G.morphisms:
-                legs = tuple(eta_vertical[g] for g in P.cell_inputs[cell])
-                out = eta_vertical[P.cell_output[cell]]
+                ends = (*P.cell_inputs[cell], P.cell_output[cell])
+                if any(g not in eta_vertical for g in ends):
+                    bad.append(f"unknown vertical at {cell}")
+                    break
+                legs = tuple(eta_vertical[g] for g in ends[:-1])
+                out = eta_vertical[ends[-1]]
                 dom = TP.class_of[G.src(cell)]
                 cod = TP.class_of[G.tgt(cell)]
                 if TP.operad.compose(cod, legs) != TP.operad.compose(out, (dom,)):
@@ -1107,7 +1136,7 @@ def _tau_of_unit_faults(TP: TauResult) -> list[str]:
     """Why collapsing the unit through TP is not the identity."""
     bad: list[str] = []
     try:
-        recollapsed = tau_full(iota(TP.operad))
+        recollapsed = tau_full(_fatten(TP.operad))
         if not recollapsed.token_reuse:
             bad.append("collapse of refattened operad has non-singleton classes")
         for op in TP.operad.operations:
@@ -1147,9 +1176,13 @@ def check_two_adjunction(O: Operad, P: PseudoOperadData | None = None) -> Report
     A pseudo-operad that cannot be collapsed fails the two rows that use
     its collapse, with the reason; so does an operad whose fattening
     cannot be collapsed, in every row.
+
+    Both fattenings, of O and of the collapse of P, are :func:`_fatten`'s:
+    the rows read no cell action, no associator and no cell composite whose
+    outer cell has arity 2 or more, so none is built.
     """
     rep = Report()
-    fat = iota(O)
+    fat = _fatten(O)
     P = fat if P is None else P
     collapsed = _tau_or_why(fat)
     TP = collapsed if P is fat else _tau_or_why(P)

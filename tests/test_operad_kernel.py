@@ -559,6 +559,44 @@ class TestMultifunctors:
         assert [(e.check, e.witness) for e in report.failures] == rows
         assert hashlib.sha256(report.dumps().encode()).hexdigest() == digest
 
+    @staticmethod
+    def identity_functor(O: Operad) -> Multifunctor:
+        return Multifunctor(O, O, {c: c for c in O.colors}, {op: op for op in O.operations})
+
+    def test_a_component_of_the_wrong_signature_fails_exactly_its_row(self):
+        # only uc is listed, so no naturality square reads the components
+        # at d or e, and ue: (e) -> e stands at d
+        ident = self.identity_functor(twist_operad(listed=(UC,)))
+        report = check_multinatural(MultinaturalTransformation(
+            ident, ident, {"c": UC, "d": UE, "e": UE}))
+        assert [(e.check, e.status, e.witness) for e in report.entries] == [
+            ("multinatural/components", FAIL, ["d"]), ("multinatural/naturality", PASS, None)]
+        assert hashlib.sha256(report.dumps().encode()).hexdigest() == \
+            "421c8148b0cbddc087c797b5167267bbdbbb5bb53d527cbe8f3828e942523e6a"
+
+    # two equal operads that are not one object do not meet: functors and
+    # transformations compose only along the very operads they name
+    def test_transformations_between_other_operads_are_refused(self):
+        O, O2 = cyclic_group_operad(), cyclic_group_operad()
+        zeta = MultinaturalTransformation(self.identity_functor(O), self.identity_functor(O2),
+                                          {"c": ROT1})
+        with pytest.raises(ValueError, match="^transformation endpoints do not share operads$"):
+            check_multinatural(zeta)
+
+    def test_functors_that_do_not_meet_do_not_compose(self):
+        F, G = self.identity_functor(cyclic_group_operad()), \
+            self.identity_functor(cyclic_group_operad())
+        with pytest.raises(ValueError, match="^multifunctors do not compose$"):
+            compose_multifunctors(F, G)
+
+    def test_transformations_that_do_not_meet_do_not_stack(self):
+        F, G = self.identity_functor(cyclic_group_operad()), \
+            self.identity_functor(cyclic_group_operad())
+        zeta = MultinaturalTransformation(F, F, {"c": ROT1})
+        xi = MultinaturalTransformation(G, G, {"c": ROT1})
+        with pytest.raises(ValueError, match="^transformations do not stack$"):
+            vertical_compose(zeta, xi)
+
     def test_composition_and_whiskering_plumbing(self):
         O = cyclic_group_operad()
         ident = Multifunctor(O, O, {c: c for c in O.colors},

@@ -30,6 +30,7 @@ from causalops.pseudo_operad import (
     PseudoOperadData,
     Square,
     TauOperation,
+    _fatten,
     check_pseudo_operad,
     find_companion,
     iota,
@@ -156,6 +157,68 @@ class TestIotaJoin:
     @settings(max_examples=100, deadline=None)
     def test_random_prefactorization_operads_match_the_product_walk(self, O):
         assert_iota_matches_brute_walk(O)
+
+
+def groupoid_values(G: FiniteGroupoid) -> tuple:
+    """A groupoid's objects, morphisms, ends, identities, inverses and
+    composites of composable pairs, as values in tuple order."""
+    return (
+        G.objects, G.morphisms,
+        [(G.src(m), G.tgt(m), G.inv(m)) for m in G.morphisms],
+        [G.id(obj) for obj in G.objects],
+        [(f, g, G.compose(g, f)) for f in G.morphisms for g in G.morphisms
+         if G.src(g) == G.tgt(f)],
+    )
+
+
+def assert_fatten_is_a_part_of_iota(O) -> tuple[int, int]:
+    """Each table that _fatten(O) fills is iota(O)'s, order included, but the
+    cell composites, which are the prefix of iota's whose outer cells have
+    arity at most 1; the cell actions and associators are left empty.
+    Returns the counts of _fatten's and of iota's cell composites."""
+    part, full = _fatten(O), iota(O)
+    assert groupoid_values(part.objects) == groupoid_values(full.objects)
+    assert part.arities() == full.arities()
+    for n in full.arities():
+        assert groupoid_values(part.op_groupoids[n]) == groupoid_values(full.op_groupoids[n])
+    for table in ("op_inputs", "op_output", "cell_inputs", "cell_output", "compose_ops",
+                  "unit_ops", "unit_cells", "act_ops", "left_unitors", "right_unitors"):
+        assert list(getattr(part, table).items()) == list(getattr(full, table).items()), table
+    assert (part.name, part.op_link_fn) == (full.name, full.op_link_fn)
+    assert (part.act_cells, part.associators) == ({}, {})
+    composites = list(full.compose_cells.items())
+    k = len(part.compose_cells)
+    assert list(part.compose_cells.items()) == composites[:k]
+    assert all(len(alpha.legs) <= 1 for (alpha, _), _ in composites[:k])
+    assert all(len(alpha.legs) >= 2 for (alpha, _), _ in composites[k:])
+    return k, len(composites)
+
+
+class TestFatten:
+    @pytest.mark.parametrize("factory", [
+        cyclic_group_operad,
+        commutative_fold_operad,
+        lambda: prefactorization_operad(
+            [CausalSet("p", []), CausalSet("bc", [])], max_arity=2
+        ),
+    ])
+    def test_fixture_operads_fatten_to_a_part_of_iota(self, factory):
+        assert_fatten_is_a_part_of_iota(factory())
+
+    def test_merge_fragment_fattens_to_a_part_of_iota(self):
+        frag = bordism_fragment([merge_bordism()], depth=1, max_ops=128, max_cells=8192)
+        part, full = assert_fatten_is_a_part_of_iota(truncate_bordisms(frag))
+        assert 0 < part < full  # both walks compose cells
+
+    def test_chain_fragment_fattens_to_a_part_of_iota(self):
+        frag = bordism_fragment([chain_bordism("a", "b", "c")], depth=2,
+                                max_ops=64, max_cells=4096)
+        assert_fatten_is_a_part_of_iota(truncate_bordisms(frag))
+
+    @given(small_prefactorization_operad())
+    @settings(max_examples=100, deadline=None)
+    def test_random_prefactorization_operads_fatten_to_a_part_of_iota(self, O):
+        assert_fatten_is_a_part_of_iota(O)
 
 
 class TestCellIndex:
@@ -562,6 +625,24 @@ class TestTwoAdjunction:
         assert [(e.check, e.witness) for e in report.entries if e.status != PASS] == \
             [(row, witness)]
         assert hashlib.sha256(report.dumps().encode()).hexdigest() == digest
+
+    # a leg or an output that names no listed vertical fails the unit row
+    # with the text of the audit's boundaries row, instead of a KeyError
+    @pytest.mark.parametrize("table, value", [("cell_inputs", ("stray",)),
+                                              ("cell_output", "stray")], ids=["leg", "output"])
+    def test_a_cell_on_an_unlisted_vertical_fails_the_unit_row(self, table, value):
+        cell = Square(ROT0, ROT0, (ROT1,), ROT1)
+        P = iota(cyclic_group_operad())
+        getattr(P, table)[cell] = value
+        why = [f"unknown vertical at {cell}"]
+        audit = check_pseudo_operad(P)
+        assert next(e.witness for e in audit.failures if e.check == "pseudo-operad/boundaries") \
+            == why
+        report = adjunction_report(cyclic_group_operad(), P)
+        assert [(e.check, e.witness) for e in report.entries if e.status != PASS] == \
+            [("two-adjunction/unit-strict", why)]
+        assert hashlib.sha256(report.dumps().encode()).hexdigest() == \
+            "08b060e6e1a76d874b8fe3d73dcf3134e8ad3074a8eae8aea55d1fe12e6bc3d4"
 
     @given(small_prefactorization_operad())
     @settings(max_examples=100, deadline=None)
