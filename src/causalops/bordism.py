@@ -96,14 +96,15 @@ class PointedObject:
         if not is_cauchy_antichain(carrier, self.surface):
             raise InvalidSurface("surface must be a Cauchy antichain of the carrier")
 
-    @cached_property
+    @property
     def surface_hull(self) -> frozenset[str]:
-        return convex_hull(self.carrier, self.surface)
+        """The surface: an antichain is its own convex hull."""
+        return self.surface
 
     @cached_property
     def core(self) -> CausalSet:
         """The carrier restricted to the convex hull of the surface."""
-        return self.carrier.induced(self.surface_hull)
+        return self.carrier.induced(self.surface)
 
     __hash__ = _cached_hash(lambda self: (PointedObject, self.carrier, self.surface))
 
@@ -127,6 +128,10 @@ class Germ:
     surface.  Two wider embeddings present the same germ precisely when
     these restrictions coincide, so equality of the dataclass fields is germ
     equality.
+
+    The constructor validates its table.  Composites, inverses, identities,
+    searched and boundary germs are bijections between surfaces by
+    construction, so they are built unchecked, with a lazy ``embedding``.
     """
 
     src: PointedObject
@@ -139,16 +144,27 @@ class Germ:
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "tgt", tgt)
         object.__setattr__(self, "pairs", tuple(sorted(table.items())))
+        # src.core is the surface, so this image check also carries it onto tgt's
         emb = CausalEmbedding(src.core, tgt.carrier, table)
         if emb.image != tgt.surface_hull:
             raise ValueError("germ must cover exactly the target surface hull")
-        if emb.image_of(src.surface) != tgt.surface:
-            raise ValueError("germ must carry the surface onto the target surface")
         self.__dict__["embedding"] = emb  # an attribute, not a field
 
     @classmethod
+    def _unchecked(cls, src: PointedObject, tgt: PointedObject,
+                   pairs: tuple[tuple[str, str], ...]) -> "Germ":
+        """The germ of these sorted ``pairs``, a germ by construction."""
+        germ = object.__new__(cls)
+        germ.__dict__.update(src=src, tgt=tgt, pairs=pairs)
+        return germ
+
+    @cached_property
+    def embedding(self) -> CausalEmbedding:
+        return CausalEmbedding._unchecked(self.src.core, self.tgt.carrier, self.pairs)
+
+    @classmethod
     def identity(cls, obj: PointedObject) -> "Germ":
-        return cls(obj, obj, {e: e for e in obj.surface_hull})
+        return cls._unchecked(obj, obj, tuple((e, e) for e in sorted(obj.surface)))
 
     @cached_property
     def table(self) -> dict[str, str]:
@@ -158,11 +174,12 @@ class Germ:
         """Composite germ, applying self first."""
         if other.src != self.tgt:
             raise ValueError("germs do not compose")
-        return Germ(self.src, other.tgt,
-                    {e: other.table[v] for e, v in self.pairs})
+        table = other.table
+        return Germ._unchecked(self.src, other.tgt,
+                               tuple((e, table[v]) for e, v in self.pairs))
 
     def inverse(self) -> "Germ":
-        return Germ(self.tgt, self.src, {v: e for e, v in self.pairs})
+        return Germ._unchecked(self.tgt, self.src, tuple(sorted((v, e) for e, v in self.pairs)))
 
     __hash__ = _cached_hash(lambda self: (Germ, self.src, self.tgt, self.pairs))
 
@@ -178,7 +195,7 @@ class Germ:
 def enumerate_germs(src: PointedObject, tgt: PointedObject) -> tuple[Germ, ...]:
     """All invertible germs from src to tgt, sorted deterministically."""
     found = [
-        Germ(src, tgt, iso)
+        Germ._unchecked(src, tgt, tuple(iso.items()))
         for iso in _pinned_maps(src.core, tgt.core, iso=True,
                                 blocks=((src.surface, tgt.surface),))
     ]
@@ -555,6 +572,12 @@ class TwoCell:
     all surface images, matching each input surface image and the output
     surface image slotwise.  Boundary germs on the pointed objects are
     derived by factoring through the collar embeddings.
+
+    The constructor validates its table, so it checks the glue's pastings.
+    Composites, inverses, identity cells, cells of germs and searched cells
+    hold by construction and are built unchecked, with a lazy ``embedding``.
+    A cell carries each surface image onto its partner, so its boundary
+    germs are bijections between surfaces.
     """
 
     dom: Bordism
@@ -581,6 +604,18 @@ class TwoCell:
             raise ValueError("cell does not match the output surface image")
         self.__dict__["embedding"] = emb  # an attribute, not a field
 
+    @classmethod
+    def _unchecked(cls, dom: Bordism, cod: Bordism,
+                   pairs: tuple[tuple[str, str], ...]) -> "TwoCell":
+        """The cell of these sorted ``pairs``, a cell by construction."""
+        cell = object.__new__(cls)
+        cell.__dict__.update(dom=dom, cod=cod, pairs=pairs)
+        return cell
+
+    @cached_property
+    def embedding(self) -> CausalEmbedding:
+        return CausalEmbedding._unchecked(self.dom.hull_core, self.cod.carrier, self.pairs)
+
     @cached_property
     def table(self) -> dict[str, str]:
         return dict(self.pairs)
@@ -592,42 +627,31 @@ class TwoCell:
         """Vertical composite, applying self first."""
         if other.dom != self.cod:
             raise ValueError("cells do not compose")
-        return TwoCell(self.dom, other.cod,
-                       {e: other.table[v] for e, v in self.pairs})
+        table = other.table
+        return TwoCell._unchecked(self.dom, other.cod,
+                                  tuple((e, table[v]) for e, v in self.pairs))
 
     def inverse(self) -> "TwoCell":
-        return TwoCell(self.cod, self.dom, {v: e for e, v in self.pairs})
+        return TwoCell._unchecked(self.cod, self.dom, tuple(sorted((v, e) for e, v in self.pairs)))
+
+    def _boundary_germ(self, fwd: CausalEmbedding, back: CausalEmbedding,
+                       src: PointedObject, tgt: PointedObject) -> Germ:
+        """x goes to the preimage under ``back`` of the cell's image of ``fwd(x)``."""
+        inv, table = back.inverse_table, self.table
+        return Germ._unchecked(src, tgt,
+                               tuple((x, inv[table[fwd(x)]]) for x in sorted(src.surface)))
 
     @cached_property
     def source_germs(self) -> tuple[Germ, ...]:
         """Boundary germs on the inputs, one per slot."""
-        germs = []
-        for i in range(self.dom.arity):
-            back = self.cod.maps_in[i].inverse_table
-            fwd = self.dom.maps_in[i]
-            table = {}
-            for x in self.dom.sources[i].surface_hull:
-                y = back.get(self(fwd(x)))
-                if y is None:
-                    raise ValueError(
-                        f"cell does not factor through input collar {i}"
-                    )
-                table[x] = y
-            germs.append(Germ(self.dom.sources[i], self.cod.sources[i], table))
-        return tuple(germs)
+        return tuple(map(self._boundary_germ, self.dom.maps_in, self.cod.maps_in,
+                         self.dom.sources, self.cod.sources))
 
     @cached_property
     def target_germ(self) -> Germ:
         """Boundary germ on the output."""
-        back = self.cod.map_out.inverse_table
-        fwd = self.dom.map_out
-        table = {}
-        for x in self.dom.target.surface_hull:
-            y = back.get(self(fwd(x)))
-            if y is None:
-                raise ValueError("cell does not factor through the output collar")
-            table[x] = y
-        return Germ(self.dom.target, self.cod.target, table)
+        return self._boundary_germ(self.dom.map_out, self.cod.map_out,
+                                   self.dom.target, self.cod.target)
 
     __hash__ = _cached_hash(lambda self: (TwoCell, self.dom, self.cod, self.pairs))
 
@@ -641,12 +665,12 @@ class TwoCell:
 
 
 def identity_cell(b: Bordism) -> TwoCell:
-    return TwoCell(b, b, {e: e for e in b.surface_hull})
+    return TwoCell._unchecked(b, b, tuple((e, e) for e in sorted(b.surface_hull)))
 
 
 def germ_to_cell(germ: Germ) -> TwoCell:
     """A germ viewed as a cell between the identity bordisms of its ends."""
-    return TwoCell(unit_bordism(germ.src), unit_bordism(germ.tgt), germ.table)
+    return TwoCell._unchecked(unit_bordism(germ.src), unit_bordism(germ.tgt), germ.pairs)
 
 
 def permute_cell(cell: TwoCell, sigma: Sequence[int]) -> TwoCell:
@@ -663,7 +687,7 @@ def cells_between(a: Bordism, b: Bordism) -> tuple[TwoCell, ...]:
     ]
     blocks.append((a.out_surface_image, b.out_surface_image))
     found = [
-        TwoCell(a, b, iso)
+        TwoCell._unchecked(a, b, tuple(iso.items()))
         for iso in _pinned_maps(a.hull_core, b.hull_core, iso=True,
                                 blocks=tuple(blocks))
     ]
@@ -688,7 +712,7 @@ def globular_cells_between(a: Bordism, b: Bordism,
                 return ()
     cells: list[TwoCell] = []
     for iso in _pinned_maps(a.hull_core, b.hull_core, iso=True, pins=pins):
-        cells.append(TwoCell(a, b, iso))
+        cells.append(TwoCell._unchecked(a, b, tuple(iso.items())))
         if limit is not None and len(cells) >= limit:
             return tuple(cells)
     return tuple(sorted(cells, key=str))
@@ -730,8 +754,7 @@ def _compose_two_cells(outer: TwoCell, inners: tuple[TwoCell, ...],
             raise InvalidComposite(
                 "composite hull event not covered by any piece hull"
             )
-        if len(candidates) > 1:
-            raise InvalidComposite("piece cells disagree on a shared hull event")
+        # an event of two piece hulls is on an interface surface: germs agree
         table[x] = candidates.pop()
     return TwoCell(dom_full.bordism, cod_full.bordism, table)
 
@@ -911,37 +934,6 @@ def _germ_groupoid(colors: Iterable[PointedObject]) -> FiniteGroupoid:
     )
 
 
-def _vertical_by_value(stored: Mapping[tuple, TwoCell]) -> Callable[[TwoCell, TwoCell], TwoCell]:
-    """Vertical composition of cells that returns a stored cell when one equals the composite.
-
-    ``stored`` maps ``(dom, cod, pairs)`` to a cell.  The composite of ``f``
-    then ``g`` has the pairs of ``f`` with their values sent through
-    ``g.table``; a stored cell with the same ``(dom, cod, pairs)`` already
-    passed the validation that ``f.then(g)`` would run, which depends on
-    nothing else.  Any other pair is built and validated by ``f.then(g)``.
-    """
-    def compose(g: TwoCell, f: TwoCell) -> TwoCell:
-        if g.dom == f.cod:
-            table = g.table
-            found = stored.get((f.dom, g.cod, tuple((e, table[v]) for e, v in f.pairs)))
-            if found is not None:
-                return found
-        return f.then(g)
-    return compose
-
-
-def _inverse_by_value(stored: Mapping[tuple, TwoCell]) -> Callable[[TwoCell], TwoCell]:
-    """The inverse of a cell, the stored cell equal to it when there is one.
-
-    The inverse of ``c`` has the pairs of ``c`` swapped; see
-    :func:`_vertical_by_value` for why a stored cell needs no validation.
-    """
-    def inverse(c: TwoCell) -> TwoCell:
-        found = stored.get((c.cod, c.dom, tuple(sorted((v, e) for e, v in c.pairs))))
-        return c.inverse() if found is None else found
-    return inverse
-
-
 def bordism_fragment(
     generators: Iterable[PointedObject | Bordism],
     depth: int = 1,
@@ -965,8 +957,10 @@ def bordism_fragment(
     it for the glues the audits ask for later.  Table values are canonical
     instances: a value equal to a germ, an operation or a cell of the
     window is that very object, so the audits find it in the window's
-    tables by identity.  A permuted cell is read from the window's cells,
-    which are closed under the action, not built again.  Cell composites
+    tables by identity; the operation groupoids compose and invert cells
+    unchecked, through ``then`` and ``inverse``, and return the stored equal
+    cell through their ``numbers``.  A permuted cell is read from the
+    window's cells, which are closed under the action.  Cell composites
     and associators are read off the composites by the walks that ``iota``
     uses too.  Every table comes in construction order and none is sorted
     again, so its order does not depend on ``PYTHONHASHSEED``.  The
@@ -1045,17 +1039,15 @@ def bordism_fragment(
                     if total_cells > max_cells:
                         raise FragmentCapExceeded(f"cell cap {max_cells} exceeded")
     all_cells = tuple(itertools.chain.from_iterable(cells_by_arity.values()))
-    cell_at = {(c.dom, c.cod, c.pairs): c for c in all_cells}
-    vertical, inverse = _vertical_by_value(cell_at), _inverse_by_value(cell_at)
     op_groupoids = {
         n: FiniteGroupoid(
             tuple(group),
             cells_by_arity[n],
             {c: c.dom for c in cells_by_arity[n]},
             {c: c.cod for c in cells_by_arity[n]},
-            vertical,
+            lambda g, f: f.then(g),
             {op: identity_cell(op) for op in group},
-            inverse,
+            lambda c: c.inverse(),
         )
         for n, group in ops_by_arity.items()
     }
@@ -1097,8 +1089,8 @@ def bordism_fragment(
     for n, cells in cells_by_arity.items():
         for cell in cells:
             for sigma in itertools.permutations(range(n)):
-                window.act_cells[(cell, sigma)] = cell_at[
-                    (act_ops[(cell.dom, sigma)], act_ops[(cell.cod, sigma)], cell.pairs)]
+                window.act_cells[(cell, sigma)] = intern(TwoCell._unchecked(
+                    act_ops[(cell.dom, sigma)], act_ops[(cell.cod, sigma)], cell.pairs))
 
     for op in ops_sorted:
         want_left = (unit_bordism(op.target), (op,)) in compose_ops

@@ -135,22 +135,15 @@ class PseudoOperadData:
     # -- structural helpers --
 
     def groupoid_of_cell(self, cell) -> FiniteGroupoid:
-        """The operation groupoid holding ``cell`` as a morphism; a value that
-        is no cell raises ValueError."""
-        # the index is stamped with the operation groupoids it was built from
-        # and rebuilt when one of them is swapped; groupoids compare by
-        # identity, and the stamp holds them, so none can be mistaken for a
-        # new one while it is cached
-        homes = tuple(self.op_groupoids.values())
-        cached = self.__dict__.get("_homes")
-        if cached is None or cached[0] != homes:
-            cached = (homes, {c: self.op_groupoids[n] for n in self.arities()
-                              for c in self.op_groupoids[n].morphisms})
-            self.__dict__["_homes"] = cached
-        try:
-            return cached[1][cell]
-        except KeyError:
-            raise ValueError(f"cell {cell} belongs to no operation groupoid") from None
+        """The operation groupoid listing ``cell`` as a morphism, the one of
+        highest arity when several do; a value that is no cell raises
+        ValueError.  A value a groupoid numbered without listing it (a
+        composite outside its morphisms) is no cell of it."""
+        for n in reversed(self.arities()):
+            G = self.op_groupoids[n]
+            if G.numbers.no.get(cell, len(G.morphisms)) < len(G.morphisms):
+                return G
+        raise ValueError(f"cell {cell} belongs to no operation groupoid")
 
     def is_identity_vertical(self, g) -> bool:
         try:
@@ -1133,18 +1126,25 @@ def _unit_faults(P: PseudoOperadData, TP: TauResult) -> list[str]:
 
 
 def _tau_of_unit_faults(TP: TauResult) -> list[str]:
-    """Why collapsing the unit through TP is not the identity."""
-    bad: list[str] = []
+    """Why collapsing the unit through TP is not the identity.  A fattening has
+    no link hook, so its collapse moves no operation or, with a class that is
+    not a singleton, all of them."""
     try:
         recollapsed = tau_full(_fatten(TP.operad))
-        if not recollapsed.token_reuse:
-            bad.append("collapse of refattened operad has non-singleton classes")
-        for op in TP.operad.operations:
-            if recollapsed.class_of.get(op, op) != op:
-                bad.append(f"collapsed unit moves {op}")
     except ValueError as exc:
-        bad.append(str(exc))
-    return bad
+        return [str(exc)]
+    return [] if recollapsed.token_reuse else \
+        ["collapse of refattened operad has non-singleton classes"]
+
+
+def _stray_entries(P: PseudoOperadData) -> list[str]:
+    """P's composite entries naming an operation outside the window, and its
+    cells with no boundary entry, in the texts of :func:`check_pseudo_operad`."""
+    bad = [f"composite entry outside the window at {psi}"
+           for (psi, phis), result in P.compose_ops.items()
+           if not all(op in P.op_inputs for op in (psi, *phis, result))]
+    return bad + [f"boundary entry missing at {c}" for c in P.all_cells()
+                  if c not in P.cell_inputs or c not in P.cell_output]
 
 
 def _tau_or_why(P: PseudoOperadData) -> TauResult | str:
@@ -1175,7 +1175,8 @@ def check_two_adjunction(O: Operad, P: PseudoOperadData | None = None) -> Report
     operad is the identity; and collapsing the unit yields an identity.
     A pseudo-operad that cannot be collapsed fails the two rows that use
     its collapse, with the reason; so does an operad whose fattening
-    cannot be collapsed, in every row.
+    cannot be collapsed, in every row; and so does a pseudo-operad whose
+    collapse would read an entry outside the window (:func:`_stray_entries`).
 
     Both fattenings, of O and of the collapse of P, are :func:`_fatten`'s:
     the rows read no cell action, no associator and no cell composite whose
@@ -1192,6 +1193,8 @@ def check_two_adjunction(O: Operad, P: PseudoOperadData | None = None) -> Report
 
     if isinstance(TP, str):  # no collapse: both rows that use it fail
         unit_bad = tau_unit_bad = [TP]
+    elif stray := _stray_entries(P):
+        unit_bad = tau_unit_bad = stray
     else:
         unit_bad, tau_unit_bad = _unit_faults(P, TP), _tau_of_unit_faults(TP)
     rep.verdict("two-adjunction/unit-strict", P.name, unit_bad)

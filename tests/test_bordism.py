@@ -23,6 +23,7 @@ from causalops.bordism import (
     compose_bordisms_full,
     compose_two_cells,
     enumerate_germs,
+    germ_to_cell,
     globular_cells_between,
     identity_cell,
     overhang_regions,
@@ -45,7 +46,7 @@ from causalops.causal_core import (
     glue_pushout,
     is_cauchy_antichain,
 )
-from causalops.errors import FragmentCapExceeded, InvalidComposite
+from causalops.errors import FragmentCapExceeded, InvalidComposite, InvalidSurface
 from causalops.operad_kernel import block_permutation
 from causalops.pseudo_operad import (
     check_pseudo_operad,
@@ -737,6 +738,173 @@ class TestGluingValidPieces:
             compose_bordisms_full(outer, (inner,))
 
 
+class TestUncheckedBuilds:
+    """Germs and cells that are germs and cells by construction are built
+    unchecked; each equals the validating constructor's build from the same
+    ends and pairs, and the constructor checks that they rely on cannot fail
+    on what the constructors accept."""
+
+    @given(valid_pieces())
+    @settings(max_examples=100, deadline=None)
+    def test_searched_and_derived_cells_of_valid_pieces_are_validated_builds(self, pieces):
+        outer, inners = pieces
+        for b in (outer, *inners):
+            for cell in (*cells_between(b, b), *globular_cells_between(b, b), identity_cell(b)):
+                for x in (cell, cell.inverse(), cell.then(cell), *cell.source_germs,
+                          cell.target_germ):
+                    assert_validated(x)
+            for obj in (*b.sources, b.target):
+                for germ in enumerate_germs(obj, obj):
+                    assert_validated(germ)
+                    assert_validated(germ_to_cell(germ))
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_a_germ_is_exactly_a_bijection_between_surfaces(self, seed):
+        # so a germ the constructor accepts carries the surface onto the
+        # target surface, and that check is not made
+        rng = random.Random(seed)
+        src, tgt = _random_interface(rng, "0"), _random_interface(rng, "1")
+        table = {x: rng.choice(tgt.carrier.events) for x in src.surface}
+        bijection = set(table.values()) == tgt.surface and len(table) == len(tgt.surface)
+        try:
+            germ = Germ(src, tgt, table)
+        except ValueError:
+            assert not bijection
+        else:
+            assert bijection and germ.embedding.image_of(src.surface) == tgt.surface
+
+    @given(valid_pieces())
+    @settings(max_examples=100, deadline=None)
+    def test_pasted_cells_agree_on_every_shared_hull_event(self, pieces):
+        # the pieces' cells send each composite hull event to at most one
+        # event, so the glue makes no check that they agree
+        outer, inners = pieces
+        try:
+            full = compose_bordisms_full(outer, inners)
+        except InvalidComposite:
+            return
+        hull = full.bordism.surface_hull
+        legs = [(full.upper_leg, outer.surface_hull)]
+        legs += [(leg, inner.surface_hull) for leg, inner in zip(full.lower_legs, inners)]
+        for alpha in cells_between(outer, outer):
+            pools = [[c for c in cells_between(inner, inner) if c.target_germ == g]
+                     for inner, g in zip(inners, alpha.source_germs)]
+            for betas in itertools.product(*pools):
+                images: dict = {x: set() for x in hull}
+                for (leg, piece_hull), cell in zip(legs, (alpha, *betas)):
+                    for e in piece_hull & set(leg.dom.events):
+                        if leg(e) in hull:
+                            images[leg(e)].add(leg(cell(e)))
+                assert all(len(ys) <= 1 for ys in images.values())
+                if all(images.values()):
+                    assert compose_two_cells(alpha, betas) == TwoCell(
+                        full.bordism, full.bordism, {x: ys.pop() for x, ys in images.items()})
+                else:
+                    with pytest.raises(InvalidComposite, match="not covered"):
+                        compose_two_cells(alpha, betas)
+
+
+def uncovered_pieces() -> tuple[Bordism, Bordism]:
+    """Valid pieces whose composite hull holds an event in neither piece
+    hull: the outer one has m < s < t and m < u < t on the input collar
+    m < s, the inner one a < m < s below it; the composite hull runs from a
+    to t and holds u, which lies above no event of the outer hull {s, t}."""
+    S = PointedObject(chain_poset("m", "s"), {"s"})
+    M = CausalSet("mstu", [("m", "s"), ("s", "t"), ("m", "u"), ("u", "t")])
+    outer = Bordism((S,), point("t"), M, (CausalEmbedding.inclusion(M, "ms"),),
+                    CausalEmbedding(point("t").carrier, M, {"t": "t"}))
+    N = chain_poset("a", "m", "s")
+    inner = Bordism((point("a"),), S, N, (CausalEmbedding(point("a").carrier, N, {"a": "a"}),),
+                    CausalEmbedding.inclusion(N, "ms"))
+    return outer, inner
+
+
+def paste_identity_cells(outer: Bordism, inner: Bordism) -> TwoCell:
+    return compose_two_cells(identity_cell(outer), (identity_cell(inner),))
+
+
+class TestRaises:
+    """The smallest input for each raise of the pointed-object, bordism, germ
+    and cell constructors, of vertical composition and of the cell glue."""
+
+    @staticmethod
+    def pair() -> PointedObject:
+        return PointedObject(CausalSet("sy", []), {"s", "y"})
+
+    @pytest.mark.parametrize("build, error, text", [
+        pytest.param(lambda: PointedObject(CausalSet("a"), {"b"}), InvalidSurface,
+                     "surface names ['b'], which are not events of the carrier ['a']",
+                     id="surface"),
+        pytest.param(lambda: Bordism((point("a"),), point("a"), CausalSet("a"), (),
+                                     CausalEmbedding.identity(CausalSet("a"))),
+                     ValueError, "one input embedding per source is required", id="inputs"),
+        pytest.param(lambda: Bordism((point("a"),), point("a"), CausalSet("a"),
+                                     (CausalEmbedding.identity(CausalSet("b")),),
+                                     CausalEmbedding.identity(CausalSet("a"))),
+                     ValueError, "input embedding 0 does not land in the carrier",
+                     id="input-carrier"),
+        pytest.param(lambda: Bordism((), point("a"), CausalSet("a"), (),
+                                     CausalEmbedding.identity(CausalSet("b"))),
+                     ValueError, "output embedding does not land in the carrier",
+                     id="output-carrier"),
+        pytest.param(lambda: Germ(point("p"), TestRaises.pair(), {"p": "s"}),
+                     ValueError, "germ must cover exactly the target surface hull", id="germ"),
+        pytest.param(lambda: TwoCell(unit_bordism(point("p")),
+                                     Bordism((), point("p"), CausalSet("p"), (),
+                                             CausalEmbedding.identity(CausalSet("p"))),
+                                     {"p": "p"}),
+                     ValueError, "cells connect bordisms of equal arity", id="arity"),
+        pytest.param(lambda: TwoCell(chain_bordism("a", "b", "c"), chain_bordism("a", "b", "c"),
+                                     {"a": "a"}),
+                     ValueError, "cell must be defined on exactly the surface hull", id="domain"),
+        pytest.param(lambda: TwoCell(unit_bordism(point("p")), chain_bordism("a", "b", "c"),
+                                     {"p": "a"}),
+                     ValueError, "cell image must be exactly the surface hull", id="image"),
+        pytest.param(lambda: TwoCell(merge_bordism(), merge_bordism(),
+                                     {"l": "r", "r": "l", "t": "t"}),
+                     ValueError, "cell does not match input surface image 0", id="input"),
+        pytest.param(lambda: TwoCell(
+            Bordism((point("s"),), point("y"), CausalSet("sy", []),
+                    (CausalEmbedding(point("s").carrier, CausalSet("sy", []), {"s": "s"}),),
+                    CausalEmbedding(point("y").carrier, CausalSet("sy", []), {"y": "y"})),
+            Bordism((point("s"),), TestRaises.pair(), CausalSet("sy", []),
+                    (CausalEmbedding(point("s").carrier, CausalSet("sy", []), {"s": "s"}),),
+                    CausalEmbedding.identity(CausalSet("sy", []))),
+            {"s": "s", "y": "y"}),
+                     ValueError, "cell does not match the output surface image", id="output"),
+        pytest.param(lambda: Germ.identity(point("p")).then(Germ.identity(point("q"))),
+                     ValueError, "germs do not compose", id="germ-then"),
+        pytest.param(lambda: identity_cell(unit_bordism(point("p"))).then(
+                         identity_cell(unit_bordism(point("q")))),
+                     ValueError, "cells do not compose", id="cell-then"),
+        pytest.param(lambda: compose_two_cells(identity_cell(merge_bordism()),
+                                               (identity_cell(unit_bordism(point("l"))),)),
+                     ValueError, "arity mismatch: one inner cell per input is required",
+                     id="paste-arity"),
+        pytest.param(lambda: compose_two_cells(
+                         identity_cell(unit_bordism(TestRaises.pair())),
+                         (cells_between(unit_bordism(TestRaises.pair()),
+                                        unit_bordism(TestRaises.pair()))[1],)),
+                     ValueError, "inner cell 0 does not feed the matching boundary germ",
+                     id="paste-germ"),
+        pytest.param(lambda: paste_identity_cells(*uncovered_pieces()),
+                     InvalidComposite, "composite hull event not covered by any piece hull",
+                     id="paste-cover"),
+    ])
+    def test_each_raise_is_reached(self, build, error, text):
+        with pytest.raises(error) as raised:
+            build()
+        assert str(raised.value) == text
+
+    def test_the_uncovered_pieces_are_valid_and_compose(self):
+        outer, inner = uncovered_pieces()
+        assert validate_bordism(outer).ok and validate_bordism(inner).ok
+        composite = compose_bordisms(outer, (inner,))
+        assert composite.surface_hull == {"a", "m", "s", "t", "u"}
+        assert outer.surface_hull == {"s", "t"} and inner.surface_hull == {"a", "m", "s"}
+
+
 class TestConditionStrictness:
     """A one-input bordism without a wide collar must sit strictly below.
 
@@ -878,10 +1046,11 @@ class TestFragments:
             frag = bordism_fragment([generator], depth=depth, **caps)
             assert check_pseudo_operad(frag).ok
             assert check_two_adjunction(truncate_bordisms(frag), frag).ok
-        # germs and cells validate their embeddings; composites, restrictions,
-        # collars, pushout legs and identities are embeddings by construction,
-        # and each causal set builds each of its sub-posets once
-        assert counts == {"validations": 3961, "inductions": 147}
+        # the glue's cells validate their embeddings; composites,
+        # restrictions, collars, pushout legs and identities are embeddings
+        # by construction, and so are searched, derived and boundary germs
+        # and cells; each causal set builds each of its sub-posets once
+        assert counts == {"validations": 1430, "inductions": 147}
 
     def test_a_window_glue_still_validates_a_broken_piece(self):
         frag = bordism_fragment([chain_bordism("a", "b", "c")], depth=1)
@@ -944,6 +1113,14 @@ def held_instances(frag) -> dict:
     return held
 
 
+def assert_validated(x):
+    """``x``, a germ or a cell, equals what the validating constructor builds
+    from its ends and pairs, embedding and hash included."""
+    built = Germ(x.src, x.tgt, x.pairs) if isinstance(x, Germ) else TwoCell(x.dom, x.cod, x.pairs)
+    assert x == built and hash(x) == hash(built) and str(x) == str(built)
+    assert x.embedding == built.embedding
+
+
 def composable_pairs(G):
     """Every pair (g, f) of morphisms of G with g after f defined."""
     into: dict = {}
@@ -979,35 +1156,32 @@ class TestCanonicalInstances:
                 assert held.get(gf) is gf
                 assert G.compose(g, f) is gf
 
-    def test_vertical_composites_by_value_match_then(self, window):
-        missing = refused = 0
-        for G in window.op_groupoids.values():
-            cells = G.morphisms
-            full = bordism_module._vertical_by_value(
-                {(c.dom, c.cod, c.pairs): c for c in cells})
-            kept = {(c.dom, c.cod, c.pairs): c for c in cells[::2]}
-            thinned = bordism_module._vertical_by_value(kept)
+    def test_derived_germs_and_cells_equal_the_validated_builds(self, window):
+        refused = 0
+        for G in (window.objects, *window.op_groupoids.values()):
+            derived = [*G.morphisms, *map(G.id, G.objects)]
+            for g in G.morphisms:
+                derived += [g.inverse(), G.inv(g)]
             for g, f in composable_pairs(G):
-                want = f.then(g)
-                assert G.compose(g, f) == want
-                assert full(g, f) is G.compose(g, f)
-                got = thinned(g, f)
-                assert got == want
-                if (want.dom, want.cod, want.pairs) not in kept:
-                    missing += 1
-                    assert got is not G.compose(g, f)
-            # a pair that does not compose fails the same way on both paths
+                derived += [f.then(g), G.compose(g, f)]
+                assert G.compose(g, f) == f.then(g)
+            for x in derived:
+                assert_validated(x)
+            # a pair that does not compose is refused by then
+            text = "germs do not compose" if G is window.objects else "cells do not compose"
             for g, f in itertools.islice(
-                    ((g, f) for f in cells for g in cells if g.dom != f.cod), 3):
+                    ((g, f) for f in G.morphisms for g in G.morphisms
+                     if G.src(g) != G.tgt(f)), 3):
                 refused += 1
-                with pytest.raises(ValueError) as built:
+                with pytest.raises(ValueError, match=f"^{text}$"):
                     f.then(g)
-                for compose in (full, thinned):
-                    with pytest.raises(ValueError) as found:
-                        compose(g, f)
-                    assert str(found.value) == str(built.value)
-        assert missing > 0 and refused > 0
-
+        for cell in window.all_cells():
+            for germ in (*cell.source_germs, cell.target_germ):
+                assert_validated(germ)
+        for g, cell in window.unit_cells.items():
+            assert_validated(cell)
+            assert_validated(germ_to_cell(g))
+        assert refused > 0
 
     def test_permuted_cells_are_the_window_cells(self, window):
         held = held_instances(window)

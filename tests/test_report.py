@@ -7,7 +7,7 @@ import pkgutil
 import pytest
 
 import causalops
-from causalops.report import FAIL, PASS, Report
+from causalops.report import DEGENERATE, FAIL, PASS, SKIP, Report
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(causalops.__path__))
 
@@ -29,6 +29,22 @@ class TestVerdict:
         entry = rep.verdict("law", "target", ["d", "b", "c", "a"], {"checked": 4})
         assert (entry.status, entry.witness) == (FAIL, ["d", "b", "c"])
         assert rep.failures == [entry]
+
+
+class TestOutput:
+    def test_summary_counts_the_statuses_in_their_fixed_order(self):
+        rep = Report()
+        assert rep.summary() == "empty"
+        for check, status in [("a", SKIP), ("b", FAIL), ("c", PASS), ("d", FAIL), ("e", DEGENERATE)]:
+            rep.add(check, "target", status)
+        assert rep.summary() == "pass=1, fail=2, degenerate=1, skip=1"
+
+    def test_write_stores_the_dumps_bytes(self, tmp_path):
+        rep = Report()
+        rep.add("law", "target", FAIL, witness=["é", {"b": 1, "a": 2}])
+        path = tmp_path / "report.json"
+        rep.write(str(path))
+        assert path.read_bytes() == rep.dumps().encode("utf-8")
 
 
 @pytest.mark.parametrize("name", MODULES)
