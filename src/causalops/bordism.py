@@ -6,7 +6,11 @@ surface into an interpolating causal set; composition cuts away the
 overhang above the glued surfaces and forms a pushout along the shared
 collar cores.  Two-cells identify bordisms that agree near their whole
 surface configuration, and finite windows of the structure materialize as
-pseudo-operad tables whose globular collapse is an honest operad.
+pseudo-operad tables whose globular collapse is an honest operad.  A germ
+at a pointed object is a cell of the object's unit bordism: the unit's
+surface configuration is the object's own surface, so a germ from ``a``
+to ``b`` is the :class:`TwoCell` from ``a.unit`` to ``b.unit`` with the
+same pairs, and there is no separate germ type.
 
 Everything here is exact and deterministic: canonical representatives are
 restrictions to convex hulls of surfaces, ``glue_pushout`` names each
@@ -46,7 +50,6 @@ from .report import FAIL, PASS, Report
 
 __all__ = [
     "PointedObject",
-    "Germ",
     "enumerate_germs",
     "Bordism",
     "unit_bordism",
@@ -60,7 +63,6 @@ __all__ = [
     "permute_bordism",
     "TwoCell",
     "identity_cell",
-    "germ_to_cell",
     "permute_cell",
     "cells_between",
     "globular_cells_between",
@@ -96,15 +98,20 @@ class PointedObject:
         if not is_cauchy_antichain(carrier, self.surface):
             raise InvalidSurface("surface must be a Cauchy antichain of the carrier")
 
-    @property
-    def surface_hull(self) -> frozenset[str]:
-        """The surface: an antichain is its own convex hull."""
-        return self.surface
-
     @cached_property
     def core(self) -> CausalSet:
-        """The carrier restricted to the convex hull of the surface."""
+        """The carrier restricted to the surface, which is its own convex hull."""
         return self.carrier.induced(self.surface)
+
+    @cached_property
+    def unit(self) -> "Bordism":
+        """The object's one unit bordism: the carrier with full collars.
+
+        Its cells to another object's unit are the germs between the two
+        objects, and sharing one instance keeps their comparisons cheap.
+        """
+        ident = CausalEmbedding.identity(self.carrier)
+        return Bordism((self,), self, self.carrier, (ident,), ident)
 
     __hash__ = _cached_hash(lambda self: (PointedObject, self.carrier, self.surface))
 
@@ -116,92 +123,6 @@ class PointedObject:
         return self._text
 
 
-# ---- germs of embeddings around a surface -------------------------------------
-
-
-@dataclass(frozen=True)
-class Germ:
-    """An invertible germ of embeddings around a pointed surface.
-
-    The stored table is the canonical representative: the restriction to the
-    hull core of the source, which lands exactly on the hull of the target
-    surface.  Two wider embeddings present the same germ precisely when
-    these restrictions coincide, so equality of the dataclass fields is germ
-    equality.
-
-    The constructor validates its table.  Composites, inverses, identities,
-    searched and boundary germs are bijections between surfaces by
-    construction, so they are built unchecked, with a lazy ``embedding``.
-    """
-
-    src: PointedObject
-    tgt: PointedObject
-    pairs: tuple[tuple[str, str], ...]
-
-    def __init__(self, src: PointedObject, tgt: PointedObject,
-                 mapping: Mapping[str, str] | Iterable[tuple[str, str]]):
-        table = dict(mapping)
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "tgt", tgt)
-        object.__setattr__(self, "pairs", tuple(sorted(table.items())))
-        # src.core is the surface, so this image check also carries it onto tgt's
-        emb = CausalEmbedding(src.core, tgt.carrier, table)
-        if emb.image != tgt.surface_hull:
-            raise ValueError("germ must cover exactly the target surface hull")
-        self.__dict__["embedding"] = emb  # an attribute, not a field
-
-    @classmethod
-    def _unchecked(cls, src: PointedObject, tgt: PointedObject,
-                   pairs: tuple[tuple[str, str], ...]) -> "Germ":
-        """The germ of these sorted ``pairs``, a germ by construction."""
-        germ = object.__new__(cls)
-        germ.__dict__.update(src=src, tgt=tgt, pairs=pairs)
-        return germ
-
-    @cached_property
-    def embedding(self) -> CausalEmbedding:
-        return CausalEmbedding._unchecked(self.src.core, self.tgt.carrier, self.pairs)
-
-    @classmethod
-    def identity(cls, obj: PointedObject) -> "Germ":
-        return cls._unchecked(obj, obj, tuple((e, e) for e in sorted(obj.surface)))
-
-    @cached_property
-    def table(self) -> dict[str, str]:
-        return dict(self.pairs)
-
-    def then(self, other: "Germ") -> "Germ":
-        """Composite germ, applying self first."""
-        if other.src != self.tgt:
-            raise ValueError("germs do not compose")
-        table = other.table
-        return Germ._unchecked(self.src, other.tgt,
-                               tuple((e, table[v]) for e, v in self.pairs))
-
-    def inverse(self) -> "Germ":
-        return Germ._unchecked(self.tgt, self.src, tuple(sorted((v, e) for e, v in self.pairs)))
-
-    __hash__ = _cached_hash(lambda self: (Germ, self.src, self.tgt, self.pairs))
-
-    @cached_property
-    def _text(self) -> str:
-        body = ",".join(f"{a}>{b}" for a, b in self.pairs)
-        return f"germ[{body}]({self.src}=>{self.tgt})"
-
-    def __str__(self) -> str:
-        return self._text
-
-
-def enumerate_germs(src: PointedObject, tgt: PointedObject) -> tuple[Germ, ...]:
-    """All invertible germs from src to tgt, sorted deterministically."""
-    found = [
-        Germ._unchecked(src, tgt, tuple(iso.items()))
-        for iso in _pinned_maps(src.core, tgt.core, iso=True,
-                                blocks=((src.surface, tgt.surface),))
-    ]
-    return tuple(sorted(found, key=str))
-
-
 # ---- bordisms ------------------------------------------------------------------
 
 
@@ -210,10 +131,12 @@ class Bordism:
     """A causal set interpolating between pointed inputs and one output.
 
     Each input embeds a collar from its own carrier into the interpolating
-    carrier, and so does the output.  Only shape is enforced here; the
-    semantic conditions (convex collars, Cauchy output, disjoint inputs and
-    the surface ordering) live in validate_bordism so that broken instances
-    can be constructed and diagnosed.
+    carrier, and so does the output.  Only shape is enforced here: each
+    collar is an induced sub-poset of its object's carrier that holds the
+    object's surface, so the surface images are defined.  The semantic
+    conditions (convex collars, Cauchy output, disjoint inputs and the
+    surface ordering) live in validate_bordism so that broken instances can
+    be constructed and diagnosed.
     """
 
     sources: tuple[PointedObject, ...]
@@ -235,17 +158,19 @@ class Bordism:
         for i, (src, emb) in enumerate(zip(self.sources, self.maps_in)):
             if emb.cod != self.carrier:
                 raise ValueError(f"input embedding {i} does not land in the carrier")
-            self._check_collar(emb, src.carrier, f"input collar {i}")
+            self._check_collar(emb, src, f"input collar {i}")
         if self.map_out.cod != self.carrier:
             raise ValueError("output embedding does not land in the carrier")
-        self._check_collar(self.map_out, self.target.carrier, "output collar")
+        self._check_collar(self.map_out, self.target, "output collar")
 
     @staticmethod
-    def _check_collar(emb: CausalEmbedding, ambient: CausalSet, what: str) -> None:
-        if any(e not in ambient for e in emb.dom.events):
+    def _check_collar(emb: CausalEmbedding, obj: PointedObject, what: str) -> None:
+        if any(e not in obj.carrier for e in emb.dom.events):
             raise ValueError(f"{what} uses events outside its causal set")
-        if not _is_induced(emb.dom, ambient):
+        if not _is_induced(emb.dom, obj.carrier):
             raise ValueError(f"{what} does not carry the induced order")
+        if any(e not in emb.dom for e in obj.surface):
+            raise ValueError(f"{what} misses its surface")
 
     # tokens participate in operads through the .inputs/.output protocol
     @property
@@ -318,8 +243,7 @@ class Bordism:
 
 def unit_bordism(obj: PointedObject) -> Bordism:
     """The identity bordism: the carrier itself with full collars."""
-    ident = CausalEmbedding.identity(obj.carrier)
-    return Bordism((obj,), obj, obj.carrier, (ident,), ident)
+    return obj.unit
 
 
 def wrapper_bordism(op: EmbeddingTuple, surfaces, later) -> Bordism:
@@ -354,20 +278,15 @@ def validate_bordism(b: Bordism) -> Report:
     rep = Report()
     t = b.label
 
-    collar_bad: list[str] = []
-    for i, (src, collar) in enumerate(zip(b.sources, b.in_collars)):
-        if not collar >= src.surface:
-            collar_bad.append(f"input collar {i} misses its surface")
-        if not is_causally_convex(src.carrier, collar):
-            collar_bad.append(f"input collar {i} is not causally convex")
+    # each collar holds its surface, which the constructor checks
+    collar_bad = [f"input collar {i} is not causally convex"
+                  for i, (src, collar) in enumerate(zip(b.sources, b.in_collars))
+                  if not is_causally_convex(src.carrier, collar)]
     rep.verdict("bordism/in-collars", t, collar_bad)
 
-    out_bad: list[str] = []
-    if not b.out_collar >= b.target.surface:
-        out_bad.append("output collar misses its surface")
-    if not is_causally_convex(b.target.carrier, b.out_collar):
-        out_bad.append("output collar is not causally convex")
-    rep.verdict("bordism/out-collar", t, out_bad)
+    out_convex = is_causally_convex(b.target.carrier, b.out_collar)
+    rep.verdict("bordism/out-collar", t,
+                [] if out_convex else ["output collar is not causally convex"])
 
     out_cauchy = is_cauchy_embedding(b.map_out)
     rep.add("bordism/out-cauchy", t, PASS if out_cauchy else FAIL,
@@ -570,14 +489,15 @@ class TwoCell:
 
     The canonical datum is an order isomorphism between the convex hulls of
     all surface images, matching each input surface image and the output
-    surface image slotwise.  Boundary germs on the pointed objects are
-    derived by factoring through the collar embeddings.
+    surface image slotwise.  A cell between the unit bordisms of two
+    pointed objects is a germ between the objects; the boundary germs of
+    any cell are derived by factoring through the collar embeddings.
 
     The constructor validates its table, so it checks the glue's pastings.
-    Composites, inverses, identity cells, cells of germs and searched cells
-    hold by construction and are built unchecked, with a lazy ``embedding``.
-    A cell carries each surface image onto its partner, so its boundary
-    germs are bijections between surfaces.
+    Composites, inverses, identity cells, searched cells and germs, and
+    boundary germs hold by construction and are built unchecked, with a
+    lazy ``embedding``.  A cell carries each surface image onto its
+    partner, so its boundary germs are bijections between surfaces.
     """
 
     dom: Bordism
@@ -635,20 +555,21 @@ class TwoCell:
         return TwoCell._unchecked(self.cod, self.dom, tuple(sorted((v, e) for e, v in self.pairs)))
 
     def _boundary_germ(self, fwd: CausalEmbedding, back: CausalEmbedding,
-                       src: PointedObject, tgt: PointedObject) -> Germ:
-        """x goes to the preimage under ``back`` of the cell's image of ``fwd(x)``."""
+                       src: PointedObject, tgt: PointedObject) -> "TwoCell":
+        """The germ from ``src.unit`` to ``tgt.unit`` sending x to the
+        preimage under ``back`` of the cell's image of ``fwd(x)``."""
         inv, table = back.inverse_table, self.table
-        return Germ._unchecked(src, tgt,
-                               tuple((x, inv[table[fwd(x)]]) for x in sorted(src.surface)))
+        return TwoCell._unchecked(src.unit, tgt.unit,
+                                  tuple((x, inv[table[fwd(x)]]) for x in sorted(src.surface)))
 
     @cached_property
-    def source_germs(self) -> tuple[Germ, ...]:
+    def source_germs(self) -> tuple["TwoCell", ...]:
         """Boundary germs on the inputs, one per slot."""
         return tuple(map(self._boundary_germ, self.dom.maps_in, self.cod.maps_in,
                          self.dom.sources, self.cod.sources))
 
     @cached_property
-    def target_germ(self) -> Germ:
+    def target_germ(self) -> "TwoCell":
         """Boundary germ on the output."""
         return self._boundary_germ(self.dom.map_out, self.cod.map_out,
                                    self.dom.target, self.cod.target)
@@ -668,9 +589,19 @@ def identity_cell(b: Bordism) -> TwoCell:
     return TwoCell._unchecked(b, b, tuple((e, e) for e in sorted(b.surface_hull)))
 
 
-def germ_to_cell(germ: Germ) -> TwoCell:
-    """A germ viewed as a cell between the identity bordisms of its ends."""
-    return TwoCell._unchecked(unit_bordism(germ.src), unit_bordism(germ.tgt), germ.pairs)
+def enumerate_germs(src: PointedObject, tgt: PointedObject) -> tuple[TwoCell, ...]:
+    """All invertible germs from src to tgt, sorted deterministically.
+
+    These are ``cells_between(src.unit, tgt.unit)``: each unit's surface
+    hull is its object's surface, so the search runs on the surface cores
+    and computes no hull.
+    """
+    found = [
+        TwoCell._unchecked(src.unit, tgt.unit, tuple(iso.items()))
+        for iso in _pinned_maps(src.core, tgt.core, iso=True,
+                                blocks=((src.surface, tgt.surface),))
+    ]
+    return tuple(sorted(found, key=str))
 
 
 def permute_cell(cell: TwoCell, sigma: Sequence[int]) -> TwoCell:
@@ -706,7 +637,7 @@ def globular_cells_between(a: Bordism, b: Bordism,
     pins: dict[str, str] = {}
     for fwd_a, fwd_b, obj in (*zip(a.maps_in, b.maps_in, a.sources),
                               (a.map_out, b.map_out, a.target)):
-        for x in obj.surface_hull:
+        for x in obj.surface:
             y = fwd_b(x)
             if pins.setdefault(fwd_a(x), y) != y:
                 return ()
@@ -790,24 +721,14 @@ def _atom_pairing(
     hull_right: Iterable[str],
     atoms_right: dict[str, frozenset],
 ) -> dict[str, str]:
-    """Match hull events of two composites by shared provenance tags."""
-    hull_left = frozenset(hull_left)
-    hull_right = frozenset(hull_right)
-    owner: dict = {}
-    for e in hull_left:
-        for atom in atoms_left[e]:
-            owner[atom] = e
-    table: dict[str, str] = {}
-    for e2 in sorted(hull_right):
-        for atom in atoms_right[e2]:
-            e1 = owner.get(atom)
-            if e1 is None:
-                continue
-            if table.setdefault(e1, e2) != e2:
-                raise InvalidComposite("provenance pairing is ambiguous")
-    if frozenset(table) != hull_left or frozenset(table.values()) != hull_right:
-        raise InvalidComposite("provenance pairing does not cover the hulls")
-    return table
+    """Match hull events of two composites by shared provenance tags.
+
+    Both composites glue the same pieces, so every tag on a right hull event
+    has one owner on the left hull, and the pairing is a bijection of the
+    hulls; the validating cell constructor that reads the table checks it.
+    """
+    owner = {atom: e for e in hull_left for atom in atoms_left[e]}
+    return {owner[atom]: e2 for e2 in sorted(hull_right) for atom in atoms_right[e2]}
 
 
 def coherence_cells(
@@ -871,7 +792,7 @@ def unitor_cells(b: Bordism) -> tuple[TwoCell, TwoCell]:
 def _unitor_cells(b: Bordism, glue: _Glue) -> tuple[TwoCell, TwoCell]:
     base = _seed_atoms(b, "b")
 
-    unit_out = unit_bordism(b.target)
+    unit_out = b.target.unit
     left_full, left_atoms = _trace_compose(
         unit_out, (b,), _seed_atoms(unit_out, "u"), [base], glue
     )
@@ -880,7 +801,7 @@ def _unitor_cells(b: Bordism, glue: _Glue) -> tuple[TwoCell, TwoCell]:
     )
     left = TwoCell(left_full.bordism, b, left_table)
 
-    units_in = tuple(unit_bordism(s) for s in b.sources)
+    units_in = tuple(s.unit for s in b.sources)
     unit_atoms = [_seed_atoms(u, f"u{i}") for i, u in enumerate(units_in)]
     right_full, right_atoms = _trace_compose(b, units_in, base, unit_atoms, glue)
     right_table = _atom_pairing(
@@ -893,16 +814,13 @@ def _unitor_cells(b: Bordism, glue: _Glue) -> tuple[TwoCell, TwoCell]:
 # ---- companions --------------------------------------------------------------------
 
 
-def companion_bordism(germ: Germ) -> Bordism:
-    """The bordism presenting a germ horizontally: its target carrier,
-    with the germ as input collar and the identity as output."""
-    return Bordism(
-        (germ.src,),
-        germ.tgt,
-        germ.tgt.carrier,
-        (germ.embedding,),
-        CausalEmbedding.identity(germ.tgt.carrier),
-    )
+def companion_bordism(germ: TwoCell) -> Bordism:
+    """The bordism presenting a germ, a cell between unit bordisms,
+    horizontally: its target carrier, with the germ as input collar and the
+    identity as output."""
+    src, tgt = germ.dom.target, germ.cod.target
+    return Bordism((src,), tgt, tgt.carrier, (germ.embedding,),
+                   CausalEmbedding.identity(tgt.carrier))
 
 
 # ---- fragments and truncation --------------------------------------------------------
@@ -917,19 +835,21 @@ def _action_closure(items: Iterable[Bordism]) -> set[Bordism]:
 
 
 def _germ_groupoid(colors: Iterable[PointedObject]) -> FiniteGroupoid:
-    """The colors, sorted by text, with every invertible germ between them."""
+    """The colors, sorted by text, with every invertible germ between them:
+    the cells between their unit bordisms, each germ running from the
+    object of its domain unit to that of its codomain unit."""
     color_list = tuple(sorted(colors, key=str))
-    germ_set: set[Germ] = set()
+    germ_set: set[TwoCell] = set()
     for a, b in itertools.product(color_list, repeat=2):
         germ_set.update(enumerate_germs(a, b))
     germ_list = tuple(sorted(germ_set, key=str))
     return FiniteGroupoid(
         color_list,
         germ_list,
-        {g: g.src for g in germ_list},
-        {g: g.tgt for g in germ_list},
+        {g: g.dom.target for g in germ_list},
+        {g: g.cod.target for g in germ_list},
         lambda g, f: f.then(g),
-        {c: Germ.identity(c) for c in color_list},
+        {c: identity_cell(c.unit) for c in color_list},
         lambda g: g.inverse(),
     )
 
@@ -957,9 +877,12 @@ def bordism_fragment(
     it for the glues the audits ask for later.  Table values are canonical
     instances: a value equal to a germ, an operation or a cell of the
     window is that very object, so the audits find it in the window's
-    tables by identity; the operation groupoids compose and invert cells
-    unchecked, through ``then`` and ``inverse``, and return the stored equal
-    cell through their ``numbers``.  A permuted cell is read from the
+    tables by identity.  The units are the colors' own ``unit`` instances,
+    and a unary cell between two units is the germ of the objects
+    groupoid, so each germ is its own unit cell.  The operation groupoids
+    compose and invert cells unchecked, through ``then`` and ``inverse``,
+    and return the stored equal cell through their ``numbers``.  A
+    permuted cell is read from the
     window's cells, which are closed under the action.  Cell composites
     and associators are read off the composites by the walks that ``iota``
     uses too.  Every table comes in construction order and none is sorted
@@ -990,7 +913,7 @@ def bordism_fragment(
         raise FragmentCapExceeded(f"object cap {max_objects} exceeded")
     objects = _germ_groupoid(colors)
 
-    ops: set[Bordism] = {unit_bordism(c) for c in objects.objects}
+    ops: set[Bordism] = {c.unit for c in objects.objects}
     ops.update(gens)
     ops.update(companion_bordism(g) for g in objects.morphisms)
     ops = _action_closure(ops)
@@ -1029,12 +952,13 @@ def bordism_fragment(
         ops_by_arity.setdefault(op.arity, []).append(op)
     cells_by_arity: dict[int, list[TwoCell]] = {}
     total_cells = 0
+    germ = objects.numbers.canonical
     for n, group in sorted(ops_by_arity.items()):
         cells = cells_by_arity[n] = []
         for a in group:
             for b in group:
                 for cell in cells_between(a, b):
-                    cells.append(cell)
+                    cells.append(germ(cell))
                     total_cells += 1
                     if total_cells > max_cells:
                         raise FragmentCapExceeded(f"cell cap {max_cells} exceeded")
@@ -1052,7 +976,7 @@ def bordism_fragment(
         for n, group in ops_by_arity.items()
     }
 
-    intern = Numbering((*objects.morphisms, *ops_sorted, *all_cells)).canonical
+    intern = Numbering((*ops_sorted, *all_cells)).canonical
 
     act_ops: dict = {}
     for op in ops_sorted:
@@ -1069,8 +993,8 @@ def bordism_fragment(
         cell_output={c: intern(c.target_germ) for c in all_cells},
         compose_ops=compose_ops,
         compose_cells={},
-        unit_ops={c: intern(unit_bordism(c)) for c in objects.objects},
-        unit_cells={g: intern(germ_to_cell(g)) for g in objects.morphisms},
+        unit_ops={c: c.unit for c in objects.objects},
+        unit_cells={g: g for g in objects.morphisms},
         act_ops=act_ops,
         act_cells={},
         name=f"bordism-fragment(depth={depth})",
@@ -1093,8 +1017,8 @@ def bordism_fragment(
                     act_ops[(cell.dom, sigma)], act_ops[(cell.cod, sigma)], cell.pairs))
 
     for op in ops_sorted:
-        want_left = (unit_bordism(op.target), (op,)) in compose_ops
-        units_in = tuple(unit_bordism(s) for s in op.sources)
+        want_left = (op.target.unit, (op,)) in compose_ops
+        units_in = tuple(s.unit for s in op.sources)
         want_right = (op, units_in) in compose_ops
         if want_left or want_right:
             left, right = _unitor_cells(op, glue)

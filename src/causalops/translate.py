@@ -31,7 +31,6 @@ from functools import cache, cached_property
 
 from .bordism import (
     Bordism,
-    Germ,
     PointedObject,
     cells_between,
     compose_bordisms_full,
@@ -147,9 +146,12 @@ def translation_window(aqft: Operad, *, max_ops: int = 512) -> Operad:
                     raise FragmentCapExceeded(f"operation cap {max_ops} exceeded")
 
     ops = tuple(sorted(wrappers, key=lambda b: (b.arity, str(b))))
+    # a boundary germ, a cell between unit bordisms, is an identity when it
+    # runs from one unit to itself and fixes every event of its pairs; that
+    # is read off the pairs, so no identity cell (and no hull) is built
     links = [(a, b) for a, b in itertools.combinations(ops, 2)
              if a.sources == b.sources and a.target == b.target
-             and any(all(g == Germ.identity(g.src)
+             and any(all(g.dom == g.cod and all(x == y for x, y in g.pairs)
                          for g in (*cell.source_germs, cell.target_germ))
                      for cell in cells_between(a, b))]
     colors = sorted((PointedObject(M, s) for M in aqft.colors for s in _surfaces(M)),

@@ -674,7 +674,7 @@ def brute_translation_classes(aqft) -> tuple[list, list]:
     ops = [b for n in sorted({b.arity for b in by_text}) for b in by_text if b.arity == n]
 
     def fixes(germ) -> bool:
-        return germ.src == germ.tgt and all(x == y for x, y in germ.pairs)
+        return germ.dom == germ.cod and all(x == y for x, y in germ.pairs)
 
     links = [(a, b) for a, b in itertools.product(ops, repeat=2) if a.arity == b.arity
              for cell in cells_between(a, b)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import causalops.bordism as bordism_module
 from causalops.bordism import (
     Bordism,
-    Germ,
     PointedObject,
     TwoCell,
     bordism_fragment,
@@ -23,7 +22,6 @@ from causalops.bordism import (
     compose_bordisms_full,
     compose_two_cells,
     enumerate_germs,
-    germ_to_cell,
     globular_cells_between,
     identity_cell,
     overhang_regions,
@@ -146,10 +144,9 @@ class TestPointedObject:
     def test_core_is_hull_restriction(self):
         M = CausalSet("abcd", [("a", "b"), ("b", "c"), ("b", "d")])
         obj = PointedObject(M, {"c", "d"})
-        assert obj.surface_hull == {"c", "d"}
         assert set(obj.core.events) == {"c", "d"}
         wide = PointedObject(M, {"b"})
-        assert wide.surface_hull == {"b"}
+        assert set(wide.core.events) == {"b"}
 
 
 @st.composite
@@ -199,7 +196,7 @@ class TestPinnedMaps:
 class TestGerm:
     def test_identity_and_composition(self):
         X = point("p")
-        g = Germ.identity(X)
+        g = identity_cell(X.unit)
         assert g.then(g) == g
         assert g.inverse() == g
 
@@ -211,6 +208,18 @@ class TestGerm:
 
 
 class TestValidation:
+    def test_a_non_convex_output_collar_fails_exactly_its_row(self):
+        # the collar {a, c} of a < b < c holds the surface {a} but not b
+        target = PointedObject(chain_poset("a", "b", "c"), {"a"})
+        M = chain_poset("a", "c")
+        b = Bordism((), target, M, (), CausalEmbedding(target.carrier.induced("ac"), M,
+                                                       {"a": "a", "c": "c"}))
+        report = validate_bordism(b)
+        assert [(e.check, e.witness) for e in report.failures] == \
+            [("bordism/out-collar", ["output collar is not causally convex"])]
+        assert hashlib.sha256(report.dumps().encode()).hexdigest() == \
+            "27b0f77f2a784e58ef32fdd51cb1721cefd93694e3cf78e8be0d9473b57ea20c"
+
     def test_unit_bordism_is_valid(self):
         rep = validate_bordism(unit_bordism(point("p")))
         assert rep.ok, rep.failures
@@ -407,6 +416,13 @@ class TestEquivariance:
 
 
 class TestTwoCells:
+    def test_no_cell_joins_unequal_arities_or_ends(self):
+        assert cells_between(unit_bordism(point("l")), merge_bordism()) == ()
+        assert globular_cells_between(unit_bordism(point("l")), merge_bordism()) == ()
+        # the same input, another output: cells exist, globular ones do not
+        assert cells_between(chain_bordism("a", "b"), chain_bordism("a", "c"))
+        assert globular_cells_between(chain_bordism("a", "b"), chain_bordism("a", "c")) == ()
+
     def test_must_cover_the_surface_hull(self):
         b = chain_bordism("a", "b", "c")
         with pytest.raises(ValueError):
@@ -458,8 +474,8 @@ class TestTwoCells:
         mid = chain_bordism("c", "d", "e")
         low = chain_bordism("a", "b", "c")
         cell = coherence_cells(top, (mid,), ((low,),))
-        assert cell.source_germs == (Germ.identity(low.sources[0]),)
-        assert cell.target_germ == Germ.identity(top.target)
+        assert cell.source_germs == (identity_cell(low.sources[0].unit),)
+        assert cell.target_germ == identity_cell(top.target.unit)
 
 
 class TestRegions:
@@ -756,19 +772,32 @@ class TestUncheckedBuilds:
             for obj in (*b.sources, b.target):
                 for germ in enumerate_germs(obj, obj):
                     assert_validated(germ)
-                    assert_validated(germ_to_cell(germ))
+
+    @given(valid_pieces())
+    @settings(max_examples=60, deadline=None)
+    def test_germs_are_the_cells_between_unit_bordisms(self, pieces):
+        objects = list(dict.fromkeys(obj for b in (pieces[0], *pieces[1])
+                                     for obj in (*b.sources, b.target)))
+        for a in objects:
+            assert unit_bordism(a) is a.unit
+        for a, b in itertools.product(objects, repeat=2):
+            germs = enumerate_germs(a, b)
+            assert germs == cells_between(a.unit, b.unit)
+            for g in germs:
+                assert_validated(g)
+                assert validate_bordism(companion_bordism(g)).ok
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=200, deadline=None)
     def test_a_germ_is_exactly_a_bijection_between_surfaces(self, seed):
-        # so a germ the constructor accepts carries the surface onto the
-        # target surface, and that check is not made
+        # so a germ the cell constructor accepts between unit bordisms
+        # carries the surface onto the target surface
         rng = random.Random(seed)
         src, tgt = _random_interface(rng, "0"), _random_interface(rng, "1")
         table = {x: rng.choice(tgt.carrier.events) for x in src.surface}
         bijection = set(table.values()) == tgt.surface and len(table) == len(tgt.surface)
         try:
-            germ = Germ(src, tgt, table)
+            germ = TwoCell(src.unit, tgt.unit, table)
         except ValueError:
             assert not bijection
         else:
@@ -805,6 +834,34 @@ class TestUncheckedBuilds:
                         compose_two_cells(alpha, betas)
 
 
+class TestProvenancePairing:
+    """Unitors and associators pair the hull events of two composites by the
+    provenance of their events.  On valid pieces every tag on one hull has
+    one owner on the other and the pairing is a bijection of the hulls, so
+    the pairing makes no check of its own and the validating cell
+    constructor that reads it is the one check."""
+
+    @given(valid_pieces())
+    @settings(max_examples=100, deadline=None)
+    def test_unitors_and_associators_of_valid_pieces_pair_the_hulls(self, pieces):
+        outer, inners = pieces
+        units = tuple(tuple(s.unit for s in inner.sources) for inner in inners)
+        stacks = [(outer, inners, units),
+                  (outer, tuple(s.unit for s in outer.sources), tuple((i,) for i in inners))]
+        builds = [lambda b=b: unitor_cells(b) for b in (outer, *inners)]
+        builds += [lambda stack=stack: (coherence_cells(*stack),) for stack in stacks]
+        for build in builds:
+            try:
+                cells = build()
+            except InvalidComposite as exc:
+                # a glue may fail its composite (the right unit law gap),
+                # never the pairing
+                assert str(exc).startswith("composite failed validation")
+                continue
+            for cell in cells:
+                assert_validated(cell)
+
+
 def uncovered_pieces() -> tuple[Bordism, Bordism]:
     """Valid pieces whose composite hull holds an event in neither piece
     hull: the outer one has m < s < t and m < u < t on the input collar
@@ -825,8 +882,9 @@ def paste_identity_cells(outer: Bordism, inner: Bordism) -> TwoCell:
 
 
 class TestRaises:
-    """The smallest input for each raise of the pointed-object, bordism, germ
-    and cell constructors, of vertical composition and of the cell glue."""
+    """The smallest input for each raise of the pointed-object, bordism and
+    cell constructors, of vertical composition and of the cell glue; the
+    "germ" cases build cells between unit bordisms, which are the germs."""
 
     @staticmethod
     def pair() -> PointedObject:
@@ -848,8 +906,15 @@ class TestRaises:
                                      CausalEmbedding.identity(CausalSet("b"))),
                      ValueError, "output embedding does not land in the carrier",
                      id="output-carrier"),
-        pytest.param(lambda: Germ(point("p"), TestRaises.pair(), {"p": "s"}),
-                     ValueError, "germ must cover exactly the target surface hull", id="germ"),
+        pytest.param(lambda: Bordism((point("a"),), point("a"), CausalSet("a"),
+                                     (CausalEmbedding(CausalSet([]), CausalSet("a"), {}),),
+                                     CausalEmbedding.identity(CausalSet("a"))),
+                     ValueError, "input collar 0 misses its surface", id="input-surface"),
+        pytest.param(lambda: Bordism((), point("a"), CausalSet([]), (),
+                                     CausalEmbedding.identity(CausalSet([]))),
+                     ValueError, "output collar misses its surface", id="output-surface"),
+        pytest.param(lambda: TwoCell(point("p").unit, TestRaises.pair().unit, {"p": "s"}),
+                     ValueError, "cell image must be exactly the surface hull", id="germ"),
         pytest.param(lambda: TwoCell(unit_bordism(point("p")),
                                      Bordism((), point("p"), CausalSet("p"), (),
                                              CausalEmbedding.identity(CausalSet("p"))),
@@ -873,8 +938,9 @@ class TestRaises:
                     CausalEmbedding.identity(CausalSet("sy", []))),
             {"s": "s", "y": "y"}),
                      ValueError, "cell does not match the output surface image", id="output"),
-        pytest.param(lambda: Germ.identity(point("p")).then(Germ.identity(point("q"))),
-                     ValueError, "germs do not compose", id="germ-then"),
+        pytest.param(lambda: identity_cell(point("p").unit).then(
+                         identity_cell(point("q").unit)),
+                     ValueError, "cells do not compose", id="germ-then"),
         pytest.param(lambda: identity_cell(unit_bordism(point("p"))).then(
                          identity_cell(unit_bordism(point("q")))),
                      ValueError, "cells do not compose", id="cell-then"),
@@ -1078,6 +1144,48 @@ class TestFragments:
             bordism_fragment([merge_bordism()], depth=1, max_ops=4)
         with pytest.raises(FragmentCapExceeded):
             bordism_fragment([merge_bordism()], depth=1, max_cells=8)
+        with pytest.raises(FragmentCapExceeded, match="^object cap 1 exceeded$"):
+            bordism_fragment([point("a"), point("b")], max_objects=1)
+
+    def test_each_operation_cap_of_the_depth_loop_is_reached(self):
+        # the chain window starts from 5 operations (2 units, the chain and
+        # the companions of the germs a->b and b->a; those of the identity
+        # germs are the units), so a cap of 5 stops the first new composite
+        chain = chain_bordism("a", "b")
+        start = bordism_fragment([chain], depth=0)
+        assert len(start.all_ops()) == 5
+        with pytest.raises(FragmentCapExceeded, match="^operation cap 5 exceeded$"):
+            bordism_fragment([chain], depth=1, max_ops=5)
+        # two stacked merges glue 161 distinct operations at depth 1, and the
+        # input permutations of the ternary composites add 10 more, so a cap
+        # of 161 passes the composition loop and stops the action closure
+        V = CausalSet("xyl", [("x", "l"), ("y", "l")])
+        below_l = Bordism((point("x"), point("y")), point("l"), V,
+                          (CausalEmbedding(point("x").carrier, V, {"x": "x"}),
+                           CausalEmbedding(point("y").carrier, V, {"y": "y"})),
+                          CausalEmbedding(point("l").carrier, V, {"l": "l"}))
+        stacked = [merge_bordism(), below_l]
+        full = bordism_fragment(stacked, depth=1, max_ops=171, max_cells=10**5)
+        glued = set(bordism_fragment(stacked, depth=0).all_ops()) | set(full.compose_ops.values())
+        assert (len(glued), len(full.all_ops())) == (161, 171)
+        with pytest.raises(FragmentCapExceeded, match="^operation cap 161 exceeded$"):
+            bordism_fragment(stacked, depth=1, max_ops=161)
+
+    def test_the_cell_cap_on_cell_composites_is_reached(self):
+        # the chain window has 25 cells and 72 cell composites
+        chain = chain_bordism("a", "b")
+        full = bordism_fragment([chain], depth=1)
+        assert (len(full.all_cells()), len(full.compose_cells)) == (25, 72)
+        with pytest.raises(FragmentCapExceeded, match="^cell cap 25 exceeded$"):
+            bordism_fragment([chain], depth=1, max_cells=25)
+
+    def test_the_cell_cap_on_associators_is_reached(self):
+        # a point made from nothing: 2 cells, 3 cell composites, 4 associators
+        birth = Bordism((), point("a"), CausalSet("a"), (), CausalEmbedding.identity(CausalSet("a")))
+        full = bordism_fragment([birth], depth=1)
+        assert (len(full.all_cells()), len(full.compose_cells), len(full.associators)) == (2, 3, 4)
+        with pytest.raises(FragmentCapExceeded, match="^cell cap 3 exceeded$"):
+            bordism_fragment([birth], depth=1, max_cells=3)
 
     def test_generators_are_screened(self):
         with pytest.raises(TypeError):
@@ -1114,9 +1222,10 @@ def held_instances(frag) -> dict:
 
 
 def assert_validated(x):
-    """``x``, a germ or a cell, equals what the validating constructor builds
-    from its ends and pairs, embedding and hash included."""
-    built = Germ(x.src, x.tgt, x.pairs) if isinstance(x, Germ) else TwoCell(x.dom, x.cod, x.pairs)
+    """``x``, a cell (a germ is a cell between unit bordisms), equals what
+    the validating constructor builds from its ends and pairs, embedding and
+    hash included."""
+    built = TwoCell(x.dom, x.cod, x.pairs)
     assert x == built and hash(x) == hash(built) and str(x) == str(built)
     assert x.embedding == built.embedding
 
@@ -1144,6 +1253,12 @@ class TestCanonicalInstances:
             for g in (*window.cell_inputs[cell], window.cell_output[cell]):
                 assert held.get(g) is g, f"boundary of {cell} holds a copy of {g}"
 
+    def test_each_germ_is_its_own_unit_cell(self, window):
+        assert window.unit_cells
+        for g in window.objects.morphisms:
+            assert window.unit_cells[g] is g
+            assert window.unit_ops[g.dom.target] is g.dom
+
     def test_groupoid_results_are_the_stored_morphisms(self, window):
         for G in (window.objects, *window.op_groupoids.values()):
             held = {m: m for m in G.morphisms}
@@ -1168,19 +1283,17 @@ class TestCanonicalInstances:
             for x in derived:
                 assert_validated(x)
             # a pair that does not compose is refused by then
-            text = "germs do not compose" if G is window.objects else "cells do not compose"
             for g, f in itertools.islice(
                     ((g, f) for f in G.morphisms for g in G.morphisms
                      if G.src(g) != G.tgt(f)), 3):
                 refused += 1
-                with pytest.raises(ValueError, match=f"^{text}$"):
+                with pytest.raises(ValueError, match="^cells do not compose$"):
                     f.then(g)
         for cell in window.all_cells():
             for germ in (*cell.source_germs, cell.target_germ):
                 assert_validated(germ)
         for g, cell in window.unit_cells.items():
             assert_validated(cell)
-            assert_validated(germ_to_cell(g))
         assert refused > 0
 
     def test_permuted_cells_are_the_window_cells(self, window):

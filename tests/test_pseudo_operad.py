@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from causalops import CausalSet, NotFibrant
 from causalops.bordism import (
-    Germ,
     PointedObject,
     bordism_fragment,
     identity_cell,
@@ -284,7 +283,7 @@ EQUAL_VALUES = {
                   lambda: CausalSet("ab", [("a", "b")])),
     "CausalEmbedding": _twice(lambda: CausalEmbedding(*_map_parts())),
     "PointedObject": _twice(lambda: point("a")),
-    "Germ": _twice(lambda: Germ.identity(point("a"))),
+    "Germ": _twice(lambda: identity_cell(point("a").unit)),  # a cell of a unit bordism
     "Bordism": _twice(lambda: chain_bordism("a", "b")),
     "TwoCell": _twice(lambda: identity_cell(chain_bordism("a", "b"))),
     "Monoid": (lambda: Monoid.cyclic(2),
@@ -868,6 +867,28 @@ class TestDanglingReferences:
         assert (row.status, row.witness) == ("fail", [f"dangling morphism {stray}"])
         assert self.digest(report) == \
             "1fd9d02fe03c885ae524822accdf0cc4f13b2a52e33a4dfa5993dea250ec8dcf"
+
+    def test_an_input_outside_the_colors_fails_the_boundaries(self):
+        P = iota(cyclic_group_operad())
+        op = P.op_groupoids[1].objects[0]
+        P.op_inputs[op] = ("stray-color",)
+        report = check_pseudo_operad(P)
+        assert report.dumps() == oracles.oracle_pseudo_operad_report(P).dumps()
+        row = next(e for e in report.entries if e.check == "pseudo-operad/boundaries")
+        assert row.witness[0] == f"unknown color at {op}"
+        assert self.digest(report) == \
+            "96ad65fc538f57b278bb2c43c80e35c02b8438b9536f38e602940708afcf04e6"
+
+    def test_a_cell_with_too_few_legs_fails_the_boundaries(self):
+        P = iota(cyclic_group_operad())
+        cell = next(c for c in P.all_cells(1) if c.dom != c.cod)
+        P.cell_inputs[cell] = ()
+        report = check_pseudo_operad(P)
+        assert report.dumps() == oracles.oracle_pseudo_operad_report(P).dumps()
+        row = next(e for e in report.entries if e.check == "pseudo-operad/boundaries")
+        assert row.witness == [f"leg count at {cell}"]
+        assert self.digest(report) == \
+            "95ecbbbbfadc2c8a7bec5830503cfaf9cf073ed44bfc2b81e392f78855b3ce15"
 
     def test_a_leg_outside_the_verticals_fails_the_boundaries(self):
         P = iota(cyclic_group_operad())
