@@ -834,6 +834,76 @@ def _action_closure(items: Iterable[Bordism]) -> set[Bordism]:
     return out
 
 
+class _CellGroupoid(FiniteGroupoid):
+    """Cells between the bordisms ``body(obj)`` of the objects, composed and
+    inverted on integer keys.
+
+    Cell n is keyed by (number of its domain, number of its codomain,
+    positions), ``positions[i]`` being the place of its i-th image in the
+    sorted surface hull of its codomain.  Its pairs are sorted by domain
+    event, so the key and the cell determine each other: g.f is the cell
+    keyed (src f, tgt g, ``pos_f`` read through ``pos_g``), and the inverse
+    of a cell is the cell keyed by the inverse permutation.  A cell whose
+    pairs are not its domain's sorted hull, carried onto a permutation of
+    its codomain's, has no key; it, and a composite or inverse whose key is
+    not listed, goes by value, through ``then`` and ``inverse``, so a value
+    outside the list still gets a number of its own.
+    """
+
+    def __init__(self, objects: Iterable, cells: Iterable[TwoCell],
+                 body: Callable[..., Bordism]):
+        objects = tuple(dict.fromkeys(objects))
+        bodies = tuple(map(body, objects))
+        place = {b: n for n, b in enumerate(bodies)}
+        cells = tuple(cells)
+        super().__init__(
+            objects,
+            cells,
+            {c: objects[place[c.dom]] for c in cells},
+            {c: objects[place[c.cod]] for c in cells},
+            lambda g, f: f.then(g),
+            {obj: identity_cell(b) for obj, b in zip(objects, bodies)},
+            lambda c: c.inverse(),
+        )
+        hulls = [tuple(sorted(b.surface_hull)) for b in bodies]
+        slots = [{e: i for i, e in enumerate(hull)} for hull in hulls]
+        self._keys: list[tuple[int, int, tuple[int, ...]] | None] = []
+        self._keyed: dict[tuple[int, int, tuple[int, ...]], int] = {}
+        for n, c in enumerate(self.morphisms):
+            s, t = place[c.dom], place[c.cod]
+            positions = tuple(slots[t].get(v, -1) for _, v in c.pairs)
+            key = None
+            if (tuple(e for e, _ in c.pairs) == hulls[s]
+                    and sorted(positions) == list(range(len(hulls[t])))):
+                key = (s, t, positions)
+                self._keyed[key] = n
+            self._keys.append(key)
+
+    def composite(self, g: int, f: int) -> int:
+        self.ends()
+        row = self._rows[f]
+        gf = row.get(g)
+        if gf is None:
+            kf, kg = self._keys[f], self._keys[g]
+            if kf is not None and kg is not None and kf[1] == kg[0]:
+                gf = self._keyed.get((kf[0], kg[1], tuple(map(kg[2].__getitem__, kf[2]))))
+            if gf is None:
+                return super().composite(g, f)
+            row[g] = gf
+        return gf
+
+    def inv(self, g):
+        n = self.numbers.no.get(g, len(self._keys))
+        key = self._keys[n] if n < len(self._keys) else None
+        if key is not None:
+            s, t, positions = key
+            back = tuple(sorted(range(len(positions)), key=positions.__getitem__))
+            m = self._keyed.get((t, s, back))
+            if m is not None:
+                return self.morphisms[m]
+        return super().inv(g)
+
+
 def _germ_groupoid(colors: Iterable[PointedObject]) -> FiniteGroupoid:
     """The colors, sorted by text, with every invertible germ between them:
     the cells between their unit bordisms, each germ running from the
@@ -842,16 +912,7 @@ def _germ_groupoid(colors: Iterable[PointedObject]) -> FiniteGroupoid:
     germ_set: set[TwoCell] = set()
     for a, b in itertools.product(color_list, repeat=2):
         germ_set.update(enumerate_germs(a, b))
-    germ_list = tuple(sorted(germ_set, key=str))
-    return FiniteGroupoid(
-        color_list,
-        germ_list,
-        {g: g.dom.target for g in germ_list},
-        {g: g.cod.target for g in germ_list},
-        lambda g, f: f.then(g),
-        {c: identity_cell(c.unit) for c in color_list},
-        lambda g: g.inverse(),
-    )
+    return _CellGroupoid(color_list, sorted(germ_set, key=str), lambda c: c.unit)
 
 
 def bordism_fragment(
@@ -879,10 +940,13 @@ def bordism_fragment(
     window is that very object, so the audits find it in the window's
     tables by identity.  The units are the colors' own ``unit`` instances,
     and a unary cell between two units is the germ of the objects
-    groupoid, so each germ is its own unit cell.  The operation groupoids
-    compose and invert cells unchecked, through ``then`` and ``inverse``,
-    and return the stored equal cell through their ``numbers``.  A
-    permuted cell is read from the
+    groupoid, so each germ is its own unit cell.  Both the objects groupoid
+    and the operation groupoids number each cell once, at build time, by
+    the key (domain number, codomain number, places of its images in the
+    sorted surface hull of its codomain), and compose and invert cells by
+    looking up the key of the composed or inverse permutation; a cell with
+    no key, or a result whose key is not listed, goes by value through
+    ``then`` and ``inverse``.  A permuted cell is read from the
     window's cells, which are closed under the action.  Cell composites
     and associators are read off the composites by the walks that ``iota``
     uses too.  Every table comes in construction order and none is sorted
@@ -963,18 +1027,8 @@ def bordism_fragment(
                     if total_cells > max_cells:
                         raise FragmentCapExceeded(f"cell cap {max_cells} exceeded")
     all_cells = tuple(itertools.chain.from_iterable(cells_by_arity.values()))
-    op_groupoids = {
-        n: FiniteGroupoid(
-            tuple(group),
-            cells_by_arity[n],
-            {c: c.dom for c in cells_by_arity[n]},
-            {c: c.cod for c in cells_by_arity[n]},
-            lambda g, f: f.then(g),
-            {op: identity_cell(op) for op in group},
-            lambda c: c.inverse(),
-        )
-        for n, group in ops_by_arity.items()
-    }
+    op_groupoids = {n: _CellGroupoid(group, cells_by_arity[n], lambda op: op)
+                    for n, group in ops_by_arity.items()}
 
     intern = Numbering((*ops_sorted, *all_cells)).canonical
 

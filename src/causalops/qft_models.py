@@ -242,16 +242,28 @@ class MonoidHom:
                   table: Mapping[tuple, Hashable]) -> "MonoidHom":
         """Load a table without the hom laws; shape is still checked.
 
-        Homs derived from homs are built this way: :meth:`then`,
-        :meth:`inverse`, :meth:`identity`, :func:`compose_monoid_homs` and
-        :func:`permute_monoid_hom` are structure maps of the monoid operad,
-        so their results are homs whenever their arguments are.  Checkers
-        are also exercised through it on raw assignments that provably
-        cannot extend to a lawful model; what is derived from those is no
-        hom either.
+        Checkers are exercised through it on raw assignments that provably
+        cannot extend to a lawful model.
         """
         self = object.__new__(cls)
         self._load(doms, cod, table)
+        return self
+
+    @classmethod
+    def _derived(cls, doms: tuple[Monoid, ...], cod: Monoid, table: dict) -> "MonoidHom":
+        """The hom of ``table``, which has the right shape by construction;
+        nothing is checked or copied.
+
+        Homs derived from homs are built this way: :meth:`then`,
+        :meth:`inverse`, :meth:`identity`, :func:`compose_monoid_homs` and
+        :func:`permute_monoid_hom` are structure maps of the monoid operad,
+        so their results are homs whenever their arguments are, and their
+        tables are built on their arguments' keys and values, so the shape
+        holds too.  What is derived from a raw assignment that is no hom is
+        no hom either.
+        """
+        self = object.__new__(cls)
+        self.doms, self.cod, self._table = doms, cod, table
         return self
 
     @classmethod
@@ -261,7 +273,7 @@ class MonoidHom:
 
     @classmethod
     def identity(cls, M: Monoid) -> "MonoidHom":
-        return cls.unchecked((M,), M, {(e,): e for e in M.elements})
+        return cls._derived((M,), M, {(e,): e for e in M.elements})
 
     # operations participate in operads through the .inputs/.output protocol
     @property
@@ -288,8 +300,8 @@ class MonoidHom:
         """Postcompose with a unary hom."""
         if other.arity != 1 or other.doms[0] != self.cod:
             raise ValueError("postcomposition needs a unary hom out of the codomain")
-        return MonoidHom.unchecked(self.doms, other.cod,
-                                   {args: other(v) for args, v in self._table.items()})
+        return MonoidHom._derived(self.doms, other.cod,
+                                  {args: other(v) for args, v in self._table.items()})
 
     @cached_property
     def is_isomorphism(self) -> bool:
@@ -302,8 +314,8 @@ class MonoidHom:
         """The inverse of a bijective unary hom."""
         if not self.is_isomorphism:
             raise ValueError("only bijective unary homs invert")
-        return MonoidHom.unchecked((self.cod,), self.doms[0],
-                                   {(v,): args[0] for args, v in self._table.items()})
+        return MonoidHom._derived((self.cod,), self.doms[0],
+                                  {(v,): args[0] for args, v in self._table.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MonoidHom):
@@ -346,7 +358,7 @@ def compose_monoid_homs(outer: MonoidHom, inners: Sequence[MonoidHom]) -> Monoid
             outer(*(value for _, value in combo))
         for combo in itertools.product(*(h._table.items() for h in inners))
     }
-    return MonoidHom.unchecked(doms, outer.cod, table)
+    return MonoidHom._derived(doms, outer.cod, table)
 
 
 def permute_monoid_hom(hom: MonoidHom, sigma: Sequence[int]) -> MonoidHom:
@@ -358,7 +370,7 @@ def permute_monoid_hom(hom: MonoidHom, sigma: Sequence[int]) -> MonoidHom:
     inv = invert_permutation(sigma)
     table = {args: hom(*apply_permutation(args, inv))
              for args in itertools.product(*(m.elements for m in doms))}
-    return MonoidHom.unchecked(doms, hom.cod, table)
+    return MonoidHom._derived(doms, hom.cod, table)
 
 
 def monoid_operad(monoids: Iterable[Monoid],

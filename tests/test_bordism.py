@@ -45,7 +45,7 @@ from causalops.causal_core import (
     is_cauchy_antichain,
 )
 from causalops.errors import FragmentCapExceeded, InvalidComposite, InvalidSurface
-from causalops.operad_kernel import block_permutation
+from causalops.operad_kernel import FiniteGroupoid, block_permutation
 from causalops.pseudo_operad import (
     check_pseudo_operad,
     check_two_adjunction,
@@ -1302,6 +1302,83 @@ class TestCanonicalInstances:
         for (cell, sigma), moved in window.act_cells.items():
             assert moved == permute_cell(cell, sigma)
             assert held.get(moved) is moved
+
+
+def value_groupoid(G) -> FiniteGroupoid:
+    """A plain groupoid of G's objects and cells, composing and inverting
+    them by value through ``then`` and ``inverse``."""
+    return FiniteGroupoid(G.objects, G.morphisms,
+                          {c: G.src(c) for c in G.morphisms}, {c: G.tgt(c) for c in G.morphisms},
+                          lambda g, f: f.then(g), {obj: G.id(obj) for obj in G.objects},
+                          lambda c: c.inverse())
+
+
+class TestKeyedCellGroupoids:
+    """A window's groupoids compose and invert cells on integer keys; their
+    tables, inverses and reports are those of the value walk."""
+
+    @staticmethod
+    def assert_keyed_like_by_value(G):
+        plain = value_groupoid(G)
+        assert G.table() == plain.table()
+        assert G.validate().dumps() == plain.validate().dumps()
+        assert list(G.numbers) == list(plain.numbers)
+        # validate numbered every inverse, inside the list or not
+        for c in G.morphisms:
+            assert G.inv(c) is G.numbers.canonical(c.inverse())
+
+    @given(valid_pieces())
+    @settings(max_examples=30, deadline=None)
+    def test_window_groupoids_of_valid_pieces_compose_like_the_value_walk(self, pieces):
+        outer, inners = pieces
+        try:
+            window = bordism_fragment([outer, *inners], depth=1)
+        except (InvalidComposite, FragmentCapExceeded):
+            return  # the right unit law gap, or a window past its caps
+        for G in (window.objects, *window.op_groupoids.values()):
+            self.assert_keyed_like_by_value(G)
+
+    def test_cells_of_three_surface_events_compose_like_the_value_walk(self):
+        # the hull permutations are all of S3, which has elements that do not
+        # commute and elements that are not their own inverses
+        window = bordism_fragment([PointedObject(CausalSet("uvw", []), {"u", "v", "w"})],
+                                  depth=0)
+        G = window.op_groupoids[1]
+        assert len(G.morphisms) == 216
+        for H in (window.objects, G):
+            self.assert_keyed_like_by_value(H)
+
+    @staticmethod
+    def antichain_cells():
+        window = bordism_fragment([PointedObject(CausalSet("uv", []), {"u", "v"})], depth=1)
+        return window.op_groupoids[1]
+
+    def test_a_cell_whose_images_miss_a_hull_event_goes_by_value(self):
+        G = self.antichain_cells()
+        cell = next(c for c in G.morphisms if c.dom != c.cod)
+        (u, x), (v, _) = cell.pairs
+        bad = TwoCell._unchecked(cell.dom, cell.cod, ((u, x), (v, x)))
+        H = bordism_module._CellGroupoid(G.objects, (*G.morphisms, bad), lambda op: op)
+        self.assert_keyed_like_by_value(H)
+        assert H.validate().dumps() == oracles.oracle_groupoid_report(H).dumps()
+        n = len(H.morphisms) - 1
+        outside = {g: gf for g, gf in H.table()[n].items() if gf >= len(H.morphisms)}
+        assert outside
+        for g, gf in outside.items():
+            assert H.numbers[gf] == bad.then(H.morphisms[g])
+        assert not H.validate().ok
+
+    def test_a_composite_outside_the_list_goes_by_value(self):
+        G = self.antichain_cells()
+        dropped = next(c for c in G.morphisms if c.dom != c.cod)
+        H = bordism_module._CellGroupoid(
+            G.objects, [c for c in G.morphisms if c != dropped], lambda op: op)
+        self.assert_keyed_like_by_value(H)
+        assert H.validate().dumps() == oracles.oracle_groupoid_report(H).dumps()
+        outside = [H.numbers[gf] for row in H.table() for gf in row.values()
+                   if gf >= len(H.morphisms)]
+        assert outside and all(c == dropped and c is not dropped for c in outside)
+        assert H.inv(dropped.inverse()) == dropped
 
 
 def _key_text(key) -> str:

@@ -21,7 +21,9 @@ SRC = TESTS.parent / "src"
 # witnesses are the same under both seeds.  The operad audits of the diamond
 # region fragment and of a twist operad whose composite of bt falls outside
 # the window walk numbered tables, and number composites outside the window
-# as they meet them; the twist audit fails its equivariance row.
+# as they meet them; the twist audit fails its equivariance row.  Last come
+# the rows of the merge window's vertical composition tables, in row order,
+# which its groupoids fill by looking up cells numbered by integer keys.
 AUDIT = """
 import sys
 from causalops.bordism import bordism_fragment, truncate_bordisms
@@ -66,6 +68,9 @@ reports = [
     check_operad_axioms(twist_operad(table={(UC, (BT,)): Operation("bt2", ("e", "d"), "c")})),
 ]
 sys.stdout.write("".join(r.dumps() for r in reports))
+for G in (merge.objects, *merge.op_groupoids.values()):
+    sys.stdout.write("".join(" ".join(f"{g}:{gf}" for g, gf in row.items()) + "\\n"
+                             for row in G.table()))
 """
 
 # Builds the window of two crossing surfaces of one 4-event poset (50

@@ -211,6 +211,24 @@ class TestMonoidHom:
         assert moved(2, 1) == 1
         assert permute_monoid_hom(moved, (1, 0)) == proj
 
+    @pytest.mark.parametrize("build, text", [
+        pytest.param(lambda: compose_monoid_homs(MonoidHom.identity(Z2), ()),
+                     "arity mismatch in hom composition", id="compose-arity"),
+        pytest.param(lambda: compose_monoid_homs(MonoidHom.identity(Z2),
+                                                 (MonoidHom.identity(Z3),)),
+                     "inner codomain differs from the outer factor", id="compose-codomain"),
+        pytest.param(lambda: permute_monoid_hom(MonoidHom.identity(Z2), ()),
+                     "permutation arity mismatch", id="permute-arity"),
+    ])
+    def test_smallest_input_of_each_structure_map_raise(self, build, text):
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            build()
+
+    def test_text_lists_the_table_in_label_order(self):
+        assert str(MonoidHom.unary(Z3, Z3, {0: 0, 1: 2, 2: 1})) == "hom[(0)>0;(1)>2;(2)>1](Z3)->Z3"
+        proj = MonoidHom((Z2, Z3), Z2, {(a, b): a for a in Z2 for b in Z3})
+        assert str(proj) == "hom[(0,0)>0;(0,1)>0;(0,2)>0;(1,0)>1;(1,1)>1;(1,2)>1](Z2,Z3)->Z2"
+
     def test_monoid_operad_satisfies_the_axioms(self):
         collapse = MonoidHom.unary(Z2, TRIV, {0: "e", 1: "e"})
         proj = MonoidHom((Z2, Z3), Z2, {(a, b): a for a in Z2 for b in Z3})

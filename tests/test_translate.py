@@ -302,6 +302,17 @@ def lawful_homs(draw, cod, doms=None):
 
 
 @st.composite
+def raw_homs(draw, cod, doms=None):
+    """A table into ``cod``, taken without the hom laws, from ``doms``, by
+    default a product of at most two drawn Z1-Z4 factors; most break a law."""
+    if doms is None:
+        doms = tuple(draw(st.lists(st.sampled_from(CYCLIC), max_size=2)))
+    keys = list(itertools.product(*(m.elements for m in doms)))
+    values = draw(st.lists(st.sampled_from(cod.elements), min_size=len(keys), max_size=len(keys)))
+    return MonoidHom.unchecked(doms, cod, dict(zip(keys, values)))
+
+
+@st.composite
 def hom_tables(draw):
     """A table from a product of Z1-Z4 factors into one of them, keys shuffled.
 
@@ -420,6 +431,23 @@ class TestDerivedHoms:
             if h.is_isomorphism:
                 assert h.then(h.inverse()) == MonoidHom.identity(h.doms[0])
                 assert h.inverse().then(h) == MonoidHom.identity(h.cod)
+
+    @given(hom_tables(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_derived_homs_have_the_shape_that_unchecked_checks(self, drawn, data):
+        # derived homs skip the shape check too; on raw tables, lawful or
+        # not, every one must pass it
+        f = MonoidHom.unchecked(*drawn)
+        g = data.draw(raw_homs(data.draw(st.sampled_from(CYCLIC)), (f.cod,)))
+        inners = tuple(data.draw(raw_homs(m)) for m in f.doms)
+        results = [MonoidHom.identity(m) for m in f.doms + (f.cod,)]
+        results += [f.then(g), compose_monoid_homs(f, inners)]
+        results += [permute_monoid_hom(f, sigma)
+                    for sigma in itertools.permutations(range(f.arity))]
+        results += [h.inverse() for h in (f, g) if h.is_isomorphism]
+        for r in results:
+            assert type(r.doms) is tuple
+            assert r == MonoidHom.unchecked(r.doms, r.cod, dict(r._table))
 
 
 def small_fragment(events, relations, singles):
